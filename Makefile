@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 race chaos linearize reconfig shard wan fuzz-short bench-pipeline bench-ec bench-json bench-baseline bench-gate capacity obs-smoke staticcheck
+.PHONY: tier1 race chaos linearize reconfig shard wan fuzz-short bench-pipeline bench-ec bench-json bench-baseline bench-gate benchmark-smoke capacity obs-smoke staticcheck
 
 # Tier-1 verification: everything vets, builds, and every test passes.
 tier1:
@@ -111,6 +111,20 @@ bench-gate:
 		-tol wan_put_p99_ms=1.5 -tol read_p99_us=4 -tol backup_read_p99_us=4 \
 		-tol put_ops_per_sec_during_replace=1.5 -tol replacements_during_probe=1.5 \
 		-tol puts_skipped_no_coordinator=20
+
+# Benchmark smoke: benchmark/ is its own module, outside tier-1, so this is
+# the only place CI builds it. Vets and tests the module, then runs two
+# short workloads through the same run.sh the benchmark driver uses and
+# fails unless every result line (the JSON line each workload ends with)
+# reports "correct":true and "failed":0.
+BENCHMARK_SMOKE_OUT ?= .bench_build/smoke.out
+benchmark-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test .
+	mkdir -p $(dir $(BENCHMARK_SMOKE_OUT))
+	bash benchmark/run.sh --workload put_solo,delay_put --seed 1 --seconds 2 --trace 0 > $(BENCHMARK_SMOKE_OUT)
+	@grep '^{' $(BENCHMARK_SMOKE_OUT)
+	@test "$$(grep -c '^{' $(BENCHMARK_SMOKE_OUT))" -eq 2
+	@! grep '^{' $(BENCHMARK_SMOKE_OUT) | grep -v '"correct":true,.*"failed":0,'
 
 # Capacity smoke: the open-loop load generator and baseline-comparator
 # unit tests (Poisson rate accuracy, stall-as-queue-latency, knee

@@ -261,7 +261,7 @@ type Store struct {
 	}
 }
 
-const bucketLockStripes = 512
+const bucketStripes = 512
 
 // New builds the store over mem and recovers its state: it loads the index
 // table and bitmap from replicated memory and replays the KV write-ahead
@@ -294,7 +294,7 @@ func New(mem *repmem.Memory, cfg Config) (*Store, error) {
 		kvGeo:       wal.Geometry{Base: 0, SlotSize: c.WALSlotSize(), Slots: c.WALSlots},
 		index:       make([]uint64, c.Buckets()),
 		bitmap:      make([]byte, c.BitmapBytes()),
-		bucketLocks: make([]sync.RWMutex, bucketLockStripes),
+		bucketLocks: make([]sync.RWMutex, bucketStripes),
 		applied:     make(map[uint64]bool),
 		dedup:       make(map[string]uint64),
 		nextIdx:     1,
@@ -370,7 +370,7 @@ func (s *Store) bucketOf(key []byte) uint64 {
 }
 
 func (s *Store) bucketLock(bucket uint64) *sync.RWMutex {
-	return &s.bucketLocks[bucket%bucketLockStripes]
+	return &s.bucketLocks[bucket%bucketStripes]
 }
 
 // indexAddr returns the main-space address of a bucket's index entry.

@@ -217,3 +217,30 @@ func TestDirectWriteCommitsWithSuspectNode(t *testing.T) {
 		t.Fatalf("direct read back %q err %v", got, err)
 	}
 }
+
+// TestStragglerCheckKeepsWriteQuorum: one pass that finds two of three live
+// nodes above the straggler bar (a scheduling hiccup inflates EWMAs together)
+// degrades only the slower one — degrading both would leave one live node,
+// no write quorum, and every put waiting out its retry budget.
+func TestStragglerCheckKeepsWriteQuorum(t *testing.T) {
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}
+	e := newEnv(t, 3, cfg0.Layout())
+	m := newMemory(t, baseConfig(e, "c"))
+	for i, us := range []float64{50, 40_000, 90_000} { // bar: 16 × 50 µs, floor 2 ms
+		m.health[i].ewma.Reset()
+		for n := 0; n < m.cfg.StragglerMinSamples; n++ {
+			m.health[i].ewma.Observe(us)
+		}
+	}
+	m.checkStragglers()
+	m.checkStragglers() // a second pass finds nothing more it may exclude
+	if got := m.DegradedMemoryNodes(); len(got) != 1 || got[0] != "m2" {
+		t.Fatalf("degraded %v, want only the slowest node m2", got)
+	}
+	if got := len(m.LiveMemoryNodes()); got < m.Majority() {
+		t.Fatalf("%d live nodes left, below the majority %d", got, m.Majority())
+	}
+	if err := m.DirectWrite(0, []byte("still writable")); err != nil {
+		t.Fatalf("write after the straggler pass: %v", err)
+	}
+}

@@ -207,7 +207,7 @@ func (g *integrity) read(addr uint64, buf []byte) error {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		r := m.expandWriteRange(addr, len(buf))
-		m.locks.rlockSpan(r.addr, r.size)
+		m.locks.acquire(shared, r)
 		var bad []uint64
 		var err error
 		if m.code == nil {
@@ -215,7 +215,7 @@ func (g *integrity) read(addr uint64, buf []byte) error {
 		} else {
 			bad, err = g.readECVerified(addr, buf)
 		}
-		m.locks.runlockSpan(r.addr, r.size)
+		m.locks.release(shared, r)
 		if len(bad) == 0 {
 			return err
 		}
@@ -382,14 +382,15 @@ func (g *integrity) repairBlocks(blocks []uint64) error {
 	var firstErr error
 	for _, b := range blocks {
 		start, length := g.blockRange(b)
-		unlock := g.m.locks.lockRange(start, length)
+		r := lockRange{addr: start, size: length}
+		g.m.locks.acquire(exclusive, r)
 		var err error
 		if g.m.code == nil {
 			_, _, err = g.repairPlainBlockLocked(b)
 		} else {
 			_, err = g.repairECBlockLocked(b)
 		}
-		unlock()
+		g.m.locks.release(exclusive, r)
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("block %d: %w", b, err)
 		}

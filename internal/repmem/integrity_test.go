@@ -132,6 +132,12 @@ func TestScrubRepairsSilentCorruption(t *testing.T) {
 	if err := m.DirectWrite(512, direct); err != nil {
 		t.Fatal(err)
 	}
+	// DirectWrite returns on a majority. A read of the range queues behind
+	// its range lock until the last node's copy has landed, so a straggling
+	// write cannot heal the damage planted below before the scrubber looks.
+	if err := m.DirectRead(512, make([]byte, len(direct))); err != nil {
+		t.Fatal(err)
+	}
 
 	// Silent damage on one node: three main-memory blocks and one
 	// direct-zone byte. No read touches them — only the scrubber can find

@@ -2,209 +2,129 @@ package repmem
 
 import "sync"
 
-// lockBlock is the granularity of range locking, in bytes. Writers lock the
-// stripes covering their range; readers take the read side. Under erasure
-// coding the effective granularity is max(lockBlock, ECBlockSize) because
-// writes are expanded to full EC blocks before locking.
-const lockBlock = 4096
-
-// lockTable is a striped range lock: byte ranges map to a fixed set of
-// RWMutex stripes. Coarser than a per-block map but allocation-free and
-// deadlock-safe (stripes are always taken in ascending index order).
-type lockTable struct {
-	stripes []sync.RWMutex
-}
-
-func newLockTable(n int) *lockTable {
-	return &lockTable{stripes: make([]sync.RWMutex, n)}
-}
-
-// stripesFor returns the ascending, deduplicated stripe indexes covering
-// [addr, addr+size). A zero-length range still locks its position stripe.
-func (t *lockTable) stripesFor(addr uint64, size int) []int {
-	first := addr / lockBlock
-	last := first
-	if size > 0 {
-		last = (addr + uint64(size) - 1) / lockBlock
-	}
-	n := uint64(len(t.stripes))
-	count := last - first + 1
-	if count >= n {
-		// Range covers every stripe.
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	seen := make(map[int]struct{}, count)
-	out := make([]int, 0, count)
-	for b := first; b <= last; b++ {
-		s := int(b % n)
-		if _, dup := seen[s]; !dup {
-			seen[s] = struct{}{}
-			out = append(out, s)
-		}
-	}
-	// Insertion sort: count is small and often already ordered.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// spanInterval maps [addr, addr+size) to its circular stripe interval
-// [start, start+count) mod len(stripes). Because consecutive blocks map to
-// consecutive stripes, the covered stripe set of any contiguous range is a
-// circular interval, which the span lock methods below walk without
-// materialising an index slice — the allocation-free counterpart of
-// stripesFor for the hot paths.
-func (t *lockTable) spanInterval(addr uint64, size int) (start, count uint64) {
-	first := addr / lockBlock
-	last := first
-	if size > 0 {
-		last = (addr + uint64(size) - 1) / lockBlock
-	}
-	n := uint64(len(t.stripes))
-	count = last - first + 1
-	if count > n {
-		count = n
-	}
-	return first % n, count
-}
-
-// lockSpan write-locks the stripes covering the range in ascending stripe
-// order (the same global order stripesFor-based callers use, so the two
-// families cannot deadlock against each other). Pair with unlockSpan on the
-// identical range.
-func (t *lockTable) lockSpan(addr uint64, size int) {
-	n := uint64(len(t.stripes))
-	start, count := t.spanInterval(addr, size)
-	end := start + count
-	if end > n { // wrapped interval: the [0, end-n) segment is lowest
-		for s := uint64(0); s < end-n; s++ {
-			t.stripes[s].Lock()
-		}
-		end = n
-	}
-	for s := start; s < end; s++ {
-		t.stripes[s].Lock()
-	}
-}
-
-// unlockSpan releases lockSpan's stripes in descending order.
-func (t *lockTable) unlockSpan(addr uint64, size int) {
-	n := uint64(len(t.stripes))
-	start, count := t.spanInterval(addr, size)
-	end := start + count
-	wrapEnd := uint64(0)
-	if end > n {
-		wrapEnd = end - n
-		end = n
-	}
-	for s := end; s > start; s-- {
-		t.stripes[s-1].Unlock()
-	}
-	for s := wrapEnd; s > 0; s-- {
-		t.stripes[s-1].Unlock()
-	}
-}
-
-// rlockSpan read-locks the stripes covering the range; pair with
-// runlockSpan on the identical range.
-func (t *lockTable) rlockSpan(addr uint64, size int) {
-	n := uint64(len(t.stripes))
-	start, count := t.spanInterval(addr, size)
-	end := start + count
-	if end > n {
-		for s := uint64(0); s < end-n; s++ {
-			t.stripes[s].RLock()
-		}
-		end = n
-	}
-	for s := start; s < end; s++ {
-		t.stripes[s].RLock()
-	}
-}
-
-// runlockSpan releases rlockSpan's stripes in descending order.
-func (t *lockTable) runlockSpan(addr uint64, size int) {
-	n := uint64(len(t.stripes))
-	start, count := t.spanInterval(addr, size)
-	end := start + count
-	wrapEnd := uint64(0)
-	if end > n {
-		wrapEnd = end - n
-		end = n
-	}
-	for s := end; s > start; s-- {
-		t.stripes[s-1].RUnlock()
-	}
-	for s := wrapEnd; s > 0; s-- {
-		t.stripes[s-1].RUnlock()
-	}
-}
-
-// lockRange write-locks the stripes covering the range and returns an
-// unlock function.
-func (t *lockTable) lockRange(addr uint64, size int) func() {
-	ss := t.stripesFor(addr, size)
-	for _, s := range ss {
-		t.stripes[s].Lock()
-	}
-	return func() {
-		for i := len(ss) - 1; i >= 0; i-- {
-			t.stripes[ss[i]].Unlock()
-		}
-	}
-}
-
-// rlockRange read-locks the stripes covering the range.
-func (t *lockTable) rlockRange(addr uint64, size int) func() {
-	ss := t.stripesFor(addr, size)
-	for _, s := range ss {
-		t.stripes[s].RLock()
-	}
-	return func() {
-		for i := len(ss) - 1; i >= 0; i-- {
-			t.stripes[ss[i]].RUnlock()
-		}
-	}
-}
-
-// lockRanges write-locks the union of several ranges with a single,
-// globally ordered acquisition (used by WriteBatch so multi-write commits
-// cannot deadlock against each other).
-func (t *lockTable) lockRanges(ranges []lockRange) func() {
-	seen := make(map[int]struct{})
-	var all []int
-	for _, r := range ranges {
-		for _, s := range t.stripesFor(r.addr, r.size) {
-			if _, dup := seen[s]; !dup {
-				seen[s] = struct{}{}
-				all = append(all, s)
-			}
-		}
-	}
-	// Sort ascending.
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j] < all[j-1]; j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
-	for _, s := range all {
-		t.stripes[s].Lock()
-	}
-	return func() {
-		for i := len(all) - 1; i >= 0; i-- {
-			t.stripes[all[i]].Unlock()
-		}
-	}
-}
-
+// lockRange is the byte range [addr, addr+size) of the main or direct space.
+// An empty range holds no bytes and never waits.
 type lockRange struct {
 	addr uint64
 	size int
+}
+
+// lockMode says whether holders of overlapping bytes may coexist.
+type lockMode bool
+
+const (
+	shared    lockMode = true
+	exclusive lockMode = false
+)
+
+// interval is one requested or granted [lo, hi) in its mode.
+type interval struct {
+	lo, hi uint64
+	mode   lockMode
+}
+
+func (a interval) conflicts(b interval) bool {
+	return a.lo < b.hi && b.lo < a.hi && !(a.mode == shared && b.mode == shared)
+}
+
+// lockWaiter is a blocked acquire: ready is closed by the release that
+// grants every interval it wants.
+type lockWaiter struct {
+	want  []interval
+	ready chan struct{}
+}
+
+// rangeLock is an exact byte-interval reader/writer lock: an acquire waits
+// only for intervals that overlap one of its own in a conflicting mode, so
+// two operations sharing no byte never wait for each other. A request for
+// several ranges is granted all at once or not at all — a waiter holds
+// nothing, so requests cannot deadlock whatever order their ranges come in.
+// Waiters are served in arrival order: a request also waits behind every
+// conflicting request queued before it, which keeps a stream of shared
+// holders from starving an exclusive one and the reverse.
+//
+// The held set is a plain slice searched linearly. It has one entry per
+// range of each operation in flight (tens on a saturated write path), and
+// the uncontended acquire and release are one mutex round each with no
+// allocation.
+type rangeLock struct {
+	mu    sync.Mutex
+	held  []interval
+	queue []*lockWaiter // arrival order
+}
+
+// intervals appends the non-empty ranges to dst, which the callers back with
+// a stack array so that ordinary requests stay off the heap.
+func intervals(dst []interval, mode lockMode, rs []lockRange) []interval {
+	for _, r := range rs {
+		if r.size > 0 {
+			dst = append(dst, interval{lo: r.addr, hi: r.addr + uint64(r.size), mode: mode})
+		}
+	}
+	return dst
+}
+
+// blocked reports whether want conflicts with a held interval or with a
+// request queued in ahead. Intervals of one request never block each other.
+func (l *rangeLock) blocked(want []interval, ahead []*lockWaiter) bool {
+	for _, a := range want {
+		for _, h := range l.held {
+			if a.conflicts(h) {
+				return true
+			}
+		}
+		for _, w := range ahead {
+			for _, b := range w.want {
+				if a.conflicts(b) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// acquire takes every range in rs in the given mode, atomically. Pair with
+// release on the same mode and ranges.
+func (l *rangeLock) acquire(mode lockMode, rs ...lockRange) {
+	var buf [4]interval
+	want := intervals(buf[:0], mode, rs)
+	l.mu.Lock()
+	if !l.blocked(want, l.queue) {
+		l.held = append(l.held, want...)
+		l.mu.Unlock()
+		return
+	}
+	w := &lockWaiter{want: append([]interval(nil), want...), ready: make(chan struct{})}
+	l.queue = append(l.queue, w)
+	l.mu.Unlock()
+	<-w.ready
+}
+
+// release drops what acquire took and grants, in arrival order, every queued
+// request that nothing held or queued ahead of it blocks any more.
+func (l *rangeLock) release(mode lockMode, rs ...lockRange) {
+	var buf [4]interval
+	l.mu.Lock()
+	for _, iv := range intervals(buf[:0], mode, rs) {
+		i := 0
+		for l.held[i] != iv { // an unpaired release indexes past the end
+			i++
+		}
+		last := len(l.held) - 1
+		l.held[i] = l.held[last]
+		l.held = l.held[:last]
+	}
+	still := l.queue[:0]
+	for _, w := range l.queue {
+		if l.blocked(w.want, still) {
+			still = append(still, w)
+			continue
+		}
+		l.held = append(l.held, w.want...)
+		close(w.ready)
+	}
+	clear(l.queue[len(still):])
+	l.queue = still
+	l.mu.Unlock()
 }

@@ -32,8 +32,9 @@ func (m *Memory) Read(addr uint64, buf []byte) error {
 		// Verified read with transparent read-repair; takes its own locks.
 		return m.integ.read(addr, buf)
 	}
-	m.locks.rlockSpan(addr, len(buf))
-	defer m.locks.runlockSpan(addr, len(buf))
+	r := lockRange{addr: addr, size: len(buf)}
+	m.locks.acquire(shared, r)
+	defer m.locks.release(shared, r)
 	if m.code == nil {
 		return m.readPlain(addr, buf)
 	}
@@ -211,8 +212,9 @@ func (m *Memory) DirectRead(addr uint64, buf []byte) error {
 	if err := m.checkDirectRange(addr, len(buf)); err != nil {
 		return err
 	}
-	m.directLocks.rlockSpan(addr, len(buf))
-	defer m.directLocks.runlockSpan(addr, len(buf))
+	r := lockRange{addr: addr, size: len(buf)}
+	m.directLocks.acquire(shared, r)
+	defer m.directLocks.release(shared, r)
 	live := m.nodesInState(nodeLive)
 	if len(live) == 0 {
 		return fmt.Errorf("%w: no live memory nodes", ErrNoQuorum)
@@ -246,27 +248,19 @@ func (m *Memory) DirectReadAll(addr uint64, size int) ([][]byte, error) {
 	if err := m.checkDirectRange(addr, size); err != nil {
 		return nil, err
 	}
-	unlock := m.directLocks.rlockRange(addr, size)
-	defer unlock()
+	r := lockRange{addr: addr, size: size}
+	m.directLocks.acquire(shared, r)
+	defer m.directLocks.release(shared, r)
 	out := make([][]byte, len(m.nodes))
 	got := 0
-	for i := range m.nodes {
-		if m.state[i].Load() != nodeLive {
-			continue
+	for i, row := range m.readReplicas(lockRange{m.physDirect(addr), size}) {
+		if row != nil {
+			out[i] = row[0]
+			got++
 		}
-		c, err := m.conn(i)
-		if err == nil {
-			buf := make([]byte, size)
-			if err = c.Read(replRegion, m.physDirect(addr), buf); err == nil {
-				out[i] = buf
-				got++
-				continue
-			}
-		}
-		m.noteConnError(i, c, err)
-		if e := m.checkOpen(); e != nil {
-			return nil, e
-		}
+	}
+	if e := m.checkOpen(); e != nil {
+		return nil, e
 	}
 	if got == 0 {
 		return nil, fmt.Errorf("%w: no live memory nodes", ErrNoQuorum)

@@ -783,7 +783,8 @@ func (m *Memory) sweepDirect(dst []rdma.Verbs, lo, hi uint64) error {
 			n = rem
 		}
 		chunk := buf[:n]
-		unlock := m.directLocks.rlockRange(off, int(n))
+		r := lockRange{addr: off, size: int(n)}
+		m.directLocks.acquire(shared, r)
 		err := m.readDirectFromLive(off, chunk)
 		for _, c := range dst {
 			if err != nil {
@@ -793,7 +794,7 @@ func (m *Memory) sweepDirect(dst []rdma.Verbs, lo, hi uint64) error {
 				err = c.Write(replRegion, m.physDirect(off), chunk)
 			}
 		}
-		unlock()
+		m.directLocks.release(shared, r)
 		if err != nil {
 			return err
 		}
@@ -832,7 +833,8 @@ func (m *Memory) sweepMainPlain(dst []rdma.Verbs, tLayout memnode.Layout, lo, hi
 				n = rem
 			}
 			chunk := buf[:n]
-			unlock := m.locks.rlockRange(off, int(n))
+			r := lockRange{addr: off, size: int(n)}
+			m.locks.acquire(shared, r)
 			err := m.readMainFromLive(off, chunk)
 			for _, c := range dst {
 				if err != nil {
@@ -842,7 +844,7 @@ func (m *Memory) sweepMainPlain(dst []rdma.Verbs, tLayout memnode.Layout, lo, hi
 					err = c.Write(replRegion, m.physMain(off), chunk)
 				}
 			}
-			unlock()
+			m.locks.release(shared, r)
 			if err != nil {
 				return err
 			}
@@ -855,7 +857,8 @@ func (m *Memory) sweepMainPlain(dst []rdma.Verbs, tLayout memnode.Layout, lo, hi
 		var err error
 		for attempt := 0; attempt < 2; attempt++ {
 			start, length := g.blockRange(b)
-			unlock := m.locks.rlockRange(start, length)
+			r := lockRange{addr: start, size: length}
+			m.locks.acquire(shared, r)
 			var blk []byte
 			blk, err = g.readPlainBlockNoRepair(b)
 			for _, c := range dst {
@@ -869,7 +872,7 @@ func (m *Memory) sweepMainPlain(dst []rdma.Verbs, tLayout memnode.Layout, lo, hi
 					err = c.Write(replRegion, tLayout.IntegrityOffset(b), stripEntry(g.sum(0, b)))
 				}
 			}
-			unlock()
+			m.locks.release(shared, r)
 			if err == nil || !errors.Is(err, ErrCorrupt) {
 				break
 			}
@@ -897,7 +900,8 @@ func (m *Memory) sweepMainEC(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, 
 	b0 := lo / B
 	b1 := (hi + B - 1) / B
 	for b := b0; b < b1; b++ {
-		unlock := m.locks.rlockRange(b*B, int(B))
+		r := lockRange{addr: b * B, size: int(B)}
+		m.locks.acquire(shared, r)
 		block, _, err := m.readBlockEC(b)
 		if err == nil {
 			err = tCode.EncodeTo(block, chunks)
@@ -917,7 +921,7 @@ func (m *Memory) sweepMainEC(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, 
 				}
 			}
 		}
-		unlock()
+		m.locks.release(shared, r)
 		if err != nil {
 			return err
 		}

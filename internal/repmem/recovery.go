@@ -203,7 +203,8 @@ func (m *Memory) StartRecovery(interval time.Duration) (stop func()) {
 // not hung (a gray straggler, Velos-style) stops delaying quorum writes.
 // Both a relative bar (StragglerFactor × the best live EWMA) and an
 // absolute floor (StragglerMinLatency) must be exceeded, and only nodes
-// with at least StragglerMinSamples samples are judged.
+// with at least StragglerMinSamples samples are judged, and never so many
+// that fewer than a majority of the group stays live.
 //
 // Degraded — not suspect: a suspect is repaired the moment it answers a
 // probe, which a merely-slow node always does; the repair resets its EWMA,
@@ -232,15 +233,26 @@ func (m *Memory) checkStragglers() {
 		return
 	}
 	floor := float64(m.cfg.StragglerMinLatency.Microseconds())
-	for _, i := range live {
-		if m.health[i].ewma.Count() < uint64(m.cfg.StragglerMinSamples) {
-			continue
-		}
-		v := m.health[i].ewma.Value()
-		if v > best*m.cfg.StragglerFactor && v > floor {
-			if m.degradeNode(i, "straggler") {
-				m.stats.stragglerSuspects.Add(1)
+	// Degrading is voluntary exclusion, so it stops where one more would
+	// leave fewer live nodes than a write quorum: two healthy nodes whose
+	// EWMAs a scheduling hiccup inflated in the same pass must not cost the
+	// group its writes. The slowest goes first, so a refusal keeps the
+	// faster of two stragglers in the quorum.
+	for room := len(live) - m.Majority(); room > 0; room-- {
+		worst, worstV := -1, 0.0
+		for _, i := range live {
+			if m.state[i].Load() != nodeLive || m.health[i].ewma.Count() < uint64(m.cfg.StragglerMinSamples) {
+				continue
 			}
+			if v := m.health[i].ewma.Value(); v > best*m.cfg.StragglerFactor && v > floor && v > worstV {
+				worst, worstV = i, v
+			}
+		}
+		if worst < 0 {
+			return
+		}
+		if m.degradeNode(worst, "straggler") {
+			m.stats.stragglerSuspects.Add(1)
 		}
 	}
 }
@@ -422,12 +434,13 @@ func (m *Memory) copyDirectZone(i int, c rdma.Verbs) error {
 			n = rem
 		}
 		chunk := buf[:n]
-		unlock := m.directLocks.rlockRange(off, int(n))
+		r := lockRange{addr: off, size: int(n)}
+		m.directLocks.acquire(shared, r)
 		err := m.readDirectFromLive(off, chunk)
 		if err == nil {
 			err = c.Write(replRegion, m.physDirect(off), chunk)
 		}
-		unlock()
+		m.directLocks.release(shared, r)
 		if err != nil {
 			return err
 		}
@@ -464,7 +477,8 @@ func (m *Memory) copyMainMemory(i int, c rdma.Verbs) error {
 		blocks := uint64(m.cfg.MemSize) / B
 		k := m.code.K()
 		for b := uint64(0); b < blocks; b++ {
-			unlock := m.locks.rlockRange(b*B, int(B))
+			r := lockRange{addr: b * B, size: int(B)}
+			m.locks.acquire(shared, r)
 			// readBlockEC skips checksum-failing chunks like dead nodes, so
 			// corruption on a source node is never copied to the target.
 			block, _, err := m.readBlockEC(b)
@@ -488,7 +502,7 @@ func (m *Memory) copyMainMemory(i int, c rdma.Verbs) error {
 					err = c.Write(replRegion, m.integ.stripOff(b), stripEntry(sum))
 				}
 			}
-			unlock()
+			m.locks.release(shared, r)
 			if err != nil {
 				return err
 			}
@@ -508,12 +522,13 @@ func (m *Memory) copyMainMemory(i int, c rdma.Verbs) error {
 			n = rem
 		}
 		chunk := buf[:n]
-		unlock := m.locks.rlockRange(off, int(n))
+		r := lockRange{addr: off, size: int(n)}
+		m.locks.acquire(shared, r)
 		err := m.readMainFromLive(off, chunk)
 		if err == nil {
 			err = c.Write(replRegion, m.physMain(off), chunk)
 		}
-		unlock()
+		m.locks.release(shared, r)
 		if err != nil {
 			return err
 		}
@@ -532,7 +547,8 @@ func (m *Memory) copyMainVerified(i int, c rdma.Verbs) error {
 		var err error
 		for attempt := 0; attempt < 2; attempt++ {
 			start, length := g.blockRange(b)
-			unlock := m.locks.rlockRange(start, length)
+			r := lockRange{addr: start, size: length}
+			m.locks.acquire(shared, r)
 			var blk []byte
 			blk, err = g.readPlainBlockNoRepair(b)
 			if err == nil {
@@ -540,7 +556,7 @@ func (m *Memory) copyMainVerified(i int, c rdma.Verbs) error {
 					err = c.Write(replRegion, g.stripOff(b), stripEntry(g.sum(0, b)))
 				}
 			}
-			unlock()
+			m.locks.release(shared, r)
 			if err == nil || !errors.Is(err, ErrCorrupt) {
 				break
 			}

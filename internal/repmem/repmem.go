@@ -126,8 +126,6 @@ type Config struct {
 
 	// ApplyWorkers bounds concurrent background appliers (default 4).
 	ApplyWorkers int
-	// LockStripes sizes the range-lock tables (default 1024).
-	LockStripes int
 
 	// Term tags this coordinator's membership publications (see
 	// internal/memnode.AdminMembershipOffset); pass the election term that
@@ -198,9 +196,6 @@ func (c *Config) withDefaults() Config {
 	out := *c
 	if out.ApplyWorkers <= 0 {
 		out.ApplyWorkers = 4
-	}
-	if out.LockStripes <= 0 {
-		out.LockStripes = 1024
 	}
 	if out.WALSlotSize <= 0 {
 		out.WALSlotSize = 4096
@@ -424,8 +419,8 @@ type Memory struct {
 	dirtyMain   atomic.Pointer[dirtyTracker]
 	dirtyDirect atomic.Pointer[dirtyTracker]
 
-	locks       *lockTable // main space
-	directLocks *lockTable // direct space
+	locks       rangeLock // main space
+	directLocks rangeLock // direct space
 
 	integ *integrity // checksummed main memory; nil when disabled
 
@@ -502,17 +497,15 @@ func New(cfg Config) (*Memory, error) {
 	}
 	c := cfg.withDefaults()
 	m := &Memory{
-		cfg:         c,
-		layout:      c.Layout(),
-		nodes:       append([]string(nil), c.MemoryNodes...),
-		conns:       make([]atomic.Pointer[connBox], len(c.MemoryNodes)),
-		dialMu:      make([]sync.Mutex, len(c.MemoryNodes)),
-		state:       make([]atomic.Int32, len(c.MemoryNodes)),
-		locks:       newLockTable(c.LockStripes),
-		directLocks: newLockTable(c.LockStripes),
-		applied:     make(map[uint64]bool),
-		applySem:    make(chan struct{}, c.ApplyWorkers),
-		nextIndex:   1,
+		cfg:       c,
+		layout:    c.Layout(),
+		nodes:     append([]string(nil), c.MemoryNodes...),
+		conns:     make([]atomic.Pointer[connBox], len(c.MemoryNodes)),
+		dialMu:    make([]sync.Mutex, len(c.MemoryNodes)),
+		state:     make([]atomic.Int32, len(c.MemoryNodes)),
+		applied:   make(map[uint64]bool),
+		applySem:  make(chan struct{}, c.ApplyWorkers),
+		nextIndex: 1,
 	}
 	m.seqCond = sync.NewCond(&m.seqMu)
 	m.epoch.Store(c.Epoch)

@@ -3,7 +3,10 @@ package repmem
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"time"
+
+	"github.com/repro/sift/internal/rdma"
 )
 
 // Background scrubber: sweeps the materialized main memory (checksum
@@ -130,6 +133,47 @@ func (m *Memory) scrubStep(cursor, n int) int {
 	return cursor
 }
 
+// readReplicas reads the same ranges of the replicated region from every
+// live node with all reads in flight at once, so a caller holding a range
+// lock pays one round trip however many replicas and ranges it compares. It
+// returns got[node][range]; a node that is not live, or failed a read, has
+// a nil row.
+func (m *Memory) readReplicas(ranges ...lockRange) [][][]byte {
+	got := make([][][]byte, len(m.nodes))
+	conns := make([]rdma.Verbs, len(m.nodes))
+	errs := make([]error, len(m.nodes)*len(ranges))
+	var wg sync.WaitGroup
+	for _, i := range m.nodesInState(nodeLive) {
+		c, err := m.conn(i)
+		if err != nil {
+			m.noteConnError(i, c, err)
+			continue
+		}
+		conns[i] = c
+		got[i] = make([][]byte, len(ranges))
+		for k, r := range ranges {
+			buf := make([]byte, r.size)
+			got[i][k] = buf
+			wg.Add(1)
+			go func(err *error) {
+				defer wg.Done()
+				*err = c.Read(replRegion, r.addr, buf)
+			}(&errs[i*len(ranges)+k])
+		}
+	}
+	wg.Wait()
+	for i, c := range conns {
+		for _, err := range errs[i*len(ranges) : (i+1)*len(ranges)] {
+			if err != nil {
+				m.noteConnError(i, c, err)
+				got[i] = nil
+				break
+			}
+		}
+	}
+	return got
+}
+
 // scrubMainBlock verifies block b on every live replica against the
 // checksum cache and repairs deviants in place.
 func (m *Memory) scrubMainBlock(b uint64) (corrupt, repaired, unrepaired int) {
@@ -141,44 +185,32 @@ func (m *Memory) scrubMainBlock(b uint64) (corrupt, repaired, unrepaired int) {
 		}
 	}()
 	start, length := g.blockRange(b)
-	unlock := m.locks.rlockRange(start, length)
+	r := lockRange{addr: start, size: length}
+	m.locks.acquire(shared, r)
 	var bad int
 	var stripFix []int
-	for _, i := range m.nodesInState(nodeLive) {
-		c, err := m.conn(i)
-		if err == nil {
-			data := make([]byte, g.physLen(b))
-			if err = c.Read(replRegion, g.physOff(b), data); err == nil {
-				if crcBlock(data) != g.sum(i, b) {
-					m.noteCorruption(i, 1)
-					bad++
-					continue
-				}
-				// Data is good; the stored strip entry must agree (a corrupted
-				// strip write leaves clean data under a lying checksum, which
-				// would poison the next recovery's loadSums vote).
-				strip := make([]byte, 4)
-				if err = c.Read(replRegion, g.stripOff(b), strip); err == nil {
-					if !bytes.Equal(strip, stripEntry(g.sum(i, b))) {
-						stripFix = append(stripFix, i)
-					}
-					continue
-				}
-			}
+	for i, got := range m.readReplicas(lockRange{g.physOff(b), g.physLen(b)}, lockRange{g.stripOff(b), 4}) {
+		if got == nil {
+			continue
 		}
-		m.noteConnError(i, c, err)
-		if m.checkOpen() != nil {
-			break
+		if crcBlock(got[0]) != g.sum(i, b) {
+			m.noteCorruption(i, 1)
+			bad++
+		} else if !bytes.Equal(got[1], stripEntry(g.sum(i, b))) {
+			// Data is good; the stored strip entry must agree (a corrupted
+			// strip write leaves clean data under a lying checksum, which
+			// would poison the next recovery's loadSums vote).
+			stripFix = append(stripFix, i)
 		}
 	}
-	unlock()
+	m.locks.release(shared, r)
 	for _, i := range stripFix {
-		unlockW := m.locks.lockRange(start, length)
+		m.locks.acquire(exclusive, r)
 		c, err := m.conn(i)
 		if err == nil {
 			err = c.Write(replRegion, g.stripOff(b), stripEntry(g.sum(i, b)))
 		}
-		unlockW()
+		m.locks.release(exclusive, r)
 		corrupt++
 		m.noteCorruption(i, 1)
 		if err != nil {
@@ -192,7 +224,7 @@ func (m *Memory) scrubMainBlock(b uint64) (corrupt, repaired, unrepaired int) {
 	if bad == 0 {
 		return corrupt, repaired, unrepaired
 	}
-	unlockW := m.locks.lockRange(start, length)
+	m.locks.acquire(exclusive, r)
 	var fixed int
 	var err error
 	if m.code == nil {
@@ -200,7 +232,7 @@ func (m *Memory) scrubMainBlock(b uint64) (corrupt, repaired, unrepaired int) {
 	} else {
 		fixed, err = g.repairECBlockLocked(b)
 	}
-	unlockW()
+	m.locks.release(exclusive, r)
 	corrupt += bad
 	repaired += fixed
 	if err != nil {
@@ -231,18 +263,9 @@ func (m *Memory) scrubDirectRange(idx int) (corrupt, repaired, unrepaired int) {
 
 	read := func() [][]byte {
 		copies := make([][]byte, len(m.nodes))
-		for _, i := range m.nodesInState(nodeLive) {
-			c, err := m.conn(i)
-			if err == nil {
-				buf := make([]byte, n)
-				if err = c.Read(replRegion, m.physDirect(off), buf); err == nil {
-					copies[i] = buf
-					continue
-				}
-			}
-			m.noteConnError(i, c, err)
-			if m.checkOpen() != nil {
-				break
+		for i, got := range m.readReplicas(lockRange{m.physDirect(off), int(n)}) {
+			if got != nil {
+				copies[i] = got[0]
 			}
 		}
 		return copies
@@ -262,17 +285,18 @@ func (m *Memory) scrubDirectRange(idx int) (corrupt, repaired, unrepaired int) {
 		return true
 	}
 
-	unlock := m.directLocks.rlockRange(off, int(n))
+	r := lockRange{addr: off, size: int(n)}
+	m.directLocks.acquire(shared, r)
 	copies := read()
-	unlock()
+	m.directLocks.release(shared, r)
 	if agree(copies) {
 		return 0, 0, 0
 	}
 
 	// Divergence seen: re-read under the write lock (the first pass may have
 	// raced an in-flight DirectWrite fan-out) and repair.
-	unlockW := m.directLocks.lockRange(off, int(n))
-	defer unlockW()
+	m.directLocks.acquire(exclusive, r)
+	defer m.directLocks.release(exclusive, r)
 	copies = read()
 	if agree(copies) {
 		return 0, 0, 0

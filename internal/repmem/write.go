@@ -49,7 +49,10 @@ func (m *Memory) WriteBatch(writes []wal.Write) error {
 		ranges[i] = m.expandWriteRange(w.Addr, len(w.Data))
 	}
 
-	unlock := m.locks.lockRanges(ranges)
+	// All of the batch's ranges are taken in one atomic acquisition, so
+	// batches whose ranges cross cannot deadlock against each other.
+	m.locks.acquire(exclusive, ranges...)
+	unlock := func() { m.locks.release(exclusive, ranges...) }
 
 	// Reserve a log index, bounded by the circular log capacity: index i may
 	// only be written once entry i-Slots has been applied (its slot is being
@@ -429,11 +432,12 @@ func (m *Memory) directWrite(addr uint64, data []byte, release func()) error {
 	if m.cfg.Latency != nil {
 		start = time.Now()
 	}
-	unlock := m.directLocks.lockRange(addr, len(data))
+	held := lockRange{addr: addr, size: len(data)}
+	m.directLocks.acquire(exclusive, held)
 	m.noteDirtyDirect(addr, len(data))
 	wait, bestEffort := m.writeTargets(m.Majority())
 	g := newQuorumGroup(len(wait), m.Majority(), func() {
-		unlock()
+		m.directLocks.release(exclusive, held)
 		if release != nil {
 			release()
 		}
@@ -477,8 +481,8 @@ func (m *Memory) UnloggedWrite(addr uint64, data []byte) error {
 		return err
 	}
 	r := m.expandWriteRange(addr, len(data))
-	m.locks.lockSpan(r.addr, r.size)
-	defer m.locks.unlockSpan(r.addr, r.size)
+	m.locks.acquire(exclusive, r)
+	defer m.locks.release(exclusive, r)
 	if m.code != nil {
 		m.applyEC(addr, data)
 	} else {
