@@ -113,18 +113,25 @@ bench-gate:
 		-tol puts_skipped_no_coordinator=20
 
 # Benchmark smoke: benchmark/ is its own module, outside tier-1, so this is
-# the only place CI builds it. Vets and tests the module, then runs two
+# the only place CI builds it. Vets and tests the module, then runs three
 # short workloads through the same run.sh the benchmark driver uses and
 # fails unless every result line (the JSON line each workload ends with)
-# reports "correct":true and "failed":0.
+# reports "correct":true and "failed":0. It also holds put_sat to at most
+# 6.5 node requests per put (repmem.node_ops_per_put, a count that repeats
+# exactly: 3 log-slot requests + 3 apply requests): someone splitting the
+# block and its checksum entry back into two requests, or dropping the KV
+# block alignment, trips it. Everything the job writes stays under
+# .bench_build/.
 BENCHMARK_SMOKE_OUT ?= .bench_build/smoke.out
 benchmark-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test .
 	mkdir -p $(dir $(BENCHMARK_SMOKE_OUT))
-	bash benchmark/run.sh --workload put_solo,delay_put --seed 1 --seconds 2 --trace 0 > $(BENCHMARK_SMOKE_OUT)
+	bash benchmark/run.sh --workload put_solo,delay_put,put_sat --seed 1 --seconds 2 --trace 0 > $(BENCHMARK_SMOKE_OUT)
 	@grep '^{' $(BENCHMARK_SMOKE_OUT)
-	@test "$$(grep -c '^{' $(BENCHMARK_SMOKE_OUT))" -eq 2
+	@test "$$(grep -c '^{' $(BENCHMARK_SMOKE_OUT))" -eq 3
 	@! grep '^{' $(BENCHMARK_SMOKE_OUT) | grep -v '"correct":true,.*"failed":0,'
+	@awk '$$1 == "put_sat" && $$2 == "repmem.node_ops_per_put" { print; seen = 1; if ($$3 > 6.5) over = 1 } \
+		END { if (!seen || over) { print "put_sat repmem.node_ops_per_put missing or above 6.5"; exit 1 } }' $(BENCHMARK_SMOKE_OUT)
 
 # Capacity smoke: the open-loop load generator and baseline-comparator
 # unit tests (Poisson rate accuracy, stall-as-queue-latency, knee

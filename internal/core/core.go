@@ -225,11 +225,7 @@ func (b *backupReader) rebuildLocked(rec memnode.ConfigRecord) error {
 	if err != nil {
 		return err
 	}
-	align := 1
-	if vcfg.ECData > 0 {
-		align = vcfg.ECBlockSize
-	}
-	chain, err := kv.NewChainReader(b.cfg.KV, align, view)
+	chain, err := kv.NewChainReader(b.cfg.KV, vcfg.WriteAlign(), view)
 	if err != nil {
 		view.Close()
 		return err

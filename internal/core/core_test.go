@@ -30,11 +30,12 @@ func newGroupEnv(t *testing.T, memNodes int) *groupEnv {
 		LoadFactor: 0.5, CacheFraction: 0.5, WALSlots: 32, ApplyShards: 2,
 	}
 	mcfg := repmem.Config{
-		MemSize:     kcfg.RequiredMemSize(1),
-		DirectSize:  kcfg.RequiredDirectSize(),
-		WALSlots:    32,
-		WALSlotSize: 512,
+		DirectSize:         kcfg.RequiredDirectSize(),
+		WALSlots:           32,
+		WALSlotSize:        512,
+		IntegrityBlockSize: kcfg.BlockSize(),
 	}
+	mcfg.MemSize = kcfg.RequiredMemSize(mcfg.WriteAlign())
 	nw := rdma.NewNetwork(nil)
 	names := make([]string, memNodes)
 	for i := range names {

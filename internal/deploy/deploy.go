@@ -86,7 +86,6 @@ func (p Params) Derive() (kv.Config, repmem.Config, error) {
 		WALSlots:    pp.MemWALSlots,
 		WALSlotSize: pp.MemWALSlotSize,
 	}
-	align := 1
 	if pp.EC {
 		k := pp.F + 1
 		mcfg.ECData = k
@@ -99,18 +98,20 @@ func (p Params) Derive() (kv.Config, repmem.Config, error) {
 		// and larger initial k folds itself in.
 		unit := lcm(840, k) // 840 = lcm(1..8)
 		mcfg.ECBlockSize = (kcfg.BlockSize() + unit - 1) / unit * unit
-		align = mcfg.ECBlockSize
 	}
 	if pp.NoIntegrity {
 		mcfg.IntegrityBlockSize = -1
 	} else if !pp.EC {
-		// Align KV data blocks to integrity blocks sized to match: a
-		// steady-state block apply then exactly covers one integrity block,
-		// so checksummed writes need no read-modify-write on the hot path.
+		// Integrity blocks are sized to the KV data block. kv.New places its
+		// data blocks on the memory's write alignment (repmem's WriteAlign:
+		// this size, or the EC block above), so a steady-state block apply
+		// covers exactly one integrity block and checksummed writes need no
+		// read-modify-write on the hot path. The memory is sized for that
+		// same alignment here, which is what keeps kv.RequiredMemSize in
+		// agreement on both sides.
 		mcfg.IntegrityBlockSize = kcfg.BlockSize()
-		align = kcfg.BlockSize()
 	}
-	mcfg.MemSize = kcfg.RequiredMemSize(align)
+	mcfg.MemSize = kcfg.RequiredMemSize(mcfg.WriteAlign())
 	if pp.EC && mcfg.MemSize%mcfg.ECBlockSize != 0 {
 		mcfg.MemSize = (mcfg.MemSize/mcfg.ECBlockSize + 1) * mcfg.ECBlockSize
 	}

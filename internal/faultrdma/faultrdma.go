@@ -415,8 +415,14 @@ var (
 )
 
 // Submit implements rdma.Submitter. It never blocks: fault handling either
-// completes the op, forwards it, or parks it.
+// completes the op, forwards it, or parks it. A vectored write is judged
+// segment by segment — each can be dropped, delayed, corrupted or parked on
+// its own, as the separate writes it stands for would have been.
 func (c *conn) Submit(op *rdma.Op) {
+	if len(op.More) > 0 {
+		rdma.SubmitSegments(op, c.Submit)
+		return
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

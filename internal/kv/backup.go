@@ -49,8 +49,9 @@ type ChainReader struct {
 }
 
 // NewChainReader builds a reader over src. cfg and align must match the
-// coordinator's store configuration (align is the repmem EC block size, or
-// 1 without EC) or every lookup will read from the wrong addresses.
+// coordinator's store configuration (align is the replicated memory's
+// repmem.Config.WriteAlign) or every lookup will read from the wrong
+// addresses.
 func NewChainReader(cfg Config, align int, src BlockSource) (*ChainReader, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

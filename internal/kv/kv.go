@@ -148,8 +148,8 @@ func (c Config) IndexBytes() int { return c.Buckets() * 8 }
 func (c Config) BitmapBytes() int { return (c.Capacity + 7) / 8 }
 
 // BlocksBase returns the main-space offset of the data block array, aligned
-// so that block i starts at BlocksBase + i*BlockSize. align must be ≥1
-// (pass the repmem EC block size, or 1 without EC).
+// so that block i starts at BlocksBase + i*BlockStride. align must be ≥1
+// (pass the replicated memory's WriteAlign).
 func (c Config) BlocksBase(align int) uint64 {
 	base := uint64(c.IndexBytes() + c.BitmapBytes())
 	if align > 1 {
@@ -160,11 +160,12 @@ func (c Config) BlocksBase(align int) uint64 {
 }
 
 // BlockStride returns the spacing between consecutive data blocks:
-// BlockSize rounded up to a multiple of align. With erasure coding, align
-// is the EC block size, which confines every data block to a whole number
-// of EC blocks — block writes are then pure encode-and-fan-out (no
-// read-modify-write of a shared tail block), and a reader can fetch a data
-// block without touching its neighbours.
+// BlockSize rounded up to a multiple of align. align is the replicated
+// memory's write alignment (EC block or integrity block), which confines
+// every data block to a whole number of those blocks — block writes are then
+// pure (encode-and-)fan-out with no read-modify-write of a shared edge
+// block, and a reader can fetch a data block without touching its
+// neighbours.
 func (c Config) BlockStride(align int) int {
 	bs := c.BlockSize()
 	if align > 1 {
@@ -215,7 +216,7 @@ type Store struct {
 
 	buckets    uint64
 	blockSize  int
-	stride     int // blockSize rounded up to EC-block alignment
+	stride     int // blockSize rounded up to the memory's write alignment
 	bcodec     blockCodec
 	bitmapBase uint64
 	blocksBase uint64
@@ -251,7 +252,7 @@ type Store struct {
 
 	// slotPool recycles log-slot buffers between commits; a buffer returns
 	// to the pool only after every per-node write referencing it resolves.
-	slotPool sync.Pool
+	slotPool *sync.Pool
 
 	stats struct {
 		puts, gets, deletes    atomic.Uint64
@@ -272,10 +273,10 @@ func New(mem *repmem.Memory, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	c := cfg.withDefaults()
-	align := 1
-	if mem.ErasureEnabled() {
-		align = mem.ECBlockSize()
-	}
+	// Data blocks sit on the memory's write alignment, so a block write is
+	// whole in both modes: pure encode-and-fan-out under erasure coding, no
+	// read-back of neighbouring integrity blocks without it.
+	align := mem.WriteAlign()
 	if need := c.RequiredMemSize(align); need > mem.MemSize() {
 		return nil, fmt.Errorf("kv: needs %d bytes of main memory, have %d", need, mem.MemSize())
 	}
@@ -300,10 +301,13 @@ func New(mem *repmem.Memory, cfg Config) (*Store, error) {
 		nextIdx:     1,
 	}
 	s.seqCond = sync.NewCond(&s.seqMu)
-	s.slotPool.New = func() any {
-		b := make([]byte, s.kvGeo.SlotSize)
+	// Its own object, its constructor closing over the size alone: see
+	// repmem's bufPool for why a pool must not lead back to the store.
+	slotSize := s.kvGeo.SlotSize
+	s.slotPool = &sync.Pool{New: func() any {
+		b := make([]byte, slotSize)
 		return &b
-	}
+	}}
 	cacheEntries := int(float64(c.Capacity) * c.CacheFraction)
 	s.cache = newCache(cacheEntries)
 

@@ -35,7 +35,6 @@ type env struct {
 // newKVEnv builds a 3-memory-node group sized for cfg, with optional EC.
 func newKVEnv(t *testing.T, cfg Config, ec bool) *env {
 	t.Helper()
-	align := 1
 	mcfg := repmem.Config{
 		WALSlots:    64,
 		WALSlotSize: 512,
@@ -44,9 +43,10 @@ func newKVEnv(t *testing.T, cfg Config, ec bool) *env {
 		mcfg.ECData = 2
 		mcfg.ECParity = 1
 		mcfg.ECBlockSize = ecAlign(cfg.BlockSize(), 2)
-		align = mcfg.ECBlockSize
+	} else {
+		mcfg.IntegrityBlockSize = cfg.BlockSize()
 	}
-	mcfg.MemSize = cfg.RequiredMemSize(align)
+	mcfg.MemSize = cfg.RequiredMemSize(mcfg.WriteAlign())
 	if ec && mcfg.MemSize%mcfg.ECBlockSize != 0 {
 		mcfg.MemSize = (mcfg.MemSize/mcfg.ECBlockSize + 1) * mcfg.ECBlockSize
 	}

@@ -227,3 +227,88 @@ func TestInprocDeadline(t *testing.T) {
 		t.Fatalf("write with generous deadline: %v", err)
 	}
 }
+
+// TestTCPVectoredWriteExpiresOnce has a peer acknowledge the first frame of
+// a three-segment write promptly and the other two well past the deadline:
+// the op must complete exactly once, with ErrDeadline, the late
+// acknowledgements must be discarded frame by frame, and the connection must
+// keep serving.
+func TestTCPVectoredWriteExpiresOnce(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const deadline = 40 * time.Millisecond
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		hs := make([]byte, len(tcpMagic)+2)
+		if _, err := io.ReadFull(conn, hs); err != nil {
+			return
+		}
+		if _, err := conn.Write([]byte{statusOK}); err != nil {
+			return
+		}
+		for n := 0; ; n++ {
+			var hdr [reqHeaderSize]byte
+			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+				return
+			}
+			length := binary.LittleEndian.Uint32(hdr[21:25])
+			if _, err := io.CopyN(io.Discard, conn, int64(length)); err != nil {
+				return
+			}
+			if n == 1 {
+				time.Sleep(4 * deadline) // the second frame's answer comes late
+			}
+			var resp [respHeaderSize]byte
+			copy(resp[0:8], hdr[0:8])
+			resp[8] = statusOK
+			if _, err := conn.Write(resp[:]); err != nil {
+				return
+			}
+		}
+	}()
+
+	v, err := DialTCP(l.Addr().String(), DialOpts{OpDeadline: deadline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	done := make(chan error, 4)
+	v.(Submitter).Submit(&Op{Kind: OpWrite, Region: 1, Offset: 0, Data: []byte{1},
+		More: []Seg{{Offset: 8, Data: []byte{2}}, {Offset: 16, Data: []byte{3}}},
+		Done: func(op *Op) { done <- op.Err }})
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrDeadline) {
+			t.Fatalf("vectored write: got %v, want ErrDeadline", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("vectored write never completed")
+	}
+	if st := v.(PipelineStatser).PipelineStats(); st.Expiries != 1 {
+		t.Fatalf("Expiries = %d, want 1 (one op, however many frames)", st.Expiries)
+	}
+	// The two late acknowledgements arrive while these run; each must be
+	// swallowed without failing the connection or completing anything twice.
+	dl := time.Now().Add(5 * time.Second)
+	for {
+		err := v.Write(1, 24, []byte{4})
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrDeadline) || time.Now().After(dl) {
+			t.Fatalf("write after the expired vector: got %v, want eventual success", err)
+		}
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("vectored write completed a second time (err=%v)", err)
+	default:
+	}
+}

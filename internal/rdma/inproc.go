@@ -122,14 +122,33 @@ func (n *Network) Dial(src, dst string, opts DialOpts) (Verbs, error) {
 	return c, nil
 }
 
-// inprocWorkers bounds the per-connection pipeline depth for asynchronous
-// submission: up to this many operations execute against the fabric
-// concurrently, modelling the parallelism of an RNIC's processing units.
-const inprocWorkers = 8
+// The in-process send queue, as parameters of the latency model (they are
+// not deployment settings and no configuration reaches them):
+//
+//   - inprocWorkers is the number of lanes: flights one connection can have
+//     on the fabric at once, each occupying its lane for a full round trip. A
+//     real RC queue pair keeps hundreds of work requests in flight; eight
+//     lanes keep the goroutine count per connection small, and what a busy
+//     lane cannot take at once it takes together (next point).
+//   - inprocFlightMax bounds how many operations one flight carries. A lane
+//     that becomes free takes whatever is already queued, up to this many,
+//     and sends it as one flight — one request leg sized for all of it, the
+//     operations executed in submission order, one response leg — the way a
+//     NIC drains every posted work request on one doorbell. Nothing waits
+//     for company: an operation submitted to an idle connection flies alone.
+//     Over slow links this is what keeps throughput from being capped at
+//     inprocWorkers flights per round trip.
+//   - inprocQueue is the submit-channel depth; submissions beyond it apply
+//     backpressure to the submitter.
+const (
+	inprocWorkers   = 8
+	inprocFlightMax = 16
+	inprocQueue     = 128
+)
 
-// inprocQueue is the submit-channel depth; submissions beyond it apply
-// backpressure to the submitter.
-const inprocQueue = 128
+// segHeaderSize approximates the wire cost of one further segment of a
+// vectored write (offset, length).
+const segHeaderSize = 16
 
 // inprocConn is a reliable connection on the in-process transport. Verbs are
 // executed directly against the remote node's registered regions; the
@@ -153,6 +172,7 @@ type inprocConn struct {
 	subCh chan *Op
 
 	submitted atomic.Uint64
+	flights   atomic.Uint64
 	inflight  metrics.Depth
 }
 
@@ -161,15 +181,58 @@ var (
 	_ PipelineStatser = (*inprocConn)(nil)
 )
 
-func (c *inprocConn) region(id RegionID) (*Region, uint64, error) {
+// admit checks what the initiator's side of a verb checks before anything
+// is sent, and resolves the op's region. The lookup is per operation, so a
+// region re-registered by a restarted memory node is seen by the next one.
+func (c *inprocConn) admit(op *Op) (*Region, error) {
 	if c.closed.Load() {
-		return nil, 0, ErrClosed
+		return nil, ErrClosed
 	}
-	r := c.node.Region(id)
+	if op.Kind != OpRead && c.readonly[op.Region] {
+		return nil, ErrFenced
+	}
+	r := c.node.Region(op.Region)
 	if r == nil {
-		return nil, 0, fmt.Errorf("rdma: region %d: %w", id, ErrUnknownRegion)
+		return nil, fmt.Errorf("rdma: region %d: %w", op.Region, ErrUnknownRegion)
 	}
-	return r, c.epochs[id], nil
+	return r, nil
+}
+
+// execute is the remote NIC's part of a verb: op applied to region r, a
+// vectored write segment by segment in order, stopping at the first error.
+func (c *inprocConn) execute(r *Region, op *Op) (err error) {
+	epoch := c.epochs[op.Region]
+	switch op.Kind {
+	case OpRead:
+		return r.ReadAt(epoch, op.Offset, op.Data)
+	case OpWrite:
+		err = r.WriteAt(epoch, op.Offset, op.Data)
+		for i := 0; err == nil && i < len(op.More); i++ {
+			err = r.WriteAt(epoch, op.More[i].Offset, op.More[i].Data)
+		}
+		return err
+	case OpCAS:
+		op.Old, err = r.CASAt(epoch, op.Offset, op.Expect, op.Swap)
+		return err
+	}
+	return fmt.Errorf("rdma: unknown op kind %d", op.Kind)
+}
+
+// wireSizes returns the modelled sizes of op's request and response legs.
+func wireSizes(op *Op) (req, resp int) {
+	switch op.Kind {
+	case OpRead:
+		return opHeaderSize, opHeaderSize + len(op.Data)
+	case OpWrite:
+		req = opHeaderSize + len(op.Data)
+		for i := range op.More {
+			req += segHeaderSize + len(op.More[i].Data)
+		}
+		return req, opHeaderSize
+	case OpCAS:
+		return opHeaderSize + 16, opHeaderSize + 8
+	}
+	return opHeaderSize, opHeaderSize
 }
 
 // Submit implements Submitter: the op executes on one of the connection's
@@ -214,113 +277,137 @@ func (c *inprocConn) startWorkers() {
 	c.subMu.Unlock()
 }
 
+// workerLoop is one lane: it blocks for an operation, takes along whatever
+// else is queued at that moment, and flies the lot.
 func (c *inprocConn) workerLoop(ch chan *Op) {
+	flight := make([]*Op, 0, inprocFlightMax)
 	for op := range ch {
-		// Ops that expired while queued complete without executing; ops that
-		// expire during execution still executed remotely but report
-		// ErrDeadline, mirroring the TCP transport's ambiguity (the initiator
-		// cannot tell whether a late operation landed).
-		if !op.deadline.IsZero() && time.Now().After(op.deadline) {
-			c.inflight.Dec()
-			op.complete(ErrDeadline)
-			continue
+		flight = append(flight[:0], op)
+	drain:
+		for len(flight) < inprocFlightMax {
+			select {
+			case more, ok := <-ch:
+				if !ok {
+					break drain
+				}
+				flight = append(flight, more)
+			default:
+				break drain
+			}
 		}
-		var err error
-		switch op.Kind {
-		case OpRead:
-			err = c.read(op.Region, op.Offset, op.Data)
-		case OpWrite:
-			err = c.write(op.Region, op.Offset, op.Data)
-		case OpCAS:
-			op.Old, err = c.compareAndSwap(op.Region, op.Offset, op.Expect, op.Swap)
-		default:
-			err = fmt.Errorf("rdma: unknown op kind %d", op.Kind)
-		}
-		if err == nil && !op.deadline.IsZero() && time.Now().After(op.deadline) {
-			err = ErrDeadline
-		}
-		c.inflight.Dec()
-		op.complete(err)
+		c.fly(flight)
 	}
 }
 
-// lateness converts an elapsed-past-deadline execution into ErrDeadline for
-// the blocking verb paths. Errors that already occurred take precedence.
-func (c *inprocConn) lateness(start time.Time, err error) error {
-	if err == nil && c.opDeadline > 0 && time.Since(start) > c.opDeadline {
+// fly carries one flight: a request leg, the operations in order, a response
+// leg. A region-level error fails only its own op; a fabric error fails the
+// flight. The clock is read once before and once after, for every op's
+// deadline: ops that expired while queued complete without executing; ops
+// that expire during the flight still executed remotely but report
+// ErrDeadline, mirroring the TCP transport's ambiguity (the initiator cannot
+// tell whether a late operation landed).
+func (c *inprocConn) fly(flight []*Op) {
+	c.flights.Add(1)
+	timed := c.opDeadline > 0
+	var now time.Time
+	if timed {
+		now = time.Now()
+	}
+	var regions [inprocFlightMax]*Region
+	live := flight[:0]
+	req, resp := 0, 0
+	for _, op := range flight {
+		if timed && now.After(op.deadline) {
+			c.finish(op, ErrDeadline)
+			continue
+		}
+		r, err := c.admit(op)
+		if err != nil {
+			c.finish(op, err)
+			continue
+		}
+		regions[len(live)] = r
+		live = append(live, op)
+		q, p := wireSizes(op)
+		req, resp = req+q, resp+p
+	}
+	if len(live) == 0 {
+		return
+	}
+	err := c.net.fabric.Transfer(c.src, c.dst, req)
+	if err == nil {
+		for i, op := range live {
+			op.Err = c.execute(regions[i], op)
+		}
+		// Reliable-connection acknowledgement (and read or CAS results).
+		err = c.net.fabric.Transfer(c.dst, c.src, resp)
+	}
+	if timed {
+		now = time.Now()
+	}
+	for _, op := range live {
+		opErr := err
+		if opErr == nil {
+			opErr = op.Err
+		}
+		if opErr == nil && timed && now.After(op.deadline) {
+			opErr = ErrDeadline
+		}
+		c.finish(op, opErr)
+	}
+}
+
+// finish completes op and drops it from the in-flight gauge.
+func (c *inprocConn) finish(op *Op, err error) {
+	c.inflight.Dec()
+	op.complete(err)
+}
+
+// do is the blocking verb path: one operation, alone in its flight, on the
+// caller's goroutine. An execution that outlasts the connection's deadline
+// reports ErrDeadline; errors that already occurred take precedence.
+func (c *inprocConn) do(op *Op) error {
+	var start time.Time
+	if c.opDeadline > 0 {
+		start = time.Now()
+	}
+	r, err := c.admit(op)
+	if err != nil {
+		return err
+	}
+	req, resp := wireSizes(op)
+	if err := c.net.fabric.Transfer(c.src, c.dst, req); err != nil {
+		return err
+	}
+	if err := c.execute(r, op); err != nil {
+		return err
+	}
+	if err := c.net.fabric.Transfer(c.dst, c.src, resp); err != nil {
+		return err
+	}
+	if c.opDeadline > 0 && time.Since(start) > c.opDeadline {
 		return ErrDeadline
 	}
-	return err
+	return nil
 }
 
 // Read implements Verbs.
 func (c *inprocConn) Read(region RegionID, offset uint64, buf []byte) error {
-	return c.lateness(time.Now(), c.read(region, offset, buf))
-}
-
-func (c *inprocConn) read(region RegionID, offset uint64, buf []byte) error {
-	r, epoch, err := c.region(region)
-	if err != nil {
-		return err
-	}
-	if err := c.net.fabric.Transfer(c.src, c.dst, opHeaderSize); err != nil {
-		return err
-	}
-	if err := r.ReadAt(epoch, offset, buf); err != nil {
-		return err
-	}
-	return c.net.fabric.Transfer(c.dst, c.src, opHeaderSize+len(buf))
+	return c.do(&Op{Kind: OpRead, Region: region, Offset: offset, Data: buf})
 }
 
 // Write implements Verbs.
 func (c *inprocConn) Write(region RegionID, offset uint64, data []byte) error {
-	return c.lateness(time.Now(), c.write(region, offset, data))
-}
-
-func (c *inprocConn) write(region RegionID, offset uint64, data []byte) error {
-	if c.readonly[region] {
-		return ErrFenced
-	}
-	r, epoch, err := c.region(region)
-	if err != nil {
-		return err
-	}
-	if err := c.net.fabric.Transfer(c.src, c.dst, opHeaderSize+len(data)); err != nil {
-		return err
-	}
-	if err := r.WriteAt(epoch, offset, data); err != nil {
-		return err
-	}
-	// Reliable-connection acknowledgement.
-	return c.net.fabric.Transfer(c.dst, c.src, opHeaderSize)
+	return c.do(&Op{Kind: OpWrite, Region: region, Offset: offset, Data: data})
 }
 
 // CompareAndSwap implements Verbs.
 func (c *inprocConn) CompareAndSwap(region RegionID, offset uint64, expect, swap uint64) (uint64, error) {
-	start := time.Now()
-	old, err := c.compareAndSwap(region, offset, expect, swap)
-	return old, c.lateness(start, err)
-}
-
-func (c *inprocConn) compareAndSwap(region RegionID, offset uint64, expect, swap uint64) (uint64, error) {
-	if c.readonly[region] {
-		return 0, ErrFenced
-	}
-	r, epoch, err := c.region(region)
-	if err != nil {
+	op := Op{Kind: OpCAS, Region: region, Offset: offset, Expect: expect, Swap: swap}
+	if err := c.do(&op); err != nil {
 		return 0, err
 	}
-	if err := c.net.fabric.Transfer(c.src, c.dst, opHeaderSize+16); err != nil {
-		return 0, err
-	}
-	old, err := r.CASAt(epoch, offset, expect, swap)
-	if err != nil {
-		return 0, err
-	}
-	if err := c.net.fabric.Transfer(c.dst, c.src, opHeaderSize+8); err != nil {
-		return 0, err
-	}
-	return old, nil
+	return op.Old, nil
 }
 
 // Close implements Verbs. Queued operations complete with ErrClosed as the
@@ -337,14 +424,12 @@ func (c *inprocConn) Close() error {
 	return nil
 }
 
-// PipelineStats implements PipelineStatser. Flushes equals Submitted: the
-// in-process transport has no wire to batch onto, so every submission is
-// its own doorbell.
+// PipelineStats implements PipelineStatser: Submitted counts operations,
+// Flushes the flights that carried them.
 func (c *inprocConn) PipelineStats() PipelineStats {
-	n := c.submitted.Load()
 	return PipelineStats{
-		Submitted:   n,
-		Flushes:     n,
+		Submitted:   c.submitted.Load(),
+		Flushes:     c.flights.Load(),
 		MaxInFlight: uint64(c.inflight.Max()),
 	}
 }

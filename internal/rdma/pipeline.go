@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -24,12 +25,18 @@ const (
 	OpCAS
 )
 
+// Seg is one further (offset, payload) segment of a vectored write.
+type Seg struct {
+	Offset uint64
+	Data   []byte
+}
+
 // Op is an asynchronous one-sided operation. The submitter fills in the
 // request fields; the transport fills in the result fields and then invokes
 // Done exactly once. Between Submit and the Done callback the transport owns
-// the Op and its Data buffer — the caller must not touch either. Once Done
-// returns, the transport holds no reference to the Op, so Done may recycle
-// it (and Data) into a pool.
+// the Op and its buffers (Data and every More[i].Data) — the caller must not
+// touch them. Once Done returns, the transport holds no reference to the Op,
+// so Done may recycle it (and the buffers) into a pool.
 type Op struct {
 	Kind   OpKind
 	Region RegionID
@@ -37,6 +44,14 @@ type Op struct {
 
 	// Data is the destination buffer for OpRead or the payload for OpWrite.
 	Data []byte
+
+	// More makes an OpWrite vectored: after (Offset, Data) each segment is
+	// written to the same Region, in order, in the same flight — one request
+	// leg carrying every payload, one acknowledgement, one Done. The outcome
+	// is all-or-error: Err is the first failing segment's error, and then
+	// nothing is promised about which segments landed. Connections that do
+	// not carry vectors natively expand them with SubmitSegments.
+	More []Seg
 
 	// Expect and Swap are the OpCAS arguments; Old receives the value
 	// observed before the swap.
@@ -53,9 +68,51 @@ type Op struct {
 	// (such as the synchronous Verbs methods) that waits internally.
 	Done func(*Op)
 
-	id       uint64    // wire request ID, assigned by the transport
+	id       uint64    // wire request ID (of the first frame), assigned by the transport
+	acks     int       // TCP: frames of this op still owed an acknowledgement
 	done     chan *Op  // internal completion channel for synchronous waits
 	deadline time.Time // completion deadline, assigned by the transport at Submit
+}
+
+// SubmitSegments carries a vectored write over a connection that handles one
+// segment per operation: each segment goes through submit as its own
+// single-segment write, in order, and op completes once, after the last of
+// them has, with the first error any reported. An op without More goes to
+// submit as it is. Wrappers whose Submit reads only op.Data (fault injection,
+// the WAN transport) call this first, so no segment is dropped on the way
+// through them.
+func SubmitSegments(op *Op, submit func(*Op)) {
+	if len(op.More) == 0 {
+		submit(op)
+		return
+	}
+	segs := append([]Seg{{Offset: op.Offset, Data: op.Data}}, op.More...)
+	f := &segFanIn{op: op}
+	f.left.Store(int32(len(segs)))
+	for _, seg := range segs {
+		submit(&Op{Kind: op.Kind, Region: op.Region, Offset: seg.Offset, Data: seg.Data, Done: f.done})
+	}
+}
+
+// segFanIn completes a vectored op once all of its single-segment ops have.
+type segFanIn struct {
+	op   *Op
+	left atomic.Int32
+	err  atomic.Pointer[error]
+}
+
+func (f *segFanIn) done(seg *Op) {
+	if err := seg.Err; err != nil {
+		f.err.CompareAndSwap(nil, &err)
+	}
+	if f.left.Add(-1) > 0 {
+		return
+	}
+	var err error
+	if e := f.err.Load(); e != nil {
+		err = *e
+	}
+	f.op.complete(err)
 }
 
 // Complete delivers err as the operation's outcome, firing the completion
@@ -88,9 +145,10 @@ type Submitter interface {
 
 // PipelineStats is a snapshot of a pipelined connection's counters.
 type PipelineStats struct {
-	// Submitted counts operations submitted over the connection's lifetime.
+	// Submitted counts operations submitted over the connection's lifetime
+	// (a vectored write is one).
 	Submitted uint64
-	// Flushes counts writer wake-ups that pushed a batch to the wire
+	// Flushes counts flights: pushes of one batch of operations to the wire
 	// (doorbells). Submitted/Flushes is the mean coalescing factor.
 	Flushes uint64
 	// MaxInFlight is the high-water mark of concurrently outstanding

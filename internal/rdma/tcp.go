@@ -487,7 +487,8 @@ func (c *tcpConn) sweepLoop() {
 }
 
 // expireOverdue completes every queued or in-flight op whose deadline has
-// passed with ErrDeadline. Taking wmu first keeps the sweep from completing
+// passed with ErrDeadline (a vectored write with every frame it is still
+// owed an answer for). Taking wmu first keeps the sweep from completing
 // an op whose Data the writer is still serializing. Expired in-flight IDs
 // are remembered so their late responses can be discarded.
 func (c *tcpConn) expireOverdue(now time.Time) {
@@ -503,7 +504,12 @@ func (c *tcpConn) expireOverdue(now time.Time) {
 		if !op.deadline.IsZero() && now.After(op.deadline) {
 			delete(c.pending, id)
 			c.expired[id] = struct{}{}
-			victims = append(victims, op)
+			// A vectored write is pending under one ID per frame; it is a
+			// victim once, at the first of them met.
+			if op.acks > 0 {
+				op.acks = 0
+				victims = append(victims, op)
+			}
 		}
 	}
 	if len(c.queue) > 0 {
@@ -535,6 +541,18 @@ func (c *tcpConn) finish(op *Op, err error) {
 	op.complete(err)
 }
 
+// abort fails the connection over a malformed response to op and completes
+// op with everything else in flight. owned says the reader took op's last
+// frame out of pending; otherwise op is a vectored write that failAll (or
+// the deadline sweep) finds under its other frames.
+func (c *tcpConn) abort(op *Op, owned bool, err error) {
+	err = c.fail(err)
+	if owned {
+		c.finish(op, err)
+	}
+	c.failAll(err)
+}
+
 // failAll completes every queued and in-flight op with err. Taking wmu
 // first waits out a writer that may be mid-serialization (the socket is
 // already closed, so it cannot block for long).
@@ -548,7 +566,10 @@ func (c *tcpConn) failAll(err error) {
 	c.mu.Unlock()
 	c.wmu.Unlock()
 	for _, op := range pend {
-		c.finish(op, err)
+		if op.acks > 0 { // once per op, however many frames it is pending under
+			op.acks = 0
+			c.finish(op, err)
+		}
 	}
 	for _, op := range q {
 		c.finish(op, err)
@@ -566,10 +587,18 @@ func (c *tcpConn) Submit(op *Op) {
 		op.complete(fmt.Errorf("rdma: unknown op kind %d", op.Kind))
 		return
 	}
+	if len(op.More) > 0 && op.Kind != OpWrite {
+		op.complete(fmt.Errorf("rdma: op kind %d cannot carry segments", op.Kind))
+		return
+	}
+	for _, seg := range op.More {
+		wire = max(wire, len(seg.Data))
+	}
 	if wire > maxWireData {
 		op.complete(fmt.Errorf("%w: transfer of %d bytes exceeds wire limit", ErrOutOfBounds, wire))
 		return
 	}
+	op.Err = nil // accumulates the first error across a vectored write's frames
 	op.deadline = time.Time{}
 	if c.opDeadline > 0 {
 		op.deadline = time.Now().Add(c.opDeadline)
@@ -587,11 +616,27 @@ func (c *tcpConn) Submit(op *Op) {
 	c.cond.Signal()
 }
 
-// encodeOp serializes one request frame into the buffered writer.
+// encodeOp serializes op into the buffered writer: one request frame, or for
+// a vectored write one frame per segment, back to back under consecutive
+// IDs. The wire format knows nothing of vectors; the daemon executes the
+// frames in arrival order and acknowledges each.
 func (c *tcpConn) encodeOp(op *Op) error {
+	if err := c.encodeFrame(op, op.id, op.Offset, op.Data); err != nil {
+		return err
+	}
+	for i, seg := range op.More {
+		if err := c.encodeFrame(op, op.id+1+uint64(i), seg.Offset, seg.Data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encodeFrame serializes one request frame of op.
+func (c *tcpConn) encodeFrame(op *Op, id, offset uint64, data []byte) error {
 	var hdr [reqHeaderSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], op.id)
-	length := uint32(len(op.Data))
+	binary.LittleEndian.PutUint64(hdr[0:8], id)
+	length := uint32(len(data))
 	switch op.Kind {
 	case OpRead:
 		hdr[8] = opRead
@@ -602,14 +647,14 @@ func (c *tcpConn) encodeOp(op *Op) error {
 		length = casArgsSize
 	}
 	binary.LittleEndian.PutUint32(hdr[9:13], uint32(op.Region))
-	binary.LittleEndian.PutUint64(hdr[13:21], op.Offset)
+	binary.LittleEndian.PutUint64(hdr[13:21], offset)
 	binary.LittleEndian.PutUint32(hdr[21:25], length)
 	if _, err := c.bw.Write(hdr[:]); err != nil {
 		return err
 	}
 	switch op.Kind {
 	case OpWrite:
-		if _, err := c.bw.Write(op.Data); err != nil {
+		if _, err := c.bw.Write(data); err != nil {
 			return err
 		}
 	case OpCAS:
@@ -659,8 +704,11 @@ func (c *tcpConn) writeLoop() {
 		}
 		for _, op := range batch {
 			op.id = c.nextID
-			c.nextID++
-			c.pending[op.id] = op
+			op.acks = 1 + len(op.More)
+			for i := 0; i < op.acks; i++ {
+				c.pending[c.nextID] = op
+				c.nextID++
+			}
 		}
 		c.mu.Unlock()
 		// Bound the push itself: a peer that stops draining its socket must
@@ -708,10 +756,23 @@ func (c *tcpConn) readLoop() {
 		c.mu.Lock()
 		op, ok := c.pending[id]
 		delete(c.pending, id)
-		var wasExpired bool
+		var wasExpired, last bool
+		var kind OpKind
 		if !ok {
 			_, wasExpired = c.expired[id]
 			delete(c.expired, id)
+		} else {
+			// A vectored write completes on the last of its frames'
+			// acknowledgements, with the first error any of them reported.
+			// Until then the deadline sweep may still complete it, so
+			// everything read from or written to the op happens here, under
+			// mu; after the last acknowledgement it is the reader's alone.
+			kind = op.Kind
+			if status != statusOK && op.Err == nil {
+				op.Err = statusToError(status)
+			}
+			op.acks--
+			last = op.acks == 0
 		}
 		c.mu.Unlock()
 		if !ok {
@@ -731,53 +792,41 @@ func (c *tcpConn) readLoop() {
 			continue
 		}
 
-		var opErr error
 		switch {
 		case status != statusOK:
-			opErr = statusToError(status)
 			if length != 0 {
-				err := c.fail(fmt.Errorf("rdma: error response carries %d payload bytes", length))
-				c.finish(op, err)
-				c.failAll(err)
+				c.abort(op, last, fmt.Errorf("rdma: error response carries %d payload bytes", length))
 				return
 			}
-		case op.Kind == OpRead:
+		case kind == OpRead:
 			if int(length) != len(op.Data) {
-				err := c.fail(fmt.Errorf("rdma: read response length %d, want %d", length, len(op.Data)))
-				c.finish(op, err)
-				c.failAll(err)
+				c.abort(op, last, fmt.Errorf("rdma: read response length %d, want %d", length, len(op.Data)))
 				return
 			}
 			if _, err := io.ReadFull(c.br, op.Data); err != nil {
-				err = c.fail(err)
-				c.finish(op, err)
-				c.failAll(err)
+				c.abort(op, last, err)
 				return
 			}
-		case op.Kind == OpCAS:
+		case kind == OpCAS:
 			if length != 8 {
-				err := c.fail(fmt.Errorf("rdma: CAS response length %d, want 8", length))
-				c.finish(op, err)
-				c.failAll(err)
+				c.abort(op, last, fmt.Errorf("rdma: CAS response length %d, want 8", length))
 				return
 			}
 			var ov [8]byte
 			if _, err := io.ReadFull(c.br, ov[:]); err != nil {
-				err = c.fail(err)
-				c.finish(op, err)
-				c.failAll(err)
+				c.abort(op, last, err)
 				return
 			}
 			op.Old = binary.LittleEndian.Uint64(ov[:])
 		default: // OpWrite
 			if length != 0 {
-				err := c.fail(fmt.Errorf("rdma: write response carries %d payload bytes", length))
-				c.finish(op, err)
-				c.failAll(err)
+				c.abort(op, last, fmt.Errorf("rdma: write response carries %d payload bytes", length))
 				return
 			}
 		}
-		c.finish(op, opErr)
+		if last {
+			c.finish(op, op.Err)
+		}
 	}
 }
 

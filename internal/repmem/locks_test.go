@@ -219,41 +219,64 @@ func TestRangeLockUncontendedPathDoesNotAllocate(t *testing.T) {
 // until the test opens the offset's gate.
 type completionGates struct {
 	mu    sync.Mutex
-	gates map[uint64]chan struct{}
+	gates map[uint64]*completionGate
 }
 
-func (g *completionGates) hold(off uint64) (open func()) {
-	gate := make(chan struct{})
+// completionGate is one held offset: open lets completions through,
+// submitted is closed when the first write to the offset has been submitted.
+type completionGate struct {
+	open, submitted chan struct{}
+	once            sync.Once
+}
+
+func (g *completionGates) hold(off uint64) (open func(), submitted <-chan struct{}) {
+	gate := &completionGate{open: make(chan struct{}), submitted: make(chan struct{})}
 	g.mu.Lock()
 	if g.gates == nil {
-		g.gates = make(map[uint64]chan struct{})
+		g.gates = make(map[uint64]*completionGate)
 	}
 	g.gates[off] = gate
 	g.mu.Unlock()
-	return func() { close(gate) }
+	return func() { close(gate.open) }, gate.submitted
 }
 
 // gatedConn is a pipelined connection whose write completions pass through
-// a completionGates.
+// a completionGates. A vectored write waits for the gate of every segment it
+// carries.
 type gatedConn struct {
 	rdma.Verbs
 	g *completionGates
 }
 
 func (c gatedConn) Submit(op *rdma.Op) {
-	c.g.mu.Lock()
-	gate := c.g.gates[op.Offset]
-	c.g.mu.Unlock()
-	if gate != nil && op.Kind == rdma.OpWrite && op.Region == replRegion {
+	var held []*completionGate
+	if op.Kind == rdma.OpWrite && op.Region == replRegion {
+		c.g.mu.Lock()
+		if gate := c.g.gates[op.Offset]; gate != nil {
+			held = append(held, gate)
+		}
+		for _, s := range op.More {
+			if gate := c.g.gates[s.Offset]; gate != nil {
+				held = append(held, gate)
+			}
+		}
+		c.g.mu.Unlock()
+	}
+	if len(held) > 0 {
 		done := op.Done
 		op.Done = func(o *rdma.Op) {
 			go func() {
-				<-gate
+				for _, gate := range held {
+					<-gate.open
+				}
 				done(o)
 			}()
 		}
 	}
 	c.Verbs.(rdma.Submitter).Submit(op)
+	for _, gate := range held {
+		gate.once.Do(func() { close(gate.submitted) })
+	}
 }
 
 // TestDirectWriteNeighbourSlotsDoNotSerialize pins the hold rule and its
@@ -278,9 +301,12 @@ func TestDirectWriteNeighbourSlotsDoNotSerialize(t *testing.T) {
 	m := newMemory(t, cfg)
 
 	// m2's acknowledgements of slots 1 and 2 are held back; m0 and m1 still
-	// make the majority that lets each DirectWriteOwned return.
-	openSlot1 := gates.hold(m.physDirect(1 * slotSize))
-	openSlot2 := gates.hold(m.physDirect(2 * slotSize))
+	// make the majority that lets each DirectWriteOwned return. Each write is
+	// seen submitted to m2 before the next starts, so that m2's worker never
+	// finds two of them queued and sends them as one flight, which would tie
+	// their completions together.
+	openSlot1, sentSlot1 := gates.hold(m.physDirect(1 * slotSize))
+	openSlot2, sentSlot2 := gates.hold(m.physDirect(2 * slotSize))
 	write := func(slot int) (returned, released chan struct{}) {
 		returned, released = make(chan struct{}), make(chan struct{})
 		go func() {
@@ -296,10 +322,12 @@ func TestDirectWriteNeighbourSlotsDoNotSerialize(t *testing.T) {
 
 	ret1, rel1 := write(1)
 	mustGet(t, ret1, "write to slot 1 on a majority")
+	mustGet(t, sentSlot1, "slot 1's submission to m2")
 	mustWait(t, rel1, "slot 1's buffer release before its last node completed")
 
 	ret2, rel2 := write(2)
 	mustGet(t, ret2, "write to slot 2 while slot 1 is pending")
+	mustGet(t, sentSlot2, "slot 2's submission to m2")
 
 	ret1b, rel1b := write(1)
 	mustQueue(t, &m.directLocks, 1)

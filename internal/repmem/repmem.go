@@ -298,6 +298,24 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// WriteAlign returns the alignment at which a main-space write is whole:
+// the EC block size under erasure coding, otherwise the integrity block
+// size, and 1 with neither. A write that starts and ends on multiples of it
+// (or at MemSize) is applied without first reading back the blocks it only
+// partly covers. Applications that own their layout (the key-value store's
+// data blocks) place their write units by it; every party deriving addresses
+// for the same memory must use the same value.
+func (c Config) WriteAlign() int {
+	cfg := c.withDefaults()
+	switch {
+	case cfg.ECData > 0:
+		return cfg.ECBlockSize
+	case cfg.IntegrityBlockSize > 0:
+		return cfg.IntegrityBlockSize
+	}
+	return 1
+}
+
 // Layout returns the physical memory-node layout implied by the config.
 func (c Config) Layout() memnode.Layout {
 	cfg := c.withDefaults()
@@ -436,9 +454,10 @@ type Memory struct {
 	workers    []*nodeWorker
 	workerWG   sync.WaitGroup
 	queueDepth metrics.Depth
-	slotPool   sync.Pool
-	ecPool     sync.Pool // *ecScratch, EC apply/reconstruct scratch
-	chunkPool  sync.Pool // *[]byte of chunk size, verified-read buffers
+	// The pools are separate objects (see bufPool), not fields.
+	slotPool  *sync.Pool
+	ecPool    *sync.Pool // *ecScratch, EC apply/reconstruct scratch
+	chunkPool *sync.Pool // *[]byte of chunk size, verified-read buffers
 
 	member membership
 
@@ -516,10 +535,7 @@ func New(cfg Config) (*Memory, error) {
 		m.redialers[i] = newRedialer(node, c.Dial, c.RedialBackoffMin, c.RedialBackoffMax, int64(i)+1)
 	}
 	m.geo = m.layout.WALGeometry()
-	m.slotPool.New = func() any {
-		b := make([]byte, m.geo.SlotSize)
-		return &b
-	}
+	m.slotPool, m.ecPool = bufPool(m.geo.SlotSize), new(sync.Pool)
 	if c.ECData > 0 {
 		code, err := erasure.New(c.ECData, c.ECParity)
 		if err != nil {
@@ -527,10 +543,7 @@ func New(cfg Config) (*Memory, error) {
 		}
 		m.code = code
 		m.chunk = c.ECBlockSize / c.ECData
-		m.chunkPool.New = func() any {
-			b := make([]byte, m.chunk)
-			return &b
-		}
+		m.chunkPool = bufPool(m.chunk)
 	}
 	if c.IntegrityBlockSize > 0 {
 		m.integ = newIntegrity(m)
@@ -803,13 +816,8 @@ func (m *Memory) DirectSize() int { return m.cfg.DirectSize }
 // ErasureEnabled reports whether the main space is erasure coded.
 func (m *Memory) ErasureEnabled() bool { return m.code != nil }
 
-// ECBlockSize returns the erasure coding block size, or 0 when disabled.
-func (m *Memory) ECBlockSize() int {
-	if m.code == nil {
-		return 0
-	}
-	return m.cfg.ECBlockSize
-}
+// WriteAlign returns the memory's write alignment (see Config.WriteAlign).
+func (m *Memory) WriteAlign() int { return m.cfg.WriteAlign() }
 
 // Stats returns a snapshot of the operation counters. Transport counters
 // aggregate over currently live connections (a connection dropped after a
@@ -861,6 +869,20 @@ func (m *Memory) Stats() Stats {
 		}
 	}
 	return s
+}
+
+// bufPool returns a pool of size-byte buffers. It is an object of its own
+// and its constructor closes over the size alone, because the runtime keeps
+// every pool it has seen in use reachable until two collections later: a
+// pool that is a field of the Memory, or whose constructor captures it,
+// keeps a closed Memory reachable that long — and through its dialer the
+// memory nodes' regions under it, which a process that builds deployments
+// one after another (tests, the benchmark's set-ups) then cannot reuse.
+func bufPool(size int) *sync.Pool {
+	return &sync.Pool{New: func() any {
+		b := make([]byte, size)
+		return &b
+	}}
 }
 
 // getSlot takes a WAL-slot-sized buffer from the pool.

@@ -18,18 +18,34 @@ import (
 // paper's deep per-QP pipeline. Requests enqueued to one node are submitted
 // in order, which together with the transport's reliable-connection
 // ordering keeps same-address writes ordered per node.
+//
+// A worker sends flights, not requests: after its blocking receive it takes
+// whatever else is already queued for the node and submits the lot as one
+// vectored write (DESIGN.md §8, "Vectored writes and queue coalescing").
+// Concurrent committers' log slots, and the appliers' blocks, then share one
+// channel hop, one transport round trip and one completion per node. The
+// window is whatever has queued while the worker was busy — empty, and so
+// free, when a writer is alone.
 
-// nodeQueueDepth bounds a node worker's submit queue; enqueues beyond it
-// apply backpressure to writers.
-const nodeQueueDepth = 256
+const (
+	// nodeQueueDepth bounds a node worker's submit queue; enqueues beyond it
+	// apply backpressure to writers.
+	nodeQueueDepth = 256
+	// nodeFlightMax bounds how many queued requests one flight carries, which
+	// bounds how many requests one transport error fails and how long the
+	// first of them waits for the last one's bytes to be sent.
+	nodeFlightMax = 32
+)
 
-// nodeReq is one write destined for a single memory node. done fires
-// exactly once with the operation's outcome; it may run on a transport
-// goroutine and must not block.
+// nodeReq is one write to the replicated region of a single memory node:
+// data at offset, then each segment of more, in that order (a block and the
+// checksum strip entry that goes with it). done fires exactly once with the
+// outcome of the whole request; it may run on a transport goroutine and must
+// not block.
 type nodeReq struct {
-	region rdma.RegionID
 	offset uint64
 	data   []byte
+	more   []rdma.Seg
 	enq    time.Time
 	done   func(error)
 }
@@ -95,9 +111,10 @@ func (m *Memory) enqueue(i int, req nodeReq) {
 // shadowNode mirrors one group slot's write stream to a joining node during
 // replacement. It is the single funnel: every per-node write — WAL append,
 // main-memory apply, EC chunk, integrity strip, direct write — reaches node
-// i through enqueue, so mirroring there captures the full stream. The
-// shadow's own worker writes synchronously; a replacement window is short
-// and correctness (per-slot ordering) matters more than mirror throughput.
+// i through enqueue, so mirroring there captures the full stream, every
+// segment of every request. The shadow's own worker writes one request at a
+// time and waits for it; a replacement window is short and correctness
+// (per-slot ordering) matters more than mirror throughput.
 type shadowNode struct {
 	name string
 	conn rdma.Verbs
@@ -150,7 +167,7 @@ func (sh *shadowNode) mirror(req nodeReq) nodeReq {
 	}
 	f := &shadowFanIn{orig: req.done}
 	f.pending.Store(2)
-	sh.ch <- nodeReq{region: req.region, offset: req.offset, data: req.data, enq: req.enq,
+	sh.ch <- nodeReq{offset: req.offset, data: req.data, more: req.more, enq: req.enq,
 		done: func(err error) { f.finish(err, false) }}
 	sh.mu.RUnlock()
 	req.done = func(err error) { f.finish(err, true) }
@@ -164,7 +181,7 @@ func (sh *shadowNode) loop() {
 		if sh.Err() != nil {
 			err = sh.failErr // sticky: one lost mirror write aborts the replacement
 		} else {
-			err = sh.conn.Write(req.region, req.offset, req.data)
+			err = writeReq(sh.conn, req)
 			if err != nil {
 				sh.fail(err)
 			}
@@ -203,78 +220,137 @@ func (sh *shadowNode) detach() {
 	sh.wg.Wait()
 }
 
-// opCtx bundles an rdma.Op with its completion context so a pipelined
-// submission needs no per-op closure: the ctx is pooled and fn is a method
-// value bound once at construction, making the submit path allocation-free.
-type opCtx struct {
+// flightCtx bundles the rdma.Op of one flight with its completion context so
+// a pipelined submission needs no per-op closure: the ctx is pooled, its
+// slices keep their backing arrays, and fn is a method value bound once at
+// construction, making the submit path allocation-free.
+type flightCtx struct {
 	op    rdma.Op
+	segs  []rdma.Seg    // backing for op.More
+	dones []func(error) // one per request carried
 	m     *Memory
 	node  int
 	conn  rdma.Verbs
 	start time.Time
-	done  func(error)
 	fn    func(*rdma.Op)
 }
 
-var opCtxPool = sync.Pool{}
+var flightCtxPool = sync.Pool{}
 
-func getOpCtx() *opCtx {
-	if v := opCtxPool.Get(); v != nil {
-		return v.(*opCtx)
+func getFlightCtx() *flightCtx {
+	if v := flightCtxPool.Get(); v != nil {
+		return v.(*flightCtx)
 	}
-	c := new(opCtx)
+	c := new(flightCtx)
 	c.fn = c.complete
 	return c
 }
 
-// complete is the transport completion callback: it recycles the ctx, then
-// feeds the outcome to the health accounting and the caller's done.
-func (c *opCtx) complete(o *rdma.Op) {
-	err := o.Err
-	m, node, conn, start, done := c.m, c.node, c.conn, c.start, c.done
-	*o = rdma.Op{}
-	c.m, c.conn, c.done = nil, nil, nil
-	opCtxPool.Put(c)
-	m.noteOpResult(node, conn, time.Since(start), err)
-	done(err)
+// load renders reqs, in order, as the ctx's one vectored write.
+func (c *flightCtx) load(reqs []nodeReq) {
+	segs, dones := c.segs[:0], c.dones[:0]
+	for k, r := range reqs {
+		if k > 0 { // the first request's own write is the op's Offset and Data
+			segs = append(segs, rdma.Seg{Offset: r.offset, Data: r.data})
+		}
+		segs = append(segs, r.more...)
+		dones = append(dones, r.done)
+	}
+	c.segs, c.dones = segs, dones
+	c.op = rdma.Op{Kind: rdma.OpWrite, Region: replRegion,
+		Offset: reqs[0].offset, Data: reqs[0].data, More: segs, Done: c.fn}
 }
 
-// nodeWorkerLoop drains node i's queue. With a pipelined connection the
-// loop submits and immediately moves on — completions arrive on transport
-// goroutines — so the queue drains at submission speed, not round-trip
-// speed.
+// complete is the transport completion callback. The flight's outcome is
+// every request's: it feeds the health accounting once, then each done, and
+// the ctx is recycled with no buffer or callback left referenced.
+func (c *flightCtx) complete(o *rdma.Op) {
+	err := o.Err
+	c.m.noteOpResult(c.node, c.conn, time.Since(c.start), err)
+	for _, done := range c.dones {
+		done(err)
+	}
+	*o = rdma.Op{}
+	clear(c.segs)
+	clear(c.dones)
+	c.m, c.conn = nil, nil
+	flightCtxPool.Put(c)
+}
+
+// submitWrite sends a (vectored) write over conn: pipelined when the
+// connection can, otherwise one blocking write per segment on the calling
+// goroutine.
+func submitWrite(conn rdma.Verbs, op *rdma.Op) {
+	if sub, ok := conn.(rdma.Submitter); ok {
+		sub.Submit(op)
+		return
+	}
+	rdma.SubmitSegments(op, func(o *rdma.Op) {
+		o.Complete(conn.Write(o.Region, o.Offset, o.Data))
+	})
+}
+
+// writeReq writes one request over conn as one flight and waits for it.
+func writeReq(conn rdma.Verbs, req nodeReq) error {
+	ch := make(chan error, 1)
+	submitWrite(conn, &rdma.Op{
+		Kind: rdma.OpWrite, Region: replRegion, Offset: req.offset, Data: req.data, More: req.more,
+		Done: func(o *rdma.Op) { ch <- o.Err },
+	})
+	return <-ch
+}
+
+// nodeWorkerLoop drains node i's queue, a flight at a time: the request it
+// blocked for plus what is queued behind it, FIFO, up to nodeFlightMax. With
+// a pipelined connection the loop submits and immediately moves on —
+// completions arrive on transport goroutines — so the queue drains at
+// submission speed, not round-trip speed.
 func (m *Memory) nodeWorkerLoop(i int, ch chan nodeReq) {
 	defer m.workerWG.Done()
+	flight := make([]nodeReq, 0, nodeFlightMax)
 	for req := range ch {
-		m.queueDepth.Dec()
-		m.stats.queueWaitUs.Add(uint64(time.Since(req.enq).Microseconds()))
-		// conn redials through the circuit breaker, so a node that was down
-		// at connect time (or lost its connection mid-run) is re-established
-		// from the write path itself, not only by the recovery manager.
-		conn, err := m.conn(i)
-		if err != nil {
-			m.noteNodeError(i, err)
-			req.done(err)
-			continue
+		flight = append(flight[:0], req)
+	drain:
+		for len(flight) < nodeFlightMax {
+			select {
+			case more, ok := <-ch:
+				if !ok {
+					break drain
+				}
+				flight = append(flight, more)
+			default:
+				break drain
+			}
 		}
-		start := time.Now()
-		sub, ok := conn.(rdma.Submitter)
-		if !ok {
-			err := conn.Write(req.region, req.offset, req.data)
-			m.noteOpResult(i, conn, time.Since(start), err)
-			req.done(err)
-			continue
-		}
-		c := getOpCtx()
-		c.m, c.node, c.conn, c.start, c.done = m, i, conn, start, req.done
-		op := &c.op
-		op.Kind = rdma.OpWrite
-		op.Region = req.region
-		op.Offset = req.offset
-		op.Data = req.data
-		op.Done = c.fn
-		sub.Submit(op)
+		m.sendFlight(i, flight)
 	}
+}
+
+// sendFlight submits reqs to node i as one vectored write. The clock is read
+// once, for every request's queue wait and the flight's latency.
+func (m *Memory) sendFlight(i int, reqs []nodeReq) {
+	now := time.Now()
+	m.queueDepth.Add(-int64(len(reqs)))
+	var waited time.Duration
+	for _, r := range reqs {
+		waited += now.Sub(r.enq)
+	}
+	m.stats.queueWaitUs.Add(uint64(waited.Microseconds()))
+	// conn redials through the circuit breaker, so a node that was down at
+	// connect time (or lost its connection mid-run) is re-established from
+	// the write path itself, not only by the recovery manager.
+	conn, err := m.conn(i)
+	if err != nil {
+		m.noteNodeError(i, err)
+		for _, r := range reqs {
+			r.done(err)
+		}
+		return
+	}
+	c := getFlightCtx()
+	c.m, c.node, c.conn, c.start = m, i, conn, now
+	c.load(reqs)
+	submitWrite(conn, &c.op)
 }
 
 // enqueueBestEffort sends a write to a suspect node without making any
@@ -282,10 +358,12 @@ func (m *Memory) nodeWorkerLoop(i int, ch chan nodeReq) {
 // pooled and recycled the moment the waited-on completions finish, while a
 // gray node can sit on this op until its deadline — and the outcome feeds
 // only the health accounting in the worker.
-func (m *Memory) enqueueBestEffort(i int, region rdma.RegionID, offset uint64, data []byte) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	m.enqueue(i, nodeReq{region: region, offset: offset, data: cp, done: func(error) {}})
+func (m *Memory) enqueueBestEffort(i int, offset uint64, data []byte, more ...rdma.Seg) {
+	req := nodeReq{offset: offset, data: append([]byte(nil), data...), done: func(error) {}}
+	for _, s := range more {
+		req.more = append(req.more, rdma.Seg{Offset: s.Offset, Data: append([]byte(nil), s.Data...)})
+	}
+	m.enqueue(i, req)
 }
 
 // quorumGroup tracks one fan-out's completions. wait returns as soon as the

@@ -134,10 +134,10 @@ func (m *Memory) appendQuorum(idx uint64, slot []byte, allDone func()) error {
 	wait, bestEffort := m.writeTargets(m.Majority())
 	g := newQuorumGroup(len(wait), m.Majority(), allDone)
 	for _, i := range wait {
-		m.enqueue(i, nodeReq{region: replRegion, offset: offset, data: slot, done: g.ack})
+		m.enqueue(i, nodeReq{offset: offset, data: slot, done: g.ack})
 	}
 	for _, i := range bestEffort {
-		m.enqueueBestEffort(i, replRegion, offset, slot)
+		m.enqueueBestEffort(i, offset, slot)
 	}
 	err := m.waitQuorum(g)
 	if err != nil {
@@ -187,25 +187,28 @@ func (m *Memory) applyEntry(entry wal.Entry) {
 	}
 }
 
-// fanOutWait enqueues a write to every waited-on node and blocks until all
-// their completions arrive. Apply paths must wait for every non-suspect
-// node (not just a majority): the caller's range lock is what keeps a
-// straggler write from racing a later write to the same address, so it
-// cannot be released while any waited-on node's write is outstanding.
-// Suspect nodes get the write best-effort on a copied buffer — their
-// eventual completion is bounded by the transport deadline and cannot race
-// a later write to the same range because the node is repaired through
-// full recovery (under the same locks) before it serves reads again.
-func (m *Memory) fanOutWait(region rdma.RegionID, offset uint64, data []byte, targets []int) {
-	if len(targets) == 0 {
+// fanOutWait enqueues one request — data at offset, then more — to every
+// waited-on node and blocks until all their completions arrive. Apply paths
+// must wait for every non-suspect node (not just a majority): the caller's
+// range lock is what keeps a straggler write from racing a later write to
+// the same address, so it cannot be released while any waited-on node's
+// write is outstanding. Suspect nodes get the write best-effort on a copied
+// buffer — their eventual completion is bounded by the transport deadline
+// and cannot race a later write to the same range because the node is
+// repaired through full recovery (under the same locks) before it serves
+// reads again.
+func (m *Memory) fanOutWait(wait, bestEffort []int, offset uint64, data []byte, more ...rdma.Seg) {
+	for _, i := range bestEffort {
+		m.enqueueBestEffort(i, offset, data, more...)
+	}
+	if len(wait) == 0 {
 		return
 	}
 	var wg sync.WaitGroup
-	wg.Add(len(targets))
-	for _, i := range targets {
-		m.enqueue(i, nodeReq{region: region, offset: offset, data: data, done: func(err error) {
-			wg.Done()
-		}})
+	wg.Add(len(wait))
+	done := func(error) { wg.Done() }
+	for _, i := range wait {
+		m.enqueue(i, nodeReq{offset: offset, data: data, more: more, done: done})
 	}
 	wg.Wait()
 }
@@ -214,16 +217,13 @@ func (m *Memory) fanOutWait(region rdma.RegionID, offset uint64, data []byte, ta
 // (full-replication layout); suspects are written best-effort. With
 // integrity enabled the write is widened to integrity-block boundaries
 // (reading back the partial edge blocks — the caller's expanded write lock
-// covers them) so the data and its refreshed strip entries land together.
+// covers them) and the refreshed strip entries ride in the same request as
+// the data, so they land in one flight per node.
 func (m *Memory) applyPlain(addr uint64, data []byte) {
 	m.noteDirtyMain(addr, len(data))
 	wait, bestEffort := m.writeTargets(0)
 	if m.integ == nil {
-		offset := m.physMain(addr)
-		for _, i := range bestEffort {
-			m.enqueueBestEffort(i, replRegion, offset, data)
-		}
-		m.fanOutWait(replRegion, offset, data, wait)
+		m.fanOutWait(wait, bestEffort, m.physMain(addr), data)
 		return
 	}
 	span, spanStart, strip, ok := m.integ.buildPlainSpan(addr, data)
@@ -232,39 +232,8 @@ func (m *Memory) applyPlain(addr uint64, data []byte) {
 		// still holds the entry for future recovery.
 		return
 	}
-	writes := []spanWrite{
-		{off: m.physMain(spanStart), data: span},
-		{off: m.integ.stripOff(spanStart / m.integ.ibs), data: strip},
-	}
-	for _, i := range bestEffort {
-		for _, w := range writes {
-			m.enqueueBestEffort(i, replRegion, w.off, w.data)
-		}
-	}
-	m.fanOutWaitWrites(wait, writes)
-}
-
-// spanWrite is one (offset, payload) pair of a multi-write apply.
-type spanWrite struct {
-	off  uint64
-	data []byte
-}
-
-// fanOutWaitWrites enqueues several writes to every waited-on node and
-// blocks until all completions arrive (see fanOutWait for why all).
-func (m *Memory) fanOutWaitWrites(targets []int, writes []spanWrite) {
-	if len(targets) == 0 || len(writes) == 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(targets) * len(writes))
-	done := func(error) { wg.Done() }
-	for _, i := range targets {
-		for _, w := range writes {
-			m.enqueue(i, nodeReq{region: replRegion, offset: w.off, data: w.data, done: done})
-		}
-	}
-	wg.Wait()
+	m.fanOutWait(wait, bestEffort, m.physMain(spanStart), span,
+		rdma.Seg{Offset: m.integ.stripOff(spanStart / m.integ.ibs), Data: strip})
 }
 
 // ecScratch is the pooled per-apply/per-read scratch for the EC hot paths:
@@ -274,13 +243,14 @@ func (m *Memory) fanOutWaitWrites(targets []int, writes []spanWrite) {
 // callback. One scratch serves one applyEC or block-read call at a time;
 // pooling it makes the steady-state EC write and read paths allocation-free.
 type ecScratch struct {
-	block   []byte   // ECBlockSize: RMW source / reconstruction target
-	chunks  [][]byte // k+m encode set; parity entries point into parity
-	rchunks [][]byte // k+m read/decode set
-	parity  []byte   // m×chunk encode parity backing
-	rparity []byte   // m×chunk read parity backing
-	strip   []byte   // 4×(k+m) integrity strip image
-	wait    []int    // writeTargetsInto scratch
+	block   []byte       // ECBlockSize: RMW source / reconstruction target
+	chunks  [][]byte     // k+m encode set; parity entries point into parity
+	rchunks [][]byte     // k+m read/decode set
+	parity  []byte       // m×chunk encode parity backing
+	rparity []byte       // m×chunk read parity backing
+	strip   []byte       // 4×(k+m) integrity strip image
+	segs    [][]rdma.Seg // per node, capacity 1: the request tail carrying its strip entry
+	wait    []int        // writeTargetsInto scratch
 	best    []int
 	wg      sync.WaitGroup
 	done    func(error) // prebound wg.Done adapter
@@ -302,11 +272,15 @@ func (m *Memory) getECScratch() *ecScratch {
 		parity:  make([]byte, mp*m.chunk),
 		rparity: make([]byte, mp*m.chunk),
 		strip:   make([]byte, 4*n),
+		segs:    make([][]rdma.Seg, n),
 		wait:    make([]int, 0, n),
 		best:    make([]int, 0, n),
 	}
 	for i := 0; i < mp; i++ {
 		sc.chunks[k+i] = sc.parity[i*m.chunk : (i+1)*m.chunk]
+	}
+	for i := range sc.segs {
+		sc.segs[i] = make([]rdma.Seg, 0, 1)
 	}
 	sc.done = func(error) { sc.wg.Done() }
 	return sc
@@ -350,37 +324,27 @@ func (m *Memory) applyEC(addr uint64, data []byte) {
 		}
 		chunks := sc.chunks
 		physOff := m.layout.MainBase() + b*uint64(m.chunk)
-		var strip []byte
-		stripOff := uint64(0)
-		if m.integ != nil {
-			strip = sc.strip
-			for j := range chunks {
+		// Node j's request is its chunk and, with integrity on, the chunk's
+		// strip entry riding as the request's second segment.
+		for j := range chunks {
+			sc.segs[j] = sc.segs[j][:0]
+			if m.integ != nil {
 				sum := crcBlock(chunks[j])
 				m.integ.setSum(j, b, sum)
-				binary.LittleEndian.PutUint32(strip[4*j:], sum)
+				binary.LittleEndian.PutUint32(sc.strip[4*j:], sum)
+				sc.segs[j] = append(sc.segs[j], rdma.Seg{Offset: m.integ.stripOff(b), Data: sc.strip[4*j : 4*j+4]})
 			}
-			stripOff = m.integ.stripOff(b)
 		}
 		wait, bestEffort := m.writeTargetsInto(0, sc.wait, sc.best)
 		for _, i := range bestEffort {
-			m.enqueueBestEffort(i, replRegion, physOff, chunks[i])
-			if strip != nil {
-				m.enqueueBestEffort(i, replRegion, stripOff, strip[4*i:4*i+4])
-			}
+			m.enqueueBestEffort(i, physOff, chunks[i], sc.segs[i]...)
 		}
 		if len(wait) == 0 {
 			continue
 		}
-		perNode := 1
-		if strip != nil {
-			perNode = 2
-		}
-		sc.wg.Add(len(wait) * perNode)
+		sc.wg.Add(len(wait))
 		for _, i := range wait {
-			m.enqueue(i, nodeReq{region: replRegion, offset: physOff, data: chunks[i], done: sc.done})
-			if strip != nil {
-				m.enqueue(i, nodeReq{region: replRegion, offset: stripOff, data: strip[4*i : 4*i+4], done: sc.done})
-			}
+			m.enqueue(i, nodeReq{offset: physOff, data: chunks[i], more: sc.segs[i], done: sc.done})
 		}
 		sc.wg.Wait()
 	}
@@ -444,10 +408,10 @@ func (m *Memory) directWrite(addr uint64, data []byte, release func()) error {
 	})
 	off := m.physDirect(addr)
 	for _, i := range wait {
-		m.enqueue(i, nodeReq{region: replRegion, offset: off, data: data, done: g.ack})
+		m.enqueue(i, nodeReq{offset: off, data: data, done: g.ack})
 	}
 	for _, i := range bestEffort {
-		m.enqueueBestEffort(i, replRegion, off, data)
+		m.enqueueBestEffort(i, off, data)
 	}
 	if err := m.waitQuorum(g); err != nil {
 		if oerr := m.checkOpen(); oerr != nil {

@@ -65,8 +65,13 @@ func wireSizes(op *rdma.Op) (req, resp int) {
 
 // Submit implements rdma.Submitter. It never blocks: flight times are
 // computed (not slept) and the op is scheduled onto the inner transport
-// after the simulated WAN delay.
+// after the simulated WAN delay. A vectored write crosses the link as the
+// separate writes it stands for, one flight each.
 func (c *wanConn) Submit(op *rdma.Op) {
+	if len(op.More) > 0 {
+		rdma.SubmitSegments(op, c.Submit)
+		return
+	}
 	reqSize, respSize := wireSizes(op)
 	d1, ok1, err := c.t.flightTime(c.link, reqSize)
 	if err != nil {

@@ -504,11 +504,7 @@ func TestBackupReadStraddlesReplacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	view.SetMask((1 << uint(len(cl.MemoryNodes()))) - 1)
-	align := 1
-	if vcfg.ECData > 0 {
-		align = vcfg.ECBlockSize
-	}
-	chain, err := kv.NewChainReader(cl.kcfg, align, view)
+	chain, err := kv.NewChainReader(cl.kcfg, vcfg.WriteAlign(), view)
 	if err != nil {
 		view.Close()
 		t.Fatal(err)
