@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -310,5 +311,74 @@ func TestTCPVectoredWriteExpiresOnce(t *testing.T) {
 	case err := <-done:
 		t.Fatalf("vectored write completed a second time (err=%v)", err)
 	default:
+	}
+}
+
+// TestTCPFailAllCompletesVectoredWriteOnce fails a connection while a
+// 64-frame write is pending on it under 64 IDs. The write's Done does what
+// repmem's does — hands the op straight to another, healthy connection, whose
+// writer then owns its fields — and only returns once that connection has it
+// in flight. The dead connection must still complete the op exactly once: a
+// second completion would carry the dead connection's error to the healthy
+// one's flight.
+func TestTCPFailAllCompletesVectoredWriteOnce(t *testing.T) {
+	dial := func() *tcpConn {
+		v, err := DialTCP(startHungServer(t), DialOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { v.Close() })
+		return v.(*tcpConn)
+	}
+	dead, healthy := dial(), dial()
+	const frames = 64
+	inFlight := func(c *tcpConn) bool {
+		dl := time.Now().Add(5 * time.Second)
+		for time.Now().Before(dl) {
+			c.mu.Lock()
+			n := len(c.pending)
+			c.mu.Unlock()
+			if n == frames {
+				return true
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		return false
+	}
+
+	more := make([]Seg, frames-1)
+	for i := range more {
+		more[i] = Seg{Offset: uint64(8 * (i + 1)), Data: []byte{byte(i)}}
+	}
+	var dones atomic.Int32
+	op := &Op{Kind: OpWrite, Region: 1, Data: []byte{0xff}, More: more}
+	op.Done = func(op *Op) {
+		if dones.Add(1) == 1 {
+			healthy.Submit(op)
+			if !inFlight(healthy) {
+				t.Error("resubmitted write never reached the healthy connection's pending map")
+			}
+		}
+	}
+	dead.Submit(op)
+	if !inFlight(dead) {
+		t.Fatal("vectored write never reached the pending map")
+	}
+
+	// Fail the connection from here rather than through Close, so failAll has
+	// returned by the time the count is read (the socket stays open and the
+	// reader asleep; the cleanup closes it).
+	dead.mu.Lock()
+	dead.err = ErrClosed
+	dead.mu.Unlock()
+	dead.failAll(ErrClosed)
+	if n := dones.Load(); n != 1 {
+		t.Fatalf("Done ran %d times for one failed connection, want 1", n)
+	}
+	if n := dead.inflight.Current(); n != 0 {
+		t.Fatalf("dead connection's in-flight gauge = %d, want 0", n)
+	}
+	if n := healthy.inflight.Current(); n != 1 {
+		t.Fatalf("healthy connection's in-flight gauge = %d, want 1", n)
 	}
 }

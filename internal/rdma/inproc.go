@@ -125,25 +125,16 @@ func (n *Network) Dial(src, dst string, opts DialOpts) (Verbs, error) {
 // The in-process send queue, as parameters of the latency model (they are
 // not deployment settings and no configuration reaches them):
 //
-//   - inprocWorkers is the number of lanes: flights one connection can have
-//     on the fabric at once, each occupying its lane for a full round trip. A
-//     real RC queue pair keeps hundreds of work requests in flight; eight
-//     lanes keep the goroutine count per connection small, and what a busy
-//     lane cannot take at once it takes together (next point).
-//   - inprocFlightMax bounds how many operations one flight carries. A lane
-//     that becomes free takes whatever is already queued, up to this many,
-//     and sends it as one flight — one request leg sized for all of it, the
-//     operations executed in submission order, one response leg — the way a
-//     NIC drains every posted work request on one doorbell. Nothing waits
-//     for company: an operation submitted to an idle connection flies alone.
-//     Over slow links this is what keeps throughput from being capped at
-//     inprocWorkers flights per round trip.
+//   - inprocWorkers is the number of lanes: operations one connection can
+//     have on the fabric at once, each occupying its lane for a full round
+//     trip. A real RC queue pair keeps hundreds of work requests in flight;
+//     eight lanes keep the goroutine count per connection small, and cap a
+//     connection at inprocWorkers operations per round trip over slow links.
 //   - inprocQueue is the submit-channel depth; submissions beyond it apply
 //     backpressure to the submitter.
 const (
-	inprocWorkers   = 8
-	inprocFlightMax = 16
-	inprocQueue     = 128
+	inprocWorkers = 8
+	inprocQueue   = 128
 )
 
 // segHeaderSize approximates the wire cost of one further segment of a
@@ -172,7 +163,6 @@ type inprocConn struct {
 	subCh chan *Op
 
 	submitted atomic.Uint64
-	flights   atomic.Uint64
 	inflight  metrics.Depth
 }
 
@@ -187,6 +177,9 @@ var (
 func (c *inprocConn) admit(op *Op) (*Region, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
+	}
+	if err := checkSegments(op); err != nil {
+		return nil, err
 	}
 	if op.Kind != OpRead && c.readonly[op.Region] {
 		return nil, ErrFenced
@@ -277,100 +270,30 @@ func (c *inprocConn) startWorkers() {
 	c.subMu.Unlock()
 }
 
-// workerLoop is one lane: it blocks for an operation, takes along whatever
-// else is queued at that moment, and flies the lot.
+// workerLoop is one lane: one operation at a time, each a full round trip.
+// The clock is read once before and once after: an op that expired while
+// queued completes without executing; one that expires during the round trip
+// still executed remotely but reports ErrDeadline, mirroring the TCP
+// transport's ambiguity (the initiator cannot tell whether a late operation
+// landed).
 func (c *inprocConn) workerLoop(ch chan *Op) {
-	flight := make([]*Op, 0, inprocFlightMax)
-	for op := range ch {
-		flight = append(flight[:0], op)
-	drain:
-		for len(flight) < inprocFlightMax {
-			select {
-			case more, ok := <-ch:
-				if !ok {
-					break drain
-				}
-				flight = append(flight, more)
-			default:
-				break drain
-			}
-		}
-		c.fly(flight)
-	}
-}
-
-// fly carries one flight: a request leg, the operations in order, a response
-// leg. A region-level error fails only its own op; a fabric error fails the
-// flight. The clock is read once before and once after, for every op's
-// deadline: ops that expired while queued complete without executing; ops
-// that expire during the flight still executed remotely but report
-// ErrDeadline, mirroring the TCP transport's ambiguity (the initiator cannot
-// tell whether a late operation landed).
-func (c *inprocConn) fly(flight []*Op) {
-	c.flights.Add(1)
 	timed := c.opDeadline > 0
-	var now time.Time
-	if timed {
-		now = time.Now()
-	}
-	var regions [inprocFlightMax]*Region
-	live := flight[:0]
-	req, resp := 0, 0
-	for _, op := range flight {
-		if timed && now.After(op.deadline) {
-			c.finish(op, ErrDeadline)
-			continue
+	for op := range ch {
+		var err error
+		if timed && time.Now().After(op.deadline) {
+			err = ErrDeadline
+		} else if err = c.roundTrip(op); err == nil && timed && time.Now().After(op.deadline) {
+			err = ErrDeadline
 		}
-		r, err := c.admit(op)
-		if err != nil {
-			c.finish(op, err)
-			continue
-		}
-		regions[len(live)] = r
-		live = append(live, op)
-		q, p := wireSizes(op)
-		req, resp = req+q, resp+p
-	}
-	if len(live) == 0 {
-		return
-	}
-	err := c.net.fabric.Transfer(c.src, c.dst, req)
-	if err == nil {
-		for i, op := range live {
-			op.Err = c.execute(regions[i], op)
-		}
-		// Reliable-connection acknowledgement (and read or CAS results).
-		err = c.net.fabric.Transfer(c.dst, c.src, resp)
-	}
-	if timed {
-		now = time.Now()
-	}
-	for _, op := range live {
-		opErr := err
-		if opErr == nil {
-			opErr = op.Err
-		}
-		if opErr == nil && timed && now.After(op.deadline) {
-			opErr = ErrDeadline
-		}
-		c.finish(op, opErr)
+		c.inflight.Dec()
+		op.complete(err)
 	}
 }
 
-// finish completes op and drops it from the in-flight gauge.
-func (c *inprocConn) finish(op *Op, err error) {
-	c.inflight.Dec()
-	op.complete(err)
-}
-
-// do is the blocking verb path: one operation, alone in its flight, on the
-// caller's goroutine. An execution that outlasts the connection's deadline
-// reports ErrDeadline; errors that already occurred take precedence.
-func (c *inprocConn) do(op *Op) error {
-	var start time.Time
-	if c.opDeadline > 0 {
-		start = time.Now()
-	}
+// roundTrip carries one operation: a request leg sized for every payload,
+// the operation itself, and the reliable-connection acknowledgement (with
+// the read or CAS result).
+func (c *inprocConn) roundTrip(op *Op) error {
 	r, err := c.admit(op)
 	if err != nil {
 		return err
@@ -382,13 +305,22 @@ func (c *inprocConn) do(op *Op) error {
 	if err := c.execute(r, op); err != nil {
 		return err
 	}
-	if err := c.net.fabric.Transfer(c.dst, c.src, resp); err != nil {
-		return err
+	return c.net.fabric.Transfer(c.dst, c.src, resp)
+}
+
+// do is the blocking verb path: one round trip on the caller's goroutine. An
+// execution that outlasts the connection's deadline reports ErrDeadline;
+// errors that already occurred take precedence.
+func (c *inprocConn) do(op *Op) error {
+	var start time.Time
+	if c.opDeadline > 0 {
+		start = time.Now()
 	}
-	if c.opDeadline > 0 && time.Since(start) > c.opDeadline {
+	err := c.roundTrip(op)
+	if err == nil && c.opDeadline > 0 && time.Since(start) > c.opDeadline {
 		return ErrDeadline
 	}
-	return nil
+	return err
 }
 
 // Read implements Verbs.
@@ -424,12 +356,14 @@ func (c *inprocConn) Close() error {
 	return nil
 }
 
-// PipelineStats implements PipelineStatser: Submitted counts operations,
-// Flushes the flights that carried them.
+// PipelineStats implements PipelineStatser. Flushes equals Submitted: the
+// in-process transport has no wire to batch onto, so every submission is
+// its own doorbell.
 func (c *inprocConn) PipelineStats() PipelineStats {
+	n := c.submitted.Load()
 	return PipelineStats{
-		Submitted:   c.submitted.Load(),
-		Flushes:     c.flights.Load(),
+		Submitted:   n,
+		Flushes:     n,
 		MaxInFlight: uint64(c.inflight.Max()),
 	}
 }

@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,12 +87,25 @@ func SubmitSegments(op *Op, submit func(*Op)) {
 		submit(op)
 		return
 	}
+	if err := checkSegments(op); err != nil {
+		op.complete(err)
+		return
+	}
 	segs := append([]Seg{{Offset: op.Offset, Data: op.Data}}, op.More...)
 	f := &segFanIn{op: op}
 	f.left.Store(int32(len(segs)))
 	for _, seg := range segs {
 		submit(&Op{Kind: op.Kind, Region: op.Region, Offset: seg.Offset, Data: seg.Data, Done: f.done})
 	}
+}
+
+// checkSegments rejects a vector on anything but a write; every connection
+// kind refuses such an op before any of it is sent.
+func checkSegments(op *Op) error {
+	if len(op.More) > 0 && op.Kind != OpWrite {
+		return fmt.Errorf("rdma: op kind %d cannot carry segments", op.Kind)
+	}
+	return nil
 }
 
 // segFanIn completes a vectored op once all of its single-segment ops have.
@@ -148,7 +162,7 @@ type PipelineStats struct {
 	// Submitted counts operations submitted over the connection's lifetime
 	// (a vectored write is one).
 	Submitted uint64
-	// Flushes counts flights: pushes of one batch of operations to the wire
+	// Flushes counts writer wake-ups that pushed a batch to the wire
 	// (doorbells). Submitted/Flushes is the mean coalescing factor.
 	Flushes uint64
 	// MaxInFlight is the high-water mark of concurrently outstanding

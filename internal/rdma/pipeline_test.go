@@ -8,9 +8,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
-
-	"github.com/repro/sift/internal/netsim"
 )
 
 // startPipelineServer serves a standard test node over TCP and returns its
@@ -346,62 +343,5 @@ func TestInprocPipelineAsync(t *testing.T) {
 		Done: func(op *Op) { closedDone <- op.Err }})
 	if err := <-closedDone; !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: err=%v, want ErrClosed", err)
-	}
-}
-
-// TestInprocLaneCarriesWhatIsQueued pins the lane rule over a slow link: an
-// operation submitted to an idle connection flies alone, and operations that
-// queue while every lane is out are carried together by the next free lane,
-// so a burst needs far fewer flights than it has operations.
-func TestInprocLaneCarriesWhatIsQueued(t *testing.T) {
-	nw := NewNetwork(netsim.NewFabric(netsim.FixedLatency{Base: 5 * time.Millisecond}))
-	nw.AddNode(newTestNode("m0"))
-	v, err := nw.Dial("cpu0", "m0", DialOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
-	sub := v.(Submitter)
-
-	alone := make(chan error, 1)
-	sub.Submit(&Op{Kind: OpWrite, Region: 1, Offset: 0, Data: []byte{9}, Done: func(op *Op) { alone <- op.Err }})
-	if err := <-alone; err != nil {
-		t.Fatal(err)
-	}
-	if st := v.(PipelineStatser).PipelineStats(); st.Submitted != 1 || st.Flushes != 1 {
-		t.Fatalf("one op on an idle connection: Submitted=%d Flushes=%d, want 1 and 1", st.Submitted, st.Flushes)
-	}
-
-	const burst = 20 * inprocWorkers
-	var wg sync.WaitGroup
-	wg.Add(burst)
-	for i := 0; i < burst; i++ {
-		sub.Submit(&Op{Kind: OpWrite, Region: 1, Offset: uint64(8 + i*8), Data: []byte{byte(i + 1)},
-			Done: func(op *Op) {
-				if op.Err != nil {
-					t.Errorf("write at %d: %v", op.Offset, op.Err)
-				}
-				wg.Done()
-			}})
-	}
-	wg.Wait()
-	st := v.(PipelineStatser).PipelineStats()
-	if st.Submitted != burst+1 {
-		t.Fatalf("Submitted = %d, want %d", st.Submitted, burst+1)
-	}
-	// Every lane may leave with a single op before the rest has queued; what
-	// follows rides in flights of up to inprocFlightMax. One lane per op would
-	// need burst flights (and burst/inprocWorkers round trips).
-	if flights := st.Flushes - 1; flights > burst/2 {
-		t.Fatalf("%d ops took %d flights, want at most %d", burst, flights, burst/2)
-	}
-	buf := make([]byte, 8*burst)
-	if err := v.Read(1, 8, buf); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < burst; i++ {
-		if buf[i*8] != byte(i+1) {
-			t.Fatalf("write %d lost: byte %d", i, buf[i*8])
-		}
 	}
 }

@@ -555,23 +555,26 @@ func (c *tcpConn) abort(op *Op, owned bool, err error) {
 
 // failAll completes every queued and in-flight op with err. Taking wmu
 // first waits out a writer that may be mid-serialization (the socket is
-// already closed, so it cannot block for long).
+// already closed, so it cannot block for long). The victims are chosen under
+// mu, as in expireOverdue, and no op is looked at again once the first Done
+// has run: a Done may recycle its op onto another connection, whose writer
+// then owns its fields.
 func (c *tcpConn) failAll(err error) {
+	var victims []*Op
 	c.wmu.Lock()
 	c.mu.Lock()
-	pend := c.pending
-	c.pending = make(map[uint64]*Op)
-	q := c.queue
+	for id, op := range c.pending {
+		delete(c.pending, id)
+		if op.acks > 0 { // once per op, however many frames it is pending under
+			op.acks = 0
+			victims = append(victims, op)
+		}
+	}
+	victims = append(victims, c.queue...)
 	c.queue = nil
 	c.mu.Unlock()
 	c.wmu.Unlock()
-	for _, op := range pend {
-		if op.acks > 0 { // once per op, however many frames it is pending under
-			op.acks = 0
-			c.finish(op, err)
-		}
-	}
-	for _, op := range q {
+	for _, op := range victims {
 		c.finish(op, err)
 	}
 }
@@ -587,8 +590,8 @@ func (c *tcpConn) Submit(op *Op) {
 		op.complete(fmt.Errorf("rdma: unknown op kind %d", op.Kind))
 		return
 	}
-	if len(op.More) > 0 && op.Kind != OpWrite {
-		op.complete(fmt.Errorf("rdma: op kind %d cannot carry segments", op.Kind))
+	if err := checkSegments(op); err != nil {
+		op.complete(err)
 		return
 	}
 	for _, seg := range op.More {

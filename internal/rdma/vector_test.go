@@ -233,6 +233,29 @@ func TestVectoredWriteConformance(t *testing.T) {
 				}
 			})
 
+			t.Run("only a write carries segments", func(t *testing.T) {
+				e := k.env(t)
+				c := e.dial(t, rdma.DialOpts{})
+				for _, kind := range []rdma.OpKind{rdma.OpRead, rdma.OpCAS} {
+					buf := make([]byte, 8)
+					done := make(chan error, 2)
+					c.(rdma.Submitter).Submit(&rdma.Op{Kind: kind, Region: 1, Offset: 0, Data: buf, Swap: 7,
+						More: []rdma.Seg{{Offset: 64, Data: fill(8, 'm')}},
+						Done: func(o *rdma.Op) { done <- o.Err }})
+					select {
+					case err := <-done:
+						if err == nil {
+							t.Fatalf("op kind %d carrying segments succeeded", kind)
+						}
+					case <-time.After(vecLimit):
+						t.Fatalf("op kind %d carrying segments never completed", kind)
+					}
+				}
+				if got := e.read(1, 0, 72); !bytes.Equal(got, make([]byte, 72)) {
+					t.Fatalf("a rejected op reached the region: %q", got)
+				}
+			})
+
 			t.Run("injected faults still apply", func(t *testing.T) {
 				e := k.env(t)
 				if e.faults == nil {

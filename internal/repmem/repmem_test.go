@@ -531,9 +531,14 @@ func TestMemoryNodeRecoveryRestoresData(t *testing.T) {
 		t.Fatal(err) // triggers failure detection
 	}
 	memnode.Reset(e.nw.Node(victim), cfg.Layout())
-	// The write returned on the two live nodes' acknowledgements; the
-	// victim's failed append is noted when its own completion arrives.
-	eventually(t, "victim marked dead", func() bool { return len(m.DeadMemoryNodes()) == 1 })
+	// The write returned on the two live nodes' acknowledgements. The victim's
+	// failed append is noted when its own completion arrives, and the entry
+	// is not finished (WaitApplied) before that: detection is then a fact,
+	// not a race with the victim's worker.
+	m.WaitApplied(t)
+	if len(m.DeadMemoryNodes()) != 1 {
+		t.Fatalf("dead = %v", m.DeadMemoryNodes())
+	}
 	for i := uint64(10); i < 20; i++ {
 		if err := m.Write(i*512, bytes.Repeat([]byte{byte(i + 1)}, 128)); err != nil {
 			t.Fatal(err)
