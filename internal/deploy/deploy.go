@@ -104,11 +104,14 @@ func (p Params) Derive() (kv.Config, repmem.Config, error) {
 	} else if !pp.EC {
 		// Integrity blocks are sized to the KV data block. kv.New places its
 		// data blocks on the memory's write alignment (repmem's WriteAlign:
-		// this size, or the EC block above), so a steady-state block apply
-		// covers exactly one integrity block and checksummed writes need no
-		// read-modify-write on the hot path. The memory is sized for that
-		// same alignment here, which is what keeps kv.RequiredMemSize in
-		// agreement on both sides.
+		// this size, or the EC block above), so a block apply covers exactly
+		// one integrity block and goes out with no read-back: a batch of
+		// in-place puts costs each node one request carrying every block and
+		// its checksum entry, and no read (apply_cost_test.go counts it).
+		// Only index words and bitmap bytes, which are smaller than a block,
+		// are read-modify-written, once per integrity block per batch. The
+		// memory is sized for that same alignment here, which is what keeps
+		// kv.RequiredMemSize in agreement on both sides.
 		mcfg.IntegrityBlockSize = kcfg.BlockSize()
 	}
 	mcfg.MemSize = kcfg.RequiredMemSize(mcfg.WriteAlign())

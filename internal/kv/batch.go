@@ -1,9 +1,6 @@
 package kv
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // PutBatch commits several updates atomically: the whole batch occupies a
 // single KV log entry, so after any coordinator failure either every
@@ -155,12 +152,10 @@ func (s *Store) commitBatch(recs []record) (uint64, error) {
 	}
 	idx := s.nextIdx
 	s.nextIdx++
-	// All records share the log index; only the last finisher advances the
-	// watermark (finishEntry is idempotent via the applied set, but we must
-	// call it exactly once — route that through a countdown task).
-	remaining := newCountdown(len(recs), func() { s.finishEntry(idx) })
+	// All records share the log index, which retires with the last of them.
+	s.unapplied[idx%uint64(s.kvGeo.Slots)] = int32(len(recs))
 	for i, r := range recs {
-		t := &applyTask{idx: idx, rec: r, committed: committed, countdown: remaining}
+		t := &applyTask{idx: idx, rec: r, key: string(r.key), committed: committed}
 		if s.cfg.SyncApply {
 			t.applied = make(chan struct{})
 		}
@@ -186,17 +181,15 @@ func (s *Store) commitBatch(recs []record) (uint64, error) {
 		close(committed)
 		return 0, err
 	}
-	for _, r := range recs {
-		switch r.op {
+	for _, t := range tasks {
+		switch t.rec.op {
 		case opBatchToken:
 			// Tokens are log metadata, not keys: keep them out of the cache.
 		case opDelete:
-			s.cache.put(string(r.key), nil, true, idx)
+			s.cache.put(t.key, nil, true, idx)
 		default:
-			s.cache.put(string(r.key), r.value, true, idx)
+			s.cache.put(t.key, t.rec.value, true, idx)
 		}
-	}
-	for _, t := range tasks {
 		t.ok = true
 	}
 	close(committed)
@@ -210,23 +203,4 @@ func (s *Store) commitBatch(recs []record) (uint64, error) {
 		s.holdAck()
 	}
 	return idx, nil
-}
-
-// countdown runs fn after n done calls.
-type countdown struct {
-	n  atomic.Int64
-	fn func()
-}
-
-func newCountdown(n int, fn func()) *countdown {
-	c := &countdown{fn: fn}
-	c.n.Store(int64(n))
-	return c
-}
-
-// done consumes one count; the last consumer runs fn.
-func (c *countdown) done() {
-	if c.n.Add(-1) == 0 {
-		c.fn()
-	}
 }

@@ -11,6 +11,11 @@ import (
 // evicting them would let a subsequent get read a stale block.
 //
 // A nil value is a tombstone for a committed delete.
+//
+// Each entry also carries, as soft state, where the key's data block is in
+// replicated memory (see location). It rides in the entry because the entry
+// is pinned — hence present — for every record being applied, so it costs
+// no second structure; it never decides whether a value is cached.
 type cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -23,6 +28,29 @@ type cacheEntry struct {
 	value   []byte // nil = tombstone
 	pending int    // outstanding unapplied updates
 	seq     uint64 // log index of value; cache must converge to log order
+	loc     location
+}
+
+// location says where a key's data block is in replicated memory and what
+// the block's next pointer holds — all an applier needs to rewrite the block
+// in place without reading it. It describes the table, not the log: a
+// committed but unapplied update leaves it alone. Only the one applier that
+// owns the key's bucket changes a chain or records a location, and it
+// records every change it makes before it releases the bucket's lock, so a
+// location that is present is exact; one that is missing (evicted entry,
+// new coordinator) costs the next apply a chain walk, which records it again.
+// Both fields are at most Capacity, which Validate keeps within 32 bits; at
+// that width a cache entry stays in the allocation size class it had without
+// a location.
+type location struct {
+	blk  uint32 // block index + 1; 0 = unknown
+	next uint32 // the block's next pointer (block index + 1; 0 = end of chain)
+}
+
+// keyLoc is one location update for settle; a zero loc forgets the key's.
+type keyLoc struct {
+	key []byte
+	loc location
 }
 
 // newCache creates a cache holding up to capacity entries. Capacity 0
@@ -95,14 +123,39 @@ func (c *cache) insertClean(key string, value []byte) {
 	c.evictLocked()
 }
 
-// unpin releases one pending apply for key.
-func (c *cache) unpin(key string) {
+// locate appends the recorded location of each key to out (zero where the
+// key has no entry or no location), under one lock. It does not count as a
+// use: the LRU order belongs to gets and commits.
+func (c *cache) locate(keys []string, out []location) []location {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
-		if e.pending > 0 {
-			e.pending--
+	for _, k := range keys {
+		var loc location
+		if el, ok := c.entries[k]; ok {
+			loc = el.Value.(*cacheEntry).loc
+		}
+		out = append(out, loc)
+	}
+	return out
+}
+
+// settle ends a batch of applies under one lock: every location in locs is
+// recorded on its key's entry if the key has one (never creating an entry —
+// locations do not occupy value slots), then one pending apply is released
+// for each key in unpin, a key appearing once per applied record.
+func (c *cache) settle(unpin []string, locs []keyLoc) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, kl := range locs {
+		if el, ok := c.entries[string(kl.key)]; ok {
+			el.Value.(*cacheEntry).loc = kl.loc
+		}
+	}
+	for _, k := range unpin {
+		if el, ok := c.entries[k]; ok {
+			if e := el.Value.(*cacheEntry); e.pending > 0 {
+				e.pending--
+			}
 		}
 	}
 	c.evictLocked()

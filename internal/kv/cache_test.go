@@ -25,12 +25,12 @@ func TestCachePutOutOfOrderKeepsLogOrder(t *testing.T) {
 
 	// The stale arrival must still have been counted as a pin: its apply
 	// task will unpin later, so the entry needs two outstanding pins.
-	c.unpin("k")
+	c.settle([]string{"k"}, nil)
 	if got := c.len(); got != 1 {
 		t.Fatalf("entry count after one unpin: %d, want 1", got)
 	}
 	// Fill past capacity and unpin the second; the entry is now evictable.
-	c.unpin("k")
+	c.settle([]string{"k"}, nil)
 	for i := 0; i < 32; i++ {
 		c.put(string(rune('a'+i)), []byte("x"), false, uint64(10+i))
 	}

@@ -138,11 +138,11 @@ func (c blockCodec) crcOf(buf []byte) uint32 {
 	return crc32.Update(crc, blockCRCTable, buf[blockHeaderSize:c.blockSize])
 }
 
-// encode writes a block image into buf (length ≥ blockSize).
+// encode writes a block image into buf (length ≥ blockSize), zeroing what
+// the block does not fill: buf may be a reused buffer, or the very buffer
+// b.key and b.value were decoded from.
 func (c blockCodec) encode(buf []byte, b block) {
-	for i := range buf[:blockHeaderSize] {
-		buf[i] = 0
-	}
+	clear(buf[:blockHeaderSize])
 	if b.used {
 		buf[0] = 1
 	}
@@ -150,10 +150,9 @@ func (c blockCodec) encode(buf []byte, b block) {
 	binary.LittleEndian.PutUint16(buf[3:5], uint16(len(b.value)))
 	binary.LittleEndian.PutUint64(buf[5:13], b.next)
 	copy(buf[blockHeaderSize:], b.key)
-	for i := blockHeaderSize + len(b.key); i < blockHeaderSize+c.maxKey; i++ {
-		buf[i] = 0
-	}
+	clear(buf[blockHeaderSize+len(b.key) : blockHeaderSize+c.maxKey])
 	copy(buf[blockHeaderSize+c.maxKey:], b.value)
+	clear(buf[blockHeaderSize+c.maxKey+len(b.value):])
 	binary.LittleEndian.PutUint32(buf[blockCRCOffset:blockHeaderSize], c.crcOf(buf))
 }
 

@@ -12,14 +12,23 @@
 //
 // The index table and bitmap are cached at the coordinator, eliminating up
 // to two remote reads per put; a value cache (default: half the keys)
-// absorbs most gets. Logged puts are applied to the table structures in the
-// background by per-shard appliers, which preserve per-key commit order.
+// absorbs most gets, and its entries remember where their keys' blocks are,
+// eliminating the third. Logged puts are applied to the table structures in
+// the background by per-shard appliers, which preserve per-key commit order
+// and work a batch at a time: everything that has committed while an applier
+// was busy is replayed against an in-memory overlay and written out in up to
+// three ordered flights of one vectored request per memory node (apply.go).
+// An in-place put costs its share of one flight and no read; an insert adds
+// a share of a second flight (the index word, after the block it names); a
+// delete walks to its predecessor and adds a share of a third (zeroes, after
+// the unlink).
 package kv
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,7 +126,7 @@ func (c *Config) withDefaults() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Capacity <= 0 || c.MaxKey <= 0 || c.MaxValue < 0 {
+	if c.Capacity <= 0 || uint64(c.Capacity) >= math.MaxUint32 || c.MaxKey <= 0 || c.MaxValue < 0 {
 		return fmt.Errorf("kv: invalid sizes in config %+v", c)
 	}
 	if c.LoadFactor < 0 {
@@ -200,8 +209,18 @@ type Stats struct {
 	Deletes     uint64
 	CacheHits   uint64
 	CacheMisses uint64
-	Applies     uint64
-	ChainReads  uint64 // remote block reads during chain walks
+	// Applies counts the records the appliers have retired, those a later
+	// record of the same batch absorbed included, so Puts+Deletes−Applies is
+	// the apply lag.
+	Applies    uint64
+	ChainReads uint64 // remote block reads during chain walks
+	// ApplyBatches counts the batches those records were applied in,
+	// AbsorbedRecords the ones never written because a later record for the
+	// same key was in the same batch, and LocatedApplies the ones whose block
+	// was known without a chain walk.
+	ApplyBatches    uint64
+	AbsorbedRecords uint64
+	LocatedApplies  uint64
 	// BatchDedupHits counts idempotent batches suppressed because their
 	// token had already committed (retry after an ambiguous failure).
 	BatchDedupHits uint64
@@ -237,7 +256,10 @@ type Store struct {
 	seqCond   *sync.Cond
 	nextIdx   uint64
 	watermark uint64
-	applied   map[uint64]bool
+	// unapplied[i%WALSlots] is how many records of log index i are not yet
+	// retired (a PutBatch's records share an index); the watermark passes an
+	// index at zero. The window never holds two indices of one residue.
+	unapplied []int32
 
 	// dedup maps an idempotent-batch token to the log index it committed at.
 	// It is rebuilt from the log during recovery, so the dedup window equals
@@ -253,12 +275,16 @@ type Store struct {
 	// slotPool recycles log-slot buffers between commits; a buffer returns
 	// to the pool only after every per-node write referencing it resolves.
 	slotPool *sync.Pool
+	// zeroBlock is what a freed block is overwritten with. Never written to.
+	zeroBlock []byte
 
 	stats struct {
 		puts, gets, deletes    atomic.Uint64
 		cacheHits, cacheMisses atomic.Uint64
 		applies, chainReads    atomic.Uint64
 		batchDedupHits         atomic.Uint64
+		applyBatches           atomic.Uint64
+		absorbed, located      atomic.Uint64
 	}
 }
 
@@ -296,7 +322,7 @@ func New(mem *repmem.Memory, cfg Config) (*Store, error) {
 		index:       make([]uint64, c.Buckets()),
 		bitmap:      make([]byte, c.BitmapBytes()),
 		bucketLocks: make([]sync.RWMutex, bucketStripes),
-		applied:     make(map[uint64]bool),
+		unapplied:   make([]int32, c.WALSlots),
 		dedup:       make(map[string]uint64),
 		nextIdx:     1,
 	}
@@ -308,6 +334,7 @@ func New(mem *repmem.Memory, cfg Config) (*Store, error) {
 		b := make([]byte, slotSize)
 		return &b
 	}}
+	s.zeroBlock = make([]byte, s.stride)
 	cacheEntries := int(float64(c.Capacity) * c.CacheFraction)
 	s.cache = newCache(cacheEntries)
 
@@ -354,6 +381,10 @@ func (s *Store) Stats() Stats {
 		Applies:        s.stats.applies.Load(),
 		ChainReads:     s.stats.chainReads.Load(),
 		BatchDedupHits: s.stats.batchDedupHits.Load(),
+
+		ApplyBatches:    s.stats.applyBatches.Load(),
+		AbsorbedRecords: s.stats.absorbed.Load(),
+		LocatedApplies:  s.stats.located.Load(),
 	}
 }
 

@@ -30,6 +30,8 @@ type env struct {
 	nw    *rdma.Network
 	names []string
 	mcfg  repmem.Config
+	// wrap, when set, wraps every connection memory dials (see probe).
+	wrap func(node string, v rdma.Verbs) rdma.Verbs
 }
 
 // newKVEnv builds a 3-memory-node group sized for cfg, with optional EC.
@@ -73,7 +75,11 @@ func (e *env) memory(t *testing.T, cpu string) *repmem.Memory {
 	t.Helper()
 	cfg := e.mcfg
 	cfg.Dial = func(node string) (rdma.Verbs, error) {
-		return e.nw.Dial(cpu, node, rdma.DialOpts{Exclusive: []rdma.RegionID{memnode.ReplRegionID}})
+		v, err := e.nw.Dial(cpu, node, rdma.DialOpts{Exclusive: []rdma.RegionID{memnode.ReplRegionID}})
+		if err != nil || e.wrap == nil {
+			return v, err
+		}
+		return e.wrap(node, v), nil
 	}
 	m, err := repmem.New(cfg)
 	if err != nil {
@@ -366,7 +372,7 @@ func TestPerKeyOrderingUnderConcurrency(t *testing.T) {
 
 	// Read through memory (bypass cache) to check the applied state.
 	bucket := s.bucketOf([]byte("contested"))
-	blk, _, _, err := s.findInChain(bucket, []byte("contested"))
+	blk, _, err := s.findInChain(bucket, []byte("contested"))
 	if err != nil || blk == nil {
 		t.Fatalf("chain walk: blk=%v err=%v", blk, err)
 	}

@@ -6,23 +6,6 @@ import (
 	"time"
 )
 
-// applyTask carries a committed log entry to its shard's applier. Tasks are
-// enqueued in log-index order under the sequence lock, so per-key apply
-// order always matches commit order.
-type applyTask struct {
-	idx       uint64
-	rec       record
-	committed chan struct{} // closed once the log write resolves
-	ok        bool          // valid after committed is closed
-	// applied, when non-nil (SyncApply mode), is closed once the record has
-	// been materialized in replicated memory; applyErr is valid after.
-	applied  chan struct{}
-	applyErr error
-	// countdown, when set, coordinates a multi-record batch sharing one
-	// log index: the last applied record finishes the entry.
-	countdown *countdown
-}
-
 // Put stores value under key. It returns once the update is committed: the
 // record is written to the circular KV log on a majority of memory nodes in
 // a single RDMA round trip (paper §4.2). The hash-table update happens in
@@ -62,7 +45,7 @@ func (s *Store) commitRecord(r record) error {
 	r.key = append([]byte(nil), r.key...)
 	r.value = append([]byte(nil), r.value...)
 
-	task := &applyTask{rec: r, committed: make(chan struct{})}
+	task := &applyTask{rec: r, key: string(r.key), committed: make(chan struct{})}
 	if s.cfg.SyncApply {
 		task.applied = make(chan struct{})
 	}
@@ -77,6 +60,7 @@ func (s *Store) commitRecord(r record) error {
 	}
 	task.idx = s.nextIdx
 	s.nextIdx++
+	s.unapplied[task.idx%uint64(s.kvGeo.Slots)] = 1
 	shard := s.bucketOf(r.key) % uint64(len(s.shards))
 	s.shards[shard].push(task)
 	s.seqMu.Unlock()
@@ -99,9 +83,9 @@ func (s *Store) commitRecord(r record) error {
 	// Committed: the cache immediately reflects the new value so gets see it
 	// before the background apply lands; the pin keeps it resident until then.
 	if r.op == opDelete {
-		s.cache.put(string(r.key), nil, true, task.idx)
+		s.cache.put(task.key, nil, true, task.idx)
 	} else {
-		s.cache.put(string(r.key), r.value, true, task.idx)
+		s.cache.put(task.key, r.value, true, task.idx)
 	}
 	task.ok = true
 	close(task.committed)
@@ -152,7 +136,7 @@ func (s *Store) Get(key []byte) ([]byte, error) {
 	bucket := s.bucketOf(key)
 	lk := s.bucketLock(bucket)
 	lk.RLock()
-	blk, _, _, err := s.findInChain(bucket, key)
+	blk, _, err := s.findInChain(bucket, key)
 	lk.RUnlock()
 	if err != nil {
 		return nil, err
@@ -162,7 +146,11 @@ func (s *Store) Get(key []byte) ([]byte, error) {
 	}
 	// blk.value is a fresh per-read buffer, so the caller can own it
 	// directly; the cache gets its own copy (cached values are shared and
-	// must never be handed to callers who may modify them).
+	// must never be handed to callers who may modify them). The walk also
+	// knows where the block is, but recording that would mean taking the
+	// cache's lock under the bucket's (an applier may move the block the
+	// moment the bucket unlocks), which cost mix_miss 5% of its gets: only
+	// appliers record locations.
 	s.cache.insertClean(string(key), append([]byte(nil), blk.value...))
 	return blk.value, nil
 }
@@ -173,24 +161,21 @@ func (s *Store) getSlot() []byte { return *s.slotPool.Get().(*[]byte) }
 // putSlot recycles a slot buffer once no write referencing it is in flight.
 func (s *Store) putSlot(b []byte) { s.slotPool.Put(&b) }
 
-// findInChain walks bucket's chain looking for key. It returns the matching
-// block (nil if absent), its block index, and the previous block index+1
-// (0 when the match is the chain head). Caller holds the bucket lock.
-func (s *Store) findInChain(bucket uint64, key []byte) (*block, uint64, uint64, error) {
-	cur := s.index[bucket]
-	prev := uint64(0)
-	for cur != 0 {
+// findInChain walks bucket's chain in replicated memory looking for key. It
+// returns the matching block (nil if absent) and its block index. Caller
+// holds the bucket lock.
+func (s *Store) findInChain(bucket uint64, key []byte) (*block, uint64, error) {
+	for cur := s.index[bucket]; cur != 0; {
 		blk, err := s.readBlock(cur - 1)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 		if blk.used && bytes.Equal(blk.key, key) {
-			return &blk, cur - 1, prev, nil
+			return &blk, cur - 1, nil
 		}
-		prev = cur
 		cur = blk.next
 	}
-	return nil, 0, 0, nil
+	return nil, 0, nil
 }
 
 // readBlock fetches data block i from replicated memory. The read covers
@@ -205,171 +190,20 @@ func (s *Store) readBlock(i uint64) (block, error) {
 	return s.decodeBlock(buf)
 }
 
-// writeBlock materializes data block i. The KV log already provides
-// durability, so this is an unlogged write (§3.3.2). The write covers the
-// full stride so that under erasure coding it is a whole-EC-block apply
-// (encode and fan out, no read-modify-write).
-func (s *Store) writeBlock(i uint64, b block) error {
-	buf := make([]byte, s.stride)
-	s.encodeBlock(buf, b)
-	return s.mem.UnloggedWrite(s.blockAddr(i), buf)
-}
-
-// writeIndexEntry materializes one bucket-head pointer.
-func (s *Store) writeIndexEntry(bucket uint64) error {
-	var buf [8]byte
-	putUint64(buf[:], s.index[bucket])
-	return s.mem.UnloggedWrite(s.indexAddr(bucket), buf[:])
-}
-
-// allocBlock takes a free block from the cached bitmap and materializes the
-// changed bitmap byte.
+// allocBlock takes a free block from the cached bitmap. Caller holds
+// bitmapMu; the changed byte reaches replicated memory with the batch's
+// first flight.
 func (s *Store) allocBlock() (uint64, error) {
-	s.bitmapMu.Lock()
-	defer s.bitmapMu.Unlock()
 	n := s.cfg.Capacity
 	for scanned := 0; scanned < n; scanned++ {
 		i := (s.freeHint + scanned) % n
-		byteIdx, bit := i/8, uint(i%8)
-		if s.bitmap[byteIdx]&(1<<bit) == 0 {
-			s.bitmap[byteIdx] |= 1 << bit
+		if s.bitmap[i/8]&(1<<(i%8)) == 0 {
+			s.bitmap[i/8] |= 1 << (i % 8)
 			s.freeHint = (i + 1) % n
-			if err := s.mem.UnloggedWrite(s.bitmapBase+uint64(byteIdx), []byte{s.bitmap[byteIdx]}); err != nil {
-				return 0, err
-			}
 			return uint64(i), nil
 		}
 	}
 	return 0, ErrFull
-}
-
-// freeBlock returns block i to the allocator.
-func (s *Store) freeBlock(i uint64) error {
-	s.bitmapMu.Lock()
-	defer s.bitmapMu.Unlock()
-	byteIdx, bit := int(i)/8, uint(i%8)
-	s.bitmap[byteIdx] &^= 1 << bit
-	if int(i) < s.freeHint {
-		s.freeHint = int(i)
-	}
-	return s.mem.UnloggedWrite(s.bitmapBase+uint64(byteIdx), []byte{s.bitmap[byteIdx]})
-}
-
-// applyLoop drains one shard's task queue.
-func (s *Store) applyLoop(q *shardQueue) {
-	defer s.applyWG.Done()
-	for {
-		task, ok := q.pop()
-		if !ok {
-			return
-		}
-		<-task.committed
-		if task.ok {
-			err := s.applyRecord(task.rec)
-			if err == nil {
-				s.stats.applies.Add(1)
-			}
-			if task.applied != nil {
-				task.applyErr = err
-				close(task.applied)
-			}
-			if p := s.cfg.Persist; p != nil && task.rec.op != opBatchToken {
-				// Synchronous persistence by the background thread (§3.5):
-				// commit latency is unaffected, and the number of
-				// outstanding (unpersisted) writes is bounded by the log.
-				if task.rec.op == opDelete {
-					p.Delete(task.rec.key) //nolint:errcheck — persistence is best-effort beside the WAL
-				} else {
-					p.Put(task.rec.key, task.rec.value) //nolint:errcheck
-				}
-			}
-			if task.rec.op != opBatchToken {
-				s.cache.unpin(string(task.rec.key))
-			}
-		}
-		if task.countdown != nil {
-			task.countdown.done()
-		} else {
-			s.finishEntry(task.idx)
-		}
-	}
-}
-
-// applyRecord performs the hash-table update for a committed record
-// (paper §4.2's "apply" step). Idempotent, so log replay may repeat it.
-func (s *Store) applyRecord(r record) error {
-	if r.op == opBatchToken {
-		// Batch token: log metadata only, nothing to materialize.
-		return nil
-	}
-	bucket := s.bucketOf(r.key)
-	lk := s.bucketLock(bucket)
-	lk.Lock()
-	defer lk.Unlock()
-
-	blk, blkIdx, prev, err := s.findInChain(bucket, r.key)
-	if err != nil {
-		return err
-	}
-	switch r.op {
-	case opPut:
-		if blk != nil {
-			// Update in place.
-			blk.value = r.value
-			return s.writeBlock(blkIdx, *blk)
-		}
-		idx, err := s.allocBlock()
-		if err != nil {
-			return err
-		}
-		// Insert at chain head: one block write plus one index write.
-		nb := block{used: true, key: r.key, value: r.value, next: s.index[bucket]}
-		if err := s.writeBlock(idx, nb); err != nil {
-			return err
-		}
-		s.index[bucket] = idx + 1
-		return s.writeIndexEntry(bucket)
-	case opDelete:
-		if blk == nil {
-			return nil
-		}
-		if prev == 0 {
-			s.index[bucket] = blk.next
-			if err := s.writeIndexEntry(bucket); err != nil {
-				return err
-			}
-		} else {
-			pb, err := s.readBlock(prev - 1)
-			if err != nil {
-				return err
-			}
-			pb.next = blk.next
-			if err := s.writeBlock(prev-1, pb); err != nil {
-				return err
-			}
-		}
-		// Mark the block unused before freeing so a reused-but-unwritten
-		// block never matches a chain walk.
-		if err := s.writeBlock(blkIdx, block{}); err != nil {
-			return err
-		}
-		return s.freeBlock(blkIdx)
-	default:
-		return fmt.Errorf("kv: unknown opcode %d", r.op)
-	}
-}
-
-// finishEntry marks a log index resolved and advances the watermark,
-// freeing its circular slot.
-func (s *Store) finishEntry(idx uint64) {
-	s.seqMu.Lock()
-	s.applied[idx] = true
-	for s.applied[s.watermark+1] {
-		delete(s.applied, s.watermark+1)
-		s.watermark++
-	}
-	s.seqCond.Broadcast()
-	s.seqMu.Unlock()
 }
 
 func putUint64(b []byte, v uint64) {

@@ -11,6 +11,7 @@ import (
 type recordingSink struct {
 	mu   sync.Mutex
 	data map[string]string
+	puts int
 	dels int
 }
 
@@ -22,6 +23,7 @@ func (r *recordingSink) Put(key, value []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.data[string(key)] = string(value)
+	r.puts++
 	return nil
 }
 
@@ -38,6 +40,13 @@ func (r *recordingSink) get(key string) (string, bool) {
 	defer r.mu.Unlock()
 	v, ok := r.data[key]
 	return v, ok
+}
+
+// calls reports how many updates the sink has received.
+func (r *recordingSink) calls() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.puts + r.dels
 }
 
 func TestPersistenceHookReceivesCommittedUpdates(t *testing.T) {

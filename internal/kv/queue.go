@@ -30,26 +30,38 @@ func (q *shardQueue) push(t *applyTask) {
 	q.mu.Unlock()
 }
 
-// pop removes the oldest task, blocking until one is available. ok is false
-// once the queue is closed and drained.
-func (q *shardQueue) pop() (*applyTask, bool) {
+// popBatch appends to dst the oldest task and, after that task's commit has
+// resolved, every task queued behind it whose commit has resolved too, up to
+// max in all. It blocks only for the head: the batch ends at the first task
+// still committing, so a lone task goes at once and nothing waits for
+// company. ok is false once the queue is closed and drained.
+func (q *shardQueue) popBatch(dst []*applyTask, max int) (batch []*applyTask, ok bool) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	for q.head >= len(q.items) && !q.closed {
 		q.cond.Wait()
 	}
 	if q.head >= len(q.items) {
-		return nil, false
+		q.mu.Unlock()
+		return dst, false
 	}
-	t := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
+	head := q.items[q.head]
+	q.mu.Unlock()
+	// Only this consumer removes tasks, so the head is still the head.
+	<-head.committed
+
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.head < len(q.items) && len(dst) < max && q.items[q.head].resolved() {
+		dst = append(dst, q.items[q.head])
+		q.items[q.head] = nil
+		q.head++
+	}
 	// Compact once the consumed prefix dominates, keeping memory bounded.
 	if q.head > 1024 && q.head*2 > len(q.items) {
 		q.items = append([]*applyTask(nil), q.items[q.head:]...)
 		q.head = 0
 	}
-	return t, true
+	return dst, true
 }
 
 // close wakes all consumers; pending tasks are still drained first.

@@ -72,9 +72,25 @@ func (s *Store) recover() error {
 		}
 	}
 
-	// Replay in index order, populating the cache as we go (§6.5: "while the
-	// log is being replayed, the cache is populated in parallel").
+	// Replay in index order through the appliers' own batch path, a window of
+	// applyBatchMax records at a time, populating the cache as we go (§6.5:
+	// "while the log is being replayed, the cache is populated in parallel").
+	// Each record is pinned in the cache like a fresh commit, so its block's
+	// location is recorded as the batch settles, and the new coordinator's
+	// first put to a replayed key costs no chain walk.
 	var maxIdx uint64
+	ov := newOverlay()
+	batch := make([]*applyTask, 0, applyBatchMax)
+	replay := func() error {
+		s.applyBatch(ov, batch)
+		for _, t := range batch {
+			if t.applyErr != nil {
+				return fmt.Errorf("kv recovery: replay %d: %w", t.idx, t.applyErr)
+			}
+		}
+		batch = batch[:0]
+		return nil
+	}
 	for _, e := range entries {
 		recs, err := recordsOf(e)
 		if err != nil {
@@ -100,21 +116,27 @@ func (s *Store) recover() error {
 			s.dedup[tok] = e.Index
 		}
 		for _, rec := range recs {
-			if err := s.applyRecord(rec); err != nil {
-				return fmt.Errorf("kv recovery: replay %d: %w", e.Index, err)
-			}
+			t := &applyTask{idx: e.Index, rec: rec, key: string(rec.key), ok: true}
 			switch rec.op {
 			case opBatchToken:
 				// Log metadata, not a key: stays out of the cache.
 			case opDelete:
-				s.cache.put(string(rec.key), nil, false, e.Index)
+				s.cache.put(t.key, nil, true, e.Index)
 			default:
-				s.cache.put(string(rec.key), rec.value, false, e.Index)
+				s.cache.put(t.key, rec.value, true, e.Index)
+			}
+			if batch = append(batch, t); len(batch) == applyBatchMax {
+				if err := replay(); err != nil {
+					return err
+				}
 			}
 		}
 		if e.Index > maxIdx {
 			maxIdx = e.Index
 		}
+	}
+	if err := replay(); err != nil {
+		return err
 	}
 	if maxIdx+1 > s.nextIdx {
 		s.nextIdx = maxIdx + 1

@@ -20,6 +20,7 @@ import (
 type flightLog struct {
 	mu      sync.Mutex
 	subs    [][]uint64
+	reads   int           // reads of the replicated region
 	shut    chan struct{} // nil: open
 	blocked int           // Submit calls waiting at the shut lane
 }
@@ -46,6 +47,15 @@ func (l *flightLog) snapshot() (subs [][]uint64, blocked int) {
 type loggedConn struct {
 	rdma.Verbs
 	log *flightLog
+}
+
+func (c loggedConn) Read(region rdma.RegionID, offset uint64, buf []byte) error {
+	if region == replRegion {
+		c.log.mu.Lock()
+		c.log.reads++
+		c.log.mu.Unlock()
+	}
+	return c.Verbs.Read(region, offset, buf)
 }
 
 func (c loggedConn) Submit(op *rdma.Op) {

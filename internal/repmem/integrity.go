@@ -614,46 +614,3 @@ func (g *integrity) readPlainBlockLocked(b uint64) ([]byte, error) {
 	canonical, _, rerr := g.repairPlainBlockLocked(b)
 	return canonical, rerr
 }
-
-// buildPlainSpan assembles the block-aligned write span covering
-// [addr, addr+len(data)) and its strip image, reading (verified) edge
-// blocks when the write is not block-aligned. Caller holds write locks over
-// the expanded range. ok is false when an edge block has no retrievable
-// content — the caller skips the apply and the WAL retains the entry.
-func (g *integrity) buildPlainSpan(addr uint64, data []byte) (span []byte, spanStart uint64, strip []byte, ok bool) {
-	firstB := addr / g.ibs
-	lastB := (addr + uint64(len(data)) - 1) / g.ibs
-	spanStart = firstB * g.ibs
-	spanEnd := min64((lastB+1)*g.ibs, uint64(g.m.cfg.MemSize))
-
-	if addr == spanStart && addr+uint64(len(data)) == spanEnd {
-		span = data
-	} else {
-		span = make([]byte, spanEnd-spanStart)
-		edges := []uint64{firstB}
-		if lastB != firstB {
-			edges = append(edges, lastB)
-		}
-		for _, b := range edges {
-			bStart, bLen := g.blockRange(b)
-			if addr <= bStart && addr+uint64(len(data)) >= bStart+uint64(bLen) {
-				continue // fully overwritten below
-			}
-			blk, err := g.readPlainBlockLocked(b)
-			if err != nil {
-				return nil, 0, nil, false
-			}
-			copy(span[bStart-spanStart:], blk)
-		}
-		copy(span[addr-spanStart:], data)
-	}
-
-	strip = make([]byte, 4*(lastB-firstB+1))
-	for b := firstB; b <= lastB; b++ {
-		bStart, bLen := g.blockRange(b)
-		sum := crcBlock(span[bStart-spanStart : bStart-spanStart+uint64(bLen)])
-		g.setSum(0, b, sum)
-		binary.LittleEndian.PutUint32(strip[4*(b-firstB):], sum)
-	}
-	return span, spanStart, strip, true
-}

@@ -123,6 +123,31 @@ func (m *Memory) readEC(addr uint64, buf []byte) error {
 	return nil
 }
 
+// ecScratch is the pooled scratch of an EC block read: a block buffer for
+// partial-range reads and the read chunk set with its parity backing. One
+// scratch serves one block read at a time; pooling it keeps the
+// steady-state EC read path allocation-free.
+type ecScratch struct {
+	block   []byte   // ECBlockSize: reconstruction target for partial ranges
+	rchunks [][]byte // k+m read/decode set
+	rparity []byte   // m×chunk read parity backing
+}
+
+// getECScratch takes an EC scratch from the pool, constructing it on first
+// use. Only valid when erasure coding is enabled.
+func (m *Memory) getECScratch() *ecScratch {
+	if v := m.ecPool.Get(); v != nil {
+		return v.(*ecScratch)
+	}
+	return &ecScratch{
+		block:   make([]byte, m.cfg.ECBlockSize),
+		rchunks: make([][]byte, len(m.nodes)),
+		rparity: make([]byte, m.code.M()*m.chunk),
+	}
+}
+
+func (m *Memory) putECScratch(sc *ecScratch) { m.ecPool.Put(sc) }
+
 // readBlockEC fetches any k chunks of EC block b from live nodes (data
 // chunks first) and reconstructs the block into a fresh buffer. With
 // integrity enabled a chunk that fails its checksum is skipped like a dead

@@ -175,178 +175,280 @@ func (m *Memory) finishEntry(idx uint64) {
 }
 
 // applyEntry writes an entry's updates to the materialized memory on every
-// writable node. Failures mark the node dead; the entry remains recoverable
-// from the WAL.
+// writable node, one write at a time: the writes of one logged entry may
+// overlap, and the later one wins. Failures mark the node dead; the entry
+// remains recoverable from the WAL.
 func (m *Memory) applyEntry(entry wal.Entry) {
-	for _, w := range entry.Writes {
-		if m.code != nil {
-			m.applyEC(w.Addr, w.Data)
-		} else {
-			m.applyPlain(w.Addr, w.Data)
-		}
+	for i := range entry.Writes {
+		m.applyWrites(entry.Writes[i : i+1])
 	}
 }
 
-// fanOutWait enqueues one request — data at offset, then more — to every
-// waited-on node and blocks until all their completions arrive. Apply paths
-// must wait for every non-suspect node (not just a majority): the caller's
-// range lock is what keeps a straggler write from racing a later write to
-// the same address, so it cannot be released while any waited-on node's
-// write is outstanding. Suspect nodes get the write best-effort on a copied
-// buffer — their eventual completion is bounded by the transport deadline
-// and cannot race a later write to the same range because the node is
-// repaired through full recovery (under the same locks) before it serves
-// reads again.
-func (m *Memory) fanOutWait(wait, bestEffort []int, offset uint64, data []byte, more ...rdma.Seg) {
-	for _, i := range bestEffort {
-		m.enqueueBestEffort(i, offset, data, more...)
-	}
-	if len(wait) == 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(wait))
-	done := func(error) { wg.Done() }
-	for _, i := range wait {
-		m.enqueue(i, nodeReq{offset: offset, data: data, more: more, done: done})
-	}
-	wg.Wait()
+// applyUnit is one run of whole integrity/EC blocks that applyWrites sends:
+// blocks [b, b+nb) and their bytes, which are either a range of a caller's
+// write (whole blocks need no read-back) or a read-back image that every
+// sub-block write falling in the block has been overlaid on.
+type applyUnit struct {
+	b    uint64
+	nb   int
+	data []byte
 }
 
-// applyPlain writes data at a main-space address to all writable nodes
-// (full-replication layout); suspects are written best-effort. With
-// integrity enabled the write is widened to integrity-block boundaries
-// (reading back the partial edge blocks — the caller's expanded write lock
-// covers them) and the refreshed strip entries ride in the same request as
-// the data, so they land in one flight per node.
-func (m *Memory) applyPlain(addr uint64, data []byte) {
-	m.noteDirtyMain(addr, len(data))
-	wait, bestEffort := m.writeTargets(0)
-	if m.integ == nil {
-		m.fanOutWait(wait, bestEffort, m.physMain(addr), data)
-		return
-	}
-	span, spanStart, strip, ok := m.integ.buildPlainSpan(addr, data)
-	if !ok {
-		// No retrievable edge-block content (catastrophic loss); the WAL
-		// still holds the entry for future recovery.
-		return
-	}
-	m.fanOutWait(wait, bestEffort, m.physMain(spanStart), span,
-		rdma.Seg{Offset: m.integ.stripOff(spanStart / m.integ.ibs), Data: strip})
+// applyScratch is the pooled working set of one applyWrites call: the units,
+// the per-node segment vectors (one shared vector in plain mode), the strip
+// entries and EC parity the segments point into, the target lists and the
+// wait group with its prebound completion. A steady-state apply of whole
+// blocks allocates nothing.
+type applyScratch struct {
+	units  []applyUnit
+	images map[uint64]int // partial block -> its unit
+	segs   [][]rdma.Seg
+	strip  []byte
+	parity []byte
+	chunks [][]byte
+	wait   []int
+	best   []int
+	wg     sync.WaitGroup
+	done   func(error) // prebound wg.Done adapter
 }
 
-// ecScratch is the pooled per-apply/per-read scratch for the EC hot paths:
-// a block buffer for read–modify–write and reconstruction, the encode and
-// decode chunk sets with their parity backings, the integrity strip image,
-// target-list scratch, and a reusable wait group with a prebound completion
-// callback. One scratch serves one applyEC or block-read call at a time;
-// pooling it makes the steady-state EC write and read paths allocation-free.
-type ecScratch struct {
-	block   []byte       // ECBlockSize: RMW source / reconstruction target
-	chunks  [][]byte     // k+m encode set; parity entries point into parity
-	rchunks [][]byte     // k+m read/decode set
-	parity  []byte       // m×chunk encode parity backing
-	rparity []byte       // m×chunk read parity backing
-	strip   []byte       // 4×(k+m) integrity strip image
-	segs    [][]rdma.Seg // per node, capacity 1: the request tail carrying its strip entry
-	wait    []int        // writeTargetsInto scratch
-	best    []int
-	wg      sync.WaitGroup
-	done    func(error) // prebound wg.Done adapter
-}
-
-// getECScratch takes an EC scratch from the pool, constructing it on first
-// use. Only valid when erasure coding is enabled.
-func (m *Memory) getECScratch() *ecScratch {
-	if v := m.ecPool.Get(); v != nil {
-		return v.(*ecScratch)
-	}
-	n := len(m.nodes)
-	k := m.code.K()
-	mp := m.code.M()
-	sc := &ecScratch{
-		block:   make([]byte, m.cfg.ECBlockSize),
-		chunks:  make([][]byte, n),
-		rchunks: make([][]byte, n),
-		parity:  make([]byte, mp*m.chunk),
-		rparity: make([]byte, mp*m.chunk),
-		strip:   make([]byte, 4*n),
-		segs:    make([][]rdma.Seg, n),
-		wait:    make([]int, 0, n),
-		best:    make([]int, 0, n),
-	}
-	for i := 0; i < mp; i++ {
-		sc.chunks[k+i] = sc.parity[i*m.chunk : (i+1)*m.chunk]
-	}
-	for i := range sc.segs {
-		sc.segs[i] = make([]rdma.Seg, 0, 1)
-	}
+var applyScratchPool = sync.Pool{New: func() any {
+	sc := &applyScratch{images: make(map[uint64]int)}
 	sc.done = func(error) { sc.wg.Done() }
 	return sc
+}}
+
+// putApplyScratch drops every reference to caller and image buffers before
+// the scratch goes back to the pool.
+func putApplyScratch(sc *applyScratch) {
+	clear(sc.units)
+	sc.units = sc.units[:0]
+	clear(sc.images)
+	for j := range sc.segs {
+		clear(sc.segs[j])
+		sc.segs[j] = sc.segs[j][:0]
+	}
+	clear(sc.chunks)
+	applyScratchPool.Put(sc)
 }
 
-func (m *Memory) putECScratch(sc *ecScratch) { m.ecPool.Put(sc) }
+// applyBlockSize is the unit applyWrites widens to: the EC block under
+// erasure coding, the integrity block when only checksumming, 0 when a write
+// goes out exactly as it came in.
+func (m *Memory) applyBlockSize() uint64 {
+	switch {
+	case m.code != nil:
+		return uint64(m.cfg.ECBlockSize)
+	case m.integ != nil:
+		return m.integ.ibs
+	}
+	return 0
+}
 
-// applyEC applies a main-space update under erasure coding: each affected
-// EC block is (re)encoded and chunk j is written to memory node j. Partial
-// block updates read–modify–write the block; the caller's write lock covers
-// the full block, so the RMW is race-free. All buffers come from the
-// pooled scratch — a steady-state whole-block apply allocates nothing.
-func (m *Memory) applyEC(addr uint64, data []byte) {
-	m.noteDirtyMain(addr, len(data))
-	sc := m.getECScratch()
-	defer m.putECScratch(sc)
-	B := uint64(m.cfg.ECBlockSize)
-	first := addr / B
-	last := (addr + uint64(len(data)) - 1) / B
-	for b := first; b <= last; b++ {
-		blockStart := b * B
-		lo := max64(addr, blockStart)
-		hi := min64(addr+uint64(len(data)), blockStart+B)
-
-		var block []byte
-		if lo == blockStart && hi == blockStart+B {
-			block = data[lo-addr : hi-addr]
-		} else {
-			// RMW source read; corrupt chunks are skipped like dead nodes and
-			// then overwritten below, so apply itself heals them.
-			if _, err := m.readBlockECInto(sc, b, sc.block); err != nil {
-				// Cannot reconstruct the block (catastrophic loss); the WAL
-				// still holds the entry for future recovery.
-				continue
-			}
-			copy(sc.block[lo-blockStart:], data[lo-addr:hi-addr])
-			block = sc.block
-		}
-		if err := m.code.EncodeTo(block, sc.chunks); err != nil {
+// applyWrites materializes main-space writes on every writable node as ONE
+// request per node — every block (or chunk) and every strip entry a segment
+// of one vectored write — and waits for all of them. The writes' byte ranges
+// must be pairwise disjoint and the caller must hold exclusive locks over
+// their expanded ranges.
+//
+// Whole aligned blocks go out straight from the caller's buffers. A block
+// that is only partly written is read back once, however many of the writes
+// fall in it (two index words, or a bitmap byte and an index word at the
+// region boundary, often share one), every such write is overlaid on that
+// one image, and the block goes out once with one strip entry — building a
+// span per write instead would make the second clobber the first. A block
+// whose content cannot be read back (catastrophic loss) is skipped; the
+// owner's log still holds the update for a future recovery.
+//
+// Apply paths wait for every non-suspect node, not just a majority: the
+// caller's range lock is what keeps a straggler write from racing a later
+// write to the same address, so it cannot be released while any waited-on
+// node's write is outstanding. Suspect nodes get the whole request
+// best-effort on copied buffers — their eventual completion is bounded by
+// the transport deadline and cannot race a later write to the same range
+// because the node is repaired through full recovery (under the same locks)
+// before it serves reads again.
+func (m *Memory) applyWrites(writes []wal.Write) {
+	sc := applyScratchPool.Get().(*applyScratch)
+	defer putApplyScratch(sc)
+	for len(sc.segs) < len(m.nodes) {
+		sc.segs = append(sc.segs, nil)
+	}
+	B := m.applyBlockSize()
+	for _, w := range writes {
+		if len(w.Data) == 0 {
 			continue
 		}
-		chunks := sc.chunks
-		physOff := m.layout.MainBase() + b*uint64(m.chunk)
-		// Node j's request is its chunk and, with integrity on, the chunk's
-		// strip entry riding as the request's second segment.
-		for j := range chunks {
-			sc.segs[j] = sc.segs[j][:0]
+		m.noteDirtyMain(w.Addr, len(w.Data))
+		if B == 0 {
+			sc.segs[0] = append(sc.segs[0], rdma.Seg{Offset: m.physMain(w.Addr), Data: w.Data})
+			continue
+		}
+		m.splitWrite(sc, B, w)
+	}
+	if m.code != nil {
+		m.encodeUnits(sc)
+	} else if B != 0 {
+		m.checksumUnits(sc)
+	}
+
+	perNode := m.code != nil
+	if len(sc.segs[0]) == 0 {
+		return
+	}
+	sc.wait, sc.best = m.writeTargetsInto(0, sc.wait, sc.best)
+	vector := func(i int) []rdma.Seg {
+		if perNode {
+			return sc.segs[i]
+		}
+		return sc.segs[0]
+	}
+	for _, i := range sc.best {
+		v := vector(i)
+		m.enqueueBestEffort(i, v[0].Offset, v[0].Data, v[1:]...)
+	}
+	if len(sc.wait) == 0 {
+		return
+	}
+	sc.wg.Add(len(sc.wait))
+	for _, i := range sc.wait {
+		v := vector(i)
+		m.enqueue(i, nodeReq{offset: v[0].Offset, data: v[0].Data, more: v[1:], done: sc.done})
+	}
+	sc.wg.Wait()
+}
+
+// splitWrite cuts one write at block boundaries into sc.units: a run of
+// whole blocks becomes one unit over the caller's bytes (one block per unit
+// under erasure coding, where every block is encoded on its own); a partly
+// written block joins, or starts, that block's read-back image.
+func (m *Memory) splitWrite(sc *applyScratch, B uint64, w wal.Write) {
+	end := w.Addr + uint64(len(w.Data))
+	run := -1 // the unit holding this write's current run of whole blocks
+	for b := w.Addr / B; b*B < end; b++ {
+		bStart := b * B
+		bEnd := min64(bStart+B, uint64(m.cfg.MemSize))
+		lo, hi := max64(w.Addr, bStart), min64(end, bEnd)
+		if lo == bStart && hi == bEnd {
+			if run >= 0 && m.code == nil {
+				u := &sc.units[run]
+				u.nb++
+				u.data = w.Data[u.b*B-w.Addr : hi-w.Addr]
+			} else {
+				run = len(sc.units)
+				sc.units = append(sc.units, applyUnit{b: b, nb: 1, data: w.Data[lo-w.Addr : hi-w.Addr]})
+			}
+			continue
+		}
+		at, ok := sc.images[b]
+		if !ok {
+			at = len(sc.units)
+			sc.images[b] = at
+			sc.units = append(sc.units, applyUnit{b: b, nb: 1, data: m.readBackBlock(b)})
+		}
+		if img := sc.units[at].data; img != nil {
+			copy(img[lo-bStart:], w.Data[lo-w.Addr:hi-w.Addr])
+		}
+	}
+}
+
+// blocks counts the blocks the units cover.
+func (sc *applyScratch) blocks() (n int) {
+	for _, u := range sc.units {
+		n += u.nb
+	}
+	return n
+}
+
+// readBackBlock returns block b's current content in a buffer of its own, or
+// nil when no replica (or no k chunks) can supply it. Caller holds the
+// block's write lock, so the read-modify-write is race-free; a corrupt
+// replica met on the way is skipped like a dead one and then overwritten by
+// the apply, which heals it.
+func (m *Memory) readBackBlock(b uint64) []byte {
+	if m.code == nil {
+		blk, err := m.integ.readPlainBlockLocked(b)
+		if err != nil {
+			return nil
+		}
+		return blk
+	}
+	rs := m.getECScratch()
+	defer m.putECScratch(rs)
+	blk := make([]byte, m.cfg.ECBlockSize)
+	if _, err := m.readBlockECInto(rs, b, blk); err != nil {
+		return nil
+	}
+	return blk
+}
+
+// checksumUnits renders the plain-mode request shared by every node: each
+// unit's bytes, then the strip entries of its blocks as the next segment, so
+// data and checksums land in one flight.
+func (m *Memory) checksumUnits(sc *applyScratch) {
+	g := m.integ
+	if need := 4 * sc.blocks(); cap(sc.strip) < need {
+		sc.strip = make([]byte, need)
+	}
+	strip := sc.strip[:0]
+	for _, u := range sc.units {
+		if u.data == nil {
+			continue
+		}
+		entries := strip[len(strip) : len(strip)+4*u.nb]
+		strip = strip[:len(strip)+4*u.nb]
+		for i, off := 0, 0; i < u.nb; i++ {
+			_, bLen := g.blockRange(u.b + uint64(i))
+			sum := crcBlock(u.data[off : off+bLen])
+			g.setSum(0, u.b+uint64(i), sum)
+			binary.LittleEndian.PutUint32(entries[4*i:], sum)
+			off += bLen
+		}
+		sc.segs[0] = append(sc.segs[0],
+			rdma.Seg{Offset: m.physMain(u.b * g.ibs), Data: u.data},
+			rdma.Seg{Offset: g.stripOff(u.b), Data: entries})
+	}
+}
+
+// encodeUnits renders the per-node requests under erasure coding: every
+// block is encoded into its own parity buffers, and node j's vector takes
+// chunk j of each block followed, with integrity on, by that chunk's strip
+// entry.
+func (m *Memory) encodeUnits(sc *applyScratch) {
+	n, k, C, blocks := len(m.nodes), m.code.K(), m.chunk, sc.blocks()
+	if need := blocks * (n - k) * C; cap(sc.parity) < need {
+		sc.parity = make([]byte, need)
+	}
+	if cap(sc.strip) < 4*n*blocks {
+		sc.strip = make([]byte, 4*n*blocks)
+	}
+	if len(sc.chunks) != n {
+		sc.chunks = make([][]byte, n)
+	}
+	parity, strip := sc.parity[:0], sc.strip[:0]
+	for _, u := range sc.units {
+		if u.data == nil {
+			continue
+		}
+		for j := k; j < n; j++ {
+			sc.chunks[j] = parity[len(parity) : len(parity)+C]
+			parity = parity[:len(parity)+C]
+		}
+		if err := m.code.EncodeTo(u.data, sc.chunks); err != nil {
+			continue
+		}
+		physOff := m.layout.MainBase() + u.b*uint64(C)
+		for j, chunk := range sc.chunks {
+			sc.segs[j] = append(sc.segs[j], rdma.Seg{Offset: physOff, Data: chunk})
 			if m.integ != nil {
-				sum := crcBlock(chunks[j])
-				m.integ.setSum(j, b, sum)
-				binary.LittleEndian.PutUint32(sc.strip[4*j:], sum)
-				sc.segs[j] = append(sc.segs[j], rdma.Seg{Offset: m.integ.stripOff(b), Data: sc.strip[4*j : 4*j+4]})
+				sum := crcBlock(chunk)
+				m.integ.setSum(j, u.b, sum)
+				entry := strip[len(strip) : len(strip)+4]
+				strip = strip[:len(strip)+4]
+				binary.LittleEndian.PutUint32(entry, sum)
+				sc.segs[j] = append(sc.segs[j], rdma.Seg{Offset: m.integ.stripOff(u.b), Data: entry})
 			}
 		}
-		wait, bestEffort := m.writeTargetsInto(0, sc.wait, sc.best)
-		for _, i := range bestEffort {
-			m.enqueueBestEffort(i, physOff, chunks[i], sc.segs[i]...)
-		}
-		if len(wait) == 0 {
-			continue
-		}
-		sc.wg.Add(len(wait))
-		for _, i := range wait {
-			m.enqueue(i, nodeReq{offset: physOff, data: chunks[i], more: sc.segs[i], done: sc.done})
-		}
-		sc.wg.Wait()
 	}
 }
 
@@ -436,22 +538,34 @@ func (m *Memory) directWrite(addr uint64, data []byte, release func()) error {
 // this path); a torn update after a coordinator failure is repaired by the
 // application replaying its own log.
 func (m *Memory) UnloggedWrite(addr uint64, data []byte) error {
+	return m.UnloggedWriteBatch([]wal.Write{{Addr: addr, Data: data}})
+}
+
+// UnloggedWriteBatch is UnloggedWrite for several writes at once: their
+// expanded ranges are locked in one atomic acquisition, every node receives
+// all of them as one vectored request, and the call returns when the last
+// waited-on node has completed it. The writes' byte ranges must be pairwise
+// disjoint; sub-block writes may share an integrity or EC block. Nothing
+// orders the writes of one call against each other on a node's memory as a
+// reader sees it — a caller that needs "this before that" (a block before
+// the pointer to it) makes two calls.
+func (m *Memory) UnloggedWriteBatch(writes []wal.Write) error {
 	m.gate.RLock()
 	defer m.gate.RUnlock()
 	if err := m.checkOpen(); err != nil {
 		return err
 	}
-	if err := m.checkMainRange(addr, len(data)); err != nil {
-		return err
+	var buf [4]lockRange
+	ranges := buf[:0]
+	for _, w := range writes {
+		if err := m.checkMainRange(w.Addr, len(w.Data)); err != nil {
+			return err
+		}
+		ranges = append(ranges, m.expandWriteRange(w.Addr, len(w.Data)))
 	}
-	r := m.expandWriteRange(addr, len(data))
-	m.locks.acquire(exclusive, r)
-	defer m.locks.release(exclusive, r)
-	if m.code != nil {
-		m.applyEC(addr, data)
-	} else {
-		m.applyPlain(addr, data)
-	}
+	m.locks.acquire(exclusive, ranges...)
+	m.applyWrites(writes)
+	m.locks.release(exclusive, ranges...)
 	if err := m.checkOpen(); err != nil {
 		return err
 	}
@@ -476,15 +590,8 @@ func (m *Memory) UnloggedWrite(addr uint64, data []byte) error {
 // (identical under EC, where the integrity block is the EC block). Without
 // either it returns the range unchanged.
 func (m *Memory) expandWriteRange(addr uint64, size int) lockRange {
-	var B uint64
-	switch {
-	case size == 0:
-		return lockRange{addr: addr, size: size}
-	case m.code != nil:
-		B = uint64(m.cfg.ECBlockSize)
-	case m.integ != nil:
-		B = m.integ.ibs
-	default:
+	B := m.applyBlockSize()
+	if size == 0 || B == 0 {
 		return lockRange{addr: addr, size: size}
 	}
 	lo := addr / B * B

@@ -116,6 +116,17 @@ func (cl *Cluster) initObs() {
 		func() float64 { return float64(cl.Stats().KV.CacheHits) })
 	reg.CounterFunc(`sift_kv_cache_total{kind="miss"}`, "Coordinator cache lookups.",
 		func() float64 { return float64(cl.Stats().KV.CacheMisses) })
+	// The background apply: records per batch is applied/batches, and the
+	// absorbed and located shares of the applied records say how many block
+	// writes and chain walks batching saved.
+	reg.CounterFunc("sift_kv_applied_records_total", "Log records the appliers have retired, absorbed ones included.",
+		func() float64 { return float64(cl.Stats().KV.Applies) })
+	reg.CounterFunc("sift_kv_apply_batches_total", "Batches those records were applied in.",
+		func() float64 { return float64(cl.Stats().KV.ApplyBatches) })
+	reg.CounterFunc("sift_kv_absorbed_records_total", "Records never written because a later record for the key was in the same batch.",
+		func() float64 { return float64(cl.Stats().KV.AbsorbedRecords) })
+	reg.CounterFunc("sift_kv_located_applies_total", "Records whose data block was known without a chain walk.",
+		func() float64 { return float64(cl.Stats().KV.LocatedApplies) })
 
 	// Election lifecycle, summed over the currently running CPU nodes.
 	cpu := func(f func(*core.CPUNode) uint64) func() float64 {
