@@ -1,16 +1,18 @@
 GO ?= go
 
-.PHONY: tier1 race chaos linearize reconfig shard wan fuzz-short bench-pipeline bench-ec bench-json bench-baseline bench-gate benchmark-smoke capacity obs-smoke staticcheck
+.PHONY: tier1 race chaos linearize reconfig shard wan fuzz-short bench-pipeline bench-ec benchmark-smoke obs-smoke staticcheck loc
 
 # Tier-1 verification: everything vets, builds, and every test passes.
 tier1:
 	$(GO) vet ./... && $(GO) build ./... && $(GO) test ./...
 
 # Race-detector pass over the packages on the write hot path (internal/deploy
-# holds the per-put cost test that drives the whole of it) and the
-# gray-failure machinery.
+# holds the per-put cost test that drives the whole of it), the gray-failure
+# machinery, the erasure kernels, and the open-loop load generator with its
+# knee search.
 race:
-	$(GO) test -race ./internal/rdma/... ./internal/repmem/... ./internal/kv/... ./internal/deploy/... ./internal/faultrdma/... ./internal/election/...
+	$(GO) test -race ./internal/rdma/... ./internal/repmem/... ./internal/kv/... ./internal/deploy/... ./internal/faultrdma/... ./internal/election/... ./internal/erasure/...
+	$(GO) test -race -run 'TestPoisson|TestOpenLoop|TestCapacitySweep' ./internal/bench/
 
 # Chaos suite: fail-stop and gray-failure schedules against the in-process
 # cluster, twice, under the race detector. The 'TestChaos' pattern also
@@ -65,53 +67,11 @@ bench-pipeline:
 
 # Erasure-kernel benchmarks: encode/reconstruct/decode MB/s and allocs at
 # 4 KiB / 64 KiB / 1 MiB blocks, plus the repmem steady-state EC paths.
-# BENCHTIME=1x (used by CI's race smoke) turns this into a correctness pass.
+# BENCHTIME=1x turns this into a correctness pass.
 BENCHTIME ?= 2s
 bench-ec:
-	$(GO) test $(BENCHFLAGS) -run '^$$' -bench 'BenchmarkEncode|BenchmarkReconstruct|BenchmarkDecode|BenchmarkMulAddSlice' -benchtime $(BENCHTIME) ./internal/erasure/
-	$(GO) test $(BENCHFLAGS) -run '^$$' -bench 'BenchmarkECApply|BenchmarkECRead' -benchtime $(BENCHTIME) ./internal/repmem/
-
-# Benchmark trajectory: runs the EC and cluster benchmarks and emits
-# BENCH_$(PR).json with encode/reconstruct MB/s, put throughput, read
-# latency percentiles, put throughput under rolling node replacement,
-# open-loop knee throughput behind the shard router at 1/2/4 groups, WAN
-# put throughput/p99 at 0/5/15% sustained loss, and the §17 capacity
-# block (knee + latency-at-knee + cost-per-million-ops for the plain,
-# sharded, and WAN deployments). Bump PR per PR: `make bench-json PR=11`.
-PR ?= 10
-bench-json:
-	$(GO) run ./cmd/benchjson -pr $(PR)
-
-# Re-anchor the tracked regression baseline after an INTENTIONAL
-# performance change: regenerates the benchmark document straight into
-# bench-baseline.json (commit the result alongside the change that
-# explains it).
-bench-baseline:
-	$(GO) run ./cmd/benchjson -out bench-baseline.json
-
-# Benchmark regression gate (CI: bench-gate job): a fresh short run
-# diffed against the tracked bench-baseline.json with per-metric
-# tolerance bands; exits nonzero on regression. Bands are wide (±60%
-# default here) because the gate run is short and CI runners are noisy —
-# it exists to catch collapses and vanished probes, not 5% drift. The
-# knee/throughput metrics carry the signal. Three metric families get
-# wider bands still (-tol keys are longest-PREFIX matched against the
-# dotted flattened paths): latency-at-knee (a short gate run can land
-# its knee at a different rate, and queueing delay at the knee is
-# extremely sensitive to that), microsecond-scale read percentiles
-# (base ~8µs; one scheduler preemption triples them), and the
-# replacement-window probes.
-BENCH_GATE_TOL ?= 0.6
-bench-gate:
-	$(GO) run ./cmd/benchjson -out /tmp/sift-bench-gate.json -duration 700ms
-	$(GO) run ./cmd/benchcmp -baseline bench-baseline.json -new /tmp/sift-bench-gate.json \
-		-tolerance $(BENCH_GATE_TOL) \
-		-tol capacity.plain.p50_ms_at_knee=2.5 -tol capacity.plain.p99_ms_at_knee=4 -tol capacity.plain.p999_ms_at_knee=4 \
-		-tol capacity.shard_4g.p50_ms_at_knee=2.5 -tol capacity.shard_4g.p99_ms_at_knee=4 -tol capacity.shard_4g.p999_ms_at_knee=4 \
-		-tol capacity.wan_5pct.p50_ms_at_knee=2.5 -tol capacity.wan_5pct.p99_ms_at_knee=4 -tol capacity.wan_5pct.p999_ms_at_knee=4 \
-		-tol wan_put_p99_ms=1.5 -tol read_p99_us=4 -tol backup_read_p99_us=4 \
-		-tol put_ops_per_sec_during_replace=1.5 -tol replacements_during_probe=1.5 \
-		-tol puts_skipped_no_coordinator=20
+	$(GO) test -run '^$$' -bench 'BenchmarkEncode|BenchmarkReconstruct|BenchmarkDecode|BenchmarkMulAddSlice' -benchtime $(BENCHTIME) ./internal/erasure/
+	$(GO) test -run '^$$' -bench 'BenchmarkECApply|BenchmarkECRead' -benchtime $(BENCHTIME) ./internal/repmem/
 
 # Benchmark smoke: benchmark/ is its own module, outside tier-1, so this is
 # the only place CI builds it. Vets and tests the module, then runs three
@@ -134,12 +94,17 @@ benchmark-smoke:
 	@awk '$$1 == "put_sat" && $$2 == "repmem.node_ops_per_put" { print; seen = 1; if ($$3 > 5.0) over = 1 } \
 		END { if (!seen || over) { print "put_sat repmem.node_ops_per_put missing or above 5.0"; exit 1 } }' $(BENCHMARK_SMOKE_OUT)
 
-# Capacity smoke: the open-loop load generator and baseline-comparator
-# unit tests (Poisson rate accuracy, stall-as-queue-latency, knee
-# detection, regression/tolerance/missing-metric handling) plus a short
-# real-cluster sweep, under the race detector (DESIGN.md §17).
-capacity:
-	$(GO) test -race -timeout 5m -run 'TestPoisson|TestOpenLoop|TestCapacity|TestFlatten|TestCompare' ./internal/bench/...
+# Size of the tree, the two numbers every CHANGES.md entry carries:
+# non-test Go lines outside benchmark/, and the settable values — exported
+# fields of the five configuration structs (as `go doc` prints them; a line
+# declaring several names counts each) plus the two daemons' flags.
+KNOB_STRUCTS = .:Config .:WANConfig ./internal/repmem:Config ./internal/kv:Config ./internal/deploy:Params
+loc:
+	@echo "non_test_loc $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
+	@{ for s in $(KNOB_STRUCTS); do $(GO) doc $${s%%:*} $${s##*:}; done \
+		| awk '/^\t[A-Z]/ { i = 1; while ($$i ~ /,$$/) i++; n += i } END { print n }'; \
+	   grep -hoE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/siftd/main.go cmd/memnoded/main.go | wc -l; } \
+		| awk '{ n += $$1 } END { print "config_knobs " n }'
 
 # Observability smoke: both daemons build, the obs package tests pass, and
 # the in-process cluster serves /metrics, /healthz, /statusz, and /events

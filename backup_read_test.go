@@ -208,7 +208,7 @@ func TestBackupReadsConcurrent(t *testing.T) {
 
 // BenchmarkReadHeavyBackupOffload measures the aggregate-throughput effect
 // of lease-based backup reads under the paper's resource model: each CPU
-// node has a fixed per-op CPU budget (as in BenchmarkFigure7), so once the
+// node has a fixed per-op CPU budget (as in siftbench's fig7), so once the
 // coordinator's core saturates, extra throughput can only come from reads
 // served elsewhere. A 90%-read workload runs with reads offered to follower
 // leases (their ops billed to the follower cores) versus everything on the

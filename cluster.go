@@ -91,23 +91,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		MaxKey:         c.MaxKeySize,
 		MaxValue:       c.MaxValueSize,
 		CacheFraction:  c.CacheFraction,
-		LoadFactor:     c.IndexLoadFactor,
 		KVWALSlots:     c.KVWALSlots,
 		MemWALSlots:    c.MemWALSlots,
 		MemWALSlotSize: c.MemWALSlotSize,
-		NoIntegrity:    c.NoIntegrity,
 	}.Derive()
 	if err != nil {
 		return nil, err
 	}
 
 	mcfg.SuspectAfter = c.SuspectAfter
-	mcfg.DeadAfter = c.DeadAfter
-	mcfg.StragglerFactor = c.StragglerFactor
 	mcfg.StragglerMinLatency = c.StragglerMinLatency
-	mcfg.StragglerMinSamples = c.StragglerMinSamples
-	mcfg.SuspectProbeLimit = c.SuspectProbeLimit
-	mcfg.DegradeExitProbes = c.DegradeExitProbes
 	if c.BackupReads {
 		// Lease soundness needs acks to imply visibility: writes wait for
 		// their apply, and after a node exclusion acks hold until every

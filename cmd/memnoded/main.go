@@ -34,7 +34,6 @@ func main() {
 		kvWALSlots  = flag.Int("kv-wal-slots", 4096, "key-value log entries")
 		memWALSlots = flag.Int("mem-wal-slots", 1024, "replicated-memory log entries")
 		memWALSlot  = flag.Int("mem-wal-slot-size", 4096, "replicated-memory log slot bytes")
-		noIntegrity = flag.Bool("no-integrity", false, "disable the main-memory checksum strip (must match siftd)")
 		debugAddr   = flag.String("debug-addr", "", "debug HTTP listen address serving /metrics, /healthz, /statusz, /debug/pprof ('' disables)")
 	)
 	flag.Parse()
@@ -45,7 +44,6 @@ func main() {
 		KVWALSlots:     *kvWALSlots,
 		MemWALSlots:    *memWALSlots,
 		MemWALSlotSize: *memWALSlot,
-		NoIntegrity:    *noIntegrity,
 	}
 	layout, err := params.Layout()
 	if err != nil {

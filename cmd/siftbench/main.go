@@ -6,16 +6,17 @@
 //	siftbench -experiment fig5                 # one experiment
 //	siftbench -experiment all                  # everything
 //	siftbench -experiment fig5 -keys 1000000 -duration 50s -reps 5
-//	siftbench -experiment capacity             # open-loop knee + $/Mops
+//	siftbench -experiment capacity             # open-loop knees + $/Mops
 //
 // Experiments: table1, fig5, fig6, fig7, fig8, table2, fig9, fig10,
-// fig11, fig12, shard, wan, capacity. Defaults are sized for a laptop;
-// the flags scale any experiment up to the paper's full parameters.
+// fig11, fig12, shard, wan, capacity, replace. Defaults are sized for a
+// laptop; the flags scale any experiment up to the paper's full parameters.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -30,6 +31,7 @@ import (
 )
 
 type options struct {
+	out       io.Writer
 	keys      int
 	valueSize int
 	clients   int
@@ -41,7 +43,7 @@ type options struct {
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "comma-separated experiments (table1, fig5, fig6, fig7, fig8, table2, fig9, fig10, fig11, fig12, shard, wan, capacity, all)")
+		experiment = flag.String("experiment", "all", "comma-separated experiments ("+strings.Join(order, ", ")+", all)")
 		keys       = flag.Int("keys", 4096, "key population (paper: 1000000)")
 		valueSize  = flag.Int("value-size", 992, "value payload bytes")
 		clients    = flag.Int("clients", 32, "concurrent closed-loop clients")
@@ -52,41 +54,55 @@ func main() {
 	)
 	flag.Parse()
 	opts := options{
+		out:  os.Stdout,
 		keys: *keys, valueSize: *valueSize, clients: *clients,
 		duration: *duration, warmup: *warmup, reps: *reps, seed: *seed,
 	}
 
-	all := map[string]func(options){
+	if err := run(*experiment, opts); err != nil {
+		log.Fatalf("siftbench: %v", err)
+	}
+}
+
+// experiments maps every experiment name to its runner; order is the
+// sequence "all" runs them in.
+var (
+	experiments = map[string]func(options){
 		"table1": table1, "fig5": fig5, "fig6": fig6, "fig7": fig7,
 		"fig8": fig8, "table2": table2, "fig9": costFigure(1), "fig10": costFigure(2),
 		"fig11": fig11, "fig12": fig12, "shard": shardScaling, "wan": wanDegradation,
-		"capacity": capacitySweep,
+		"capacity": capacitySweep, "replace": replaceProbe,
 	}
-	order := []string{"table1", "fig5", "fig6", "fig7", "fig8", "table2", "fig9", "fig10", "fig11", "fig12", "shard", "wan", "capacity"}
+	order = []string{"table1", "fig5", "fig6", "fig7", "fig8", "table2", "fig9", "fig10", "fig11", "fig12", "shard", "wan", "capacity", "replace"}
+)
 
-	want := strings.Split(*experiment, ",")
-	if *experiment == "all" {
+// run executes the comma-separated experiments ("all" = every one, in
+// order) and stops at the first unknown name.
+func run(experiment string, o options) error {
+	want := strings.Split(experiment, ",")
+	if experiment == "all" {
 		want = order
 	}
 	for _, name := range want {
 		name = strings.TrimSpace(name)
-		fn, ok := all[name]
+		fn, ok := experiments[name]
 		if !ok {
-			log.Fatalf("siftbench: unknown experiment %q", name)
+			return fmt.Errorf("unknown experiment %q", name)
 		}
-		fmt.Printf("==== %s ====\n", name)
-		fn(opts)
-		fmt.Println()
+		fmt.Fprintf(o.out, "==== %s ====\n", name)
+		fn(o)
+		fmt.Fprintln(o.out)
 	}
+	return nil
 }
 
-func newTab() *tabwriter.Writer {
-	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func newTab(out io.Writer) *tabwriter.Writer {
+	return tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 }
 
 // table1 prints the protocol characteristics comparison (paper Table 1).
-func table1(options) {
-	w := newTab()
+func table1(o options) {
+	w := newTab(o.out)
 	defer w.Flush()
 	fmt.Fprintln(w, "Table 1: comparison of key consensus protocol characteristics")
 	fmt.Fprintln(w, "type\tresource location\tprotocol\terasure coding\treplication factor")
@@ -124,8 +140,8 @@ func repeated(o options, mk func(rep int) bench.RunResult) (mean, ci float64, la
 
 // fig5 reproduces Figure 5: throughput per workload type per system.
 func fig5(o options) {
-	fmt.Println("Figure 5: throughput (ops/sec) by workload type, F=1")
-	w := newTab()
+	fmt.Fprintln(o.out, "Figure 5: throughput (ops/sec) by workload type, F=1")
+	w := newTab(o.out)
 	defer w.Flush()
 	fmt.Fprintln(w, "system\twrite-only\tmixed\tread-heavy\tread-only")
 	for _, kind := range []bench.SystemKind{bench.SystemEPaxos, bench.SystemSiftEC, bench.SystemSift, bench.SystemRaftR} {
@@ -153,8 +169,8 @@ func fig5(o options) {
 
 // fig6 reproduces Figure 6: latencies at low load and at high load.
 func fig6(o options) {
-	fmt.Println("Figure 6: latency (µs) at low load (1 client) and high load")
-	w := newTab()
+	fmt.Fprintln(o.out, "Figure 6: latency (µs) at low load (1 client) and high load")
+	w := newTab(o.out)
 	defer w.Flush()
 	fmt.Fprintln(w, "system\tread p50/p95 (1 client)\twrite p50/p95 (1 client)\tread p50/p95 (high load)\twrite p50/p95 (high load)")
 	for _, kind := range []bench.SystemKind{bench.SystemRaftR, bench.SystemSift, bench.SystemSiftEC} {
@@ -184,14 +200,14 @@ func fig6(o options) {
 
 // fig7 reproduces Figure 7: read-heavy throughput vs provisioned cores.
 func fig7(o options) {
-	fmt.Println("Figure 7: read-heavy throughput (ops/sec) vs provisioned cores")
+	fmt.Fprintln(o.out, "Figure 7: read-heavy throughput (ops/sec) vs provisioned cores")
 	perOp := map[bench.SystemKind]time.Duration{
 		bench.SystemRaftR:  20 * time.Microsecond,
 		bench.SystemSift:   26 * time.Microsecond,
 		bench.SystemSiftEC: 31 * time.Microsecond,
 	}
 	cores := []int{6, 7, 8, 9, 10, 11, 12}
-	w := newTab()
+	w := newTab(o.out)
 	defer w.Flush()
 	fmt.Fprint(w, "system\t")
 	for _, c := range cores {
@@ -219,7 +235,7 @@ func fig7(o options) {
 
 // fig8 reproduces Figure 8 via the backup pool simulation.
 func fig8(o options) {
-	fmt.Println("Figure 8: added recovery time per fault (s) vs backup pool size")
+	fmt.Fprintln(o.out, "Figure 8: added recovery time per fault (s) vs backup pool size")
 	groups := []int{10, 100, 500, 1000, 2000, 3000}
 	backups := []int{0, 1, 2, 4, 6, 8, 12, 16, 20}
 	reps := o.reps
@@ -227,7 +243,7 @@ func fig8(o options) {
 		reps = 3
 	}
 	sweep := backuppool.Sweep(groups, backups, reps, o.seed)
-	w := tabwriter.NewWriter(os.Stdout, 4, 4, 2, ' ', tabwriter.AlignRight)
+	w := tabwriter.NewWriter(o.out, 4, 4, 2, ' ', tabwriter.AlignRight)
 	defer w.Flush()
 	fmt.Fprint(w, "backups\t")
 	for _, g := range groups {
@@ -244,8 +260,8 @@ func fig8(o options) {
 }
 
 // table2 prints the Table 2 machine configurations.
-func table2(options) {
-	w := newTab()
+func table2(o options) {
+	w := newTab(o.out)
 	defer w.Flush()
 	fmt.Fprintln(w, "Table 2: machine configurations normalized for performance")
 	fmt.Fprintln(w, "system\tF\tCPU node\tmemory node")
@@ -261,17 +277,17 @@ func table2(options) {
 
 // costFigure renders Figure 9 (f=1) or Figure 10 (f=2).
 func costFigure(f int) func(options) {
-	return func(options) {
+	return func(o options) {
 		figure := 9
 		if f == 2 {
 			figure = 10
 		}
-		fmt.Printf("Figure %d: deployment cost relative to Raft-R, F=%d (100 groups, pool of 2)\n", figure, f)
+		fmt.Fprintf(o.out, "Figure %d: deployment cost relative to Raft-R, F=%d (100 groups, pool of 2)\n", figure, f)
 		rows, err := cloudcost.FigureSeries(f)
 		if err != nil {
 			log.Fatalf("siftbench: %v", err)
 		}
-		w := newTab()
+		w := newTab(o.out)
 		defer w.Flush()
 		fmt.Fprintln(w, "provider\tconfiguration\trelative cost")
 		for _, r := range rows {
@@ -282,7 +298,7 @@ func costFigure(f int) func(options) {
 
 // fig11 reproduces Figure 11: throughput across a memory node failure.
 func fig11(o options) {
-	fmt.Println("Figure 11: read-heavy throughput during a memory node failure (100ms intervals)")
+	fmt.Fprintln(o.out, "Figure 11: read-heavy throughput during a memory node failure (100ms intervals)")
 	tl, err := bench.MemoryNodeFailureTimeline(bench.FailureConfig{
 		Keys: o.keys, ValueSize: o.valueSize, Clients: o.clients,
 		Steady: o.duration / 2, Outage: o.duration / 2, Observe: o.duration,
@@ -291,12 +307,12 @@ func fig11(o options) {
 	if err != nil {
 		log.Fatalf("siftbench: fig11: %v", err)
 	}
-	printTimeline(tl)
+	printTimeline(o.out, tl)
 }
 
 // fig12 reproduces Figure 12: throughput across a coordinator failure.
 func fig12(o options) {
-	fmt.Println("Figure 12: read-heavy throughput during a coordinator failure (100ms intervals)")
+	fmt.Fprintln(o.out, "Figure 12: read-heavy throughput during a coordinator failure (100ms intervals)")
 	tl, err := bench.CoordinatorFailureTimeline(bench.FailureConfig{
 		Keys: o.keys, ValueSize: o.valueSize, Clients: o.clients,
 		Steady: o.duration / 2, Outage: o.duration / 2, Observe: o.duration,
@@ -305,133 +321,181 @@ func fig12(o options) {
 	if err != nil {
 		log.Fatalf("siftbench: fig12: %v", err)
 	}
-	printTimeline(tl)
+	printTimeline(o.out, tl)
 }
 
-// shardScaling measures aggregate put throughput behind the shard router
-// (DESIGN.md §15) at 1, 2, and 4 consensus groups on 2ms links. The
-// closed-loop client population is held constant across group counts so
-// every configuration faces the same offered load (a group-proportional
-// population under-loads the 1-group baseline and manufactures
-// super-linear speedups); for a load-independent comparison use
-// `-experiment capacity`-style knees, which is what BENCH_<n>.json records.
+// shardLinkLatency is the fabric latency of the sharded deployments: the
+// scaling experiment is deliberately latency-bound, so aggregate throughput
+// tracks the number of groups rather than host-CPU contention — the regime
+// the paper's horizontal-sharding argument is about (each group is its own
+// failure and commit domain).
+const shardLinkLatency = 2 * time.Millisecond
+
+// sweep shapes an open-loop capacity sweep from the flags: each step
+// measures for half of -duration after -warmup, but never for less than
+// 400ms — a shorter window holds too few arrivals at the bottom of the
+// sweep (50/s for 150ms is 7) for its saturation verdict to be more than
+// Poisson noise. workers bounds in-flight concurrency, not offered load
+// (that is the arrival rate), and has to exceed knee × latency for the
+// deployment: 128 in process, 256 over 2ms shard links or a 40ms WAN round
+// trip. The working set stays at the probes' default; populating more
+// across slow links would dominate the run.
+func sweep(o options, workers int, minRate float64) bench.DeploymentCapacityConfig {
+	return bench.DeploymentCapacityConfig{
+		Sweep: bench.CapacityConfig{
+			MinRate:      minRate,
+			StepDuration: max(o.duration/2, 400*time.Millisecond),
+			StepWarmup:   o.warmup,
+			Workers:      workers,
+		},
+		ValueSize: o.valueSize,
+		Seed:      o.seed,
+	}
+}
+
+// shardScaling sweeps open-loop put arrival rates behind the shard router
+// (DESIGN.md §15) at 1, 2, and 4 consensus groups on 2ms links. Each
+// configuration is pushed to its own knee, so the speedup is comparable
+// regardless of client population and is physically bounded by the group
+// count (a fixed closed-loop population under-loads one side or the other
+// and manufactures super-linear speedups).
 func shardScaling(o options) {
-	fmt.Println("Sharding: aggregate put throughput (ops/sec) vs consensus groups (2ms links, fixed total clients)")
-	w := newTab()
+	fmt.Fprintln(o.out, "Sharding: open-loop put knee (ops/sec) vs consensus groups (2ms links, each swept to its own saturation)")
+	w := newTab(o.out)
 	defer w.Flush()
-	fmt.Fprintln(w, "groups\tclients\tops/sec\tspeedup")
+	fmt.Fprintln(w, "groups\tknee ops/sec\tp50 at knee\tp99 at knee\tspeedup")
 	var base float64
 	for _, groups := range []int{1, 2, 4} {
-		const clients = 16
-		tput, err := bench.ShardPutThroughput(bench.ShardScalingConfig{
-			Groups:   groups,
-			Clients:  clients,
-			Warmup:   o.warmup,
-			Duration: o.duration,
-			Seed:     o.seed,
-		})
+		res, err := bench.ShardPutCapacity(groups, shardLinkLatency, sweep(o, 256, 200))
 		if err != nil {
 			log.Fatalf("siftbench: shard: %v", err)
 		}
 		if groups == 1 {
-			base = tput
+			base = res.KneeOpsPerSec
 		}
 		speedup := "-"
 		if base > 0 {
-			speedup = fmt.Sprintf("%.2fx", tput/base)
+			speedup = fmt.Sprintf("%.2fx", res.KneeOpsPerSec/base)
 		}
-		fmt.Fprintf(w, "%d\t%d\t%.0f\t%s\n", groups, clients, tput, speedup)
+		fmt.Fprintf(w, "%d\t%.0f\t%v\t%v\t%s\n", groups, res.KneeOpsPerSec, res.Knee.P50, res.Knee.P99, speedup)
 	}
 }
 
-// wanDegradation measures acknowledged put throughput and put p99 across a
-// simulated 40ms-RTT wide-area deployment (one memory node and the client
+// wanDegradation measures acknowledged put throughput and put latency across
+// a simulated 40ms-RTT wide-area deployment (one memory node and the client
 // hop across the WAN, loss-adaptive FEC transport; DESIGN.md §16) at 0%,
-// 5%, and 15% sustained Gilbert–Elliott loss.
+// 5%, and 15% sustained Gilbert–Elliott loss, beside what the transport
+// did to deliver them: flights recovered from parity cost no time, every
+// retransmission round stalls its flight for one ack timeout.
 func wanDegradation(o options) {
-	fmt.Println("WAN: put throughput and p99 vs sustained loss (40ms RTT, adaptive FEC)")
-	w := newTab()
+	fmt.Fprintln(o.out, "WAN: put throughput and latency vs sustained loss (40ms RTT, adaptive FEC)")
+	w := newTab(o.out)
 	defer w.Flush()
-	fmt.Fprintln(w, "loss\tops/sec\tput p99 (ms)\tretention")
+	fmt.Fprintln(w, "loss\tops/sec\tput p50 (ms)\tput p99 (ms)\tretention\tflights\tFEC-recovered\tretransmits\tgave up")
 	var base float64
 	for _, loss := range []float64{0, 0.05, 0.15} {
-		tput, p99, err := bench.WANPutThroughput(bench.WANBenchConfig{
+		res, err := bench.WANPutThroughput(bench.WANBenchConfig{
 			LossRate: loss, Warmup: o.warmup, Duration: o.duration, Seed: o.seed,
 		})
 		if err != nil {
 			log.Fatalf("siftbench: wan: %v", err)
 		}
 		if loss == 0 {
-			base = tput
+			base = res.OpsPerSec
 		}
 		retention := "-"
 		if base > 0 {
-			retention = fmt.Sprintf("%.0f%%", 100*tput/base)
+			retention = fmt.Sprintf("%.0f%%", 100*res.OpsPerSec/base)
 		}
-		fmt.Fprintf(w, "%.0f%%\t%.1f\t%.1f\t%s\n", 100*loss, tput, p99, retention)
+		fmt.Fprintf(w, "%.0f%%\t%.1f\t%.1f\t%.1f\t%s\t%d\t%d\t%d\t%d\n", 100*loss, res.OpsPerSec, res.P50Ms, res.P99Ms,
+			retention, res.Flights, res.FECRecovered, res.Retransmits, res.GaveUp)
 	}
 }
 
-// capacitySweep walks open-loop Poisson arrival rates against the plain
-// F=1 deployment to the throughput knee (DESIGN.md §17): the highest
-// offered rate served without queue growth. Latency is measured from
+// capacitySweep walks open-loop Poisson arrival rates to the throughput
+// knee (DESIGN.md §17) — the highest offered rate served without queue
+// growth — for the plain F=1 deployment, the 4-group sharded deployment
+// (2ms links) and the WAN deployment at 5% loss. Latency is measured from
 // scheduled arrival time, so a saturated or stalled server shows up as
 // queue latency instead of a quietly reduced offered load (the
-// coordinated-omission failure of closed-loop probes). The knee then
-// prices the deployment in the paper's headline metric, $/million ops.
+// coordinated-omission failure of closed-loop probes). Each knee then
+// prices its deployment in the paper's headline metric, $/million ops, from
+// the §6.4 Table 2 machine pricing: the plain and WAN deployments are one
+// Sift group (the WAN changes the network, not the bill); the sharded one is
+// 4 groups sharing a backup pool of 2 (§5.2).
 func capacitySweep(o options) {
-	fmt.Println("Capacity: open-loop put arrival-rate sweep to the knee (plain F=1 deployment)")
-	res, err := bench.PlainPutCapacity(bench.DeploymentCapacityConfig{
-		Sweep: bench.CapacityConfig{
-			StepDuration: o.duration / 2,
-			StepWarmup:   o.warmup,
-		},
-		Keys:      o.keys,
-		ValueSize: o.valueSize,
-		Seed:      o.seed,
-	})
-	if err != nil {
-		log.Fatalf("siftbench: capacity: %v", err)
-	}
-	w := newTab()
-	fmt.Fprintln(w, "offered/s\tachieved/s\tp50\tp99\tp999\tdropped\tbacklog\t")
-	for _, p := range res.Points {
-		mark := ""
-		if p.Offered == res.Knee.Offered {
-			mark = "← knee"
-		}
-		fmt.Fprintf(w, "%.0f\t%.0f\t%v\t%v\t%v\t%d\t%d\t%s\n",
-			p.Offered, p.Achieved, p.P50, p.P99, p.P999, p.Dropped, p.Backlog, mark)
-	}
-	w.Flush()
-	if res.Saturated {
-		fmt.Println("note: even the lowest swept rate saturated; knee is a ceiling estimate")
-	}
-	fmt.Printf("knee: %.0f ops/sec (p50=%v p99=%v p999=%v at the knee)\n",
-		res.KneeOpsPerSec, res.Knee.P50, res.Knee.P99, res.Knee.P999)
-
-	w = newTab()
-	defer w.Flush()
-	fmt.Fprintln(w, "provider\tdeployment $/hr\t$/million ops at knee")
-	for _, p := range []cloudcost.Provider{cloudcost.AWS, cloudcost.GCP} {
-		dep := cloudcost.Deployment{System: cloudcost.Sift, F: 1}
-		hourly, err := cloudcost.GroupCost(dep, p)
+	oneGroup := cloudcost.Deployment{System: cloudcost.Sift, F: 1}
+	for _, d := range []struct {
+		name string
+		bill cloudcost.Deployment
+		run  func() (bench.CapacityResult, error)
+	}{
+		{"plain", oneGroup, func() (bench.CapacityResult, error) {
+			return bench.PlainPutCapacity(sweep(o, 128, 400))
+		}},
+		{"shard_4g", cloudcost.Deployment{System: cloudcost.Sift, F: 1, SharedBackups: true, Groups: 4, BackupPool: 2}, func() (bench.CapacityResult, error) {
+			return bench.ShardPutCapacity(4, shardLinkLatency, sweep(o, 256, 200))
+		}},
+		{"wan_5pct", oneGroup, func() (bench.CapacityResult, error) {
+			return bench.WANPutCapacity(0.05, sweep(o, 256, 0))
+		}},
+	} {
+		fmt.Fprintf(o.out, "Capacity: open-loop put arrival-rate sweep to the knee (%s deployment)\n", d.name)
+		res, err := d.run()
 		if err != nil {
-			log.Fatalf("siftbench: capacity: %v", err)
+			log.Fatalf("siftbench: capacity: %s: %v", d.name, err)
 		}
-		fmt.Fprintf(w, "%s\t%.3f\t%.4f\n", p, hourly, cloudcost.CostPerMillionOps(hourly, res.KneeOpsPerSec))
+		w := newTab(o.out)
+		fmt.Fprintln(w, "offered/s\tachieved/s\tp50\tp99\tp999\tdropped\tbacklog\t")
+		for _, p := range res.Points {
+			mark := ""
+			if p.Offered == res.Knee.Offered {
+				mark = "← knee"
+			}
+			fmt.Fprintf(w, "%.0f\t%.0f\t%v\t%v\t%v\t%d\t%d\t%s\n",
+				p.Offered, p.Achieved, p.P50, p.P99, p.P999, p.Dropped, p.Backlog, mark)
+		}
+		w.Flush()
+		if res.Saturated {
+			fmt.Fprintln(o.out, "note: even the lowest swept rate saturated; knee is a ceiling estimate")
+		}
+		fmt.Fprintf(o.out, "knee: %.0f ops/sec (p50=%v p99=%v p999=%v at the knee)\n",
+			res.KneeOpsPerSec, res.Knee.P50, res.Knee.P99, res.Knee.P999)
+
+		w = newTab(o.out)
+		fmt.Fprintln(w, "provider\t$/million ops at knee")
+		for _, p := range []cloudcost.Provider{cloudcost.AWS, cloudcost.GCP} {
+			cost, err := cloudcost.DeploymentCostPerMillionOps(d.bill, p, res.KneeOpsPerSec)
+			if err != nil {
+				log.Fatalf("siftbench: capacity: %v", err)
+			}
+			fmt.Fprintf(w, "%s\t%.4f\n", p, cost)
+		}
+		w.Flush()
+		fmt.Fprintln(o.out)
 	}
 }
 
-func printTimeline(tl bench.FailureTimeline) {
-	w := newTab()
+// replaceProbe measures put throughput while memory nodes are replaced back
+// to back (online reconfiguration, DESIGN.md §14).
+func replaceProbe(o options) {
+	fmt.Fprintln(o.out, "Replace: put throughput (1 closed-loop client) during back-to-back memory-node replacement")
+	putOps, replacements, skipped, err := bench.ReplacePutThroughput(o.duration, o.seed)
+	if err != nil {
+		log.Fatalf("siftbench: replace: %v", err)
+	}
+	fmt.Fprintf(o.out, "puts/sec: %.1f\nreplacements: %d\nputs skipped (no coordinator): %d\n", putOps, replacements, skipped)
+}
+
+func printTimeline(out io.Writer, tl bench.FailureTimeline) {
+	w := newTab(out)
 	fmt.Fprintln(w, "t (s)\tops/sec")
 	for _, p := range tl.Series {
 		fmt.Fprintf(w, "%.1f\t%.0f\n", p.T.Seconds(), p.Ops)
 	}
 	w.Flush()
-	fmt.Println("events:")
+	fmt.Fprintln(out, "events:")
 	for name, at := range tl.Events {
-		fmt.Printf("  %6.2fs  %s\n", at.Seconds(), name)
+		fmt.Fprintf(out, "  %6.2fs  %s\n", at.Seconds(), name)
 	}
 }

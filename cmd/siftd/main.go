@@ -54,7 +54,6 @@ func main() {
 		missed      = flag.Int("missed-beats", 3, "missed heartbeats before election")
 		opDeadline  = flag.Duration("op-deadline", time.Second, "per-operation RDMA deadline (0 disables; hung memory nodes fail ops with rdma.ErrDeadline)")
 		scrubEvery  = flag.Duration("scrub-interval", 50*time.Millisecond, "background integrity scrub tick (0 disables)")
-		noIntegrity = flag.Bool("no-integrity", false, "disable the main-memory checksum strip and read verification (must match memnoded)")
 		debugAddr   = flag.String("debug-addr", "", "debug HTTP listen address serving /metrics, /healthz, /statusz, /events, /debug/pprof ('' disables)")
 	)
 	flag.Parse()
@@ -70,7 +69,6 @@ func main() {
 		KVWALSlots:     *kvWALSlots,
 		MemWALSlots:    *memWALSlots,
 		MemWALSlotSize: *memWALSlot,
-		NoIntegrity:    *noIntegrity,
 	}
 	kcfg, mcfg, err := params.Derive()
 	if err != nil {

@@ -72,10 +72,11 @@ type CapacityResult struct {
 	Saturated bool
 }
 
-// CapacitySweep walks offered arrival rates to the throughput knee.
+// CapacitySweep walks offered arrival rates to the throughput knee, one
+// OpenLoop run per step.
 func CapacitySweep(cfg CapacityConfig) CapacityResult {
 	cfg = cfg.withDefaults()
-	run := func(rate float64) OpenLoopResult {
+	return kneeWalk(cfg, func(rate float64) OpenLoopResult {
 		return OpenLoop(OpenLoopConfig{
 			Rate:       rate,
 			Duration:   cfg.StepDuration,
@@ -85,12 +86,18 @@ func CapacitySweep(cfg CapacityConfig) CapacityResult {
 			Seed:       cfg.Seed ^ int64(rate),
 			Op:         cfg.Op,
 		})
-	}
+	})
+}
 
+// kneeWalk is the search itself, apart from the clock: step measures one
+// offered rate however it likes, and the walk doubles from MinRate to the
+// first saturated step (or MaxRate), then bisects Refine times between the
+// last sustainable rate and the first saturated one.
+func kneeWalk(cfg CapacityConfig, step func(rate float64) OpenLoopResult) CapacityResult {
 	var res CapacityResult
 	var good, bad float64
 	for rate := cfg.MinRate; rate <= cfg.MaxRate; rate *= 2 {
-		p := run(rate)
+		p := step(rate)
 		res.Points = append(res.Points, p)
 		if p.Saturated(cfg.Threshold) {
 			bad = rate
@@ -107,7 +114,7 @@ func CapacitySweep(cfg CapacityConfig) CapacityResult {
 	case bad > 0:
 		for i := 0; i < cfg.Refine; i++ {
 			mid := (good + bad) / 2
-			p := run(mid)
+			p := step(mid)
 			res.Points = append(res.Points, p)
 			if p.Saturated(cfg.Threshold) {
 				bad = mid

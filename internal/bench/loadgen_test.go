@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"sync"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -107,45 +107,46 @@ func TestOpenLoopQueueOverflowCounted(t *testing.T) {
 	}
 }
 
-// TestCapacitySweepFindsKnee: sweeping against a server with a hard
-// ~600 ops/s service rate must land the knee near it — neither at the
-// sweep floor nor past the ceiling.
+// TestCapacitySweepFindsKnee drives the rate walk with a synthetic step — a
+// server that keeps up with exactly 600 ops/s and drops arrivals above it —
+// so the search is checked without a clock: no sleep, no tolerance band.
 func TestCapacitySweepFindsKnee(t *testing.T) {
-	serverRate := 600.0
-	perOp := time.Duration(float64(time.Second) / serverRate)
-	var mu sync.Mutex
-	allowedAt := time.Now()
-	op := func(worker, seq int) error {
-		mu.Lock()
-		now := time.Now()
-		if allowedAt.Before(now) {
-			allowedAt = now
+	const serverRate = 600
+	step := func(rate float64) OpenLoopResult {
+		r := OpenLoopResult{Offered: rate, Arrivals: int(rate), Completed: int(rate), Achieved: rate}
+		if rate > serverRate {
+			r.Completed, r.Achieved = serverRate, serverRate
+			r.Dropped = int(rate) - serverRate
 		}
-		allowedAt = allowedAt.Add(perOp)
-		wait := time.Until(allowedAt)
-		mu.Unlock()
-		if wait > 0 {
-			time.Sleep(wait)
-		}
-		return nil
+		return r
 	}
-	res := CapacitySweep(CapacityConfig{
-		MinRate:      100,
-		MaxRate:      3200,
-		StepDuration: 350 * time.Millisecond,
-		StepWarmup:   100 * time.Millisecond,
-		Workers:      16,
-		Seed:         4,
-		Op:           op,
-	})
-	if len(res.Points) < 3 {
-		t.Fatalf("sweep took %d points", len(res.Points))
+	walk := func(min, max float64, refine int) CapacityResult {
+		return kneeWalk(CapacityConfig{MinRate: min, MaxRate: max, Refine: refine}.withDefaults(), step)
 	}
-	if res.Saturated {
-		t.Fatalf("100 ops/s floor reported saturated against a 600 ops/s server")
+
+	// 100, 200, 400 sustain, 800 saturates; bisect 600 (sustains), 700 (not).
+	res := walk(100, 3200, 2)
+	var offered []float64
+	for _, p := range res.Points {
+		offered = append(offered, p.Offered)
 	}
-	if res.KneeOpsPerSec < 0.5*serverRate || res.KneeOpsPerSec > 1.25*serverRate {
-		t.Fatalf("knee = %.0f ops/s, want ≈%.0f", res.KneeOpsPerSec, serverRate)
+	if want := []float64{100, 200, 400, 800, 600, 700}; !reflect.DeepEqual(offered, want) {
+		t.Fatalf("walk offered %v, want %v", offered, want)
+	}
+	if res.Saturated || res.Knee.Offered != 600 || res.KneeOpsPerSec != 600 {
+		t.Fatalf("knee = %+v (saturated=%v), want the 600 ops/s step", res.Knee, res.Saturated)
+	}
+	// Every further bisection halves the bracket around the true rate.
+	if res := walk(100, 3200, 5); res.Knee.Offered > serverRate || res.Knee.Offered <= serverRate-400.0/32 {
+		t.Fatalf("5 bisections left the knee at %.1f, outside (%.1f, %d]", res.Knee.Offered, serverRate-400.0/32, serverRate)
+	}
+	// A ceiling below the server's rate is never reported saturated.
+	if res := walk(100, 400, 2); res.Saturated || res.Knee.Offered != 400 || len(res.Points) != 3 {
+		t.Fatalf("sweep capped at 400: %+v", res)
+	}
+	// A floor the server cannot sustain: the first step is the estimate.
+	if res := walk(1000, 8000, 2); !res.Saturated || len(res.Points) != 1 || res.KneeOpsPerSec != serverRate {
+		t.Fatalf("sweep from 1000: saturated=%v points=%d knee=%.0f", res.Saturated, len(res.Points), res.KneeOpsPerSec)
 	}
 }
 

@@ -60,11 +60,23 @@ func (c WANBenchConfig) withDefaults() WANBenchConfig {
 	return c
 }
 
-// WANPutThroughput boots a WAN deployment and measures acknowledged puts per
-// second and the end-to-end put latency p99 (milliseconds) under the
-// configured sustained loss. This is the probe behind the BENCH_9.json
-// degradation curve: run it at 0%, 5%, and 15% loss and compare.
-func WANPutThroughput(cfg WANBenchConfig) (opsPerSec, p99Ms float64, err error) {
+// WANResult is one WANPutThroughput run: acknowledged puts per second and
+// the end-to-end put latency percentiles (milliseconds) over the measured
+// window, with what the WAN transport did in that window to deliver them.
+type WANResult struct {
+	OpsPerSec    float64
+	P50Ms, P99Ms float64
+	// Flights is the transport's logical transfers; FECRecovered of them
+	// needed parity to decode, Retransmits counts retransmission rounds
+	// (each a stall of one ack timeout) and GaveUp the transfers that ran
+	// out their retry budget.
+	Flights, FECRecovered, Retransmits, GaveUp uint64
+}
+
+// WANPutThroughput boots a WAN deployment and measures put throughput and
+// latency under the configured sustained loss. This is the probe behind the
+// WAN degradation curve: run it at 0%, 5%, and 15% loss and compare.
+func WANPutThroughput(cfg WANBenchConfig) (WANResult, error) {
 	cfg = cfg.withDefaults()
 	cl, err := sift.NewCluster(sift.Config{
 		F: 1, Keys: 4096, MaxValueSize: 992, Seed: cfg.Seed,
@@ -79,7 +91,7 @@ func WANPutThroughput(cfg WANBenchConfig) (opsPerSec, p99Ms float64, err error) 
 		},
 	})
 	if err != nil {
-		return 0, 0, err
+		return WANResult{}, err
 	}
 	defer cl.Close()
 
@@ -117,13 +129,22 @@ func WANPutThroughput(cfg WANBenchConfig) (opsPerSec, p99Ms float64, err error) 
 	}
 
 	time.Sleep(cfg.Warmup)
+	before := cl.WANStats()
 	measure.Store(true)
 	start := time.Now()
 	time.Sleep(cfg.Duration)
 	measure.Store(false)
 	elapsed := time.Since(start)
+	after := cl.WANStats()
 	close(stop)
 	wg.Wait()
-	return float64(acked.Load()) / elapsed.Seconds(),
-		float64(hist.Percentile(99)) / 1e6, nil
+	return WANResult{
+		OpsPerSec:    float64(acked.Load()) / elapsed.Seconds(),
+		P50Ms:        float64(hist.Percentile(50)) / 1e6,
+		P99Ms:        float64(hist.Percentile(99)) / 1e6,
+		Flights:      after.Flights - before.Flights,
+		FECRecovered: after.FECRecovered - before.FECRecovered,
+		Retransmits:  after.Retransmits - before.Retransmits,
+		GaveUp:       after.GaveUp - before.GaveUp,
+	}, nil
 }

@@ -278,12 +278,15 @@ func TestPutApplyCostsNoReadAndQueuedPutsShareFlights(t *testing.T) {
 // memory will report to it (rounded up to a whole EC block under erasure
 // coding), and with integrity on the data blocks start on a block boundary.
 func TestDeriveSizesMemoryForTheStoresAlignment(t *testing.T) {
-	for _, p := range []Params{{}, {EC: true}, {NoIntegrity: true}, {Keys: 1000, MaxValue: 100}} {
+	for _, p := range []Params{{}, {EC: true}, {Keys: 1000, MaxValue: 100}} {
 		kcfg, mcfg, err := p.Derive()
 		if err != nil {
 			t.Fatal(err)
 		}
 		align := mcfg.WriteAlign()
+		if mcfg.IntegrityBlockSize < 0 || align <= 1 {
+			t.Errorf("%+v: derived a memory without checksum blocks (IntegrityBlockSize %d, alignment %d)", p, mcfg.IntegrityBlockSize, align)
+		}
 		if need := kcfg.RequiredMemSize(align); mcfg.MemSize < need || mcfg.MemSize >= need+align {
 			t.Errorf("%+v: MemSize %d, store needs %d at alignment %d", p, mcfg.MemSize, need, align)
 		}

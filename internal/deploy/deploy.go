@@ -29,9 +29,6 @@ type Params struct {
 	// Replicated-memory log sizing.
 	MemWALSlots    int
 	MemWALSlotSize int
-	// NoIntegrity disables the main-memory checksum strip and the read-path
-	// verification that rides on it.
-	NoIntegrity bool
 }
 
 func (p *Params) withDefaults() Params {
@@ -99,9 +96,7 @@ func (p Params) Derive() (kv.Config, repmem.Config, error) {
 		unit := lcm(840, k) // 840 = lcm(1..8)
 		mcfg.ECBlockSize = (kcfg.BlockSize() + unit - 1) / unit * unit
 	}
-	if pp.NoIntegrity {
-		mcfg.IntegrityBlockSize = -1
-	} else if !pp.EC {
+	if !pp.EC {
 		// Integrity blocks are sized to the KV data block. kv.New places its
 		// data blocks on the memory's write alignment (repmem's WriteAlign:
 		// this size, or the EC block above), so a block apply covers exactly

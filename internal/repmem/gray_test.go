@@ -228,7 +228,7 @@ func TestStragglerCheckKeepsWriteQuorum(t *testing.T) {
 	m := newMemory(t, baseConfig(e, "c"))
 	for i, us := range []float64{50, 40_000, 90_000} { // bar: 16 × 50 µs, floor 2 ms
 		m.health[i].ewma.Reset()
-		for n := 0; n < m.cfg.StragglerMinSamples; n++ {
+		for n := 0; n < stragglerMinSamples; n++ {
 			m.health[i].ewma.Observe(us)
 		}
 	}

@@ -28,99 +28,8 @@ func (m *Memory) Read(addr uint64, buf []byte) error {
 		start := time.Now()
 		defer func() { h.Read.Record(time.Since(start)) }()
 	}
-	if m.integ != nil {
-		// Verified read with transparent read-repair; takes its own locks.
-		return m.integ.read(addr, buf)
-	}
-	r := lockRange{addr: addr, size: len(buf)}
-	m.locks.acquire(shared, r)
-	defer m.locks.release(shared, r)
-	if m.code == nil {
-		return m.readPlain(addr, buf)
-	}
-	return m.readEC(addr, buf)
-}
-
-// readPlain reads from one live node, failing over on errors.
-func (m *Memory) readPlain(addr uint64, buf []byte) error {
-	live := m.nodesInState(nodeLive)
-	if len(live) == 0 {
-		return fmt.Errorf("%w: no live memory nodes", ErrNoQuorum)
-	}
-	start := int(m.readRR.Add(1))
-	for k := 0; k < len(live); k++ {
-		i := live[(start+k)%len(live)]
-		c, err := m.conn(i)
-		if err == nil {
-			err = c.Read(replRegion, m.physMain(addr), buf)
-		}
-		if err != nil {
-			m.noteConnError(i, c, err)
-			if e := m.checkOpen(); e != nil {
-				return e
-			}
-			continue
-		}
-		m.stats.remoteReads.Add(1)
-		return nil
-	}
-	return fmt.Errorf("%w: all read attempts failed", ErrNoQuorum)
-}
-
-// readEC reads a main-space range under erasure coding.
-func (m *Memory) readEC(addr uint64, buf []byte) error {
-	C := uint64(m.chunk)
-	B := uint64(m.cfg.ECBlockSize)
-
-	// Fast path: the range lies inside a single chunk whose owner is live.
-	if len(buf) > 0 {
-		b := addr / B
-		within := addr % B
-		j := int(within / C)
-		endWithin := within + uint64(len(buf)) - 1
-		if int(endWithin/C) == j && m.state[j].Load() == nodeLive {
-			c, err := m.conn(j)
-			if err == nil {
-				phys := m.layout.MainBase() + b*C + (within % C)
-				if err = c.Read(replRegion, phys, buf); err == nil {
-					m.stats.remoteReads.Add(1)
-					return nil
-				}
-			}
-			m.noteConnError(j, c, err)
-			if e := m.checkOpen(); e != nil {
-				return e
-			}
-			// Fall through to the reconstruction path.
-		}
-	}
-
-	// General path: reconstruct each affected block. Whole-block spans are
-	// reconstructed straight into the caller's buffer; partial edges go
-	// through the scratch block.
-	sc := m.getECScratch()
-	defer m.putECScratch(sc)
-	first := addr / B
-	last := first
-	if len(buf) > 0 {
-		last = (addr + uint64(len(buf)) - 1) / B
-	}
-	for b := first; b <= last; b++ {
-		blockStart := b * B
-		lo := max64(addr, blockStart)
-		hi := min64(addr+uint64(len(buf)), blockStart+B)
-		if lo == blockStart && hi == blockStart+B {
-			if _, err := m.readBlockECInto(sc, b, buf[lo-addr:hi-addr]); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := m.readBlockECInto(sc, b, sc.block); err != nil {
-			return err
-		}
-		copy(buf[lo-addr:hi-addr], sc.block[lo-blockStart:hi-blockStart])
-	}
-	return nil
+	// Verified read with transparent read-repair; takes its own locks.
+	return m.integ.read(addr, buf)
 }
 
 // ecScratch is the pooled scratch of an EC block read: a block buffer for
@@ -149,9 +58,9 @@ func (m *Memory) getECScratch() *ecScratch {
 func (m *Memory) putECScratch(sc *ecScratch) { m.ecPool.Put(sc) }
 
 // readBlockEC fetches any k chunks of EC block b from live nodes (data
-// chunks first) and reconstructs the block into a fresh buffer. With
-// integrity enabled a chunk that fails its checksum is skipped like a dead
-// node; the second return value lists the nodes whose chunks were corrupt.
+// chunks first) and reconstructs the block into a fresh buffer. A chunk that
+// fails its checksum is skipped like a dead node; the second return value
+// lists the nodes whose chunks were corrupt.
 func (m *Memory) readBlockEC(b uint64) ([]byte, []int, error) {
 	sc := m.getECScratch()
 	defer m.putECScratch(sc)
@@ -199,7 +108,7 @@ func (m *Memory) readBlockECInto(sc *ecScratch, b uint64, block []byte) ([]int, 
 		if err == nil {
 			if err = c.Read(replRegion, phys, target); err == nil {
 				m.stats.remoteReads.Add(1)
-				if m.integ != nil && crcBlock(target) != m.integ.sum(j, b) {
+				if crcBlock(target) != m.integ.sum(j, b) {
 					m.noteCorruption(j, 1)
 					corrupt = append(corrupt, j)
 					if j < k {

@@ -805,8 +805,7 @@ func (m *Memory) sweepDirect(dst []rdma.Verbs, lo, hi uint64) error {
 // sweepMain copies the main-space range [lo, hi) to the target nodes in the
 // TARGET geometry: dst[j] receives member j's share (the full image under
 // plain replication, chunk j under erasure coding) plus its integrity strip
-// entries. Source reads are verified wherever the current configuration
-// supports it.
+// entries. Source reads are verified.
 func (m *Memory) sweepMain(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, tLayout memnode.Layout, lo, hi uint64) error {
 	if hi > uint64(m.cfg.MemSize) {
 		hi = uint64(m.cfg.MemSize)
@@ -821,36 +820,10 @@ func (m *Memory) sweepMain(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, tL
 }
 
 // sweepMainPlain handles plain→plain restripes: each target node receives
-// the full image, block by block when checksumming is on (verified source
-// reads; a corrupt block is repaired and retried like a recovery copy).
+// the full image, block by block (verified source reads; a corrupt block is
+// repaired and retried like a recovery copy).
 func (m *Memory) sweepMainPlain(dst []rdma.Verbs, tLayout memnode.Layout, lo, hi uint64) error {
 	g := m.integ
-	if g == nil {
-		buf := make([]byte, recoveryBatch)
-		for off := lo; off < hi; off += uint64(len(buf)) {
-			n := uint64(len(buf))
-			if rem := hi - off; rem < n {
-				n = rem
-			}
-			chunk := buf[:n]
-			r := lockRange{addr: off, size: int(n)}
-			m.locks.acquire(shared, r)
-			err := m.readMainFromLive(off, chunk)
-			for _, c := range dst {
-				if err != nil {
-					break
-				}
-				if c != nil {
-					err = c.Write(replRegion, m.physMain(off), chunk)
-				}
-			}
-			m.locks.release(shared, r)
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	b0 := lo / g.ibs
 	b1 := (hi - 1) / g.ibs
 	for b := b0; b <= b1; b++ {
@@ -914,10 +887,8 @@ func (m *Memory) sweepMainEC(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, 
 				if err = c.Write(replRegion, tLayout.MainBase()+b*uint64(tChunk), chunks[j]); err != nil {
 					break
 				}
-				if m.integ != nil {
-					if err = c.Write(replRegion, tLayout.IntegrityOffset(b), stripEntry(crcBlock(chunks[j]))); err != nil {
-						break
-					}
+				if err = c.Write(replRegion, tLayout.IntegrityOffset(b), stripEntry(crcBlock(chunks[j]))); err != nil {
+					break
 				}
 			}
 		}

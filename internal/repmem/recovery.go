@@ -95,10 +95,8 @@ func (m *Memory) Recover() error {
 
 	// Load the checksum cache from the nodes' strips before any verified
 	// read or replay RMW consults it.
-	if m.integ != nil {
-		if err := m.integ.loadSums(); err != nil {
-			return err
-		}
+	if err := m.integ.loadSums(); err != nil {
+		return err
 	}
 
 	// Replay the merged log in index order. Replaying already-applied
@@ -181,7 +179,7 @@ func (m *Memory) StartRecovery(interval time.Duration) (stop func()) {
 					if err == nil {
 						m.health[i].probeFails.Store(0)
 						m.nodeFailed(i, errSuspectRepair)
-					} else if m.health[i].probeFails.Add(1) >= int32(m.cfg.SuspectProbeLimit) {
+					} else if m.health[i].probeFails.Add(1) >= suspectProbeLimit {
 						m.nodeFailed(i, err)
 					}
 				}
@@ -201,9 +199,9 @@ func (m *Memory) StartRecovery(interval time.Duration) (stop func()) {
 // checkStragglers marks live nodes whose smoothed write latency has drifted
 // far above the fastest live node's as degraded, so a node that is slow but
 // not hung (a gray straggler, Velos-style) stops delaying quorum writes.
-// Both a relative bar (StragglerFactor × the best live EWMA) and an
+// Both a relative bar (stragglerFactor × the best live EWMA) and an
 // absolute floor (StragglerMinLatency) must be exceeded, and only nodes
-// with at least StragglerMinSamples samples are judged, and never so many
+// with at least stragglerMinSamples samples are judged, and never so many
 // that fewer than a majority of the group stays live.
 //
 // Degraded — not suspect: a suspect is repaired the moment it answers a
@@ -222,7 +220,7 @@ func (m *Memory) checkStragglers() {
 	}
 	best := -1.0
 	for _, i := range live {
-		if m.health[i].ewma.Count() < uint64(m.cfg.StragglerMinSamples) {
+		if m.health[i].ewma.Count() < stragglerMinSamples {
 			continue
 		}
 		if v := m.health[i].ewma.Value(); best < 0 || v < best {
@@ -241,10 +239,10 @@ func (m *Memory) checkStragglers() {
 	for room := len(live) - m.Majority(); room > 0; room-- {
 		worst, worstV := -1, 0.0
 		for _, i := range live {
-			if m.state[i].Load() != nodeLive || m.health[i].ewma.Count() < uint64(m.cfg.StragglerMinSamples) {
+			if m.state[i].Load() != nodeLive || m.health[i].ewma.Count() < stragglerMinSamples {
 				continue
 			}
-			if v := m.health[i].ewma.Value(); v > best*m.cfg.StragglerFactor && v > floor && v > worstV {
+			if v := m.health[i].ewma.Value(); v > best*stragglerFactor && v > floor && v > worstV {
 				worst, worstV = i, v
 			}
 		}
@@ -259,10 +257,10 @@ func (m *Memory) checkStragglers() {
 
 // probeDegraded times a small read against each degraded node. Successful
 // probes keep the node's latency EWMA current for the health surface; once
-// DegradeExitProbes consecutive probes land under the straggler floor the
+// degradeExitProbes consecutive probes land under the straggler floor the
 // slowness has genuinely passed and the node is routed through the full
 // rebuild (it may have missed best-effort writes while excluded). Probes
-// that fail outright count toward SuspectProbeLimit and then death — a
+// that fail outright count toward suspectProbeLimit and then death — a
 // degraded node that stops answering is just dead.
 func (m *Memory) probeDegraded() {
 	for _, i := range m.nodesInState(nodeDegraded) {
@@ -274,7 +272,7 @@ func (m *Memory) probeDegraded() {
 		}
 		if err != nil {
 			m.health[i].fastProbes.Store(0)
-			if m.health[i].probeFails.Add(1) >= int32(m.cfg.SuspectProbeLimit) {
+			if m.health[i].probeFails.Add(1) >= suspectProbeLimit {
 				m.nodeFailed(i, err)
 			}
 			continue
@@ -283,7 +281,7 @@ func (m *Memory) probeDegraded() {
 		m.health[i].probeFails.Store(0)
 		m.health[i].ewma.Observe(float64(lat.Microseconds()))
 		if lat < m.cfg.StragglerMinLatency {
-			if m.health[i].fastProbes.Add(1) >= int32(m.cfg.DegradeExitProbes) {
+			if m.health[i].fastProbes.Add(1) >= degradeExitProbes {
 				m.nodeFailed(i, errDegradedRepair)
 			}
 		} else {
@@ -496,7 +494,7 @@ func (m *Memory) copyMainMemory(i int, c rdma.Verbs) error {
 				if err == nil {
 					err = c.Write(replRegion, m.layout.MainBase()+b*uint64(m.chunk), chunk)
 				}
-				if err == nil && m.integ != nil {
+				if err == nil {
 					sum := crcBlock(chunk)
 					m.integ.setSum(i, b, sum)
 					err = c.Write(replRegion, m.integ.stripOff(b), stripEntry(sum))
@@ -509,31 +507,7 @@ func (m *Memory) copyMainMemory(i int, c rdma.Verbs) error {
 		}
 		return nil
 	}
-
-	if m.integ != nil {
-		return m.copyMainVerified(i, c)
-	}
-
-	size := uint64(m.cfg.MemSize)
-	buf := make([]byte, recoveryBatch)
-	for off := uint64(0); off < size; off += uint64(len(buf)) {
-		n := uint64(len(buf))
-		if rem := size - off; rem < n {
-			n = rem
-		}
-		chunk := buf[:n]
-		r := lockRange{addr: off, size: int(n)}
-		m.locks.acquire(shared, r)
-		err := m.readMainFromLive(off, chunk)
-		if err == nil {
-			err = c.Write(replRegion, m.physMain(off), chunk)
-		}
-		m.locks.release(shared, r)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.copyMainVerified(i, c)
 }
 
 // copyMainVerified copies the plain-replicated main memory block by block,
@@ -569,23 +543,6 @@ func (m *Memory) copyMainVerified(i int, c rdma.Verbs) error {
 		}
 	}
 	return nil
-}
-
-// readMainFromLive reads a main range from any live node without locks.
-func (m *Memory) readMainFromLive(addr uint64, buf []byte) error {
-	for _, j := range m.nodesInState(nodeLive) {
-		cj, err := m.conn(j)
-		if err == nil {
-			if err = cj.Read(replRegion, m.physMain(addr), buf); err == nil {
-				return nil
-			}
-		}
-		m.nodeFailed(j, err)
-		if e := m.checkOpen(); e != nil {
-			return e
-		}
-	}
-	return fmt.Errorf("%w: no live source for memory copy", ErrNoQuorum)
 }
 
 // LiveMemoryNodes returns the names of nodes currently serving reads.

@@ -115,17 +115,14 @@ type Config struct {
 	// checksumming: each block of this many bytes carries a CRC32C in a
 	// strip on every memory node, verified on reads and repaired on
 	// mismatch. Zero selects the default (the EC block size under erasure
-	// coding, 4096 otherwise); negative disables checksumming. Under
-	// erasure coding any positive value is forced to ECBlockSize — the
-	// chunk is the physical unit of verification.
+	// coding, 4096 otherwise); checksumming cannot be turned off. Under
+	// erasure coding the value is forced to ECBlockSize — the chunk is the
+	// physical unit of verification.
 	IntegrityBlockSize int
 	// CorruptSuspectAfter is the number of corrupt blocks detected on one
 	// node since its last rebuild after which the node is marked suspect
 	// and routed through a full rebuild (default 8; negative disables).
 	CorruptSuspectAfter int
-
-	// ApplyWorkers bounds concurrent background appliers (default 4).
-	ApplyWorkers int
 
 	// Term tags this coordinator's membership publications (see
 	// internal/memnode.AdminMembershipOffset); pass the election term that
@@ -164,39 +161,42 @@ type Config struct {
 	// a node is declared dead outright and handed to the recovery manager
 	// (default 16).
 	DeadAfter int
-	// StragglerFactor marks a live node suspect when its EWMA write latency
-	// exceeds StragglerFactor times the fastest live node's (default 16).
-	StragglerFactor float64
 	// StragglerMinLatency is the absolute EWMA floor below which the
-	// straggler check never fires, preventing false suspicion when all
-	// nodes are fast (default 2ms). It doubles as the degraded-exit
-	// threshold: a degraded node is readmitted (via rebuild) only after its
-	// probes drop back below this floor.
+	// straggler check (EWMA above stragglerFactor × the fastest live node's)
+	// never fires, preventing false suspicion when all nodes are fast
+	// (default 2ms). It doubles as the degraded-exit threshold: a degraded
+	// node is readmitted (via rebuild) only after its probes drop back below
+	// this floor.
 	StragglerMinLatency time.Duration
-	// StragglerMinSamples is the minimum number of latency observations a
-	// node's EWMA needs before the straggler check will judge it (default 8).
-	StragglerMinSamples int
-	// SuspectProbeLimit is how many consecutive failed probes a suspect or
-	// degraded node gets before being declared dead outright (default 4).
-	SuspectProbeLimit int
-	// DegradeExitProbes is how many consecutive probes below
-	// StragglerMinLatency a degraded node must answer before it is routed
-	// through a rebuild and readmitted as live (default 3). The hysteresis
-	// keeps a sustained-delay replica — one living across a WAN link — from
-	// oscillating through the suspect→repair→re-suspect cycle.
-	DegradeExitProbes int
-	// RedialBackoffMin and RedialBackoffMax bound the jittered exponential
-	// backoff between reconnection attempts to a failed node (defaults
-	// 10ms and 2s).
-	RedialBackoffMin time.Duration
-	RedialBackoffMax time.Duration
 }
+
+// Values no deployment, test or experiment ever set differently.
+const (
+	// applyWorkers bounds concurrent background appliers.
+	applyWorkers = 4
+	// stragglerFactor marks a live node degraded when its EWMA write latency
+	// exceeds this many times the fastest live node's (and the
+	// StragglerMinLatency floor); only nodes with stragglerMinSamples
+	// latency observations are judged.
+	stragglerFactor     = 16
+	stragglerMinSamples = 8
+	// suspectProbeLimit is how many consecutive failed probes a suspect or
+	// degraded node gets before being declared dead outright.
+	suspectProbeLimit = 4
+	// degradeExitProbes is how many consecutive probes below
+	// StragglerMinLatency a degraded node must answer before it is routed
+	// through a rebuild and readmitted as live. The hysteresis keeps a
+	// sustained-delay replica — one living across a WAN link — from
+	// oscillating through the suspect→repair→re-suspect cycle.
+	degradeExitProbes = 3
+	// redialBackoffMin and redialBackoffMax bound the jittered exponential
+	// backoff between reconnection attempts to a failed node.
+	redialBackoffMin = 10 * time.Millisecond
+	redialBackoffMax = 2 * time.Second
+)
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.ApplyWorkers <= 0 {
-		out.ApplyWorkers = 4
-	}
 	if out.WALSlotSize <= 0 {
 		out.WALSlotSize = 4096
 	}
@@ -209,30 +209,10 @@ func (c *Config) withDefaults() Config {
 	if out.DeadAfter <= 0 {
 		out.DeadAfter = 16
 	}
-	if out.StragglerFactor <= 0 {
-		out.StragglerFactor = 16
-	}
 	if out.StragglerMinLatency <= 0 {
 		out.StragglerMinLatency = 2 * time.Millisecond
 	}
-	if out.StragglerMinSamples <= 0 {
-		out.StragglerMinSamples = 8
-	}
-	if out.SuspectProbeLimit <= 0 {
-		out.SuspectProbeLimit = 4
-	}
-	if out.DegradeExitProbes <= 0 {
-		out.DegradeExitProbes = 3
-	}
-	if out.RedialBackoffMin <= 0 {
-		out.RedialBackoffMin = 10 * time.Millisecond
-	}
-	if out.RedialBackoffMax <= 0 {
-		out.RedialBackoffMax = 2 * time.Second
-	}
 	switch {
-	case out.IntegrityBlockSize < 0:
-		out.IntegrityBlockSize = 0
 	case out.ECData > 0:
 		out.IntegrityBlockSize = out.ECBlockSize
 	case out.IntegrityBlockSize == 0:
@@ -280,6 +260,9 @@ func (c Config) Validate() error {
 	if c.DirectSize < 0 {
 		return errors.New("repmem: DirectSize must be non-negative")
 	}
+	if c.IntegrityBlockSize < 0 {
+		return errors.New("repmem: IntegrityBlockSize must be non-negative (main-memory checksumming cannot be disabled)")
+	}
 	if (c.ECData == 0) != (c.ECParity == 0) {
 		return errors.New("repmem: ECData and ECParity must be set together")
 	}
@@ -300,20 +283,13 @@ func (c Config) Validate() error {
 
 // WriteAlign returns the alignment at which a main-space write is whole:
 // the EC block size under erasure coding, otherwise the integrity block
-// size, and 1 with neither. A write that starts and ends on multiples of it
+// size. A write that starts and ends on multiples of it
 // (or at MemSize) is applied without first reading back the blocks it only
 // partly covers. Applications that own their layout (the key-value store's
 // data blocks) place their write units by it; every party deriving addresses
 // for the same memory must use the same value.
 func (c Config) WriteAlign() int {
-	cfg := c.withDefaults()
-	switch {
-	case cfg.ECData > 0:
-		return cfg.ECBlockSize
-	case cfg.IntegrityBlockSize > 0:
-		return cfg.IntegrityBlockSize
-	}
-	return 1
+	return c.withDefaults().IntegrityBlockSize
 }
 
 // Layout returns the physical memory-node layout implied by the config.
@@ -323,10 +299,8 @@ func (c Config) Layout() memnode.Layout {
 	ibs := cfg.IntegrityBlockSize
 	if cfg.ECData > 0 {
 		main = cfg.MemSize / cfg.ECData
-		if ibs > 0 {
-			// Per node, the unit of verification is one chunk per EC block.
-			ibs = cfg.ECBlockSize / cfg.ECData
-		}
+		// Per node, the unit of verification is one chunk per EC block.
+		ibs = cfg.ECBlockSize / cfg.ECData
 	}
 	return memnode.Layout{
 		WALSlotSize:        cfg.WALSlotSize,
@@ -440,7 +414,7 @@ type Memory struct {
 	locks       rangeLock // main space
 	directLocks rangeLock // direct space
 
-	integ *integrity // checksummed main memory; nil when disabled
+	integ *integrity // checksummed main memory
 
 	seqMu     sync.Mutex
 	seqCond   *sync.Cond
@@ -523,7 +497,7 @@ func New(cfg Config) (*Memory, error) {
 		dialMu:    make([]sync.Mutex, len(c.MemoryNodes)),
 		state:     make([]atomic.Int32, len(c.MemoryNodes)),
 		applied:   make(map[uint64]bool),
-		applySem:  make(chan struct{}, c.ApplyWorkers),
+		applySem:  make(chan struct{}, applyWorkers),
 		nextIndex: 1,
 	}
 	m.seqCond = sync.NewCond(&m.seqMu)
@@ -532,7 +506,7 @@ func New(cfg Config) (*Memory, error) {
 	m.health = make([]nodeHealth, len(c.MemoryNodes))
 	m.redialers = make([]*redialer, len(c.MemoryNodes))
 	for i, node := range c.MemoryNodes {
-		m.redialers[i] = newRedialer(node, c.Dial, c.RedialBackoffMin, c.RedialBackoffMax, int64(i)+1)
+		m.redialers[i] = newRedialer(node, c.Dial, redialBackoffMin, redialBackoffMax, int64(i)+1)
 	}
 	m.geo = m.layout.WALGeometry()
 	m.slotPool, m.ecPool = bufPool(m.geo.SlotSize), new(sync.Pool)
@@ -545,9 +519,7 @@ func New(cfg Config) (*Memory, error) {
 		m.chunk = c.ECBlockSize / c.ECData
 		m.chunkPool = bufPool(m.chunk)
 	}
-	if c.IntegrityBlockSize > 0 {
-		m.integ = newIntegrity(m)
-	}
+	m.integ = newIntegrity(m)
 	m.startWorkers()
 
 	for i, node := range m.nodes {
@@ -665,7 +637,7 @@ func New(cfg Config) (*Memory, error) {
 	// (also zeroed) strip does not equal the CRC of a zero block, so the
 	// strip must be initialized before the first verified read. On a
 	// populated group Recover loads the strips instead.
-	if m.integ != nil && !anyPopulated {
+	if !anyPopulated {
 		m.integ.bootstrapFresh()
 	}
 	// Anchor the configuration plane: make sure every reachable node carries
@@ -984,7 +956,7 @@ func (m *Memory) suspectNode(i int, reason string) bool {
 // the latency EWMA, and re-arm the straggler check for another round of
 // suspicion: the live→suspect→repair→re-suspect oscillation this state
 // exists to end. The node instead sits out, health-reported and probed, until
-// its probes come back under the straggler floor for DegradeExitProbes
+// its probes come back under the straggler floor for degradeExitProbes
 // consecutive rounds.
 func (m *Memory) degradeNode(i int, reason string) bool {
 	if m.state[i].CompareAndSwap(nodeLive, nodeDegraded) {

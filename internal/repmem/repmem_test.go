@@ -82,6 +82,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Dial = nil },
 		func(c *Config) { c.MemSize = 0 },
 		func(c *Config) { c.DirectSize = -1 },
+		func(c *Config) { c.IntegrityBlockSize = -1 },                          // checksumming has no off switch
 		func(c *Config) { c.ECData = 2 },                                       // parity missing
 		func(c *Config) { c.ECData = 2; c.ECParity = 2 },                       // sum != nodes
 		func(c *Config) { c.ECData = 2; c.ECParity = 1; c.ECBlockSize = 3 },    // not divisible by k

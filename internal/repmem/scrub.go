@@ -33,13 +33,8 @@ type ScrubReport struct {
 	Unrepaired   int // damage found that could not be safely repaired
 }
 
-// scrubMainBlocks returns how many main-memory blocks the scrubber covers
-// (zero with integrity off — without checksums a plain replica divergence
-// has no arbiter on the main space, where blocks are not self-validating).
+// scrubMainBlocks returns how many main-memory blocks the scrubber covers.
 func (m *Memory) scrubMainBlocks() int {
-	if m.integ == nil {
-		return 0
-	}
 	return m.integ.blocks
 }
 

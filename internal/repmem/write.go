@@ -133,11 +133,13 @@ func (m *Memory) appendQuorum(idx uint64, slot []byte, allDone func()) error {
 	offset := m.geo.SlotOffset(idx)
 	wait, bestEffort := m.writeTargets(m.Majority())
 	g := newQuorumGroup(len(wait), m.Majority(), allDone)
-	for _, i := range wait {
-		m.enqueue(i, nodeReq{offset: offset, data: slot, done: g.ack})
-	}
+	// Copies first: once the last waited-on write is enqueued it may
+	// complete, and allDone recycle slot, at any moment.
 	for _, i := range bestEffort {
 		m.enqueueBestEffort(i, offset, slot)
+	}
+	for _, i := range wait {
+		m.enqueue(i, nodeReq{offset: offset, data: slot, done: g.ack})
 	}
 	err := m.waitQuorum(g)
 	if err != nil {
@@ -232,18 +234,9 @@ func putApplyScratch(sc *applyScratch) {
 	applyScratchPool.Put(sc)
 }
 
-// applyBlockSize is the unit applyWrites widens to: the EC block under
-// erasure coding, the integrity block when only checksumming, 0 when a write
-// goes out exactly as it came in.
-func (m *Memory) applyBlockSize() uint64 {
-	switch {
-	case m.code != nil:
-		return uint64(m.cfg.ECBlockSize)
-	case m.integ != nil:
-		return m.integ.ibs
-	}
-	return 0
-}
+// applyBlockSize is the unit applyWrites widens to: the integrity block,
+// which under erasure coding is the EC block.
+func (m *Memory) applyBlockSize() uint64 { return m.integ.ibs }
 
 // applyWrites materializes main-space writes on every writable node as ONE
 // request per node — every block (or chunk) and every strip entry a segment
@@ -280,15 +273,11 @@ func (m *Memory) applyWrites(writes []wal.Write) {
 			continue
 		}
 		m.noteDirtyMain(w.Addr, len(w.Data))
-		if B == 0 {
-			sc.segs[0] = append(sc.segs[0], rdma.Seg{Offset: m.physMain(w.Addr), Data: w.Data})
-			continue
-		}
 		m.splitWrite(sc, B, w)
 	}
 	if m.code != nil {
 		m.encodeUnits(sc)
-	} else if B != 0 {
+	} else {
 		m.checksumUnits(sc)
 	}
 
@@ -412,8 +401,7 @@ func (m *Memory) checksumUnits(sc *applyScratch) {
 
 // encodeUnits renders the per-node requests under erasure coding: every
 // block is encoded into its own parity buffers, and node j's vector takes
-// chunk j of each block followed, with integrity on, by that chunk's strip
-// entry.
+// chunk j of each block followed by that chunk's strip entry.
 func (m *Memory) encodeUnits(sc *applyScratch) {
 	n, k, C, blocks := len(m.nodes), m.code.K(), m.chunk, sc.blocks()
 	if need := blocks * (n - k) * C; cap(sc.parity) < need {
@@ -440,14 +428,12 @@ func (m *Memory) encodeUnits(sc *applyScratch) {
 		physOff := m.layout.MainBase() + u.b*uint64(C)
 		for j, chunk := range sc.chunks {
 			sc.segs[j] = append(sc.segs[j], rdma.Seg{Offset: physOff, Data: chunk})
-			if m.integ != nil {
-				sum := crcBlock(chunk)
-				m.integ.setSum(j, u.b, sum)
-				entry := strip[len(strip) : len(strip)+4]
-				strip = strip[:len(strip)+4]
-				binary.LittleEndian.PutUint32(entry, sum)
-				sc.segs[j] = append(sc.segs[j], rdma.Seg{Offset: m.integ.stripOff(u.b), Data: entry})
-			}
+			sum := crcBlock(chunk)
+			m.integ.setSum(j, u.b, sum)
+			entry := strip[len(strip) : len(strip)+4]
+			strip = strip[:len(strip)+4]
+			binary.LittleEndian.PutUint32(entry, sum)
+			sc.segs[j] = append(sc.segs[j], rdma.Seg{Offset: m.integ.stripOff(u.b), Data: entry})
 		}
 	}
 }
@@ -509,11 +495,13 @@ func (m *Memory) directWrite(addr uint64, data []byte, release func()) error {
 		}
 	})
 	off := m.physDirect(addr)
-	for _, i := range wait {
-		m.enqueue(i, nodeReq{offset: off, data: data, done: g.ack})
-	}
+	// Copies first: once the last waited-on write is enqueued it may
+	// complete, and release recycle data, at any moment.
 	for _, i := range bestEffort {
 		m.enqueueBestEffort(i, off, data)
+	}
+	for _, i := range wait {
+		m.enqueue(i, nodeReq{offset: off, data: data, done: g.ack})
 	}
 	if err := m.waitQuorum(g); err != nil {
 		if oerr := m.checkOpen(); oerr != nil {
@@ -586,12 +574,11 @@ func (m *Memory) UnloggedWriteBatch(writes []wal.Write) error {
 
 // expandWriteRange widens a range so read-modify-write applies and checksum
 // verification are covered by the caller's lock: to EC block boundaries
-// under erasure coding, to integrity-block boundaries when checksumming
-// (identical under EC, where the integrity block is the EC block). Without
-// either it returns the range unchanged.
+// under erasure coding, to integrity-block boundaries otherwise (identical
+// under EC, where the integrity block is the EC block).
 func (m *Memory) expandWriteRange(addr uint64, size int) lockRange {
 	B := m.applyBlockSize()
-	if size == 0 || B == 0 {
+	if size == 0 {
 		return lockRange{addr: addr, size: size}
 	}
 	lo := addr / B * B

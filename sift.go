@@ -95,8 +95,6 @@ type Config struct {
 	// CacheFraction sizes the coordinator's value cache relative to Keys
 	// (default 0.5).
 	CacheFraction float64
-	// IndexLoadFactor is the hash table load factor (default 0.125).
-	IndexLoadFactor float64
 	// KVWALSlots is the key-value circular log size (default 4096 entries;
 	// the paper uses 64k).
 	KVWALSlots int
@@ -131,9 +129,6 @@ type Config struct {
 	// against their checksums and cross-replica agreement, repairing what it
 	// can. Default 50ms; negative disables the scrubber.
 	ScrubInterval time.Duration
-	// NoIntegrity disables the per-block CRC32C checksum strip and the
-	// read-path verification/read-repair that rides on it.
-	NoIntegrity bool
 
 	// OpDeadline bounds every one-sided verb (READ/WRITE/CAS): an
 	// operation outstanding longer than this fails with rdma.ErrDeadline
@@ -141,29 +136,16 @@ type Config struct {
 	// detect hung-but-connected (gray) memory nodes. Default 1s; negative
 	// disables per-operation deadlines entirely.
 	OpDeadline time.Duration
-	// SuspectAfter and DeadAfter are the consecutive deadline-expiry
-	// counts after which a memory node is suspected gray (excluded from
-	// quorum waits, written best-effort) and declared dead (defaults 2
-	// and 16).
+	// SuspectAfter is the consecutive deadline-expiry count after which a
+	// memory node is suspected gray (excluded from quorum waits, written
+	// best-effort; default 2). After 16 it is declared dead.
 	SuspectAfter int
-	DeadAfter    int
-	// StragglerFactor and StragglerMinLatency tune the EWMA straggler
-	// detector: a live memory node whose commit-latency EWMA exceeds both
-	// StragglerFactor × the fastest node's EWMA and the StragglerMinLatency
-	// floor is moved to the degraded state — health-reported, written
-	// best-effort, excluded from quorum waits, but not oscillated through
-	// the suspect→repair cycle (defaults 16 and 2ms).
-	StragglerFactor     float64
+	// StragglerMinLatency is the floor of the EWMA straggler detector: a
+	// live memory node whose commit-latency EWMA exceeds both 16 × the
+	// fastest node's EWMA and this floor is moved to the degraded state —
+	// health-reported, written best-effort, excluded from quorum waits, but
+	// not oscillated through the suspect→repair cycle (default 2ms).
 	StragglerMinLatency time.Duration
-	// StragglerMinSamples is the minimum number of latency observations the
-	// straggler check needs before judging a node (default 8).
-	StragglerMinSamples int
-	// SuspectProbeLimit is how many consecutive failed probes a suspect or
-	// degraded memory node gets before being declared dead (default 4).
-	SuspectProbeLimit int
-	// DegradeExitProbes is how many consecutive sub-floor probes a degraded
-	// node must answer before it is rebuilt and readmitted (default 3).
-	DegradeExitProbes int
 
 	// WAN, when non-nil, places part of the deployment across a simulated
 	// wide-area link — sustained latency, bursty loss, reordering — with a
@@ -208,9 +190,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.CacheFraction <= 0 {
 		out.CacheFraction = 0.5
-	}
-	if out.IndexLoadFactor <= 0 {
-		out.IndexLoadFactor = 0.125
 	}
 	if out.KVWALSlots <= 0 {
 		out.KVWALSlots = 4096
@@ -267,7 +246,6 @@ func (c Config) kvConfig() kv.Config {
 		Capacity:      c.Keys,
 		MaxKey:        c.MaxKeySize,
 		MaxValue:      c.MaxValueSize,
-		LoadFactor:    c.IndexLoadFactor,
 		CacheFraction: c.CacheFraction,
 		WALSlots:      c.KVWALSlots,
 		ApplyShards:   4,
