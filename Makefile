@@ -7,11 +7,12 @@ tier1:
 	$(GO) vet ./... && $(GO) build ./... && $(GO) test ./...
 
 # Race-detector pass over the packages on the write hot path (internal/deploy
-# holds the per-put cost test that drives the whole of it), the gray-failure
-# machinery, the erasure kernels, and the open-loop load generator with its
-# knee search.
+# holds the per-put cost test that drives the whole of it) and on the takeover
+# path (internal/kv's recovery and applied-mark tests, internal/wal's
+# reconcile), the gray-failure machinery, the erasure kernels, and the
+# open-loop load generator with its knee search.
 race:
-	$(GO) test -race ./internal/rdma/... ./internal/repmem/... ./internal/kv/... ./internal/deploy/... ./internal/faultrdma/... ./internal/election/... ./internal/erasure/...
+	$(GO) test -race ./internal/rdma/... ./internal/repmem/... ./internal/kv/... ./internal/wal/... ./internal/deploy/... ./internal/faultrdma/... ./internal/election/... ./internal/erasure/...
 	$(GO) test -race -run 'TestPoisson|TestOpenLoop|TestCapacitySweep' ./internal/bench/
 
 # Chaos suite: fail-stop and gray-failure schedules against the in-process

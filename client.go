@@ -108,11 +108,18 @@ func (c *Client) doWAN(reqSize, respSize int, op func(*kv.Store) error) error {
 // sub-operation: each sub-op clamps to the remaining total instead of
 // multiplying the budget by the number of groups.
 func (c *Client) doUntil(deadline time.Time, op func(*kv.Store) error) error {
-	backoff := time.Millisecond
+	return c.retry(deadline, time.Millisecond, op)
+}
+
+// retry is doUntil with the first backoff step given. A step ends early when
+// a CPU node is promoted: the outage is over the moment there is a
+// coordinator, not when the sleep that happened to span it runs out.
+func (c *Client) retry(deadline time.Time, backoff time.Duration, op func(*kv.Store) error) error {
 	sent := false
-	cm := c.cluster.cm
+	cl := c.cluster
+	cm := cl.cm
 	for {
-		st := c.cluster.coordinatorStore()
+		st := cl.coordinatorStore()
 		if st != nil {
 			err := op(st)
 			if err == nil || !retriable(err) {
@@ -129,8 +136,21 @@ func (c *Client) doUntil(deadline time.Time, op func(*kv.Store) error) error {
 			cm.noCoord.Inc()
 			return ErrNoCoordinator
 		}
+		// Only a failed attempt pays for the signal. A promotion between the
+		// attempt and this load has closed a channel we never held, so look
+		// again: a coordinator other than the one that just failed is worth
+		// an attempt at once.
+		promoted := *cl.promoted.Load()
+		if cl.coordinatorStore() != st {
+			continue
+		}
 		cm.retries.Inc()
-		time.Sleep(jitteredBackoff(backoff, remaining, nil))
+		step := time.NewTimer(jitteredBackoff(backoff, remaining, nil))
+		select {
+		case <-promoted:
+			step.Stop()
+		case <-step.C:
+		}
 		if backoff < 16*time.Millisecond {
 			backoff *= 2
 		}

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
+	"github.com/repro/sift/internal/core"
 	"github.com/repro/sift/internal/faultrdma"
 	"github.com/repro/sift/internal/kv"
 	"github.com/repro/sift/internal/linearize"
@@ -113,6 +115,41 @@ func TestClientBackoffJitter(t *testing.T) {
 	}
 	if d := jitteredBackoff(16*time.Millisecond, time.Millisecond, rng); d != time.Millisecond {
 		t.Fatalf("jitteredBackoff did not clamp to remaining budget: %v", d)
+	}
+}
+
+// TestClientWakesOnPromotion: a client whose attempt failed waits for a
+// promotion, not for its backoff step to run out. The step here is an hour
+// (from half of it, with the jitter) and the deadline a day; the role change
+// is injected through the hook every CPU node of the cluster is started with,
+// once the client has taken its retry.
+func TestClientWakesOnPromotion(t *testing.T) {
+	cl := newTestCluster(t, smallConfig())
+	c := cl.Client()
+	retries := cl.cm.retries.Value()
+	attempts := 0
+	done := make(chan error, 1)
+	go func() {
+		done <- c.retry(time.Now().Add(24*time.Hour), time.Hour, func(*kv.Store) error {
+			if attempts++; attempts == 1 {
+				return kv.ErrClosed // what an operation racing a demotion gets
+			}
+			return nil
+		})
+	}()
+	for limit := time.Now().Add(10 * time.Second); cl.cm.retries.Value() == retries; runtime.Gosched() {
+		if time.Now().After(limit) {
+			t.Fatal("the failed attempt was never followed by a retry step")
+		}
+	}
+	cl.nodeConfig(9).OnRoleChange(core.Coordinator)
+	select {
+	case err := <-done:
+		if err != nil || attempts != 2 {
+			t.Fatalf("after the promotion: err=%v after %d attempts, want success on the second", err, attempts)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the client slept through a promotion")
 	}
 }
 

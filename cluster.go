@@ -53,6 +53,10 @@ type Cluster struct {
 	nodeGauges map[string]bool // per-node gauges registered (reconfig adds more)
 
 	backupRR atomic.Uint64 // rotates lease reads across follower CPU nodes
+
+	// promoted holds a channel that is closed, and replaced, each time a CPU
+	// node starts coordinating: what a client between two attempts waits on.
+	promoted atomic.Pointer[chan struct{}]
 }
 
 // cpuRunner tracks one CPU node's lifetime.
@@ -116,6 +120,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		network: network,
 		runners: make(map[uint16]*cpuRunner),
 	}
+	unpromoted := make(chan struct{})
+	cl.promoted.Store(&unpromoted)
 	if c.FaultInjection {
 		cl.faults = faultrdma.NewController(c.Seed, c.OpDeadline)
 	}
@@ -211,7 +217,19 @@ func (cl *Cluster) nodeConfig(id uint16) core.Config {
 		LeaseWindow:          cl.cfg.LeaseWindow,
 		BackupDial:           backupDial,
 		Events:               cl.events,
+		OnRoleChange: func(r core.Role) {
+			if r == core.Coordinator {
+				cl.signalPromotion()
+			}
+		},
 	}
+}
+
+// signalPromotion wakes every client waiting out a backoff step: there is a
+// coordinator to retry against now.
+func (cl *Cluster) signalPromotion() {
+	next := make(chan struct{})
+	close(*cl.promoted.Swap(&next))
 }
 
 // backupGet attempts a lease-based read on a follower CPU node, rotating

@@ -498,4 +498,7 @@ func printTimeline(out io.Writer, tl bench.FailureTimeline) {
 	for name, at := range tl.Events {
 		fmt.Fprintf(out, "  %6.2fs  %s\n", at.Seconds(), name)
 	}
+	if tl.Takeover != "" {
+		fmt.Fprintln(out, tl.Takeover)
+	}
 }

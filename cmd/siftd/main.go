@@ -342,6 +342,8 @@ func main() {
 			}
 			if st := node.Store(); st != nil {
 				doc["kv"] = st.Stats()
+				mark, next := st.AppliedMark()
+				doc["kv_log"] = map[string]uint64{"applied_mark": mark, "next_index": next, "apply_lag": next - 1 - mark}
 				doc["repmem"] = st.MemoryStats()
 				doc["health"] = st.MemoryHealth()
 				cur, max := st.Memory().QueueDepth()

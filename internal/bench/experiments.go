@@ -14,6 +14,9 @@ import (
 type FailureTimeline struct {
 	Series []metrics.Point
 	Events map[string]time.Duration
+	// Takeover is the successor's own account of its takeover — phases and
+	// replay counts, the coordinator.promoted event's detail (Figure 12 only).
+	Takeover string
 }
 
 // FailureConfig parameterises the Figure 11/12 experiments.
@@ -151,7 +154,13 @@ func CoordinatorFailureTimeline(cfg FailureConfig) (FailureTimeline, error) {
 		return FailureTimeline{}, err
 	}
 	events["new coordinator completes log recovery"] = time.Since(start)
+	var takeover string
+	for _, e := range cluster.Events().Recent(0) {
+		if e.Type == "coordinator.promoted" {
+			takeover = e.Detail // the last promotion is the successor's
+		}
+	}
 
 	res := <-done
-	return FailureTimeline{Series: res.Timeline, Events: events}, nil
+	return FailureTimeline{Series: res.Timeline, Events: events, Takeover: takeover}, nil
 }

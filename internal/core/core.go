@@ -562,10 +562,12 @@ func (n *CPUNode) coordinate(ctx context.Context, term uint16) {
 			// expire before this configuration acknowledges anything.
 			mem.MarkExclusion(exclusionSeed)
 		}
+		recoverStart := time.Now()
 		if err := mem.Recover(); err != nil {
 			mem.Close()
 			return
 		}
+		memRecover := time.Since(recoverStart)
 		store, err := kv.New(mem, n.cfg.KV)
 		if err != nil {
 			mem.Close()
@@ -589,7 +591,7 @@ func (n *CPUNode) coordinate(ctx context.Context, term uint16) {
 		if !promoted {
 			promoted = true
 			n.promotions.Add(1)
-			n.emit("coordinator.promoted", term, "")
+			n.emit("coordinator.promoted", term, takeoverDetail(time.Since(takeoverStart), memRecover, store.Recovery()))
 		}
 		serveReady() // reconfiguration callers: the new config is serving
 
@@ -630,6 +632,17 @@ func (n *CPUNode) coordinate(ctx context.Context, term uint16) {
 			continue
 		}
 	}
+}
+
+// takeoverDetail is the promotion event's account of where a takeover's time
+// went and how much of the KV log it had to apply again: "why was this group
+// unavailable" in one line. total runs from the election win.
+func takeoverDetail(total, memRecover time.Duration, r kv.Recovery) string {
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+	return fmt.Sprintf("takeover total=%.1fms mem_recover=%.1fms kv_tables=%.1fms log_read=%.1fms reconcile=%.1fms rewrite=%.1fms replay=%.1fms"+
+		" entries=%d mark=%d above_mark=%d replayed_records=%d chain_reads=%d",
+		ms(total), ms(memRecover), ms(r.Tables), ms(r.LogRead), ms(r.Reconcile), ms(r.Rewrite), ms(r.Replay),
+		r.Scanned, r.Mark, r.Above, r.Replayed, r.ChainReads)
 }
 
 // Memory returns the coordinator's replicated memory handle, or nil. It is

@@ -514,14 +514,35 @@ func (s *Store) retire(ov *overlay, batch []*applyTask) {
 
 	// Retire the log indices: an index is done when the last of its records
 	// is (a PutBatch's records share one), and the watermark passes every
-	// leading index that is done, freeing its circular slot.
+	// leading index that is done, freeing its circular slot. The applied mark
+	// follows it as far as the lowest held index allows.
 	slots := uint64(s.kvGeo.Slots)
 	s.seqMu.Lock()
 	for _, t := range batch {
 		s.unapplied[t.idx%slots]--
+		failed := !t.ok || t.applyErr != nil
+		if !failed && len(s.held) == 0 {
+			continue
+		}
+		slot := t.idx % slots
+		if t.ok {
+			// Committed over the slot of every index a whole number of laps
+			// down: no copy of those entries can reach a successor's window
+			// any more.
+			s.held = slices.DeleteFunc(s.held, func(h uint64) bool { return h%slots == slot && h < t.idx })
+		}
+		// One held index per slot is enough, the lowest: a commit over the
+		// slot releases everything below itself at once.
+		if failed && !slices.ContainsFunc(s.held, func(h uint64) bool { return h%slots == slot }) {
+			s.held = append(s.held, t.idx)
+		}
 	}
 	for s.watermark+1 < s.nextIdx && s.unapplied[(s.watermark+1)%slots] == 0 {
 		s.watermark++
+	}
+	s.mark = s.watermark
+	for _, h := range s.held {
+		s.mark = min(s.mark, h-1)
 	}
 	s.seqCond.Broadcast()
 	s.seqMu.Unlock()

@@ -48,6 +48,8 @@ type probe struct {
 	subs   [][][]uint64  // per node, per apply submission: the segment offsets
 	reads  []int         // per node: main-space reads
 	allow  []int         // per node: apply submissions still let through; -1: no limit
+	refuse []int         // per node: log-slot submissions still to be refused
+	slots  []int         // per node: log slots submitted so far, refused ones included
 	dead   bool
 	lo, hi [][]byte     // per node: main space as completed / with every outstanding flight landed
 	check  func() error // run under mu after every apply submission and completion
@@ -61,7 +63,7 @@ func newProbe(e *env) *probe {
 		p.index[n] = i
 	}
 	n := len(e.names)
-	p.subs, p.reads, p.allow = make([][][]uint64, n), make([]int, n), make([]int, n)
+	p.subs, p.reads, p.allow, p.refuse, p.slots = make([][][]uint64, n), make([]int, n), make([]int, n), make([]int, n), make([]int, n)
 	for i := range p.allow {
 		p.allow[i] = -1
 	}
@@ -192,11 +194,16 @@ func (c probeConn) Submit(op *rdma.Op) {
 		return
 	}
 	segs := append([]rdma.Seg{{Offset: op.Offset, Data: op.Data}}, op.More...)
-	apply := false
+	apply, slots := false, 0
 	for _, s := range segs {
-		apply = apply || s.Offset >= p.mainBase
+		if s.Offset >= p.mainBase {
+			apply = true
+		} else {
+			slots++
+		}
 	}
 	p.mu.Lock()
+	p.slots[c.node] += slots
 	if apply && p.allow[c.node] == 0 {
 		p.dead = true
 	}
@@ -206,7 +213,16 @@ func (c probeConn) Submit(op *rdma.Op) {
 		return
 	}
 	if !apply {
+		refused := p.refuse[c.node] > 0
+		if refused {
+			p.refuse[c.node]--
+		}
 		p.mu.Unlock()
+		if refused {
+			// A deadline, not a broken connection: the node stays in the group.
+			op.Complete(rdma.ErrDeadline)
+			return
+		}
 		next.Submit(op)
 		return
 	}
@@ -578,8 +594,11 @@ func TestBatchStagesKeepChainsWalkable(t *testing.T) {
 // up to the cap and beyond), keeping a map beside it. crashAfter ≥ 0 cuts the
 // coordinator off after that many apply flights; the run then stops at the
 // first operation that fails, and the model holds what was acknowledged.
-// It returns the model and how many apply flights node 0 saw.
-func modelRun(t *testing.T, e *env, seed int64, crashAfter int) (model map[string]string, flights int) {
+// It returns the model, how many apply flights node 0 saw, and how many
+// records a successor may have to replay: those the store had reserved above
+// the applied mark it held when the last acknowledged operation began — that
+// operation's log entry carries at least that mark, and is on a majority.
+func modelRun(t *testing.T, e *env, seed int64, crashAfter int) (model map[string]string, flights, pending int) {
 	t.Helper()
 	cfg := applyCfg()
 	p := newProbe(e)
@@ -601,13 +620,16 @@ func modelRun(t *testing.T, e *env, seed int64, crashAfter int) (model map[strin
 	rng := rand.New(rand.NewSource(seed))
 	model = map[string]string{}
 	crashed := false
+	var ackedMark uint64
 	op := func() error {
+		before, _ := s.AppliedMark()
 		k := fmt.Sprintf("key%d", rng.Intn(24))
 		if rng.Intn(4) == 0 {
 			if err := s.Delete([]byte(k)); err != nil {
 				return err
 			}
 			delete(model, k)
+			ackedMark = before
 			return nil
 		}
 		v := fmt.Sprintf("v%d", rng.Int31())
@@ -615,6 +637,7 @@ func modelRun(t *testing.T, e *env, seed int64, crashAfter int) (model map[strin
 			return err
 		}
 		model[k] = v
+		ackedMark = before
 		return nil
 	}
 	for round := 0; round < 12 && !crashed; round++ {
@@ -660,7 +683,8 @@ func modelRun(t *testing.T, e *env, seed int64, crashAfter int) (model map[strin
 		}
 	}
 	subs, _ := p.counts()
-	return model, subs[0]
+	_, next := s.AppliedMark()
+	return model, subs[0], int(next - 1 - ackedMark)
 }
 
 // TestBatchedApplyMatchesModelAcrossCrashes is the model check: random
@@ -674,7 +698,7 @@ func TestBatchedApplyMatchesModelAcrossCrashes(t *testing.T) {
 	for _, ec := range []bool{false, true} {
 		t.Run(map[bool]string{false: "plain", true: "ec"}[ec], func(t *testing.T) {
 			const seed = 7
-			_, flights := modelRun(t, newKVEnv(t, applyCfg(), ec), seed, -1)
+			_, flights, _ := modelRun(t, newKVEnv(t, applyCfg(), ec), seed, -1)
 			if flights < 20 {
 				t.Fatalf("only %d apply flights in the whole run", flights)
 			}
@@ -684,32 +708,38 @@ func TestBatchedApplyMatchesModelAcrossCrashes(t *testing.T) {
 			}
 			for crashAfter := 0; crashAfter <= flights; crashAfter += step {
 				e := newKVEnv(t, applyCfg(), ec)
-				model, _ := modelRun(t, e, seed, crashAfter)
+				model, _, _ := modelRun(t, e, seed, crashAfter)
 				e.wrap = nil
-				s := newStore(t, e, "successor", applyCfg())
-				for i := 0; i < 24; i++ {
-					k := fmt.Sprintf("key%d", i)
-					for _, how := range []string{"cache", "memory"} {
-						var got []byte
-						var err error
-						if how == "cache" {
-							got, err = s.Get([]byte(k))
-						} else if blk, _, ferr := s.findInChain(s.bucketOf([]byte(k)), []byte(k)); ferr != nil {
-							err = ferr
-						} else if blk == nil {
-							err = ErrNotFound
-						} else {
-							got = blk.value
-						}
-						if want, ok := model[k]; ok && (err != nil || string(got) != want) {
-							t.Fatalf("cut off after %d flights: %s from the successor's %s = %q, %v; want %q", crashAfter, k, how, got, err, want)
-						} else if !ok && !errors.Is(err, ErrNotFound) {
-							t.Fatalf("cut off after %d flights: deleted key %s from the successor's %s = %q, %v", crashAfter, k, how, got, err)
-						}
-					}
-				}
+				checkSuccessor(t, newStore(t, e, "successor", applyCfg()), model, crashAfter)
 			}
 		})
+	}
+}
+
+// checkSuccessor checks that a store recovered after modelRun's cut serves
+// exactly the model, from its cache and from replicated memory.
+func checkSuccessor(t *testing.T, s *Store, model map[string]string, crashAfter int) {
+	t.Helper()
+	for i := 0; i < 24; i++ {
+		k := fmt.Sprintf("key%d", i)
+		for _, how := range []string{"cache", "memory"} {
+			var got []byte
+			var err error
+			if how == "cache" {
+				got, err = s.Get([]byte(k))
+			} else if blk, _, ferr := s.findInChain(s.bucketOf([]byte(k)), []byte(k)); ferr != nil {
+				err = ferr
+			} else if blk == nil {
+				err = ErrNotFound
+			} else {
+				got = blk.value
+			}
+			if want, ok := model[k]; ok && (err != nil || string(got) != want) {
+				t.Fatalf("cut off after %d flights: %s from the successor's %s = %q, %v; want %q", crashAfter, k, how, got, err, want)
+			} else if !ok && !errors.Is(err, ErrNotFound) {
+				t.Fatalf("cut off after %d flights: deleted key %s from the successor's %s = %q, %v", crashAfter, k, how, got, err)
+			}
+		}
 	}
 }
 

@@ -154,6 +154,7 @@ func (s *Store) commitBatch(recs []record) (uint64, error) {
 	s.nextIdx++
 	// All records share the log index, which retires with the last of them.
 	s.unapplied[idx%uint64(s.kvGeo.Slots)] = int32(len(recs))
+	mark := s.mark
 	for i, r := range recs {
 		t := &applyTask{idx: idx, rec: r, key: string(r.key), committed: committed}
 		if s.cfg.SyncApply {
@@ -165,7 +166,7 @@ func (s *Store) commitBatch(recs []record) (uint64, error) {
 	}
 	s.seqMu.Unlock()
 
-	entry := batchEntryFor(idx, recs)
+	entry := batchEntryFor(idx, mark, recs)
 	slot := s.getSlot()
 	n, err := entry.Encode(slot)
 	if err == nil {

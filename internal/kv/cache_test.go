@@ -67,3 +67,11 @@ func TestCacheCleanInsertYieldsToCommits(t *testing.T) {
 		t.Fatalf("commit did not override clean entry: got %q", v)
 	}
 }
+
+// has reports whether key has an entry, without counting as a use.
+func (c *cache) has(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
+}

@@ -64,19 +64,31 @@ func decodeRecord(buf []byte) (record, error) {
 }
 
 // entryFor wraps a record in a wal.Entry for the KV log. The wal package
-// supplies the index, CRC, and circular-slot machinery.
-func entryFor(idx uint64, r record) wal.Entry {
-	return wal.Entry{Index: idx, Writes: []wal.Write{{Addr: 0, Data: encodeRecord(r)}}}
+// supplies the index, CRC, and circular-slot machinery. The KV log's writes
+// have no address of their own, so the first write's Addr carries the
+// committer's applied mark (see Store.mark); an entry written before the
+// mark existed reads as mark 0.
+func entryFor(idx, mark uint64, r record) wal.Entry {
+	return wal.Entry{Index: idx, Writes: []wal.Write{{Addr: mark, Data: encodeRecord(r)}}}
 }
 
 // batchEntryFor packs several records into one entry (PutBatch): one
 // wal.Write per record, all under a single log index.
-func batchEntryFor(idx uint64, recs []record) wal.Entry {
+func batchEntryFor(idx, mark uint64, recs []record) wal.Entry {
 	ws := make([]wal.Write, len(recs))
 	for i, r := range recs {
-		ws[i] = wal.Write{Addr: 0, Data: encodeRecord(r)}
+		ws[i] = wal.Write{Data: encodeRecord(r)}
 	}
+	ws[0].Addr = mark
 	return wal.Entry{Index: idx, Writes: ws}
+}
+
+// markOf returns the applied mark an entry carries.
+func markOf(e wal.Entry) uint64 {
+	if len(e.Writes) == 0 {
+		return 0
+	}
+	return e.Writes[0].Addr
 }
 
 // recordsOf extracts every record from a KV log entry (single puts carry

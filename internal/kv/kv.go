@@ -224,6 +224,11 @@ type Stats struct {
 	// BatchDedupHits counts idempotent batches suppressed because their
 	// token had already committed (retry after an ambiguous failure).
 	BatchDedupHits uint64
+	// RecoveryScanned counts the log entries this store's recovery found in
+	// the window, RecoveryReplayed the records of those above the applied
+	// mark, which it applied again (Recovery has the rest).
+	RecoveryScanned  uint64
+	RecoveryReplayed uint64
 }
 
 // Store is the coordinator-side key-value store. It is safe for concurrent
@@ -260,6 +265,17 @@ type Store struct {
 	// retired (a PutBatch's records share an index); the watermark passes an
 	// index at zero. The window never holds two indices of one residue.
 	unapplied []int32
+	// mark is the applied mark: every index at or below it committed and was
+	// applied, so a successor need not replay it. Each log entry carries the
+	// mark its committer read here when it reserved the index. It follows the
+	// watermark, except that an index whose commit or apply failed is held —
+	// the mark stays below it — until a committed entry has overwritten its
+	// slot: until then a copy of the failed entry may sit on a minority of
+	// nodes, and a successor that finds it must replay it, not take it for
+	// applied (DESIGN.md §8, "Recovery and the applied mark"). held lists
+	// those indices, at most one per slot.
+	mark uint64
+	held []uint64
 
 	// dedup maps an idempotent-batch token to the log index it committed at.
 	// It is rebuilt from the log during recovery, so the dedup window equals
@@ -267,6 +283,8 @@ type Store struct {
 	// subsequent commits is suppressed, across coordinator failovers.
 	dedupMu sync.Mutex
 	dedup   map[string]uint64
+
+	recovery Recovery // what New's recovery did; never written afterwards
 
 	shards  []*shardQueue
 	applyWG sync.WaitGroup
@@ -385,7 +403,21 @@ func (s *Store) Stats() Stats {
 		ApplyBatches:    s.stats.applyBatches.Load(),
 		AbsorbedRecords: s.stats.absorbed.Load(),
 		LocatedApplies:  s.stats.located.Load(),
+
+		RecoveryScanned:  uint64(s.recovery.Scanned),
+		RecoveryReplayed: uint64(s.recovery.Replayed),
 	}
+}
+
+// Recovery reports what New's recovery read, skipped and replayed.
+func (s *Store) Recovery() Recovery { return s.recovery }
+
+// AppliedMark returns the applied mark and the next log index: the records
+// between them are what a successor would replay if this store died now.
+func (s *Store) AppliedMark() (mark, next uint64) {
+	s.seqMu.Lock()
+	defer s.seqMu.Unlock()
+	return s.mark, s.nextIdx
 }
 
 // Memory returns the underlying replicated memory handle.

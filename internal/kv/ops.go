@@ -61,11 +61,12 @@ func (s *Store) commitRecord(r record) error {
 	task.idx = s.nextIdx
 	s.nextIdx++
 	s.unapplied[task.idx%uint64(s.kvGeo.Slots)] = 1
+	mark := s.mark
 	shard := s.bucketOf(r.key) % uint64(len(s.shards))
 	s.shards[shard].push(task)
 	s.seqMu.Unlock()
 
-	entry := entryFor(task.idx, r)
+	entry := entryFor(task.idx, mark, r)
 	slot := s.getSlot()
 	n, err := entry.Encode(slot)
 	if err == nil {

@@ -25,26 +25,22 @@ func (m *Memory) Recover() error {
 		return fmt.Errorf("repmem: Recover called twice")
 	}
 
-	// Read each reachable node's WAL area.
+	// Read every live node's WAL area, all reads in flight at once. A node
+	// whose area could not be read leaves the group until it is rebuilt,
+	// whatever the error was: it would otherwise keep taking writes with a
+	// log nobody has reconciled.
 	areas := make([][]byte, len(m.nodes))
 	reachable := 0
-	for i := range m.nodes {
-		if m.state[i].Load() != nodeLive {
-			continue
+	for i, row := range m.readReplicas(lockRange{addr: 0, size: m.layout.WALBytes()}) {
+		if row != nil {
+			areas[i] = row[0]
+			reachable++
+		} else if m.state[i].Load() == nodeLive {
+			m.markNodeDead(i)
 		}
-		c, err := m.conn(i)
-		if err == nil {
-			area := make([]byte, m.layout.WALBytes())
-			if err = c.Read(replRegion, 0, area); err == nil {
-				areas[i] = area
-				reachable++
-				continue
-			}
-		}
-		m.nodeFailed(i, err)
-		if e := m.checkOpen(); e != nil {
-			return e
-		}
+	}
+	if e := m.checkOpen(); e != nil {
+		return e
 	}
 	if reachable < m.Majority() {
 		return fmt.Errorf("%w: read WAL from %d of %d nodes", ErrNoQuorum, reachable, len(m.nodes))

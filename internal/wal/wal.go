@@ -17,10 +17,12 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 )
 
@@ -203,21 +205,38 @@ func (g Geometry) ScanWindow(area []byte) []Entry {
 // (§3.4.1): the union of valid entries across nodes, restricted to the
 // global active window, deduplicated, in index order.
 //
+// It is one pass over the slots. The window holds exactly one index per
+// slot, so of a slot's copies only the newest valid entry can be in it; the
+// copies are compared first and a copy equal to an earlier one is not
+// decoded again — in a healthy log that is one CRC and one payload copy per
+// slot, however many nodes were read. Where copies hold different entries of
+// one index, the first area's wins.
+//
 // Safety: an entry acked to a client was durable on a majority of nodes, so
 // with at most Fm of 2Fm+1 snapshots missing it appears in at least one
 // snapshot and is therefore always recovered. Unacked entries may or may not
 // appear; either outcome is correct because the client never saw a commit.
 func Reconcile(g Geometry, areas [][]byte) []Entry {
-	byIndex := make(map[uint64]Entry)
+	newest := make([]Entry, g.Slots)
+	copies := make([][]byte, 0, len(areas))
 	var maxIndex uint64
-	for _, area := range areas {
-		if area == nil {
-			continue
-		}
-		for _, e := range g.ScanWindow(area) {
-			if _, ok := byIndex[e.Index]; !ok {
-				byIndex[e.Index] = e
+	for s := 0; s < g.Slots; s++ {
+		copies = copies[:0]
+		for _, area := range areas {
+			if area != nil {
+				copies = append(copies, area[s*g.SlotSize:(s+1)*g.SlotSize])
 			}
+		}
+		for i, c := range copies {
+			if slices.ContainsFunc(copies[:i], func(seen []byte) bool { return bytes.Equal(seen, c) }) {
+				continue
+			}
+			e, err := Decode(c)
+			// A slot can only legitimately hold indexes ≡ s (mod Slots).
+			if err != nil || e.Index%uint64(g.Slots) != uint64(s) || e.Index <= newest[s].Index {
+				continue
+			}
+			newest[s] = e
 			if e.Index > maxIndex {
 				maxIndex = e.Index
 			}
@@ -227,12 +246,11 @@ func Reconcile(g Geometry, areas [][]byte) []Entry {
 	if maxIndex > uint64(g.Slots) {
 		lo = maxIndex - uint64(g.Slots)
 	}
-	out := make([]Entry, 0, len(byIndex))
-	for idx, e := range byIndex {
-		if idx > lo {
+	out := make([]Entry, 0, min(maxIndex-lo, uint64(g.Slots)))
+	for i := lo + 1; i <= maxIndex; i++ {
+		if e := newest[i%uint64(g.Slots)]; e.Index == i {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
 	return out
 }

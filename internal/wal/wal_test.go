@@ -3,7 +3,9 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -277,5 +279,129 @@ func TestReconcileQuickAckedEntriesSurvive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// reconcileByScan is Reconcile as it was before it became one pass over the
+// slots — each area scanned on its own, the union taken, first area winning —
+// kept as the reference the one-pass version is checked against.
+func reconcileByScan(g Geometry, areas [][]byte) []Entry {
+	byIndex := make(map[uint64]Entry)
+	var maxIndex uint64
+	for _, area := range areas {
+		if area == nil {
+			continue
+		}
+		for _, e := range g.ScanWindow(area) {
+			if _, ok := byIndex[e.Index]; !ok {
+				byIndex[e.Index] = e
+			}
+			maxIndex = max(maxIndex, e.Index)
+		}
+	}
+	lo := uint64(0)
+	if maxIndex > uint64(g.Slots) {
+		lo = maxIndex - uint64(g.Slots)
+	}
+	out := make([]Entry, 0, len(byIndex))
+	for idx, e := range byIndex {
+		if idx > lo {
+			out = append(out, e)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
+	return out
+}
+
+// TestReconcileMatchesScanReference: agreeing copies, copies that diverge
+// within one index, stale laps, torn slots, entries in the wrong slot and nil
+// areas all reconcile to what scanning every area separately gave — entry for
+// entry, payloads and write addresses included — in the table's cases and
+// over random mixtures of them.
+func TestReconcileMatchesScanReference(t *testing.T) {
+	g := Geometry{SlotSize: 96, Slots: 8}
+	entry := func(idx uint64, tag string) Entry {
+		return Entry{Index: idx, Writes: []Write{{Addr: idx / 2, Data: []byte(tag)}}}
+	}
+	area := func(es ...Entry) []byte {
+		a := make([]byte, g.TotalSize())
+		for _, e := range es {
+			writeEntryToArea(t, g, a, e)
+		}
+		return a
+	}
+	tear := func(a []byte, idx uint64) []byte {
+		a[int(idx%uint64(g.Slots))*g.SlotSize+entryHeaderSize] ^= 0xff
+		return a
+	}
+	misplace := func(a []byte, idx uint64, slot int) []byte {
+		e := entry(idx, "astray")
+		e.Encode(a[slot*g.SlotSize : (slot+1)*g.SlotSize])
+		return a
+	}
+	full := []Entry{entry(9, "i"), entry(10, "j"), entry(11, "k"), entry(12, "l"), entry(13, "m"), entry(14, "n"), entry(15, "o"), entry(16, "p")}
+	cases := map[string][][]byte{
+		"agreeing":            {area(full...), area(full...), area(full...)},
+		"one nil":             {nil, area(full...), area(full...)},
+		"all nil":             {nil, nil, nil},
+		"empty":               {area(), area(), area()},
+		"minority tail":       {area(entry(1, "a"), entry(2, "b"), entry(3, "unacked")), area(entry(1, "a"), entry(2, "b")), area(entry(1, "a"), entry(2, "b"))},
+		"divergent same idx":  {area(entry(5, "first")), area(entry(5, "second")), area(entry(5, "second"))},
+		"divergent, nil lead": {nil, area(entry(5, "second")), area(entry(5, "third"))},
+		"stale lap":           {area(entry(1, "old"), entry(2, "b")), area(entry(9, "new"), entry(2, "b")), area(entry(9, "new"), entry(10, "j"))},
+		"behind a whole lap":  {area(full...), area(entry(1, "a"), entry(2, "b"), entry(3, "c")), nil},
+		"torn":                {tear(area(full...), 12), area(full...), tear(area(full...), 13)},
+		"torn everywhere":     {tear(area(full...), 12), tear(area(full...), 12), tear(area(full...), 12)},
+		"wrong slot":          {misplace(area(entry(1, "a")), 21, 3), area(entry(1, "a")), misplace(area(), 6, 0)},
+	}
+	check := func(name string, areas [][]byte) {
+		t.Helper()
+		want, got := reconcileByScan(g, areas), Reconcile(g, areas)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d entries, the scan reference gives %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Index != want[i].Index || len(got[i].Writes) != len(want[i].Writes) {
+				t.Fatalf("%s: entry %d is %+v, the scan reference gives %+v", name, i, got[i], want[i])
+			}
+			for k, w := range want[i].Writes {
+				if g := got[i].Writes[k]; g.Addr != w.Addr || !bytes.Equal(g.Data, w.Data) {
+					t.Fatalf("%s: entry %d write %d is %+v, the scan reference gives %+v", name, got[i].Index, k, g, w)
+				}
+			}
+		}
+	}
+	for name, areas := range cases {
+		check(name, areas)
+	}
+
+	rng := rand.New(rand.NewSource(23))
+	for round := 0; round < 300; round++ {
+		areas := make([][]byte, 3)
+		head := uint64(1 + rng.Intn(3*g.Slots))
+		for n := range areas {
+			if rng.Intn(6) == 0 {
+				continue // unreachable node
+			}
+			a := area()
+			behind := uint64(rng.Intn(g.Slots + 2))
+			for idx := uint64(1); idx+behind <= head; idx++ {
+				switch rng.Intn(12) {
+				case 0: // this node missed the write
+				case 1:
+					writeEntryToArea(t, g, a, entry(idx, fmt.Sprintf("fork%d", n)))
+				default:
+					writeEntryToArea(t, g, a, entry(idx, "same"))
+				}
+			}
+			if rng.Intn(3) == 0 {
+				tear(a, uint64(rng.Intn(g.Slots)))
+			}
+			if rng.Intn(5) == 0 {
+				misplace(a, uint64(1+rng.Intn(int(head))), rng.Intn(g.Slots))
+			}
+			areas[n] = a
+		}
+		check(fmt.Sprintf("random round %d", round), areas)
 	}
 }

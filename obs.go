@@ -128,6 +128,19 @@ func (cl *Cluster) initObs() {
 	reg.CounterFunc("sift_kv_located_applies_total", "Records whose data block was known without a chain walk.",
 		func() float64 { return float64(cl.Stats().KV.LocatedApplies) })
 
+	// The serving coordinator's takeover: how long its KV recovery took and
+	// how many log records it had to apply again (those above the applied
+	// mark its predecessor left in the log).
+	reg.GaugeFunc("sift_kv_recovery_seconds", "Duration of the serving coordinator's key-value recovery.",
+		func() float64 {
+			if st := cl.coordinatorStore(); st != nil {
+				return st.Recovery().Total.Seconds()
+			}
+			return 0
+		})
+	reg.GaugeFunc("sift_kv_recovery_replayed_records", "Log records the serving coordinator's recovery applied again.",
+		func() float64 { return float64(cl.Stats().KV.RecoveryReplayed) })
+
 	// Election lifecycle, summed over the currently running CPU nodes.
 	cpu := func(f func(*core.CPUNode) uint64) func() float64 {
 		return func() float64 {
@@ -277,6 +290,8 @@ func (cl *Cluster) Statusz() any {
 	doc["coordinator"] = cl.Coordinator()
 	if st := cl.coordinatorStore(); st != nil {
 		doc["kv"] = st.Stats()
+		mark, next := st.AppliedMark()
+		doc["kv_log"] = map[string]uint64{"applied_mark": mark, "next_index": next, "apply_lag": next - 1 - mark}
 		doc["repmem"] = st.MemoryStats()
 		doc["health"] = st.MemoryHealth()
 		cur, max := st.Memory().QueueDepth()

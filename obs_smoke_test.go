@@ -85,6 +85,8 @@ func TestObsSmoke(t *testing.T) {
 		"# TYPE sift_repmem_write_seconds summary",
 		"sift_process_goroutines",
 		`sift_node_up{node="mem0"} 1`,
+		"sift_kv_recovery_seconds",
+		"sift_kv_recovery_replayed_records 0", // a fresh group's log is empty
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -103,13 +105,17 @@ func TestObsSmoke(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("/statusz not JSON: %v\n%s", err, body)
 	}
-	for _, key := range []string{"coordinator", "term", "cpu_nodes", "repmem", "kv", "health", "pipeline"} {
+	for _, key := range []string{"coordinator", "term", "cpu_nodes", "repmem", "kv", "kv_log", "health", "pipeline"} {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("/statusz missing %q", key)
 		}
 	}
 	if doc["coordinator"] == float64(0) {
 		t.Error("/statusz reports no coordinator")
+	}
+	if log, _ := doc["kv_log"].(map[string]any); log["applied_mark"] == nil || log["apply_lag"] == nil ||
+		log["applied_mark"].(float64)+log["apply_lag"].(float64) != 32 {
+		t.Errorf("/statusz kv_log = %v, want the applied mark and the apply lag of 32 puts", doc["kv_log"])
 	}
 
 	code, body = scrape(t, srv, "/events")
@@ -124,6 +130,12 @@ func TestObsSmoke(t *testing.T) {
 	for _, e := range events {
 		if e.Type == "coordinator.promoted" {
 			found = true
+			// The takeover accounts for itself: phases and replay counts.
+			for _, field := range []string{"total=", "mem_recover=", "log_read=", "reconcile=", "replay=", "entries=", "above_mark=", "replayed_records=", "chain_reads="} {
+				if !strings.Contains(e.Detail, field) {
+					t.Errorf("coordinator.promoted detail %q lacks %q", e.Detail, field)
+				}
+			}
 		}
 	}
 	if !found {
