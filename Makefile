@@ -2,8 +2,11 @@ GO ?= go
 
 .PHONY: tier1 race chaos linearize reconfig shard wan fuzz-short bench-pipeline bench-ec benchmark-smoke obs-smoke staticcheck loc
 
-# Tier-1 verification: everything vets, builds, and every test passes.
+# Tier-1 verification: every Go file is gofmt-clean, everything vets,
+# builds, and every test passes.
 tier1:
+	@unformatted="$$(find . -name '*.go' ! -path './.bench_build/*' | xargs gofmt -l)"; \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./... && $(GO) build ./... && $(GO) test ./...
 
 # Race-detector pass over the packages on the write hot path (internal/deploy

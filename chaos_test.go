@@ -203,7 +203,6 @@ func grayConfig() Config {
 	cfg := smallConfig()
 	cfg.FaultInjection = true
 	cfg.OpDeadline = 80 * time.Millisecond
-	cfg.SuspectAfter = 2
 	cfg.NodeRecoveryInterval = 25 * time.Millisecond
 	return cfg
 }

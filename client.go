@@ -53,7 +53,7 @@ func retriable(err error) bool {
 }
 
 // jitteredBackoff spreads b uniformly over [b/2, 3b/2) — same scheme as
-// internal/repmem's redialer — and caps the sleep at remaining, so the herd
+// internal/repmem's redial circuit — and caps the sleep at remaining, so the herd
 // desynchronizes and the final retry still lands inside the budget instead
 // of sleeping through it. A nil rng uses the process-global source.
 func jitteredBackoff(b, remaining time.Duration, rng *rand.Rand) time.Duration {

@@ -103,7 +103,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 
-	mcfg.SuspectAfter = c.SuspectAfter
 	mcfg.StragglerMinLatency = c.StragglerMinLatency
 	if c.BackupReads {
 		// Lease soundness needs acks to imply visibility: writes wait for

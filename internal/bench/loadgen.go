@@ -51,8 +51,8 @@ type OpenLoopResult struct {
 	Arrivals  int // arrivals due within the measured window
 	Completed int // in-window arrivals that were served (drain included)
 	Errors    int
-	Dropped   int // queue-full arrivals (whole run)
-	Backlog   int // enqueued but unserved when the run ended
+	Dropped   int     // queue-full arrivals (whole run)
+	Backlog   int     // enqueued but unserved when the run ended
 	Achieved  float64 // completed / duration, ops/sec
 
 	P50, P99, P999, Max time.Duration

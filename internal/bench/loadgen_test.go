@@ -44,9 +44,9 @@ func TestPoissonRateAccuracy(t *testing.T) {
 func TestOpenLoopChargesStallAsQueueLatency(t *testing.T) {
 	var stalled atomic.Bool
 	res := OpenLoop(OpenLoopConfig{
-		Rate:     200,
-		Warmup:   100 * time.Millisecond,
-		Duration: 1200 * time.Millisecond,
+		Rate:       200,
+		Warmup:     100 * time.Millisecond,
+		Duration:   1200 * time.Millisecond,
 		Workers:    1, // single executor: the stall blocks the whole queue
 		QueueDepth: 512,
 		Seed:       2,

@@ -506,7 +506,7 @@ func (n *CPUNode) coordinate(ctx context.Context, term uint16) {
 	// layers down and rebuilds them against the adopted configuration —
 	// without giving up the term, so clients see one coordinator throughout
 	// a membership change.
-	var exclusionSeed time.Time   // cutover instant for backup-lease exclusion
+	var exclusionSeed time.Time // cutover instant for backup-lease exclusion
 	var pendingDone []chan struct{}
 	serveReady := func() {
 		for _, d := range pendingDone {

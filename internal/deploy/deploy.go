@@ -24,7 +24,6 @@ type Params struct {
 	MaxKey        int
 	MaxValue      int
 	CacheFraction float64
-	LoadFactor    float64
 	KVWALSlots    int
 	// Replicated-memory log sizing.
 	MemWALSlots    int
@@ -48,9 +47,6 @@ func (p *Params) withDefaults() Params {
 	if out.CacheFraction <= 0 {
 		out.CacheFraction = 0.5
 	}
-	if out.LoadFactor <= 0 {
-		out.LoadFactor = 0.125
-	}
 	if out.KVWALSlots <= 0 {
 		out.KVWALSlots = 4096
 	}
@@ -71,7 +67,6 @@ func (p Params) Derive() (kv.Config, repmem.Config, error) {
 		Capacity:      pp.Keys,
 		MaxKey:        pp.MaxKey,
 		MaxValue:      pp.MaxValue,
-		LoadFactor:    pp.LoadFactor,
 		CacheFraction: pp.CacheFraction,
 		WALSlots:      pp.KVWALSlots,
 		ApplyShards:   4,

@@ -19,9 +19,9 @@ var (
 // the property Sift exploits by prioritising non-parity memory nodes.
 type Code struct {
 	k, m   int
-	parity [][]byte       // m×k row-normalised Cauchy coefficient matrix
-	tabs   [][]*[256]byte // composed product table per matrix cell
-	t16k2  *[65536]uint16 // double-byte table for the k=2, m=1 shape
+	parity [][]byte          // m×k row-normalised Cauchy coefficient matrix
+	tabs   [][]*[256]byte    // composed product table per matrix cell
+	t16k2  *[65536]uint16    // double-byte table for the k=2, m=1 shape
 	t16k3  [2]*[65536]uint32 // double-byte, double-row tables (k=3, m=2)
 }
 

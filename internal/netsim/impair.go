@@ -1,9 +1,7 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 )
@@ -289,71 +287,4 @@ func (im *Impairment) transferDelay(size int) time.Duration {
 		}
 	}
 	return d
-}
-
-// Preset names understood by Preset, in display order.
-func PresetNames() []string {
-	names := make([]string, 0, len(presets))
-	for name := range presets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-var presets = map[string]func(seed int64) *Impairment{
-	"cross-region": CrossRegion,
-	"congested":    Congested,
-	"lossy-wifi":   LossyWifi,
-}
-
-// Preset returns a named impairment profile seeded deterministically.
-// Known names: "cross-region", "congested", "lossy-wifi".
-func Preset(name string, seed int64) (*Impairment, error) {
-	mk, ok := presets[name]
-	if !ok {
-		return nil, fmt.Errorf("netsim: unknown impairment preset %q (have %v)", name, PresetNames())
-	}
-	return mk(seed), nil
-}
-
-// CrossRegion models a healthy inter-region backbone: 40ms RTT, sub-ms
-// jitter, and rare short loss bursts (~0.1% long-run).
-func CrossRegion(seed int64) *Impairment {
-	im := &Impairment{
-		OneWay: 20 * time.Millisecond,
-		Jitter: 500 * time.Microsecond,
-		Loss:   NewGilbertElliottRate(0.001, 3, seed+1),
-	}
-	im.Seed(seed)
-	return im
-}
-
-// Congested models a saturated long-haul path: 30ms RTT with heavy jitter,
-// bursty ~3% loss, mild reordering, and a 12.5 MB/s (100 Mbit/s) cap.
-func Congested(seed int64) *Impairment {
-	im := &Impairment{
-		OneWay:       15 * time.Millisecond,
-		Jitter:       3 * time.Millisecond,
-		Loss:         NewGilbertElliottRate(0.03, 8, seed+1),
-		ReorderP:     0.01,
-		ReorderDelay: 2 * time.Millisecond,
-		Bandwidth:    12_500_000,
-	}
-	im.Seed(seed)
-	return im
-}
-
-// LossyWifi models a marginal last-hop radio link: moderate RTT, large
-// jitter, long bursty ~8% loss, and frequent reordering from link-layer ARQ.
-func LossyWifi(seed int64) *Impairment {
-	im := &Impairment{
-		OneWay:       8 * time.Millisecond,
-		Jitter:       5 * time.Millisecond,
-		Loss:         NewGilbertElliottRate(0.08, 12, seed+1),
-		ReorderP:     0.02,
-		ReorderDelay: 4 * time.Millisecond,
-	}
-	im.Seed(seed)
-	return im
 }

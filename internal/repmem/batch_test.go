@@ -166,7 +166,7 @@ func TestWriteBatchBestEffortCopyCarriesEverySegment(t *testing.T) {
 		e := newEnv(t, 3, cfg.Layout())
 		cfg.MemoryNodes, cfg.Dial = e.names, e.dialer("c")
 		m := newMemory(t, cfg)
-		m.state[2].Store(nodeSuspect)
+		m.setState(2, nodeSuspect)
 		writes := mixedBatch(0)
 		if err := m.UnloggedWriteBatch(writes); err != nil {
 			t.Fatal(err)
@@ -207,7 +207,7 @@ func TestWriteBatchesRaceShadowsSuspectsAndClose(t *testing.T) {
 		if err := m.Recover(); err != nil {
 			t.Fatal(err)
 		}
-		m.state[0].Store(nodeSuspect)
+		m.setState(0, nodeSuspect)
 
 		const writers, warm = 4, 20
 		var warmed, wg sync.WaitGroup

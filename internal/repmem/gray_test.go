@@ -3,6 +3,7 @@ package repmem
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -38,16 +39,11 @@ func TestQuorumGroupBornDecidedStillCountsLateAcks(t *testing.T) {
 }
 
 func TestRedialerBackoffBounds(t *testing.T) {
-	const min, max = 10 * time.Millisecond, 80 * time.Millisecond
-	r := newRedialer("m0", nil, min, max, 7)
-	for failures := 1; failures <= 8; failures++ {
-		r.failures = failures
-		base := min << (failures - 1)
-		if base > max {
-			base = max
-		}
+	h := &nodeHealth{rng: rand.New(rand.NewSource(7))}
+	for failures := 1; failures <= 12; failures++ {
+		base := min(redialBackoffMin<<(failures-1), redialBackoffMax)
 		for i := 0; i < 50; i++ {
-			b := r.backoffLocked()
+			b := h.backoff(failures)
 			if b < base/2 || b >= base+base/2 {
 				t.Fatalf("failures=%d: backoff %v outside [%v, %v)", failures, b, base/2, base+base/2)
 			}
@@ -58,16 +54,17 @@ func TestRedialerBackoffBounds(t *testing.T) {
 func TestRedialerCircuitOpensAfterFailure(t *testing.T) {
 	dialErr := errors.New("refused")
 	calls := 0
-	r := newRedialer("m0", func(string) (rdma.Verbs, error) {
+	dial := func(string) (rdma.Verbs, error) {
 		calls++
 		return nil, dialErr
-	}, 50*time.Millisecond, time.Second, 1)
-
-	if _, err := r.dialNow(); !errors.Is(err, dialErr) {
+	}
+	h := &nodeHealth{rng: rand.New(rand.NewSource(1))}
+	t0 := time.Unix(1000, 0)
+	if _, err := h.dial("m0", dial, t0); !errors.Is(err, dialErr) {
 		t.Fatalf("first dial: got %v, want dial error", err)
 	}
 	// The circuit is now open: the next attempt is refused without dialing.
-	if _, err := r.dialNow(); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := h.dial("m0", dial, t0.Add(time.Millisecond)); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("second dial: got %v, want ErrCircuitOpen", err)
 	}
 	if calls != 1 {
@@ -79,31 +76,166 @@ func TestRedialerRecoversAfterBackoff(t *testing.T) {
 	e := newEnv(t, 1, Config{MemSize: 1024, DirectSize: 0, WALSlots: 4, WALSlotSize: 128}.Layout())
 	fail := true
 	inner := e.dialer("c0")
-	r := newRedialer("m0", func(node string) (rdma.Verbs, error) {
+	dial := func(node string) (rdma.Verbs, error) {
 		if fail {
 			return nil, errors.New("down")
 		}
 		return inner(node)
-	}, time.Millisecond, 4*time.Millisecond, 1)
-
-	if _, err := r.dialNow(); err == nil {
+	}
+	h := &nodeHealth{rng: rand.New(rand.NewSource(1))}
+	t0 := time.Unix(1000, 0)
+	if _, err := h.dial(e.names[0], dial, t0); err == nil {
 		t.Fatal("dial to down node should fail")
 	}
 	fail = false
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		v, err := r.dialNow()
-		if err == nil {
-			v.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("redial never succeeded: %v", err)
-		}
-		time.Sleep(time.Millisecond)
+	// After one failure the backoff lies in [min/2, 3·min/2): still open
+	// just before the shortest, through once the longest has passed.
+	if _, err := h.dial(e.names[0], dial, t0.Add(redialBackoffMin/2-time.Microsecond)); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("dial inside the backoff: got %v, want ErrCircuitOpen", err)
 	}
-	if f, open := r.snapshot(); f != 0 || open != 0 {
-		t.Fatalf("snapshot after success: failures=%d open=%v, want zeroes", f, open)
+	later := t0.Add(redialBackoffMin * 3 / 2)
+	v, err := h.dial(e.names[0], dial, later)
+	if err != nil {
+		t.Fatalf("redial after the backoff: %v", err)
+	}
+	v.Close()
+	if f, wait := h.dialFailures.Load(), h.circuitWait(later); f != 0 || wait > 0 {
+		t.Fatalf("circuit after success: failures=%d wait=%v, want closed", f, wait)
+	}
+}
+
+// healthSignals is everything a node's record holds but its rng, comparable.
+type healthSignals struct {
+	ewmaN                         uint64
+	ewmaV                         float64
+	timeouts, strikes, fastProbes int32
+	corrupt                       uint64
+	dialFailures                  int32
+	nextDial                      int64
+}
+
+func signalsOf(h *nodeHealth) healthSignals {
+	return healthSignals{
+		ewmaN: h.ewma.Count(), ewmaV: h.ewma.Value(),
+		timeouts: h.timeouts.Load(), strikes: h.strikes.Load(), fastProbes: h.fastProbes.Load(),
+		corrupt: h.corrupt.Load(), dialFailures: h.dialFailures.Load(), nextDial: h.nextDial.Load(),
+	}
+}
+
+// TestHealthTransitionTable drives the step function through every (state ×
+// event) pair, each from three records — fresh, one short of every first
+// threshold, and one short of death by timeouts — against the explicit table
+// below. Each cell reads "fresh first last"; "-" means the state is left
+// alone, otherwise the cell names the state moved to and the reason.
+func TestHealthTransitionTable(t *testing.T) {
+	const floor = 2 * time.Millisecond
+	fast, slow := 100*time.Microsecond, 5*time.Millisecond
+	states := []int32{nodeLive, nodeSyncing, nodeSuspect, nodeDegraded, nodeDead}
+	events := []struct {
+		name string
+		ev   healthEvent
+		want [5]string // live, syncing, suspect, degraded, dead
+	}{
+		{"op ok", healthEvent{kind: evOpOK, lat: fast},
+			[5]string{"- - -", "- - -", "- - -", "- - -", "- - -"}},
+		{"op deadline", healthEvent{kind: evOpDeadline},
+			[5]string{"- suspect/timeouts dead/timeouts", "- - dead/timeouts", "- - dead/timeouts", "- - dead/timeouts", "- - dead/timeouts"}},
+		{"op error", healthEvent{kind: evOpError},
+			[5]string{"dead/error dead/error dead/error", "dead/error dead/error dead/error", "dead/error dead/error dead/error", "dead/error dead/error dead/error", "dead/error dead/error dead/error"}},
+		{"fenced by reboot", healthEvent{kind: evFencedByReboot},
+			[5]string{"dead/reboot dead/reboot dead/reboot", "dead/reboot dead/reboot dead/reboot", "dead/reboot dead/reboot dead/reboot", "dead/reboot dead/reboot dead/reboot", "dead/reboot dead/reboot dead/reboot"}},
+		{"probe ok fast", healthEvent{kind: evProbeOK, lat: fast},
+			[5]string{"- - -", "- - -", "dead/repair dead/repair dead/repair", "- dead/repair dead/repair", "- - -"}},
+		{"probe ok slow", healthEvent{kind: evProbeOK, lat: slow},
+			[5]string{"- - -", "- - -", "dead/repair dead/repair dead/repair", "- - -", "- - -"}},
+		{"probe deadline", healthEvent{kind: evProbeFailed, cause: evOpDeadline},
+			[5]string{"- suspect/timeouts dead/timeouts", "- - dead/timeouts", "- dead/probes dead/probes", "- dead/probes dead/probes", "- - -"}},
+		{"probe error", healthEvent{kind: evProbeFailed, cause: evOpError},
+			[5]string{"dead/error dead/error dead/error", "dead/error dead/error dead/error", "- dead/probes dead/probes", "- dead/probes dead/probes", "- - -"}},
+		{"corruption", healthEvent{kind: evCorrupt, n: 1},
+			[5]string{"- suspect/corruption suspect/corruption", "- - -", "- - -", "- - -", "- - -"}},
+		{"straggler", healthEvent{kind: evStraggler},
+			[5]string{"degraded/straggler degraded/straggler degraded/straggler", "- - -", "- - -", "- - -", "- - -"}},
+		{"rebuild started", healthEvent{kind: evRebuildStarted},
+			[5]string{"- - -", "- - -", "- - -", "- - -", "syncing/rebuild syncing/rebuild syncing/rebuild"}},
+		{"rebuild done", healthEvent{kind: evRebuildDone},
+			[5]string{"- - -", "live/rebuilt live/rebuilt live/rebuilt", "- - -", "- - -", "- - -"}},
+		{"slot swapped", healthEvent{kind: evSlotSwapped},
+			[5]string{"live/replaced live/replaced live/replaced", "live/replaced live/replaced live/replaced", "live/replaced live/replaced live/replaced", "live/replaced live/replaced live/replaced", "- - -"}},
+	}
+	covered := map[eventKind]bool{}
+	record := func(which int) *nodeHealth {
+		h := &nodeHealth{}
+		if which > 0 {
+			h.timeouts.Store(suspectAfterTimeouts - 1)
+			if which == 2 {
+				h.timeouts.Store(deadAfterTimeouts - 1)
+			}
+			h.strikes.Store(suspectProbeLimit - 1)
+			h.fastProbes.Store(degradeExitProbes - 1)
+			h.corrupt.Store(suspectAfterCorrupt - 1)
+			h.ewma.Observe(500)
+		}
+		return h
+	}
+	for _, e := range events {
+		covered[e.ev.kind] = true
+		for si, from := range states {
+			var got []string
+			for which := 0; which < 3; which++ {
+				h := record(which)
+				to, reason := h.step(from, e.ev, floor)
+				cell := "-"
+				if reason != "" {
+					cell = stateName(to) + "/" + reason
+				} else if to != from {
+					t.Fatalf("%s on %s: moved to %s with no reason", e.name, stateName(from), stateName(to))
+				}
+				if to == nodeLive && (from != nodeLive || e.ev.kind == evSlotSwapped) && signalsOf(h) != (healthSignals{}) {
+					t.Fatalf("%s on %s: record not reset: %+v", e.name, stateName(from), signalsOf(h))
+				}
+				got = append(got, cell)
+			}
+			if g := strings.Join(got, " "); g != e.want[si] {
+				t.Errorf("%s on %s: got %q, want %q", e.name, stateName(from), g, e.want[si])
+			}
+		}
+	}
+	for k := eventKind(0); k < numEventKinds; k++ {
+		if !covered[k] {
+			t.Errorf("event kind %d has no row in the table", k)
+		}
+	}
+}
+
+// TestReplacedDegradedSlotStartsFresh: a slot replaced while degraded — with
+// probe, timeout, corruption and latency history — comes back live with a
+// record equal to a fresh node's.
+func TestReplacedDegradedSlotStartsFresh(t *testing.T) {
+	cfg0 := Config{MemSize: 32 << 10, DirectSize: 8 << 10, WALSlots: 32, WALSlotSize: 512}
+	e := newEnv(t, 3, cfg0.Layout())
+	addMachine(t, e, "m3", cfg0.Layout())
+	cfg := baseConfig(e, "cpu1")
+	cfg.MemSize, cfg.DirectSize = cfg0.MemSize, cfg0.DirectSize
+	cfg.WALSlots, cfg.WALSlotSize = cfg0.WALSlots, cfg0.WALSlotSize
+	cfg.Term = 1
+	m := newMemory(t, cfg)
+
+	h := &m.health[1]
+	m.setState(1, nodeDegraded)
+	h.ewma.Observe(40_000)
+	h.timeouts.Store(1)
+	h.strikes.Store(2)
+	h.fastProbes.Store(degradeExitProbes - 1)
+	h.corrupt.Store(3)
+	if err := m.ReplaceNode("m1", "m3"); err != nil {
+		t.Fatalf("ReplaceNode: %v", err)
+	}
+	if s := m.state[1].Load(); s != nodeLive {
+		t.Fatalf("replaced slot is %s, want live", stateName(s))
+	}
+	if got := signalsOf(h); got != (healthSignals{}) {
+		t.Fatalf("replaced slot's record %+v, want a fresh node's", got)
 	}
 }
 
@@ -111,7 +243,7 @@ func TestWriteTargetsPartitionsSuspects(t *testing.T) {
 	e := newEnv(t, 3, Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}.Layout())
 	m := newMemory(t, baseConfig(e, "c0"))
 
-	m.state[1].Store(nodeSuspect)
+	m.setState(1, nodeSuspect)
 	wait, best := m.writeTargets(m.Majority())
 	if len(wait) != 2 || len(best) != 1 || best[0] != 1 {
 		t.Fatalf("wait=%v best=%v, want wait={0,2} best={1}", wait, best)
@@ -120,7 +252,7 @@ func TestWriteTargetsPartitionsSuspects(t *testing.T) {
 	// Degraded mode: with two suspects a true majority is impossible from
 	// the healthy subset alone, so suspects are promoted back into the wait
 	// set — a quorum ack must never mean a majority of the healthy few.
-	m.state[2].Store(nodeSuspect)
+	m.setState(2, nodeSuspect)
 	wait, best = m.writeTargets(m.Majority())
 	if len(wait) != 3 || len(best) != 0 {
 		t.Fatalf("degraded: wait=%v best=%v, want all three waited on", wait, best)
@@ -129,40 +261,45 @@ func TestWriteTargetsPartitionsSuspects(t *testing.T) {
 
 func TestNoteNodeErrorSuspicionThenDeath(t *testing.T) {
 	e := newEnv(t, 3, Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}.Layout())
-	cfg := baseConfig(e, "c0")
-	cfg.SuspectAfter = 2
-	cfg.DeadAfter = 4
-	m := newMemory(t, cfg)
+	m := newMemory(t, baseConfig(e, "c0"))
+	deadlines := func(n int) {
+		for k := 0; k < n; k++ {
+			m.noteConnError(0, nil, rdma.ErrDeadline)
+		}
+	}
 
-	m.noteNodeError(0, rdma.ErrDeadline)
+	deadlines(1)
 	if s := m.state[0].Load(); s != nodeLive {
-		t.Fatalf("after 1 timeout: state %d, want live", s)
+		t.Fatalf("after 1 timeout: state %s, want live", stateName(s))
 	}
-	m.noteNodeError(0, rdma.ErrDeadline)
+	deadlines(1)
 	if s := m.state[0].Load(); s != nodeSuspect {
-		t.Fatalf("after 2 timeouts: state %d, want suspect", s)
+		t.Fatalf("after 2 timeouts: state %s, want suspect", stateName(s))
 	}
-	m.noteNodeError(0, rdma.ErrDeadline)
-	m.noteNodeError(0, rdma.ErrDeadline)
+	deadlines(13)
+	if s := m.state[0].Load(); s != nodeSuspect {
+		t.Fatalf("after 15 timeouts: state %s, want suspect", stateName(s))
+	}
+	deadlines(1)
 	if s := m.state[0].Load(); s != nodeDead {
-		t.Fatalf("after 4 timeouts: state %d, want dead", s)
+		t.Fatalf("after 16 timeouts: state %s, want dead", stateName(s))
 	}
 	st := m.Stats()
-	if st.NodeTimeouts != 4 || st.NodeSuspected != 1 {
-		t.Fatalf("stats timeouts=%d suspected=%d, want 4 and 1", st.NodeTimeouts, st.NodeSuspected)
+	if st.NodeTimeouts != 16 || st.NodeSuspected != 1 {
+		t.Fatalf("stats timeouts=%d suspected=%d, want 16 and 1", st.NodeTimeouts, st.NodeSuspected)
 	}
 
 	// A success on another node clears its streak.
-	m.noteNodeError(1, rdma.ErrDeadline)
+	m.noteConnError(1, nil, rdma.ErrDeadline)
 	m.noteOpResult(1, nil, time.Millisecond, nil)
-	if n := m.health[1].consecTimeouts.Load(); n != 0 {
+	if n := m.health[1].timeouts.Load(); n != 0 {
 		t.Fatalf("streak after success = %d, want 0", n)
 	}
 
 	// Non-deadline errors kill immediately.
-	m.noteNodeError(2, errors.New("connection reset"))
+	m.noteConnError(2, nil, errors.New("connection reset"))
 	if s := m.state[2].Load(); s != nodeDead {
-		t.Fatalf("after transport error: state %d, want dead", s)
+		t.Fatalf("after transport error: state %s, want dead", stateName(s))
 	}
 }
 
@@ -174,7 +311,7 @@ func TestWriteCommitsWithSuspectNode(t *testing.T) {
 	e := newEnv(t, 3, Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}.Layout())
 	m := newMemory(t, baseConfig(e, "c0"))
 
-	m.state[1].Store(nodeSuspect)
+	m.setState(1, nodeSuspect)
 	want := []byte("gray-failure payload")
 	if err := m.Write(100, want); err != nil {
 		t.Fatalf("write with suspect node: %v", err)
@@ -207,7 +344,7 @@ func TestDirectWriteCommitsWithSuspectNode(t *testing.T) {
 	e := newEnv(t, 3, Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}.Layout())
 	m := newMemory(t, baseConfig(e, "c0"))
 
-	m.state[2].Store(nodeSuspect)
+	m.setState(2, nodeSuspect)
 	want := []byte("direct under gray")
 	if err := m.DirectWrite(64, want); err != nil {
 		t.Fatalf("direct write with suspect: %v", err)

@@ -141,7 +141,7 @@ func TestScrubRepairsSilentCorruption(t *testing.T) {
 
 	// Silent damage on one node: three main-memory blocks and one
 	// direct-zone byte. No read touches them — only the scrubber can find
-	// this. (Few enough observations to stay under CorruptSuspectAfter.)
+	// this. (Few enough observations to stay under suspectAfterCorrupt.)
 	e.corruptByte(t, e.names[2], layout.MainBase()+10)
 	e.corruptByte(t, e.names[2], layout.MainBase()+5000)
 	e.corruptByte(t, e.names[2], layout.MainBase()+9000)
@@ -206,17 +206,24 @@ func TestCorruptionFeedsSuspicion(t *testing.T) {
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.DirectSize = 0
-	cfg.CorruptSuspectAfter = 2
 	m := newMemory(t, cfg)
 	layout := m.cfg.Layout()
-
-	// Two distinct corrupt blocks on one node cross the threshold.
-	e.corruptByte(t, e.names[1], layout.MainBase()+1)
-	e.corruptByte(t, e.names[1], layout.MainBase()+4096+1)
-	if _, err := m.ScrubOnce(); err != nil {
-		t.Fatal(err)
+	corrupt := func(from, to int) {
+		for b := from; b < to; b++ {
+			e.corruptByte(t, e.names[1], layout.MainBase()+uint64(b*4096)+1)
+		}
+		if _, err := m.ScrubOnce(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
+	// One block short of the threshold, the node stays live; the count
+	// survives the repairs, so the next corrupt block crosses it.
+	corrupt(0, suspectAfterCorrupt-1)
+	if suspects := m.SuspectMemoryNodes(); len(suspects) != 0 {
+		t.Fatalf("suspects after %d corrupt blocks = %v, want none", suspectAfterCorrupt-1, suspects)
+	}
+	corrupt(suspectAfterCorrupt-1, suspectAfterCorrupt)
 	suspects := m.SuspectMemoryNodes()
 	if len(suspects) != 1 || suspects[0] != e.names[1] {
 		t.Fatalf("suspects = %v, want [%s]", suspects, e.names[1])
@@ -227,7 +234,7 @@ func TestCorruptionFeedsSuspicion(t *testing.T) {
 			h = nh
 		}
 	}
-	if h.Corruptions < 2 {
-		t.Fatalf("health corruptions = %d, want >= 2", h.Corruptions)
+	if h.Corruptions != suspectAfterCorrupt {
+		t.Fatalf("health corruptions = %d, want %d", h.Corruptions, suspectAfterCorrupt)
 	}
 }

@@ -386,21 +386,19 @@ func (m *Memory) replaceTargets(slot int, joining rdma.Verbs) []cfgTarget {
 	return targets
 }
 
-// swapSlot installs conn c and name as slot's identity.
+// swapSlot installs conn c and name as slot's identity. The slot's health
+// record starts afresh: the new machine has nothing to do with its
+// predecessor's history. A slot that was not dead is live from here on.
 func (m *Memory) swapSlot(slot int, name string, c rdma.Verbs) {
-	m.dialMu[slot].Lock()
+	h := &m.health[slot]
+	h.dialMu.Lock()
 	old := m.conns[slot].Swap(&connBox{v: c})
-	m.redialers[slot].retarget(name)
 	m.setNodeName(slot, name)
-	m.dialMu[slot].Unlock()
+	h.dialMu.Unlock()
 	if old != nil && old.v != c {
 		old.v.Close()
 	}
-	h := &m.health[slot]
-	h.consecTimeouts.Store(0)
-	h.probeFails.Store(0)
-	h.corruptBlocks.Store(0)
-	h.ewma.Reset()
+	m.observe(slot, healthEvent{kind: evSlotSwapped})
 }
 
 // replaceLive is the shadow-mirror replacement of a live (or gray) member.
@@ -485,9 +483,10 @@ func (m *Memory) replaceLive(slot int, newName string, next uint32, c rdma.Verbs
 		return err
 	}
 
-	m.swapSlot(slot, newName, c)
-	m.state[slot].Store(nodeLive)
+	// The epoch first: a gray slot turning live publishes membership, which
+	// must be tagged with the epoch whose member list names the new machine.
 	m.epoch.Store(next)
+	m.swapSlot(slot, newName, c)
 	m.shadows[slot].Store(nil)
 	m.gate.Unlock()
 	sh.detach()
@@ -525,7 +524,6 @@ func (m *Memory) replaceDead(slot int, newName string, next uint32, c rdma.Verbs
 	if err := m.rebuildSlot(slot, c); err != nil {
 		return fmt.Errorf("repmem: rebuild of joining node %s: %w", newName, err)
 	}
-	m.stats.nodeRecovered.Add(1)
 	return nil
 }
 

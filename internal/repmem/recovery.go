@@ -36,7 +36,7 @@ func (m *Memory) Recover() error {
 			areas[i] = row[0]
 			reachable++
 		} else if m.state[i].Load() == nodeLive {
-			m.markNodeDead(i)
+			m.observe(i, healthEvent{kind: evOpError})
 		}
 	}
 	if e := m.checkOpen(); e != nil {
@@ -121,17 +121,6 @@ func (m *Memory) Recover() error {
 // this trade-off).
 const recoveryBatch = 64 << 10
 
-// errSuspectRepair routes a responsive suspect through nodeFailed so the
-// ordinary dead-node recovery path repairs it: a suspect may have missed
-// best-effort writes while gray, so it must be rebuilt in full before it
-// serves reads again.
-var errSuspectRepair = fmt.Errorf("repmem: suspect node responsive, repairing")
-
-// errDegradedRepair routes a degraded node whose probes have come back under
-// the straggler floor through the same full rebuild — it too received only
-// best-effort writes while excluded.
-var errDegradedRepair = fmt.Errorf("repmem: degraded node fast again, repairing")
-
 // StartRecovery launches the background recovery manager: a goroutine that
 // periodically polls failed memory nodes and reintegrates any that have
 // come back (paper §3.4.2). The returned function stops the manager.
@@ -148,43 +137,17 @@ func (m *Memory) StartRecovery(interval time.Duration) (stop func()) {
 				if m.closed.Load() {
 					return
 				}
-				// Probe live nodes so failures are detected even on an idle
-				// group (ops would detect them too, but a read-from-cache
-				// workload may touch no memory node for a while). Probe
-				// timeouts feed the same suspicion counters as op timeouts.
-				for _, i := range m.nodesInState(nodeLive) {
-					c, err := m.conn(i)
-					if err == nil {
-						var probe [1]byte
-						err = c.Read(replRegion, 0, probe[:])
-					}
-					if err != nil {
-						m.noteConnError(i, c, err)
+				// Probe every node not dead: a live one so an idle group
+				// (a read-from-cache workload) still detects failures, a
+				// suspect or degraded one for readmission (see step).
+				for i := range m.nodes {
+					if m.state[i].Load() != nodeDead {
+						m.probe(i)
 					}
 				}
-				// Probe suspects: one that answers again is routed through
-				// the dead-node repair below (it may have missed best-effort
-				// writes while gray); one that keeps timing out is declared
-				// dead after suspectProbeLimit strikes.
-				for _, i := range m.nodesInState(nodeSuspect) {
-					c, err := m.conn(i)
-					if err == nil {
-						var probe [1]byte
-						err = c.Read(replRegion, 0, probe[:])
-					}
-					if err == nil {
-						m.health[i].probeFails.Store(0)
-						m.nodeFailed(i, errSuspectRepair)
-					} else if m.health[i].probeFails.Add(1) >= suspectProbeLimit {
-						m.nodeFailed(i, err)
-					}
-				}
-				m.probeDegraded()
 				m.checkStragglers()
 				for _, i := range m.nodesInState(nodeDead) {
-					if err := m.recoverNode(i); err == nil {
-						m.stats.nodeRecovered.Add(1)
-					}
+					m.recoverNode(i)
 				}
 			}
 		}
@@ -192,20 +155,12 @@ func (m *Memory) StartRecovery(interval time.Duration) (stop func()) {
 	return func() { close(done) }
 }
 
-// checkStragglers marks live nodes whose smoothed write latency has drifted
-// far above the fastest live node's as degraded, so a node that is slow but
+// checkStragglers degrades the live nodes whose write-latency EWMA has
+// drifted past the straggler bar (see stragglerFactor), so a node slow but
 // not hung (a gray straggler, Velos-style) stops delaying quorum writes.
-// Both a relative bar (stragglerFactor × the best live EWMA) and an
-// absolute floor (StragglerMinLatency) must be exceeded, and only nodes
-// with at least stragglerMinSamples samples are judged, and never so many
-// that fewer than a majority of the group stays live.
-//
-// Degraded — not suspect: a suspect is repaired the moment it answers a
-// probe, which a merely-slow node always does; the repair resets its EWMA,
-// the straggler check re-fires once the EWMA refills, and the node loops
-// through exclusion and rebuild forever. Sustained slowness (a replica
-// across a WAN link) instead parks in the degraded state until its probe
-// latency actually recovers — see probeDegraded.
+// Degraded, not suspect: a suspect is repaired as soon as it answers a
+// probe, which a merely slow node always does, and would loop through
+// exclusion and rebuild forever.
 func (m *Memory) checkStragglers() {
 	if m.transferring.Load() {
 		return // bulk state transfer in flight: EWMAs are not comparable
@@ -245,84 +200,24 @@ func (m *Memory) checkStragglers() {
 		if worst < 0 {
 			return
 		}
-		if m.degradeNode(worst, "straggler") {
-			m.stats.stragglerSuspects.Add(1)
-		}
+		m.observe(worst, healthEvent{kind: evStraggler})
 	}
 }
 
-// probeDegraded times a small read against each degraded node. Successful
-// probes keep the node's latency EWMA current for the health surface; once
-// degradeExitProbes consecutive probes land under the straggler floor the
-// slowness has genuinely passed and the node is routed through the full
-// rebuild (it may have missed best-effort writes while excluded). Probes
-// that fail outright count toward suspectProbeLimit and then death — a
-// degraded node that stops answering is just dead.
-func (m *Memory) probeDegraded() {
-	for _, i := range m.nodesInState(nodeDegraded) {
-		c, err := m.conn(i)
-		start := time.Now()
-		if err == nil {
-			var probe [1]byte
-			err = c.Read(replRegion, 0, probe[:])
-		}
-		if err != nil {
-			m.health[i].fastProbes.Store(0)
-			if m.health[i].probeFails.Add(1) >= suspectProbeLimit {
-				m.nodeFailed(i, err)
-			}
-			continue
-		}
-		lat := time.Since(start)
-		m.health[i].probeFails.Store(0)
-		m.health[i].ewma.Observe(float64(lat.Microseconds()))
-		if lat < m.cfg.StragglerMinLatency {
-			if m.health[i].fastProbes.Add(1) >= degradeExitProbes {
-				m.nodeFailed(i, errDegradedRepair)
-			}
-		} else {
-			m.health[i].fastProbes.Store(0)
-		}
-	}
-}
-
-// RecoverNodeNow synchronously attempts to reintegrate the named memory
-// node. It is the hook tests and the failure-recovery benchmarks use to
-// avoid waiting for the background manager's poll tick. A suspect node is
-// demoted to dead first so it goes through the full rebuild.
+// RecoverNodeNow runs one recovery-manager round for the named memory node
+// synchronously — a node not dead is probed (finding out a live node that
+// rebooted, sending a responsive suspect to repair), a node dead after that
+// is rebuilt — so tests need not wait for the background manager's tick.
 func (m *Memory) RecoverNodeNow(node string) error {
 	for i := range m.nodes {
 		if m.nodeName(i) == node {
-			if m.state[i].Load() == nodeSuspect {
-				m.nodeFailed(i, errSuspectRepair)
-			}
-			if m.state[i].Load() == nodeDegraded {
-				m.nodeFailed(i, errDegradedRepair)
-			}
-			if m.state[i].Load() == nodeLive {
-				// An apparently healthy node may have rebooted without the
-				// failure evidence having surfaced yet: an op parked on the
-				// old connection only completes with ErrFenced once the
-				// node's post-reboot epoch bump is observed. The populated
-				// marker disambiguates synchronously — the admin region is
-				// shared, so even a stale connection can read it, and a
-				// rebooted node reads empty.
-				if c, err := m.conn(i); err == nil {
-					if populated, err := readPopulated(c); err != nil {
-						m.noteConnError(i, c, err)
-					} else if !populated {
-						m.markNodeDead(i)
-					}
-				}
+			if m.state[i].Load() != nodeDead {
+				m.probe(i)
 			}
 			if m.state[i].Load() != nodeDead {
 				return nil
 			}
-			err := m.recoverNode(i)
-			if err == nil {
-				m.stats.nodeRecovered.Add(1)
-			}
-			return err
+			return m.recoverNode(i)
 		}
 	}
 	return fmt.Errorf("repmem: unknown memory node %q", node)
@@ -348,10 +243,9 @@ func (m *Memory) recoverNode(i int) error {
 		// replaced) the node already.
 		return nil
 	}
-	// Reconnect. The old connection (if any) was dropped on failure. A
-	// recovery attempt is deliberate, so it bypasses the redial circuit
-	// breaker rather than waiting out a backoff opened by the hot path.
-	m.redialers[i].reset()
+	// Reconnect (the old connection was dropped on failure), bypassing the
+	// circuit: a recovery attempt is deliberate.
+	m.health[i].closeCircuit()
 	c, err := m.conn(i)
 	if err != nil {
 		return err
@@ -390,7 +284,7 @@ func (m *Memory) rebuildSlot(i int, c rdma.Verbs) error {
 
 	// From here on the node receives every new append, apply, and direct
 	// write; reads still avoid it until the copy completes.
-	m.state[i].Store(nodeSyncing)
+	m.observe(i, healthEvent{kind: evRebuildStarted})
 
 	if err := m.copyDirectZone(i, c); err != nil {
 		m.nodeFailed(i, err)
@@ -404,14 +298,9 @@ func (m *Memory) rebuildSlot(i int, c rdma.Verbs) error {
 		m.nodeFailed(i, err)
 		return err
 	}
-	m.health[i].consecTimeouts.Store(0)
-	m.health[i].probeFails.Store(0)
-	m.health[i].fastProbes.Store(0)
-	m.health[i].corruptBlocks.Store(0)
-	m.health[i].ewma.Reset()
-	m.state[i].Store(nodeLive)
-	m.emit("node.recovered", m.nodeName(i), "")
-	m.publishMembership()
+	if !m.observe(i, healthEvent{kind: evRebuildDone}) {
+		return fmt.Errorf("repmem: node %s failed during its rebuild", m.nodeName(i))
+	}
 	return nil
 }
 
@@ -539,43 +428,4 @@ func (m *Memory) copyMainVerified(i int, c rdma.Verbs) error {
 		}
 	}
 	return nil
-}
-
-// LiveMemoryNodes returns the names of nodes currently serving reads.
-func (m *Memory) LiveMemoryNodes() []string {
-	var out []string
-	for _, i := range m.nodesInState(nodeLive) {
-		out = append(out, m.nodeName(i))
-	}
-	return out
-}
-
-// DeadMemoryNodes returns the names of nodes currently considered failed.
-func (m *Memory) DeadMemoryNodes() []string {
-	var out []string
-	for _, i := range m.nodesInState(nodeDead) {
-		out = append(out, m.nodeName(i))
-	}
-	return out
-}
-
-// SuspectMemoryNodes returns the names of nodes currently suspected gray:
-// excluded from quorum waits but still receiving writes best-effort.
-func (m *Memory) SuspectMemoryNodes() []string {
-	var out []string
-	for _, i := range m.nodesInState(nodeSuspect) {
-		out = append(out, m.nodeName(i))
-	}
-	return out
-}
-
-// DegradedMemoryNodes returns the names of nodes classified as persistently
-// slow: served around like suspects, but held out of the repair cycle until
-// their probe latency recovers.
-func (m *Memory) DegradedMemoryNodes() []string {
-	var out []string
-	for _, i := range m.nodesInState(nodeDegraded) {
-		out = append(out, m.nodeName(i))
-	}
-	return out
 }

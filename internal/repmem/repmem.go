@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,15 +76,6 @@ var (
 	ErrReconfigured = fmt.Errorf("%w: group reconfigured", ErrClosed)
 )
 
-// Node liveness states.
-const (
-	nodeLive     int32 = iota // serving reads, receiving writes
-	nodeDead                  // unreachable; excluded from everything
-	nodeSyncing               // reconnected; receiving writes, not yet readable
-	nodeSuspect               // gray: quorums stop waiting on it, writes continue best-effort
-	nodeDegraded              // persistently slow but responsive (WAN replica); served around without repair churn
-)
-
 // Dialer opens an RDMA connection to a memory node with the replicated
 // region held exclusively (at-most-one-connection fencing).
 type Dialer func(node string) (rdma.Verbs, error)
@@ -119,10 +111,6 @@ type Config struct {
 	// erasure coding the value is forced to ECBlockSize — the chunk is the
 	// physical unit of verification.
 	IntegrityBlockSize int
-	// CorruptSuspectAfter is the number of corrupt blocks detected on one
-	// node since its last rebuild after which the node is marked suspect
-	// and routed through a full rebuild (default 8; negative disables).
-	CorruptSuspectAfter int
 
 	// Term tags this coordinator's membership publications (see
 	// internal/memnode.AdminMembershipOffset); pass the election term that
@@ -150,50 +138,18 @@ type Config struct {
 	// re-promotion.
 	Latency *LatencyHooks
 
-	// SuspectAfter is the number of consecutive per-operation deadline
-	// expiries (rdma.ErrDeadline) after which a live node is marked suspect:
-	// quorum writes stop waiting on it while it keeps receiving writes
-	// best-effort (default 2). Suspicion requires a transport configured
-	// with an op deadline — without one, gray nodes are indistinguishable
-	// from slow ones.
-	SuspectAfter int
-	// DeadAfter is the number of consecutive deadline expiries after which
-	// a node is declared dead outright and handed to the recovery manager
-	// (default 16).
-	DeadAfter int
 	// StragglerMinLatency is the absolute EWMA floor below which the
 	// straggler check (EWMA above stragglerFactor × the fastest live node's)
 	// never fires, preventing false suspicion when all nodes are fast
 	// (default 2ms). It doubles as the degraded-exit threshold: a degraded
 	// node is readmitted (via rebuild) only after its probes drop back below
-	// this floor.
+	// this floor. The other health thresholds are constants (health.go).
 	StragglerMinLatency time.Duration
 }
 
-// Values no deployment, test or experiment ever set differently.
-const (
-	// applyWorkers bounds concurrent background appliers.
-	applyWorkers = 4
-	// stragglerFactor marks a live node degraded when its EWMA write latency
-	// exceeds this many times the fastest live node's (and the
-	// StragglerMinLatency floor); only nodes with stragglerMinSamples
-	// latency observations are judged.
-	stragglerFactor     = 16
-	stragglerMinSamples = 8
-	// suspectProbeLimit is how many consecutive failed probes a suspect or
-	// degraded node gets before being declared dead outright.
-	suspectProbeLimit = 4
-	// degradeExitProbes is how many consecutive probes below
-	// StragglerMinLatency a degraded node must answer before it is routed
-	// through a rebuild and readmitted as live. The hysteresis keeps a
-	// sustained-delay replica — one living across a WAN link — from
-	// oscillating through the suspect→repair→re-suspect cycle.
-	degradeExitProbes = 3
-	// redialBackoffMin and redialBackoffMax bound the jittered exponential
-	// backoff between reconnection attempts to a failed node.
-	redialBackoffMin = 10 * time.Millisecond
-	redialBackoffMax = 2 * time.Second
-)
+// applyWorkers bounds concurrent background appliers; no deployment, test
+// or experiment ever set it differently.
+const applyWorkers = 4
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -203,12 +159,6 @@ func (c *Config) withDefaults() Config {
 	if out.WALSlots <= 0 {
 		out.WALSlots = 32 * 1024
 	}
-	if out.SuspectAfter <= 0 {
-		out.SuspectAfter = 2
-	}
-	if out.DeadAfter <= 0 {
-		out.DeadAfter = 16
-	}
 	if out.StragglerMinLatency <= 0 {
 		out.StragglerMinLatency = 2 * time.Millisecond
 	}
@@ -217,9 +167,6 @@ func (c *Config) withDefaults() Config {
 		out.IntegrityBlockSize = out.ECBlockSize
 	case out.IntegrityBlockSize == 0:
 		out.IntegrityBlockSize = 4096
-	}
-	if out.CorruptSuspectAfter == 0 {
-		out.CorruptSuspectAfter = 8
 	}
 	if out.Epoch == 0 {
 		out.Epoch = 1
@@ -325,10 +272,6 @@ type Stats struct {
 	NodeTimeouts  uint64 // per-operation deadline expiries observed
 	NodeSuspected uint64 // live → suspect transitions (gray-failure detections)
 	NodeDegraded  uint64 // live → degraded transitions (sustained-slowness detections)
-	// StragglerSuspects counts trips of the EWMA straggler check; since the
-	// WAN-degradation work these route nodes into the degraded state rather
-	// than suspicion, so this is a subset of NodeDegraded.
-	StragglerSuspects uint64
 	// ReadRepairs counts read operations that triggered an inline block
 	// repair (a subset of BlocksRepaired is attributable to them).
 	ReadRepairs  uint64
@@ -370,13 +313,13 @@ type Memory struct {
 	// length are immutable; ReplaceNode rewrites single elements under
 	// nameMu, so element reads go through nodeName. Index-only uses
 	// (len, range-over-index) need no lock.
-	nodes     []string
-	nameMu    sync.RWMutex
-	conns     []atomic.Pointer[connBox]
-	dialMu    []sync.Mutex // per-node: serializes dial-and-store in conn
-	state     []atomic.Int32
-	health    []nodeHealth
-	redialers []*redialer
+	nodes  []string
+	nameMu sync.RWMutex
+	conns  []atomic.Pointer[connBox]
+	// state and health are the nodes' health records (health.go); the state
+	// words sit apart so writers read them off the lines completions write.
+	state  []atomic.Int32
+	health []nodeHealth
 
 	// epoch is the config epoch this member list is authoritative for; it
 	// starts at cfg.Epoch and is bumped by in-place replacement cutovers.
@@ -458,8 +401,7 @@ type Memory struct {
 		reads, remoteReads, decodedReads atomic.Uint64
 		nodeFailures, nodeRecovered      atomic.Uint64
 		nodeTimeouts, nodeSuspected      atomic.Uint64
-		nodeDegraded                     atomic.Uint64
-		stragglerSuspects, readRepairs   atomic.Uint64
+		nodeDegraded, readRepairs        atomic.Uint64
 		redials, redialErrors            atomic.Uint64
 		enqueued, queueWaitUs            atomic.Uint64
 		corruptions, repairs             atomic.Uint64
@@ -467,15 +409,6 @@ type Memory struct {
 		membershipPublishErrors          atomic.Uint64
 	}
 	scrubPassTime metrics.EWMA // full-sweep duration, µs
-}
-
-// nodeHealth tracks one node's gray-failure signals.
-type nodeHealth struct {
-	ewma           metrics.EWMA // write latency, µs
-	consecTimeouts atomic.Int32
-	probeFails     atomic.Int32  // consecutive failed suspect probes
-	fastProbes     atomic.Int32  // consecutive sub-floor probes while degraded
-	corruptBlocks  atomic.Uint64 // corrupt blocks detected since last rebuild
 }
 
 // connBox wraps a connection so a nil pointer distinguishes "never dialed".
@@ -494,7 +427,6 @@ func New(cfg Config) (*Memory, error) {
 		layout:    c.Layout(),
 		nodes:     append([]string(nil), c.MemoryNodes...),
 		conns:     make([]atomic.Pointer[connBox], len(c.MemoryNodes)),
-		dialMu:    make([]sync.Mutex, len(c.MemoryNodes)),
 		state:     make([]atomic.Int32, len(c.MemoryNodes)),
 		applied:   make(map[uint64]bool),
 		applySem:  make(chan struct{}, applyWorkers),
@@ -504,9 +436,8 @@ func New(cfg Config) (*Memory, error) {
 	m.epoch.Store(c.Epoch)
 	m.shadows = make([]atomic.Pointer[shadowNode], len(c.MemoryNodes))
 	m.health = make([]nodeHealth, len(c.MemoryNodes))
-	m.redialers = make([]*redialer, len(c.MemoryNodes))
-	for i, node := range c.MemoryNodes {
-		m.redialers[i] = newRedialer(node, c.Dial, redialBackoffMin, redialBackoffMax, int64(i)+1)
+	for i := range m.health {
+		m.health[i].rng = rand.New(rand.NewSource(int64(i) + 1))
 	}
 	m.geo = m.layout.WALGeometry()
 	m.slotPool, m.ecPool = bufPool(m.geo.SlotSize), new(sync.Pool)
@@ -525,7 +456,7 @@ func New(cfg Config) (*Memory, error) {
 	for i, node := range m.nodes {
 		conn, err := c.Dial(node)
 		if err != nil {
-			m.state[i].Store(nodeDead)
+			m.setState(i, nodeDead)
 			continue
 		}
 		m.conns[i].Store(&connBox{v: conn})
@@ -576,7 +507,7 @@ func New(cfg Config) (*Memory, error) {
 	if t, version, bitmap, ok := readMembershipAt(conns, c.Epoch); ok {
 		for i := range m.nodes {
 			if m.state[i].Load() == nodeLive && bitmap&(1<<uint(i)) == 0 {
-				m.state[i].Store(nodeDead)
+				m.setState(i, nodeDead)
 				m.stats.nodeFailures.Add(1)
 			}
 		}
@@ -623,7 +554,7 @@ func New(cfg Config) (*Memory, error) {
 			}
 		} else if !populated[i] {
 			// Stale/empty node among a populated group: rebuild it.
-			m.state[i].Store(nodeDead)
+			m.setState(i, nodeDead)
 			m.stats.nodeFailures.Add(1)
 			continue
 		}
@@ -807,9 +738,7 @@ func (m *Memory) Stats() Stats {
 		NodeTimeouts:  m.stats.nodeTimeouts.Load(),
 		NodeSuspected: m.stats.nodeSuspected.Load(),
 		NodeDegraded:  m.stats.nodeDegraded.Load(),
-
-		StragglerSuspects: m.stats.stragglerSuspects.Load(),
-		ReadRepairs:       m.stats.readRepairs.Load(),
+		ReadRepairs:   m.stats.readRepairs.Load(),
 
 		Redials:                 m.stats.redials.Load(),
 		RedialErrors:            m.stats.redialErrors.Load(),
@@ -863,33 +792,6 @@ func (m *Memory) getSlot() []byte { return *m.slotPool.Get().(*[]byte) }
 // putSlot recycles a slot buffer once no write referencing it is in flight.
 func (m *Memory) putSlot(b []byte) { m.slotPool.Put(&b) }
 
-// conn returns node i's connection, redialing through the node's
-// circuit-breaking redialer when it has been dropped. A node that was down
-// at connect time joins later through exactly this path.
-func (m *Memory) conn(i int) (rdma.Verbs, error) {
-	if b := m.conns[i].Load(); b != nil {
-		return b.v, nil
-	}
-	// Double-checked per-node lock: concurrent callers must not both dial,
-	// because the loser's exclusive-region Acquire would fence the winner's
-	// fresh connection (dialing at all revokes the prior holder).
-	m.dialMu[i].Lock()
-	defer m.dialMu[i].Unlock()
-	if b := m.conns[i].Load(); b != nil {
-		return b.v, nil
-	}
-	v, err := m.redialers[i].dialNow()
-	if err != nil {
-		if !errors.Is(err, ErrCircuitOpen) {
-			m.stats.redialErrors.Add(1)
-		}
-		return nil, err
-	}
-	m.stats.redials.Add(1)
-	m.conns[i].Store(&connBox{v: v})
-	return v, nil
-}
-
 // emit records a control-plane event against the named node, tagged with
 // this coordinator's term. Safe with no ring configured.
 func (m *Memory) emit(typ, node, detail string) {
@@ -900,172 +802,6 @@ func (m *Memory) emit(typ, node, detail string) {
 // high-water mark, for the status surface.
 func (m *Memory) QueueDepth() (current, max int64) {
 	return m.queueDepth.Current(), m.queueDepth.Max()
-}
-
-// nodeFailed records an operation failure against node i.
-func (m *Memory) nodeFailed(i int, err error) {
-	if errors.Is(err, rdma.ErrFenced) {
-		m.fence()
-		return
-	}
-	m.markNodeDead(i)
-}
-
-// markNodeDead declares node i dead and drops its connection so recovery
-// re-dials (re-acquiring the exclusive region, which fences nothing new
-// since we are the same owner logic).
-func (m *Memory) markNodeDead(i int) {
-	if m.state[i].Load() != nodeDead {
-		m.state[i].Store(nodeDead)
-		m.lastExclusion.Store(time.Now().UnixNano())
-		m.stats.nodeFailures.Add(1)
-		m.emit("node.dead", m.nodeName(i), "")
-		// Record the shrunken view for any successor coordinator, off the
-		// caller's hot path.
-		go m.publishMembership()
-	}
-	if b := m.conns[i].Swap(nil); b != nil {
-		b.v.Close()
-	}
-}
-
-// suspectNode marks a live node gray: quorum writes stop waiting on it,
-// reads avoid it, and it keeps receiving writes best-effort until it either
-// proves responsive (and is repaired through the recovery path) or is
-// declared dead. reason names the signal that tripped the suspicion
-// ("timeouts", "straggler", "corruption") for the event log; it returns
-// whether this call performed the live→suspect transition.
-func (m *Memory) suspectNode(i int, reason string) bool {
-	if m.state[i].CompareAndSwap(nodeLive, nodeSuspect) {
-		m.lastExclusion.Store(time.Now().UnixNano())
-		m.stats.nodeSuspected.Add(1)
-		m.emit("node.suspect", m.nodeName(i), reason)
-		// The node may miss best-effort writes from here on; record its
-		// absence for any successor coordinator, off the caller's hot path.
-		go m.publishMembership()
-		return true
-	}
-	return false
-}
-
-// degradeNode marks a live node degraded: persistently slow but answering.
-// Like a suspect it leaves the read set, the quorum-wait fast path, and the
-// published membership (it may miss best-effort writes, so it must be rebuilt
-// before serving reads again) — but unlike a suspect the recovery manager
-// does not try to repair it while it stays slow. Repair would succeed, reset
-// the latency EWMA, and re-arm the straggler check for another round of
-// suspicion: the live→suspect→repair→re-suspect oscillation this state
-// exists to end. The node instead sits out, health-reported and probed, until
-// its probes come back under the straggler floor for degradeExitProbes
-// consecutive rounds.
-func (m *Memory) degradeNode(i int, reason string) bool {
-	if m.state[i].CompareAndSwap(nodeLive, nodeDegraded) {
-		m.lastExclusion.Store(time.Now().UnixNano())
-		m.stats.nodeDegraded.Add(1)
-		m.health[i].fastProbes.Store(0)
-		m.emit("node.degraded", m.nodeName(i), reason)
-		// The node may miss best-effort writes from here on; record its
-		// absence for any successor coordinator, off the caller's hot path.
-		go m.publishMembership()
-		return true
-	}
-	return false
-}
-
-// noteCorruption records n corrupt-block observations against node i and
-// feeds the live→suspect state machine: a node silently flipping bits is as
-// untrustworthy as a hung one, and only a full rebuild (which also resets
-// the count) clears the suspicion.
-func (m *Memory) noteCorruption(i, n int) {
-	if n <= 0 {
-		return
-	}
-	m.stats.corruptions.Add(uint64(n))
-	total := m.health[i].corruptBlocks.Add(uint64(n))
-	if m.cfg.CorruptSuspectAfter > 0 && total >= uint64(m.cfg.CorruptSuspectAfter) {
-		m.suspectNode(i, "corruption")
-	}
-}
-
-// fencedByTakeover distinguishes the two causes of an ErrFenced observed on
-// node i's current connection. A newer coordinator acquiring the exclusive
-// region leaves the node's state intact (populated marker set) and, in
-// cluster use, has stamped a higher election term into the node's heartbeat
-// word; the node itself rebooting or being reset clears the populated
-// marker when it bumps the epoch (memnode.Reset). The admin region is
-// shared (epoch 0), so it stays readable on the fenced connection. When the
-// admin region cannot be read at all the call reports a takeover — the
-// conservative, self-fencing answer.
-func (m *Memory) fencedByTakeover(c rdma.Verbs) bool {
-	var buf [8]byte
-	if err := c.Read(memnode.AdminRegionID, memnode.AdminWordOffset, buf[:]); err == nil {
-		w := binary.LittleEndian.Uint64(buf[:])
-		if term := uint16(w >> 48); term > m.cfg.Term {
-			return true
-		}
-	}
-	populated, err := readPopulated(c)
-	return err != nil || populated
-}
-
-// noteConnError is noteNodeError for callers that know which connection the
-// failed op used.
-//
-// A completion from a connection that is no longer node i's current one is
-// dropped entirely: the failure was already accounted for when that
-// connection was torn down, and attributing it again would kill the node's
-// fresh connection (or, for ErrFenced raced by our own redial, fence the
-// whole memory over a takeover that never happened).
-//
-// ErrFenced on the current connection is further disambiguated: the node
-// itself rebooting bumps the region epoch just like a takeover does, but
-// leaves its populated marker cleared — that is an ordinary node failure
-// for the recovery manager, not a reason to stand down as coordinator.
-func (m *Memory) noteConnError(i int, c rdma.Verbs, err error) {
-	if c != nil {
-		if b := m.conns[i].Load(); b == nil || b.v != c {
-			return
-		}
-		if errors.Is(err, rdma.ErrFenced) && !m.fencedByTakeover(c) {
-			m.markNodeDead(i)
-			return
-		}
-	}
-	m.noteNodeError(i, err)
-}
-
-// noteNodeError classifies a failed operation against node i. Deadline
-// expiries feed the gray-failure accounting — a hung peer is suspected
-// after SuspectAfter consecutive timeouts and declared dead after
-// DeadAfter — while every other error means the transport itself failed
-// and the node is declared dead immediately.
-func (m *Memory) noteNodeError(i int, err error) {
-	if err == nil {
-		return
-	}
-	if errors.Is(err, rdma.ErrDeadline) {
-		m.stats.nodeTimeouts.Add(1)
-		n := int(m.health[i].consecTimeouts.Add(1))
-		if n >= m.cfg.DeadAfter {
-			m.nodeFailed(i, err)
-		} else if n >= m.cfg.SuspectAfter {
-			m.suspectNode(i, "timeouts")
-		}
-		return
-	}
-	m.nodeFailed(i, err)
-}
-
-// noteOpResult records a completed write against node i: successes feed the
-// EWMA latency and clear the timeout streak, failures go through
-// noteNodeError.
-func (m *Memory) noteOpResult(i int, c rdma.Verbs, lat time.Duration, err error) {
-	if err == nil {
-		m.health[i].ewma.Observe(float64(lat.Microseconds()))
-		m.health[i].consecTimeouts.Store(0)
-		return
-	}
-	m.noteConnError(i, c, err)
 }
 
 // fence marks the memory as fenced and fires the callback once.
@@ -1096,7 +832,7 @@ func (m *Memory) checkOpen() error {
 	return nil
 }
 
-// liveNodes returns indexes of nodes in the given state.
+// nodesInState returns the indexes of the nodes in state s.
 func (m *Memory) nodesInState(s int32) []int {
 	out := make([]int, 0, len(m.nodes))
 	for i := range m.nodes {
@@ -1146,54 +882,6 @@ func (m *Memory) writeTargetsInto(need int, wait, bestEffort []int) ([]int, []in
 		bestEffort = bestEffort[:0]
 	}
 	return wait, bestEffort
-}
-
-// NodeHealth is one memory node's gray-failure view, exported for the
-// cluster health surface and the chaos tests.
-type NodeHealth struct {
-	Node           string
-	State          string        // "live", "suspect", "degraded", "syncing", or "dead"
-	EWMALatencyUs  float64       // smoothed write latency in microseconds
-	ConsecTimeouts int           // current consecutive deadline-expiry streak
-	RedialFailures int           // consecutive failed reconnection attempts
-	RedialBackoff  time.Duration // time until the next redial attempt; 0 when the circuit is closed
-	Corruptions    uint64        // corrupt blocks detected on this node since its last rebuild
-}
-
-// Health snapshots every node's liveness state, latency EWMA, timeout
-// streak, and redial circuit-breaker state.
-func (m *Memory) Health() []NodeHealth {
-	out := make([]NodeHealth, len(m.nodes))
-	for i := range m.nodes {
-		failures, openFor := m.redialers[i].snapshot()
-		out[i] = NodeHealth{
-			Node:           m.nodeName(i),
-			State:          stateName(m.state[i].Load()),
-			EWMALatencyUs:  m.health[i].ewma.Value(),
-			ConsecTimeouts: int(m.health[i].consecTimeouts.Load()),
-			RedialFailures: failures,
-			RedialBackoff:  openFor,
-			Corruptions:    m.health[i].corruptBlocks.Load(),
-		}
-	}
-	return out
-}
-
-func stateName(s int32) string {
-	switch s {
-	case nodeLive:
-		return "live"
-	case nodeDead:
-		return "dead"
-	case nodeSyncing:
-		return "syncing"
-	case nodeSuspect:
-		return "suspect"
-	case nodeDegraded:
-		return "degraded"
-	default:
-		return "unknown"
-	}
 }
 
 // Close tears down all connections and stops background work. It does not

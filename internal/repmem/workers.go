@@ -341,7 +341,7 @@ func (m *Memory) sendFlight(i int, reqs []nodeReq) {
 	// the write path itself, not only by the recovery manager.
 	conn, err := m.conn(i)
 	if err != nil {
-		m.noteNodeError(i, err)
+		m.noteConnError(i, nil, err)
 		for _, r := range reqs {
 			r.done(err)
 		}

@@ -85,8 +85,6 @@ func (cl *Cluster) initObs() {
 		mem(func(s repmem.Stats) uint64 { return s.NodeSuspected }))
 	reg.CounterFunc("sift_repmem_node_degraded_total", "Live-to-degraded transitions (sustained-slowness detections).",
 		mem(func(s repmem.Stats) uint64 { return s.NodeDegraded }))
-	reg.CounterFunc("sift_repmem_straggler_suspects_total", "Suspicions raised by the EWMA straggler check.",
-		mem(func(s repmem.Stats) uint64 { return s.StragglerSuspects }))
 	reg.CounterFunc("sift_repmem_read_repairs_total", "Reads that triggered an inline block repair.",
 		mem(func(s repmem.Stats) uint64 { return s.ReadRepairs }))
 	reg.CounterFunc("sift_repmem_corruptions_total", "Replica blocks that failed their checksum or diverged.",

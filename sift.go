@@ -136,10 +136,6 @@ type Config struct {
 	// detect hung-but-connected (gray) memory nodes. Default 1s; negative
 	// disables per-operation deadlines entirely.
 	OpDeadline time.Duration
-	// SuspectAfter is the consecutive deadline-expiry count after which a
-	// memory node is suspected gray (excluded from quorum waits, written
-	// best-effort; default 2). After 16 it is declared dead.
-	SuspectAfter int
 	// StragglerMinLatency is the floor of the EWMA straggler detector: a
 	// live memory node whose commit-latency EWMA exceeds both 16 × the
 	// fastest node's EWMA and this floor is moved to the degraded state —

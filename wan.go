@@ -19,10 +19,6 @@ const wanOpHeader = 32
 // zero value is invalid — at least one of Replica or ClientWAN must select
 // a WAN path.
 type WANConfig struct {
-	// Profile names a netsim impairment preset for the WAN links:
-	// "cross-region", "congested", or "lossy-wifi" (see netsim.PresetNames).
-	// Empty builds a profile from the scalar fields below instead.
-	Profile string
 	// RTT is the WAN round-trip propagation time (default 40ms).
 	RTT time.Duration
 	// Jitter adds a uniform extra one-way delay in [0, Jitter) per packet.
@@ -51,18 +47,11 @@ type WANConfig struct {
 	// paths, leaving plain per-packet retransmission (the ARQ baseline the
 	// degradation experiments compare against).
 	DisableFEC bool
-	// FECData and FECMaxParity override the FEC flight geometry: k data
-	// shards (default 4) and the adaptive parity ceiling (default k).
-	FECData      int
-	FECMaxParity int
 }
 
 // impairment resolves the configured WAN link profile into a template
 // Impairment; per-link instances are forked from it with distinct seeds.
-func (w *WANConfig) impairment(seed int64) (*netsim.Impairment, error) {
-	if w.Profile != "" {
-		return netsim.Preset(w.Profile, seed)
-	}
+func (w *WANConfig) impairment(seed int64) *netsim.Impairment {
 	rtt := w.RTT
 	if rtt <= 0 {
 		rtt = 40 * time.Millisecond
@@ -81,7 +70,7 @@ func (w *WANConfig) impairment(seed int64) (*netsim.Impairment, error) {
 		im.Loss = netsim.NewGilbertElliottRate(w.LossRate, burst, seed)
 	}
 	im.Seed(seed)
-	return im, nil
+	return im
 }
 
 // wanState is a cluster's live WAN wiring: the shared adaptive-FEC
@@ -103,14 +92,9 @@ func (cl *Cluster) initWAN() error {
 		return fmt.Errorf("sift: WAN config selects no WAN path (set Replica and/or ClientWAN)")
 	}
 	seed := cl.cfg.Seed ^ 0x57414e // decorrelate from election/backoff seeds
-	base, err := w.impairment(seed)
-	if err != nil {
-		return err
-	}
+	base := w.impairment(seed)
 	ws := &wanState{cfg: w, base: base}
 	ws.tr = wantransport.New(wantransport.Config{
-		Data:       w.FECData,
-		MaxParity:  w.FECMaxParity,
 		RTT:        base.RTT(),
 		DisableFEC: w.DisableFEC,
 	})
