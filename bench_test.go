@@ -29,7 +29,7 @@ func BenchmarkPipelinedPut(b *testing.B) {
 		b.Run(fmt.Sprintf("%dclients", clients), func(b *testing.B) {
 			params := deploy.Params{
 				F: 1, Keys: 1024, MaxValue: 128,
-				KVWALSlots: 512, MemWALSlots: 512, MemWALSlotSize: 512,
+				KVWALSlots: 512,
 			}
 			kcfg, mcfg, err := params.Derive()
 			if err != nil {

@@ -89,15 +89,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	network := rdma.NewNetwork(fabric)
 
 	kcfg, mcfg, err := deploy.Params{
-		F:              c.F,
-		EC:             c.ErasureCoding,
-		Keys:           c.Keys,
-		MaxKey:         c.MaxKeySize,
-		MaxValue:       c.MaxValueSize,
-		CacheFraction:  c.CacheFraction,
-		KVWALSlots:     c.KVWALSlots,
-		MemWALSlots:    c.MemWALSlots,
-		MemWALSlotSize: c.MemWALSlotSize,
+		F:             c.F,
+		EC:            c.ErasureCoding,
+		Keys:          c.Keys,
+		MaxKey:        c.MaxKeySize,
+		MaxValue:      c.MaxValueSize,
+		CacheFraction: c.CacheFraction,
+		KVWALSlots:    c.KVWALSlots,
 	}.Derive()
 	if err != nil {
 		return nil, err

@@ -25,25 +25,21 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":7000", "listen address for RDMA-over-TCP")
-		f           = flag.Int("f", 1, "fault tolerance level F")
-		ec          = flag.Bool("ec", false, "erasure-coded deployment")
-		keys        = flag.Int("keys", 16384, "key-value store capacity")
-		maxKey      = flag.Int("max-key", 32, "maximum key size in bytes")
-		maxValue    = flag.Int("max-value", 992, "maximum value size in bytes")
-		kvWALSlots  = flag.Int("kv-wal-slots", 4096, "key-value log entries")
-		memWALSlots = flag.Int("mem-wal-slots", 1024, "replicated-memory log entries")
-		memWALSlot  = flag.Int("mem-wal-slot-size", 4096, "replicated-memory log slot bytes")
-		debugAddr   = flag.String("debug-addr", "", "debug HTTP listen address serving /metrics, /healthz, /statusz, /debug/pprof ('' disables)")
+		addr       = flag.String("addr", ":7000", "listen address for RDMA-over-TCP")
+		f          = flag.Int("f", 1, "fault tolerance level F")
+		ec         = flag.Bool("ec", false, "erasure-coded deployment")
+		keys       = flag.Int("keys", 16384, "key-value store capacity")
+		maxKey     = flag.Int("max-key", 32, "maximum key size in bytes")
+		maxValue   = flag.Int("max-value", 992, "maximum value size in bytes")
+		kvWALSlots = flag.Int("kv-wal-slots", 4096, "key-value log entries")
+		debugAddr  = flag.String("debug-addr", "", "debug HTTP listen address serving /metrics, /healthz, /statusz, /debug/pprof ('' disables)")
 	)
 	flag.Parse()
 
 	params := deploy.Params{
 		F: *f, EC: *ec,
 		Keys: *keys, MaxKey: *maxKey, MaxValue: *maxValue,
-		KVWALSlots:     *kvWALSlots,
-		MemWALSlots:    *memWALSlots,
-		MemWALSlotSize: *memWALSlot,
+		KVWALSlots: *kvWALSlots,
 	}
 	layout, err := params.Layout()
 	if err != nil {
@@ -62,8 +58,6 @@ func main() {
 		obs.RegisterProcess(reg)
 		reg.GaugeFunc("sift_memnode_repl_bytes", "Replicated region size in bytes.",
 			func() float64 { return float64(layout.ReplSize()) })
-		reg.GaugeFunc("sift_memnode_wal_slots", "Replicated-memory WAL slots.",
-			func() float64 { return float64(layout.WALSlots) })
 		statusz := func() any {
 			return map[string]any{
 				"addr":        *addr,

@@ -39,22 +39,20 @@ import (
 
 func main() {
 	var (
-		id          = flag.Uint("id", 1, "CPU node id (unique per group)")
-		listen      = flag.String("listen", ":8000", "client RPC listen address")
-		mem         = flag.String("mem", "", "comma-separated memory node addresses (2F+1)")
-		f           = flag.Int("f", 1, "fault tolerance level F")
-		ec          = flag.Bool("ec", false, "erasure-coded deployment")
-		keys        = flag.Int("keys", 16384, "key-value store capacity")
-		maxKey      = flag.Int("max-key", 32, "maximum key size in bytes")
-		maxValue    = flag.Int("max-value", 992, "maximum value size in bytes")
-		kvWALSlots  = flag.Int("kv-wal-slots", 4096, "key-value log entries")
-		memWALSlots = flag.Int("mem-wal-slots", 1024, "replicated-memory log entries")
-		memWALSlot  = flag.Int("mem-wal-slot-size", 4096, "replicated-memory log slot bytes")
-		heartbeat   = flag.Duration("heartbeat", 7*time.Millisecond, "heartbeat write/read interval")
-		missed      = flag.Int("missed-beats", 3, "missed heartbeats before election")
-		opDeadline  = flag.Duration("op-deadline", time.Second, "per-operation RDMA deadline (0 disables; hung memory nodes fail ops with rdma.ErrDeadline)")
-		scrubEvery  = flag.Duration("scrub-interval", 50*time.Millisecond, "background integrity scrub tick (0 disables)")
-		debugAddr   = flag.String("debug-addr", "", "debug HTTP listen address serving /metrics, /healthz, /statusz, /events, /debug/pprof ('' disables)")
+		id         = flag.Uint("id", 1, "CPU node id (unique per group)")
+		listen     = flag.String("listen", ":8000", "client RPC listen address")
+		mem        = flag.String("mem", "", "comma-separated memory node addresses (2F+1)")
+		f          = flag.Int("f", 1, "fault tolerance level F")
+		ec         = flag.Bool("ec", false, "erasure-coded deployment")
+		keys       = flag.Int("keys", 16384, "key-value store capacity")
+		maxKey     = flag.Int("max-key", 32, "maximum key size in bytes")
+		maxValue   = flag.Int("max-value", 992, "maximum value size in bytes")
+		kvWALSlots = flag.Int("kv-wal-slots", 4096, "key-value log entries")
+		heartbeat  = flag.Duration("heartbeat", 7*time.Millisecond, "heartbeat write/read interval")
+		missed     = flag.Int("missed-beats", 3, "missed heartbeats before election")
+		opDeadline = flag.Duration("op-deadline", time.Second, "per-operation RDMA deadline (0 disables; hung memory nodes fail ops with rdma.ErrDeadline)")
+		scrubEvery = flag.Duration("scrub-interval", 50*time.Millisecond, "background integrity scrub tick (0 disables)")
+		debugAddr  = flag.String("debug-addr", "", "debug HTTP listen address serving /metrics, /healthz, /statusz, /events, /debug/pprof ('' disables)")
 	)
 	flag.Parse()
 
@@ -66,9 +64,7 @@ func main() {
 	params := deploy.Params{
 		F: *f, EC: *ec,
 		Keys: *keys, MaxKey: *maxKey, MaxValue: *maxValue,
-		KVWALSlots:     *kvWALSlots,
-		MemWALSlots:    *memWALSlots,
-		MemWALSlotSize: *memWALSlot,
+		KVWALSlots: *kvWALSlots,
 	}
 	kcfg, mcfg, err := params.Derive()
 	if err != nil {
@@ -87,7 +83,6 @@ func main() {
 	events := obs.NewRing(obs.DefaultRingSize)
 	latency := &repmem.LatencyHooks{}
 	mcfg.Latency = latency
-	reg.Observe("sift_repmem_write_seconds", "Logged write commit latency (WAL append quorum).", &latency.Write)
 	reg.Observe("sift_repmem_direct_write_seconds", "Direct-zone write commit latency.", &latency.DirectWrite)
 	reg.Observe("sift_repmem_read_seconds", "Main-space read latency.", &latency.Read)
 	reg.Observe("sift_repmem_quorum_wait_seconds", "Quorum ack wait inside a write fan-out.", &latency.Quorum)
@@ -130,8 +125,8 @@ func main() {
 			return 0
 		}
 	}
-	reg.CounterFunc("sift_repmem_quorum_writes_total", "Writes committed on a majority (logged + direct).",
-		memStat(func(s repmem.Stats) uint64 { return s.Writes + s.DirectWrites }))
+	reg.CounterFunc("sift_repmem_quorum_writes_total", "Direct-zone writes committed on a majority.",
+		memStat(func(s repmem.Stats) uint64 { return s.DirectWrites }))
 	reg.CounterFunc("sift_repmem_reads_total", "Main-space reads served.",
 		memStat(func(s repmem.Stats) uint64 { return s.Reads }))
 	reg.CounterFunc("sift_repmem_node_failures_total", "Memory node failure detections.",

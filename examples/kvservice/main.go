@@ -52,8 +52,7 @@ func main() {
 		}
 	}
 
-	sizing := []string{"-keys", "2048", "-max-value", "256", "-kv-wal-slots", "512",
-		"-mem-wal-slots", "256", "-mem-wal-slot-size", "1024"}
+	sizing := []string{"-keys", "2048", "-max-value", "256", "-kv-wal-slots", "512"}
 
 	// Start 2F+1 = 3 memory nodes.
 	var memAddrs []string

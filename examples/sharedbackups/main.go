@@ -27,8 +27,7 @@ func main() {
 	fabric := netsim.NewFabric(nil)
 	network := rdma.NewNetwork(fabric)
 
-	params := deploy.Params{F: 1, Keys: 512, MaxValue: 128, KVWALSlots: 128,
-		MemWALSlots: 128, MemWALSlotSize: 1024}
+	params := deploy.Params{F: 1, Keys: 512, MaxValue: 128, KVWALSlots: 128}
 	kcfg, mcfg, err := params.Derive()
 	if err != nil {
 		log.Fatal(err)

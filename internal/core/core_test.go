@@ -31,8 +31,6 @@ func newGroupEnv(t *testing.T, memNodes int) *groupEnv {
 	}
 	mcfg := repmem.Config{
 		DirectSize:         kcfg.RequiredDirectSize(),
-		WALSlots:           32,
-		WALSlotSize:        512,
 		IntegrityBlockSize: kcfg.BlockSize(),
 	}
 	mcfg.MemSize = kcfg.RequiredMemSize(mcfg.WriteAlign())

@@ -23,7 +23,7 @@ func TestFullGroupOverTCP(t *testing.T) {
 	}
 	params := deploy.Params{
 		F: 1, Keys: 256, MaxValue: 64,
-		KVWALSlots: 64, MemWALSlots: 64, MemWALSlotSize: 512,
+		KVWALSlots: 64,
 	}
 	kcfg, mcfg, err := params.Derive()
 	if err != nil {

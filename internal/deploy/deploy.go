@@ -25,9 +25,6 @@ type Params struct {
 	MaxValue      int
 	CacheFraction float64
 	KVWALSlots    int
-	// Replicated-memory log sizing.
-	MemWALSlots    int
-	MemWALSlotSize int
 }
 
 func (p *Params) withDefaults() Params {
@@ -50,12 +47,6 @@ func (p *Params) withDefaults() Params {
 	if out.KVWALSlots <= 0 {
 		out.KVWALSlots = 4096
 	}
-	if out.MemWALSlots <= 0 {
-		out.MemWALSlots = 1024
-	}
-	if out.MemWALSlotSize <= 0 {
-		out.MemWALSlotSize = 4096
-	}
 	return out
 }
 
@@ -74,10 +65,7 @@ func (p Params) Derive() (kv.Config, repmem.Config, error) {
 	if err := kcfg.Validate(); err != nil {
 		return kv.Config{}, repmem.Config{}, err
 	}
-	mcfg := repmem.Config{
-		WALSlots:    pp.MemWALSlots,
-		WALSlotSize: pp.MemWALSlotSize,
-	}
+	var mcfg repmem.Config
 	if pp.EC {
 		k := pp.F + 1
 		mcfg.ECData = k

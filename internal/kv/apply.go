@@ -442,13 +442,13 @@ func (s *Store) bitmapWrites(ov *overlay, stage int, blocks []uint64) {
 	}
 }
 
-// writeStage sends one flight. The KV log already provides durability, so
-// these are unlogged writes (§3.3.2).
+// writeStage sends one flight. The KV log provides the durability, so the
+// flight is written straight to the materialized memory (§3.3.2).
 func (s *Store) writeStage(writes []wal.Write) error {
 	if len(writes) == 0 {
 		return nil
 	}
-	return s.mem.UnloggedWriteBatch(writes)
+	return s.mem.WriteBatch(writes)
 }
 
 // applyLoop drains one shard's task queue, a batch at a time.

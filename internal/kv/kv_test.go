@@ -37,10 +37,7 @@ type env struct {
 // newKVEnv builds a 3-memory-node group sized for cfg, with optional EC.
 func newKVEnv(t *testing.T, cfg Config, ec bool) *env {
 	t.Helper()
-	mcfg := repmem.Config{
-		WALSlots:    64,
-		WALSlotSize: 512,
-	}
+	var mcfg repmem.Config
 	if ec {
 		mcfg.ECData = 2
 		mcfg.ECParity = 1

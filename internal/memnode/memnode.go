@@ -8,16 +8,16 @@
 //   - The administrative region holds the heartbeat/election word
 //     (term_id, node_id, timestamp) and is shared: every CPU node may CAS it.
 //   - The replicated memory region is exclusive (at-most-one-connection) and
-//     is subdivided into the replicated-memory write-ahead log, a
-//     direct-write zone (unlogged, used by the key-value store's own WAL),
-//     and the materialized replicated memory.
+//     is subdivided into a direct-write zone (unlogged, holding the
+//     key-value store's own write-ahead log), the materialized replicated
+//     memory, and the materialized memory's checksum strip. The paper's
+//     memory-level log is the key-value store's log: nothing else writes one.
 package memnode
 
 import (
 	"fmt"
 
 	"github.com/repro/sift/internal/rdma"
-	"github.com/repro/sift/internal/wal"
 )
 
 // Region ids used by every Sift memory node.
@@ -135,10 +135,8 @@ func UnpackServing(w uint64) (epoch uint32, term uint16) {
 // Layout describes how a memory node's replicated region is carved up.
 // All coordinators of a group must agree on the layout.
 type Layout struct {
-	// WALSlotSize and WALSlots define the replicated-memory write-ahead log.
-	WALSlotSize int
-	WALSlots    int
-	// DirectSize is the size of the direct-write zone (full copy per node).
+	// DirectSize is the size of the direct-write zone (full copy per node),
+	// which starts at region offset 0.
 	DirectSize int
 	// MainSize is the per-node size of the materialized memory: the full
 	// logical memory size without erasure coding, or the chunked share
@@ -153,28 +151,17 @@ type Layout struct {
 
 // Validate checks the layout for consistency.
 func (l Layout) Validate() error {
-	if err := l.WALGeometry().Validate(); err != nil {
-		return err
-	}
 	if l.DirectSize < 0 || l.MainSize <= 0 || l.IntegrityBlockSize < 0 {
 		return fmt.Errorf("memnode: invalid layout %+v", l)
 	}
 	return nil
 }
 
-// WALGeometry returns the WAL's placement (slot 0 at region offset 0).
-func (l Layout) WALGeometry() wal.Geometry {
-	return wal.Geometry{Base: 0, SlotSize: l.WALSlotSize, Slots: l.WALSlots}
-}
-
-// WALBytes returns the WAL area size.
-func (l Layout) WALBytes() int { return l.WALSlotSize * l.WALSlots }
-
 // DirectBase returns the region offset of the direct-write zone.
-func (l Layout) DirectBase() uint64 { return uint64(l.WALBytes()) }
+func (l Layout) DirectBase() uint64 { return 0 }
 
 // MainBase returns the region offset of the materialized memory.
-func (l Layout) MainBase() uint64 { return uint64(l.WALBytes() + l.DirectSize) }
+func (l Layout) MainBase() uint64 { return uint64(l.DirectSize) }
 
 // IntegritySlots returns the number of checksum strip entries: one per
 // IntegrityBlockSize bytes of the node's materialized memory, with a final
@@ -190,10 +177,10 @@ func (l Layout) IntegritySlots() int {
 func (l Layout) IntegrityBytes() int { return 4 * l.IntegritySlots() }
 
 // IntegrityBase returns the region offset of the checksum strip. The strip
-// sits after the materialized memory so enabling it never shifts the WAL,
-// direct-zone, or main-memory offsets.
+// sits after the materialized memory, so the direct-zone and main-memory
+// offsets do not depend on the integrity block size.
 func (l Layout) IntegrityBase() uint64 {
-	return uint64(l.WALBytes() + l.DirectSize + l.MainSize)
+	return uint64(l.DirectSize + l.MainSize)
 }
 
 // IntegrityOffset returns the region offset of strip entry b.
@@ -201,7 +188,7 @@ func (l Layout) IntegrityOffset(b uint64) uint64 { return l.IntegrityBase() + 4*
 
 // ReplSize returns the total replicated region size.
 func (l Layout) ReplSize() int {
-	return l.WALBytes() + l.DirectSize + l.MainSize + l.IntegrityBytes()
+	return l.DirectSize + l.MainSize + l.IntegrityBytes()
 }
 
 // New constructs a memory node with the standard admin and replicated

@@ -7,7 +7,7 @@ import (
 )
 
 func testLayout() Layout {
-	return Layout{WALSlotSize: 256, WALSlots: 16, DirectSize: 1024, MainSize: 4096}
+	return Layout{DirectSize: 1024, MainSize: 4096}
 }
 
 func TestLayoutMath(t *testing.T) {
@@ -15,26 +15,26 @@ func TestLayoutMath(t *testing.T) {
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if l.WALBytes() != 4096 {
-		t.Fatalf("WALBytes = %d", l.WALBytes())
-	}
-	if l.DirectBase() != 4096 {
+	if l.DirectBase() != 0 {
 		t.Fatalf("DirectBase = %d", l.DirectBase())
 	}
-	if l.MainBase() != 5120 {
+	if l.MainBase() != 1024 {
 		t.Fatalf("MainBase = %d", l.MainBase())
 	}
-	if l.ReplSize() != 4096+1024+4096 {
+	if l.ReplSize() != 1024+4096 {
 		t.Fatalf("ReplSize = %d", l.ReplSize())
 	}
-	g := l.WALGeometry()
-	if g.Slots != 16 || g.SlotSize != 256 || g.Base != 0 {
-		t.Fatalf("geometry %+v", g)
+	l.IntegrityBlockSize = 1000 // a short final block still gets an entry
+	if l.IntegritySlots() != 5 || l.IntegrityBase() != 1024+4096 || l.IntegrityOffset(2) != 1024+4096+8 {
+		t.Fatalf("strip: %d slots at %d, entry 2 at %d", l.IntegritySlots(), l.IntegrityBase(), l.IntegrityOffset(2))
+	}
+	if l.ReplSize() != 1024+4096+20 {
+		t.Fatalf("ReplSize with strip = %d", l.ReplSize())
 	}
 }
 
 func TestLayoutValidate(t *testing.T) {
-	bad := Layout{WALSlotSize: 4, WALSlots: 0, MainSize: 0}
+	bad := Layout{MainSize: 0}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("invalid layout accepted")
 	}

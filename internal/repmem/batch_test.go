@@ -13,7 +13,7 @@ import (
 
 // batchCfg is a small checksummed memory of 1 KiB blocks, plain or EC.
 func batchCfg(ec bool) Config {
-	cfg := Config{MemSize: 64 << 10, DirectSize: 4 << 10, WALSlots: 16, WALSlotSize: 512, IntegrityBlockSize: 1024}
+	cfg := Config{MemSize: 64 << 10, DirectSize: 4 << 10, IntegrityBlockSize: 1024}
 	if ec {
 		cfg.ECData, cfg.ECParity, cfg.ECBlockSize = 2, 1, 1024
 	}
@@ -62,7 +62,7 @@ func TestWriteBatchSharedBlockKeepsEveryWrite(t *testing.T) {
 		m, logs := loggedMemory(t, batchCfg(ec))
 		old := bytes.Repeat([]byte{0xEE}, 1024)
 		for _, b := range []uint64{2, 7} {
-			if err := m.UnloggedWrite(b*1024, old); err != nil {
+			if err := m.Write(b*1024, old); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -74,7 +74,7 @@ func TestWriteBatchSharedBlockKeepsEveryWrite(t *testing.T) {
 		}
 
 		writes := mixedBatch(0)
-		if err := m.UnloggedWriteBatch(writes); err != nil {
+		if err := m.WriteBatch(writes); err != nil {
 			t.Fatal(err)
 		}
 
@@ -132,7 +132,7 @@ func TestWriteBatchTakesItsRangesAtOnce(t *testing.T) {
 	m.locks.acquire(shared, held)
 	writes := mixedBatch(0)
 	done := make(chan error, 1)
-	go func() { done <- m.UnloggedWriteBatch(writes) }()
+	go func() { done <- m.WriteBatch(writes) }()
 	mustQueue(t, &m.locks, 1)
 	for name, l := range logs {
 		if subs, _ := l.snapshot(); len(subs) != 0 {
@@ -168,7 +168,7 @@ func TestWriteBatchBestEffortCopyCarriesEverySegment(t *testing.T) {
 		m := newMemory(t, cfg)
 		m.setState(2, nodeSuspect)
 		writes := mixedBatch(0)
-		if err := m.UnloggedWriteBatch(writes); err != nil {
+		if err := m.WriteBatch(writes); err != nil {
 			t.Fatal(err)
 		}
 		// Every block the batch touched: the suspect's bytes match the strip
@@ -223,7 +223,7 @@ func TestWriteBatchesRaceShadowsSuspectsAndClose(t *testing.T) {
 					for k := range writes {
 						writes[k].Addr += uint64(w) * 12 * 1024
 					}
-					if err := m.UnloggedWriteBatch(writes); err != nil {
+					if err := m.WriteBatch(writes); err != nil {
 						if m.checkOpen() == nil {
 							t.Errorf("writer %d on an open memory: %v", w, err)
 						}

@@ -9,7 +9,7 @@ import (
 	"github.com/repro/sift/internal/rdma"
 )
 
-// Steady-state EC hot-path benchmarks: whole-block unlogged applies (the
+// Steady-state EC hot-path benchmarks: whole-block writes (the
 // key-value store's block apply path) and main-space reads, with allocs
 // reported — the acceptance bar for this layer is 0 allocs/op once the
 // pools are warm.
@@ -19,8 +19,6 @@ func benchECMemory(b *testing.B, fm int) (*Memory, int) {
 	cfg := Config{
 		MemSize:     blockSize * 256,
 		DirectSize:  8 << 10,
-		WALSlots:    64,
-		WALSlotSize: 4096,
 		ECData:      fm + 1,
 		ECParity:    fm,
 		ECBlockSize: blockSize,
@@ -51,7 +49,7 @@ func benchECMemory(b *testing.B, fm int) (*Memory, int) {
 	return m, blockSize
 }
 
-// BenchmarkECApply measures whole-EC-block unlogged writes (encode + fan-out
+// BenchmarkECApply measures whole-EC-block writes (encode + fan-out
 // to every node + integrity strip update).
 func BenchmarkECApply(b *testing.B) {
 	for _, fm := range []int{1, 2} {
@@ -65,7 +63,7 @@ func BenchmarkECApply(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				addr := (uint64(i) % blocks) * uint64(blockSize)
-				if err := m.UnloggedWrite(addr, data); err != nil {
+				if err := m.Write(addr, data); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -85,7 +83,7 @@ func BenchmarkECRead(b *testing.B) {
 				rand.New(rand.NewSource(2)).Read(data)
 				blocks := uint64(m.MemSize() / blockSize)
 				for a := uint64(0); a < blocks; a++ {
-					if err := m.UnloggedWrite(a*uint64(blockSize), data); err != nil {
+					if err := m.Write(a*uint64(blockSize), data); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -24,8 +24,6 @@ func ecConfig(e *testEnv, cpu string, fm int) Config {
 		Dial:        e.dialer(cpu),
 		MemSize:     memFor(fm),
 		DirectSize:  8 << 10,
-		WALSlots:    64,
-		WALSlotSize: 4096,
 		ECData:      fm + 1,
 		ECParity:    fm,
 		ECBlockSize: blockFor(fm),
@@ -36,7 +34,6 @@ func newECEnv(t *testing.T, fm int) (*testEnv, Config) {
 	t.Helper()
 	cfg := Config{
 		MemSize: memFor(fm), DirectSize: 8 << 10,
-		WALSlots: 64, WALSlotSize: 4096,
 		ECData: fm + 1, ECParity: fm, ECBlockSize: blockFor(fm),
 	}
 	e := newEnv(t, 2*fm+1, cfg.Layout())
@@ -47,7 +44,6 @@ func TestECLayoutShrinksPerNodeMemory(t *testing.T) {
 	for fm := 1; fm <= 3; fm++ {
 		cfg := Config{
 			MemSize: 1 << 20, DirectSize: 0,
-			WALSlots: 16, WALSlotSize: 256,
 			ECData: fm + 1, ECParity: fm, ECBlockSize: 4096,
 		}
 		l := cfg.Layout()
@@ -119,7 +115,6 @@ func TestECReadSurvivesFmFailures(t *testing.T) {
 			if err := m.Write(0, data); err != nil {
 				t.Fatal(err)
 			}
-			m.WaitApplied(t)
 			// Kill Fm nodes, including data-chunk owners (nodes 0..k-1 hold
 			// data chunks, so killing node 0 forces decoding).
 			for i := 0; i < fm; i++ {
@@ -152,7 +147,6 @@ func TestECSubChunkReadSingleRemoteRead(t *testing.T) {
 	if err := m.Write(0, data); err != nil {
 		t.Fatal(err)
 	}
-	m.WaitApplied(t)
 	before := m.Stats().RemoteReads
 	// Chunk size is 512 (block 1024 / k 2); a 100-byte read within chunk 0
 	// should cost exactly one RDMA read.
@@ -166,8 +160,8 @@ func TestECSubChunkReadSingleRemoteRead(t *testing.T) {
 }
 
 func TestECWritesCommitWithQuorum(t *testing.T) {
-	// With Fm=1 (3 nodes), killing one node must not block writes, and the
-	// WAL (unencoded) still protects the data.
+	// With Fm=1 (3 nodes), killing one node must not block writes: the two
+	// surviving chunks still reconstruct every block.
 	e, cfg := newECEnv(t, 1)
 	m := newMemory(t, cfg)
 	e.nw.Fabric().Kill(e.names[2]) // kill a parity holder
@@ -222,7 +216,6 @@ func TestECNodeRecoveryRebuildsChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.WaitApplied(t)
 
 	victim := e.names[0] // data-chunk owner
 	e.nw.Fabric().Kill(victim)
@@ -232,7 +225,6 @@ func TestECNodeRecoveryRebuildsChunks(t *testing.T) {
 	if err := m.RecoverNodeNow(victim); err != nil {
 		t.Fatal(err)
 	}
-	m.WaitApplied(t)
 
 	// Kill the other data holder; reads of its chunks must decode from the
 	// recovered node's chunk + parity.

@@ -116,7 +116,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // per node, and each still gets its own completion.
 func TestQueuedCommitsShareOneFlightPerNode(t *testing.T) {
 	const slotSize, writers = 1088, 8
-	m, logs := loggedMemory(t, Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512})
+	m, logs := loggedMemory(t, Config{MemSize: 64 << 10, DirectSize: 16 << 10})
 
 	var opens []func()
 	for _, l := range logs {
@@ -195,7 +195,7 @@ func TestQueuedCommitsShareOneFlightPerNode(t *testing.T) {
 // segment exactly once, in enqueue order, a request's own segments adjacent,
 // in flights of at most nodeFlightMax requests.
 func TestDrainPreservesPerNodeOrder(t *testing.T) {
-	m, logs := loggedMemory(t, Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512})
+	m, logs := loggedMemory(t, Config{MemSize: 64 << 10, DirectSize: 16 << 10})
 	const node, reqs = 1, 2*nodeFlightMax + 7
 	log := logs[m.nodeName(node)]
 	open := log.shutLane()
@@ -247,13 +247,13 @@ func TestDrainPreservesPerNodeOrder(t *testing.T) {
 func TestBlockApplyIsOneFlightPerNode(t *testing.T) {
 	for _, ec := range []bool{false, true} {
 		t.Run(map[bool]string{false: "plain", true: "ec"}[ec], func(t *testing.T) {
-			cfg0 := Config{MemSize: 64 << 10, DirectSize: 4 << 10, WALSlots: 16, WALSlotSize: 512, IntegrityBlockSize: 1024}
+			cfg0 := Config{MemSize: 64 << 10, DirectSize: 4 << 10, IntegrityBlockSize: 1024}
 			if ec {
 				cfg0.ECData, cfg0.ECParity, cfg0.ECBlockSize = 2, 1, 1024
 			}
 			m, logs := loggedMemory(t, cfg0)
 			block := bytes.Repeat([]byte{7}, 1024)
-			if err := m.UnloggedWrite(3*1024, block); err != nil {
+			if err := m.Write(3*1024, block); err != nil {
 				t.Fatal(err)
 			}
 			for name, l := range logs {
@@ -278,7 +278,7 @@ func TestBlockApplyIsOneFlightPerNode(t *testing.T) {
 // with the blocks and their strip entries, byte for byte what the slot's
 // own node holds.
 func TestShadowMirrorsEverySegment(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 4 << 10, WALSlots: 16, WALSlotSize: 512, IntegrityBlockSize: 1024}
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 4 << 10, IntegrityBlockSize: 1024}
 	e := newEnv(t, 3, cfg0.Layout())
 	addMachine(t, e, "m3", cfg0.Layout())
 	cfg := cfg0
@@ -307,7 +307,7 @@ func TestShadowMirrorsEverySegment(t *testing.T) {
 				r.Read(block)
 				// Writers overlap on some blocks; the range lock orders them,
 				// and the mirror must keep that order too.
-				if err := m.UnloggedWrite(uint64(16+b)*1024, block); err != nil {
+				if err := m.Write(uint64(16+b)*1024, block); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 				}
 			}
@@ -342,7 +342,7 @@ func TestShadowMirrorsEverySegment(t *testing.T) {
 // test itself checks that nothing hangs and no write is acknowledged and
 // then lost.
 func TestFlightsRaceShadowsAndClose(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512, IntegrityBlockSize: 1024}
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, IntegrityBlockSize: 1024}
 	e := newEnv(t, 3, cfg0.Layout())
 	addMachine(t, e, "m3", cfg0.Layout())
 	cfg := cfg0
@@ -370,7 +370,7 @@ func TestFlightsRaceShadowsAndClose(t *testing.T) {
 					err = m.DirectWrite(uint64(w*256), bytes.Repeat([]byte{byte(i)}, 256))
 				} else {
 					block[0] = byte(i)
-					err = m.UnloggedWrite(uint64(8+w)*1024, block)
+					err = m.Write(uint64(8+w)*1024, block)
 				}
 				if err != nil {
 					if m.checkOpen() == nil {

@@ -73,7 +73,7 @@ func TestRedialerCircuitOpensAfterFailure(t *testing.T) {
 }
 
 func TestRedialerRecoversAfterBackoff(t *testing.T) {
-	e := newEnv(t, 1, Config{MemSize: 1024, DirectSize: 0, WALSlots: 4, WALSlotSize: 128}.Layout())
+	e := newEnv(t, 1, Config{MemSize: 1024, DirectSize: 0}.Layout())
 	fail := true
 	inner := e.dialer("c0")
 	dial := func(node string) (rdma.Verbs, error) {
@@ -212,12 +212,11 @@ func TestHealthTransitionTable(t *testing.T) {
 // probe, timeout, corruption and latency history — comes back live with a
 // record equal to a fresh node's.
 func TestReplacedDegradedSlotStartsFresh(t *testing.T) {
-	cfg0 := Config{MemSize: 32 << 10, DirectSize: 8 << 10, WALSlots: 32, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 32 << 10, DirectSize: 8 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	addMachine(t, e, "m3", cfg0.Layout())
 	cfg := baseConfig(e, "cpu1")
 	cfg.MemSize, cfg.DirectSize = cfg0.MemSize, cfg0.DirectSize
-	cfg.WALSlots, cfg.WALSlotSize = cfg0.WALSlots, cfg0.WALSlotSize
 	cfg.Term = 1
 	m := newMemory(t, cfg)
 
@@ -240,7 +239,7 @@ func TestReplacedDegradedSlotStartsFresh(t *testing.T) {
 }
 
 func TestWriteTargetsPartitionsSuspects(t *testing.T) {
-	e := newEnv(t, 3, Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}.Layout())
+	e := newEnv(t, 3, Config{MemSize: 64 << 10, DirectSize: 16 << 10}.Layout())
 	m := newMemory(t, baseConfig(e, "c0"))
 
 	m.setState(1, nodeSuspect)
@@ -260,7 +259,7 @@ func TestWriteTargetsPartitionsSuspects(t *testing.T) {
 }
 
 func TestNoteNodeErrorSuspicionThenDeath(t *testing.T) {
-	e := newEnv(t, 3, Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}.Layout())
+	e := newEnv(t, 3, Config{MemSize: 64 << 10, DirectSize: 16 << 10}.Layout())
 	m := newMemory(t, baseConfig(e, "c0"))
 	deadlines := func(n int) {
 		for k := 0; k < n; k++ {
@@ -308,7 +307,7 @@ func TestNoteNodeErrorSuspicionThenDeath(t *testing.T) {
 // the suspect still receives data best-effort, and RecoverNodeNow repairs
 // it back to live.
 func TestWriteCommitsWithSuspectNode(t *testing.T) {
-	e := newEnv(t, 3, Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}.Layout())
+	e := newEnv(t, 3, Config{MemSize: 64 << 10, DirectSize: 16 << 10}.Layout())
 	m := newMemory(t, baseConfig(e, "c0"))
 
 	m.setState(1, nodeSuspect)
@@ -341,7 +340,7 @@ func TestWriteCommitsWithSuspectNode(t *testing.T) {
 
 // TestDirectWriteCommitsWithSuspectNode covers the direct (unlogged) path.
 func TestDirectWriteCommitsWithSuspectNode(t *testing.T) {
-	e := newEnv(t, 3, Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}.Layout())
+	e := newEnv(t, 3, Config{MemSize: 64 << 10, DirectSize: 16 << 10}.Layout())
 	m := newMemory(t, baseConfig(e, "c0"))
 
 	m.setState(2, nodeSuspect)
@@ -360,7 +359,7 @@ func TestDirectWriteCommitsWithSuspectNode(t *testing.T) {
 // degrades only the slower one — degrading both would leave one live node,
 // no write quorum, and every put waiting out its retry budget.
 func TestStragglerCheckKeepsWriteQuorum(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	m := newMemory(t, baseConfig(e, "c"))
 	for i, us := range []float64{50, 40_000, 90_000} { // bar: 16 × 50 µs, floor 2 ms

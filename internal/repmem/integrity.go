@@ -125,31 +125,31 @@ func (g *integrity) bootstrapFresh() {
 }
 
 // loadSums reloads the checksum cache from the nodes' strips at coordinator
-// takeover. Plain mode majority-votes each entry across the live strips (a
-// node that died mid-write may hold a stale or torn strip); under erasure
-// coding each live node's strip fills its own row, and a dead node's row is
-// rewritten when the node is rebuilt.
+// takeover, every live node's strip read at once. A node whose strip cannot
+// be read leaves the group until it is rebuilt, whatever the error was: its
+// cache row would otherwise be missing while it keeps serving. Fewer than a
+// majority of readable strips fails with ErrNoQuorum. Plain mode
+// majority-votes each entry across the strips read (a node that died
+// mid-write may hold a stale or torn strip); under erasure coding each
+// node's strip fills its own row, and a dead node's row is rewritten when
+// the node is rebuilt.
 func (g *integrity) loadSums() error {
 	m := g.m
 	images := make([][]byte, len(m.nodes))
 	got := 0
-	for _, i := range m.nodesInState(nodeLive) {
-		c, err := m.conn(i)
-		if err == nil {
-			buf := make([]byte, 4*g.blocks)
-			if err = c.Read(replRegion, m.layout.IntegrityBase(), buf); err == nil {
-				images[i] = buf
-				got++
-				continue
-			}
-		}
-		m.nodeFailed(i, err)
-		if e := m.checkOpen(); e != nil {
-			return e
+	for i, row := range m.readReplicas(lockRange{addr: m.layout.IntegrityBase(), size: 4 * g.blocks}) {
+		if row != nil {
+			images[i] = row[0]
+			got++
+		} else if m.state[i].Load() == nodeLive {
+			m.observe(i, healthEvent{kind: evOpError})
 		}
 	}
-	if got == 0 {
-		return fmt.Errorf("%w: no checksum strip readable", ErrNoQuorum)
+	if e := m.checkOpen(); e != nil {
+		return e
+	}
+	if got < m.Majority() {
+		return fmt.Errorf("%w: read checksum strips from %d of %d nodes", ErrNoQuorum, got, len(m.nodes))
 	}
 	if m.code != nil {
 		for i := range m.nodes {

@@ -19,23 +19,21 @@ func (e *testEnv) corruptByte(t *testing.T, node string, offset uint64) {
 	}
 }
 
-// replSnapshot returns node i's replicated region from the direct zone
-// onward (direct + main + checksum strip). The WAL area is excluded: slots
-// are pooled and reconciled, not scrubbed.
-func (e *testEnv) replSnapshot(i int, l memnode.Layout) []byte {
-	full := e.nw.Node(e.names[i]).Region(memnode.ReplRegionID).Snapshot()
-	return full[l.DirectBase():]
+// replSnapshot returns node i's whole replicated region: direct zone, main
+// memory and checksum strip.
+func (e *testEnv) replSnapshot(i int) []byte {
+	return e.nw.Node(e.names[i]).Region(memnode.ReplRegionID).Snapshot()
 }
 
 func TestPlainReadRepair(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	m := newMemory(t, baseConfig(e, "c"))
 	layout := m.cfg.Layout()
 
 	data := make([]byte, 4096)
 	rand.New(rand.NewSource(7)).Read(data)
-	if err := m.UnloggedWrite(0, data); err != nil {
+	if err := m.Write(0, data); err != nil {
 		t.Fatal(err)
 	}
 
@@ -60,7 +58,7 @@ func TestPlainReadRepair(t *testing.T) {
 	}
 	// The bad replica was rewritten in place.
 	for i := range e.names {
-		if got := e.replSnapshot(i, layout); !bytes.Equal(got, e.replSnapshot(0, layout)) {
+		if got := e.replSnapshot(i); !bytes.Equal(got, e.replSnapshot(0)) {
 			t.Fatalf("node %d diverges after read-repair", i)
 		}
 	}
@@ -81,7 +79,6 @@ func TestECFastPathCorruptChunkReconstructs(t *testing.T) {
 	if err := m.Write(block*B, data); err != nil {
 		t.Fatal(err)
 	}
-	m.WaitApplied(t)
 
 	// Corrupt the stored chunk on node 0 — the owner of the first chunk of
 	// every block, and therefore the fast-path target for this read.
@@ -116,7 +113,7 @@ func TestECFastPathCorruptChunkReconstructs(t *testing.T) {
 }
 
 func TestScrubRepairsSilentCorruption(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	m := newMemory(t, baseConfig(e, "c"))
 	layout := m.cfg.Layout()
@@ -124,7 +121,7 @@ func TestScrubRepairsSilentCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data := make([]byte, 12<<10)
 	rng.Read(data)
-	if err := m.UnloggedWrite(0, data); err != nil {
+	if err := m.Write(0, data); err != nil {
 		t.Fatal(err)
 	}
 	direct := make([]byte, 2048)
@@ -155,7 +152,7 @@ func TestScrubRepairsSilentCorruption(t *testing.T) {
 		t.Fatalf("scrub report %+v, want >=4 corrupt, >=4 repaired, 0 unrepaired", rep)
 	}
 	for i := 1; i < len(e.names); i++ {
-		if !bytes.Equal(e.replSnapshot(i, layout), e.replSnapshot(0, layout)) {
+		if !bytes.Equal(e.replSnapshot(i), e.replSnapshot(0)) {
 			t.Fatalf("node %d diverges after scrub", i)
 		}
 	}
@@ -174,7 +171,7 @@ func TestScrubRepairsSilentCorruption(t *testing.T) {
 }
 
 func TestBackgroundScrubHeals(t *testing.T) {
-	cfg0 := Config{MemSize: 32 << 10, DirectSize: 0, WALSlots: 64, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 32 << 10, DirectSize: 0}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.MemSize = 32 << 10
@@ -184,7 +181,7 @@ func TestBackgroundScrubHeals(t *testing.T) {
 
 	data := make([]byte, 8<<10)
 	rand.New(rand.NewSource(5)).Read(data)
-	if err := m.UnloggedWrite(0, data); err != nil {
+	if err := m.Write(0, data); err != nil {
 		t.Fatal(err)
 	}
 	e.corruptByte(t, e.names[0], layout.MainBase()+4097)
@@ -202,7 +199,7 @@ func TestBackgroundScrubHeals(t *testing.T) {
 }
 
 func TestCorruptionFeedsSuspicion(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 0, WALSlots: 64, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 0}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.DirectSize = 0

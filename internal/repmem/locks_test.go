@@ -286,7 +286,7 @@ func (c gatedConn) Submit(op *rdma.Op) {
 // to the next slot — two 1088-byte KV log slots share a 4 KiB block.
 func TestDirectWriteNeighbourSlotsDoNotSerialize(t *testing.T) {
 	const slotSize = 1088
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	var gates completionGates

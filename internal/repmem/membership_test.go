@@ -23,13 +23,11 @@ func TestMembershipPackUnpack(t *testing.T) {
 // the group keeps committing, then returns right as the coordinator dies,
 // must NOT be treated as current by the successor.
 func TestStaleNodeNotTrustedAfterFailover(t *testing.T) {
-	cfg0 := Config{MemSize: 32 << 10, DirectSize: 4 << 10, WALSlots: 8, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 32 << 10, DirectSize: 4 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "cpu1")
 	cfg.MemSize = 32 << 10
 	cfg.DirectSize = 4 << 10
-	cfg.WALSlots = 8 // tiny window: stale data will fall OUT of the WAL
-	cfg.WALSlotSize = 512
 	cfg.Term = 1
 	m1 := newMemory(t, cfg)
 
@@ -37,11 +35,9 @@ func TestStaleNodeNotTrustedAfterFailover(t *testing.T) {
 	if err := m1.Write(100, []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	m1.WaitApplied(t)
 	e.nw.Fabric().Kill(e.names[0])
 
-	// Overwrite the value and push enough writes that the original entry
-	// leaves the circular WAL window.
+	// Overwrite the value and keep writing while node 0 is away.
 	if err := m1.Write(100, []byte("new")); err != nil {
 		t.Fatal(err) // also triggers failure detection for node 0
 	}
@@ -50,7 +46,6 @@ func TestStaleNodeNotTrustedAfterFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m1.WaitApplied(t)
 
 	// Node 0 returns with its STALE memory, and the coordinator dies.
 	e.nw.Fabric().Restart(e.names[0])
@@ -58,8 +53,6 @@ func TestStaleNodeNotTrustedAfterFailover(t *testing.T) {
 	cfg2 := baseConfig(e, "cpu2")
 	cfg2.MemSize = 32 << 10
 	cfg2.DirectSize = 4 << 10
-	cfg2.WALSlots = 8
-	cfg2.WALSlotSize = 512
 	cfg2.Term = 2
 	m2 := newMemory(t, cfg2)
 
@@ -93,22 +86,19 @@ demoted:
 // node restarts empty between coordinatorships; the successor must rebuild
 // it instead of reading zeros.
 func TestRebootedNodeNotTrustedAfterFailover(t *testing.T) {
-	cfg0 := Config{MemSize: 16 << 10, DirectSize: 4 << 10, WALSlots: 8, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 16 << 10, DirectSize: 4 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "cpu1")
 	cfg.MemSize = 16 << 10
 	cfg.DirectSize = 4 << 10
-	cfg.WALSlots = 8
-	cfg.WALSlotSize = 512
 	cfg.Term = 1
 	m1 := newMemory(t, cfg)
 	if err := m1.Write(0, []byte("durable")); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ { // push the write out of the WAL window
+	for i := 0; i < 20; i++ {
 		m1.Write(uint64(1024+i*64), []byte{byte(i)})
 	}
-	m1.WaitApplied(t)
 
 	// Node 2 "reboots": memory wiped, but it was never marked failed by m1
 	// (no op touched it after the wipe... simulate an instant wipe+return).
@@ -117,8 +107,6 @@ func TestRebootedNodeNotTrustedAfterFailover(t *testing.T) {
 	cfg2 := baseConfig(e, "cpu2")
 	cfg2.MemSize = 16 << 10
 	cfg2.DirectSize = 4 << 10
-	cfg2.WALSlots = 8
-	cfg2.WALSlotSize = 512
 	cfg2.Term = 2
 	m2 := newMemory(t, cfg2)
 
@@ -145,13 +133,11 @@ func TestRebootedNodeNotTrustedAfterFailover(t *testing.T) {
 // TestFreshGroupBootstraps ensures the populated/membership machinery does
 // not break first-ever startup (no marker, no membership word anywhere).
 func TestFreshGroupBootstraps(t *testing.T) {
-	cfg0 := Config{MemSize: 8 << 10, DirectSize: 0, WALSlots: 8, WALSlotSize: 256}
+	cfg0 := Config{MemSize: 8 << 10, DirectSize: 0}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.MemSize = 8 << 10
 	cfg.DirectSize = 0
-	cfg.WALSlots = 8
-	cfg.WALSlotSize = 256
 	m := newMemory(t, cfg)
 	if got := len(m.LiveMemoryNodes()); got != 3 {
 		t.Fatalf("live after fresh bootstrap = %d", got)
@@ -164,17 +150,14 @@ func TestFreshGroupBootstraps(t *testing.T) {
 // TestMidRecoveryFailoverRebuildsTarget: the coordinator dies while copying
 // a node back in; the successor must not read the half-copied node.
 func TestMidRecoveryFailoverRebuildsTarget(t *testing.T) {
-	cfg0 := Config{MemSize: 16 << 10, DirectSize: 4 << 10, WALSlots: 8, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 16 << 10, DirectSize: 4 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "cpu1")
 	cfg.MemSize = 16 << 10
 	cfg.DirectSize = 4 << 10
-	cfg.WALSlots = 8
-	cfg.WALSlotSize = 512
 	cfg.Term = 1
 	m1 := newMemory(t, cfg)
 	m1.Write(0, []byte("payload"))
-	m1.WaitApplied(t)
 
 	victim := e.names[1]
 	e.nw.Fabric().Kill(victim)
@@ -195,8 +178,6 @@ func TestMidRecoveryFailoverRebuildsTarget(t *testing.T) {
 	cfg2 := baseConfig(e, "cpu2")
 	cfg2.MemSize = 16 << 10
 	cfg2.DirectSize = 4 << 10
-	cfg2.WALSlots = 8
-	cfg2.WALSlotSize = 512
 	cfg2.Term = 2
 	m2 := newMemory(t, cfg2)
 	for _, dead := range m2.DeadMemoryNodes() {

@@ -117,55 +117,22 @@ func (m *Memory) noteDirtyDirect(addr uint64, size int) {
 	}
 }
 
-// drainApplies blocks until every reserved WAL index has been applied to
-// the materialized memory. The caller must hold the write gate, so no new
-// index can be reserved while draining.
-func (m *Memory) drainApplies() {
-	m.seqMu.Lock()
-	for m.watermark+1 != m.nextIndex && !m.closed.Load() {
-		m.seqCond.Wait()
-	}
-	m.seqMu.Unlock()
-}
-
 // closeReconfigured closes the memory marking ErrReconfigured as the cause:
 // the member set this handle serves is no longer authoritative.
 func (m *Memory) closeReconfigured() {
 	m.reconfigured.Store(true)
-	m.seqMu.Lock()
-	m.seqCond.Broadcast()
-	m.seqMu.Unlock()
 	m.Close()
 }
 
-// zeroWAL clears a node's whole write-ahead-log area over conn c.
-func (m *Memory) zeroWAL(c rdma.Verbs) error {
-	zeros := make([]byte, recoveryBatch)
-	walBytes := uint64(m.layout.WALBytes())
-	for off := uint64(0); off < walBytes; off += uint64(len(zeros)) {
-		chunk := zeros
-		if rem := walBytes - off; rem < uint64(len(zeros)) {
-			chunk = zeros[:rem]
-		}
-		if err := c.Write(replRegion, off, chunk); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // initJoiningNode prepares a freshly dialed node for state transfer: clear
-// any retired tombstone from a previous membership, mark it unpopulated (a
-// half-copied node must never be trusted by a successor), and zero its WAL.
-func (m *Memory) initJoiningNode(c rdma.Verbs) error {
+// any retired tombstone from a previous membership and mark it unpopulated
+// (a half-copied node must never be trusted by a successor).
+func initJoiningNode(c rdma.Verbs) error {
 	var zero [8]byte
 	if err := c.Write(memnode.AdminRegionID, memnode.AdminRetiredOffset, zero[:]); err != nil {
 		return err
 	}
-	if err := writePopulated(c, memnode.MarkerEmpty); err != nil {
-		return err
-	}
-	return m.zeroWAL(c)
+	return writePopulated(c, memnode.MarkerEmpty)
 }
 
 // cfgTarget is one node participating in a config-epoch commit.
@@ -334,7 +301,7 @@ func (m *Memory) ReplaceNode(oldName, newName string) error {
 	if err != nil {
 		return fmt.Errorf("repmem: dial joining node %s: %w", newName, err)
 	}
-	if err := m.initJoiningNode(c); err != nil {
+	if err := initJoiningNode(c); err != nil {
 		c.Close()
 		return fmt.Errorf("repmem: init joining node %s: %w", newName, err)
 	}
@@ -417,10 +384,7 @@ func (m *Memory) replaceLive(slot int, newName string, next uint32, c rdma.Verbs
 	// Each copied range is read and written under its range lock, and
 	// writers' locks are held until their mirror lands, so every byte is
 	// covered by exactly one of copy-after-write or mirror-after-copy.
-	if err := m.copyDirectZone(slot, c); err != nil {
-		return abort(fmt.Errorf("repmem: state transfer to %s: %w", newName, err))
-	}
-	if err := m.copyMainMemory(slot, c); err != nil {
+	if err := m.copyState(slot, c); err != nil {
 		return abort(fmt.Errorf("repmem: state transfer to %s: %w", newName, err))
 	}
 	if err := sh.Err(); err != nil {
@@ -439,12 +403,9 @@ func (m *Memory) replaceLive(slot int, newName string, next uint32, c rdma.Verbs
 		return m.replaceDead(slot, newName, next, c)
 	}
 
-	// Cutover under the write gate: drain the apply pipeline so every
-	// committed WAL entry is materialized everywhere (the joining node's WAL
-	// holds only post-attach entries — an entry absent from it must not be
-	// needed by any successor), then commit the epoch and swap identities.
+	// Cutover under the write gate: no write is in flight, so every write
+	// the mirror carried has landed; commit the epoch and swap identities.
 	m.gate.Lock()
-	m.drainApplies()
 	if m.state[slot].Load() == nodeDead {
 		m.gate.Unlock()
 		m.shadows[slot].Store(nil)
@@ -528,7 +489,7 @@ func (m *Memory) replaceDead(slot int, newName string, next uint32, c rdma.Verbs
 }
 
 // RestripeTarget describes the configuration Restripe moves the group to.
-// The logical memory size, direct-zone size, WAL geometry, and — crucially,
+// The logical memory size, direct-zone size, and — crucially,
 // because the kv layer derives its block layout from it — the EC block size
 // are inherited from the current configuration.
 type RestripeTarget struct {
@@ -639,7 +600,7 @@ func (m *Memory) Restripe(t RestripeTarget) (*RestripeResult, error) {
 	for _, name := range fresh {
 		c, err := m.cfg.Dial(name)
 		if err == nil {
-			err = m.initJoiningNode(c)
+			err = initJoiningNode(c)
 		}
 		if err != nil {
 			if c != nil {
@@ -673,11 +634,9 @@ func (m *Memory) Restripe(t RestripeTarget) (*RestripeResult, error) {
 		return nil, err
 	}
 
-	// Phase 2: gated cutover. No new write can start, and drainApplies
-	// guarantees every committed entry is materialized, so the delta
-	// re-copy below sees the final state of every dirty range.
+	// Phase 2: gated cutover. No write is in flight or can start, so the
+	// delta re-copy below sees the final state of every dirty range.
 	m.gate.Lock()
-	m.drainApplies()
 	if err := m.checkOpen(); err != nil {
 		m.gate.Unlock()
 		cleanup()
@@ -771,8 +730,9 @@ func keys(set map[string]bool) []string {
 }
 
 // sweepDirect copies the direct-zone range [lo, hi) to every non-nil dst
-// connection, batch by batch under read locks (concurrent DirectWrites to a
-// batch are excluded for its duration, exactly like a recovery copy).
+// connection, batch by batch under read locks: concurrent DirectWrites to a
+// batch are excluded for its duration, so none can slip between the source
+// read and the target write and be overwritten by stale data.
 func (m *Memory) sweepDirect(dst []rdma.Verbs, lo, hi uint64) error {
 	buf := make([]byte, recoveryBatch)
 	for off := lo; off < hi; off += uint64(len(buf)) {
@@ -800,10 +760,30 @@ func (m *Memory) sweepDirect(dst []rdma.Verbs, lo, hi uint64) error {
 	return nil
 }
 
+// readDirectFromLive reads a direct-zone range from any live node without
+// taking locks (the caller holds them).
+func (m *Memory) readDirectFromLive(addr uint64, buf []byte) error {
+	for _, j := range m.nodesInState(nodeLive) {
+		cj, err := m.conn(j)
+		if err == nil {
+			if err = cj.Read(replRegion, m.physDirect(addr), buf); err == nil {
+				return nil
+			}
+		}
+		m.nodeFailed(j, err)
+		if e := m.checkOpen(); e != nil {
+			return e
+		}
+	}
+	return fmt.Errorf("%w: no live source for direct copy", ErrNoQuorum)
+}
+
 // sweepMain copies the main-space range [lo, hi) to the target nodes in the
 // TARGET geometry: dst[j] receives member j's share (the full image under
 // plain replication, chunk j under erasure coding) plus its integrity strip
-// entries. Source reads are verified.
+// entries. Source reads are verified, so a corrupt source is never blessed
+// onto a target, strip entry and all. Restripes pass the incoming geometry;
+// rebuilds and replacements pass this memory's own (copyState).
 func (m *Memory) sweepMain(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, tLayout memnode.Layout, lo, hi uint64) error {
 	if hi > uint64(m.cfg.MemSize) {
 		hi = uint64(m.cfg.MemSize)
@@ -817,9 +797,9 @@ func (m *Memory) sweepMain(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, tL
 	return m.sweepMainPlain(dst, tLayout, lo, hi)
 }
 
-// sweepMainPlain handles plain→plain restripes: each target node receives
-// the full image, block by block (verified source reads; a corrupt block is
-// repaired and retried like a recovery copy).
+// sweepMainPlain handles plain→plain restripes and plain rebuilds: each
+// target node receives the full image, block by block. A block with no
+// verified source replica is repaired (under write locks) and retried.
 func (m *Memory) sweepMainPlain(dst []rdma.Verbs, tLayout memnode.Layout, lo, hi uint64) error {
 	g := m.integ
 	b0 := lo / g.ibs
@@ -858,10 +838,14 @@ func (m *Memory) sweepMainPlain(dst []rdma.Verbs, tLayout memnode.Layout, lo, hi
 	return nil
 }
 
-// sweepMainEC handles EC→EC restripes: each logical block is reconstructed
-// (and verified) through the current geometry, re-encoded with the target
-// code, and target chunk j lands on dst[j] with its strip entry.
+// sweepMainEC handles EC→EC restripes and EC rebuilds: each logical block is
+// reconstructed (and verified) through the current geometry, re-encoded with
+// the target code, and target chunk j lands on dst[j] with its strip entry.
+// When the target code is this memory's own (a rebuild or replacement), dst
+// indexes our slots, and the checksum cache's row for each is set too: a
+// slot rebuilt after a takeover has no row loaded.
 func (m *Memory) sweepMainEC(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, tLayout memnode.Layout, lo, hi uint64) error {
+	own := tCode == m.code
 	B := uint64(m.cfg.ECBlockSize)
 	chunks := make([][]byte, len(dst))
 	parity := make([]byte, (tCode.M())*tChunk)
@@ -882,10 +866,14 @@ func (m *Memory) sweepMainEC(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, 
 				if c == nil {
 					continue
 				}
+				sum := crcBlock(chunks[j])
+				if own {
+					m.integ.setSum(j, b, sum)
+				}
 				if err = c.Write(replRegion, tLayout.MainBase()+b*uint64(tChunk), chunks[j]); err != nil {
 					break
 				}
-				if err = c.Write(replRegion, tLayout.IntegrityOffset(b), stripEntry(crcBlock(chunks[j]))); err != nil {
+				if err = c.Write(replRegion, tLayout.IntegrityOffset(b), stripEntry(sum)); err != nil {
 					break
 				}
 			}

@@ -44,7 +44,7 @@ func readAdminWord(t *testing.T, e *testEnv, node string, off uint64) uint64 {
 }
 
 func TestReplaceLiveNodeUnderTraffic(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	addMachine(t, e, "m3", cfg0.Layout())
 	cfg := baseConfig(e, "cpu1")
@@ -60,7 +60,6 @@ func TestReplaceLiveNodeUnderTraffic(t *testing.T) {
 	if err := m.DirectWrite(64, []byte("direct-payload")); err != nil {
 		t.Fatal(err)
 	}
-	m.WaitApplied(t)
 
 	// Concurrent writer traffic across the replacement.
 	var stop atomic.Bool
@@ -123,19 +122,17 @@ func TestReplaceLiveNodeUnderTraffic(t *testing.T) {
 }
 
 func TestReplaceDeadNode(t *testing.T) {
-	cfg0 := Config{MemSize: 32 << 10, DirectSize: 8 << 10, WALSlots: 32, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 32 << 10, DirectSize: 8 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	addMachine(t, e, "m3", cfg0.Layout())
 	cfg := baseConfig(e, "cpu1")
 	cfg.MemSize, cfg.DirectSize = cfg0.MemSize, cfg0.DirectSize
-	cfg.WALSlots, cfg.WALSlotSize = cfg0.WALSlots, cfg0.WALSlotSize
 	cfg.Term = 1
 	m := newMemory(t, cfg)
 
 	if err := m.Write(0, []byte("survives-crash")); err != nil {
 		t.Fatal(err)
 	}
-	m.WaitApplied(t)
 
 	// m1 dies for good: machine crashed, never coming back under that name.
 	e.nw.Fabric().Kill("m1")
@@ -167,18 +164,16 @@ func TestReplaceDeadNode(t *testing.T) {
 // built with the OLD member list (e.g. a backup that missed the change) must
 // refuse to serve, and discovery through any node must yield the new config.
 func TestReplacedGroupRefusesStaleConfig(t *testing.T) {
-	cfg0 := Config{MemSize: 16 << 10, DirectSize: 4 << 10, WALSlots: 16, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 16 << 10, DirectSize: 4 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	addMachine(t, e, "m3", cfg0.Layout())
 	cfg := baseConfig(e, "cpu1")
 	cfg.MemSize, cfg.DirectSize = cfg0.MemSize, cfg0.DirectSize
-	cfg.WALSlots, cfg.WALSlotSize = cfg0.WALSlots, cfg0.WALSlotSize
 	cfg.Term = 1
 	m := newMemory(t, cfg)
 	if err := m.Write(0, []byte("epoch1")); err != nil {
 		t.Fatal(err)
 	}
-	m.WaitApplied(t)
 	if err := m.ReplaceNode("m0", "m3"); err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +218,13 @@ func TestReplacedGroupRefusesStaleConfig(t *testing.T) {
 }
 
 func TestRestripePlainGrowAndShrink(t *testing.T) {
-	cfg0 := Config{MemSize: 32 << 10, DirectSize: 8 << 10, WALSlots: 32, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 32 << 10, DirectSize: 8 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	for _, n := range []string{"m3", "m4"} {
 		addMachine(t, e, n, cfg0.Layout())
 	}
 	cfg := baseConfig(e, "cpu1")
 	cfg.MemSize, cfg.DirectSize = cfg0.MemSize, cfg0.DirectSize
-	cfg.WALSlots, cfg.WALSlotSize = cfg0.WALSlots, cfg0.WALSlotSize
 	cfg.Term = 1
 	m := newMemory(t, cfg)
 
@@ -242,7 +236,6 @@ func TestRestripePlainGrowAndShrink(t *testing.T) {
 	if err := m.DirectWrite(0, []byte("dz")); err != nil {
 		t.Fatal(err)
 	}
-	m.WaitApplied(t)
 
 	// Grow 3 → 5 under traffic.
 	var stop atomic.Bool
@@ -335,7 +328,6 @@ func TestRestripeECOntoFreshSet(t *testing.T) {
 	if err := m.Write(uint64(blockFor(1)), want); err != nil {
 		t.Fatal(err)
 	}
-	m.WaitApplied(t)
 
 	res, err := m.Restripe(RestripeTarget{Members: []string{"f0", "f1", "f2"}, ECData: 2, ECParity: 1})
 	if err != nil {
@@ -374,13 +366,11 @@ func TestRestripeECOntoFreshSet(t *testing.T) {
 }
 
 func TestRestripeRejections(t *testing.T) {
-	cfg0 := Config{MemSize: 16 << 10, DirectSize: 0, WALSlots: 16, WALSlotSize: 256}
+	cfg0 := Config{MemSize: 16 << 10, DirectSize: 0}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.MemSize = 16 << 10
 	cfg.DirectSize = 0
-	cfg.WALSlots = 16
-	cfg.WALSlotSize = 256
 	m := newMemory(t, cfg)
 
 	// Plain → EC online is forbidden (block alignment would change under the

@@ -5,22 +5,21 @@
 // Two logical address spaces are exposed:
 //
 //   - Main space [0, MemSize): read with Read, updated with Write/WriteBatch.
-//     Updates are appended to a circular write-ahead log on the memory nodes
-//     (one one-sided RDMA WRITE per node, committed on majority ack) and
-//     applied to the materialized memory in the background. With erasure
-//     coding enabled, the materialized memory is stored as Cauchy
-//     Reed–Solomon chunks — one chunk per node — while the WAL remains
-//     unencoded (§5.1).
+//     A write is materialized on every writable node (one vectored one-sided
+//     RDMA WRITE per node) before it returns. With erasure coding enabled,
+//     the materialized memory is stored as Cauchy Reed–Solomon chunks — one
+//     chunk per node (§5.1).
 //
-//   - Direct space [0, DirectSize): read/written without logging
-//     (DirectWrite commits in a single RDMA round trip on majority ack).
-//     Used by applications that manage their own conflicts and recovery,
-//     such as the key-value store's circular WAL (§3.3.2, §4.1).
+//   - Direct space [0, DirectSize): never erasure coded, committed in a
+//     single RDMA round trip on majority ack (DirectWrite). The key-value
+//     store keeps its circular write-ahead log here (§3.3.2, §4.1): that
+//     log is the paper's memory-level WAL, and because it stays unencoded a
+//     coordinator plus quorum-member double failure stays survivable. The
+//     main space carries no log of its own; a write torn by a coordinator
+//     failure is repaired by the application replaying its log.
 //
-// Consistency: writers hold per-range locks from WAL append until the
-// background apply completes, so reads never observe a committed-but-
-// unapplied range (the paper's "locks are only released once a replicated
-// memory update has been submitted").
+// Consistency: writers hold per-range locks until their write has completed
+// on every waited-on node, so reads never observe a half-applied range.
 package repmem
 
 import (
@@ -37,7 +36,6 @@ import (
 	"github.com/repro/sift/internal/metrics"
 	"github.com/repro/sift/internal/obs"
 	"github.com/repro/sift/internal/rdma"
-	"github.com/repro/sift/internal/wal"
 )
 
 // LatencyHooks holds the hot-path latency histograms. They live outside the
@@ -46,7 +44,6 @@ import (
 // cluster/daemon scope, pass it through Config.Latency on every term, and
 // register the histograms with an obs.Registry once.
 type LatencyHooks struct {
-	Write       metrics.Histogram // WriteBatch end-to-end commit latency
 	DirectWrite metrics.Histogram // direct-zone write commit latency
 	Read        metrics.Histogram // main-space read latency
 	Quorum      metrics.Histogram // quorum ack wait inside a write
@@ -62,8 +59,6 @@ var (
 	ErrOutOfRange = errors.New("repmem: access out of logical address range")
 	// ErrClosed means the memory has been closed or fenced.
 	ErrClosed = errors.New("repmem: closed")
-	// ErrEntryTooLarge means a write batch does not fit in one WAL slot.
-	ErrEntryTooLarge = wal.ErrTooLarge
 	// ErrStaleConfig means the memory nodes belong to a newer config epoch
 	// than the caller's member list: a reconfiguration committed after this
 	// configuration was discovered. The caller must re-read the configuration
@@ -91,10 +86,6 @@ type Config struct {
 	MemSize int
 	// DirectSize is the direct-write zone size in bytes.
 	DirectSize int
-	// WALSlots and WALSlotSize define the circular write-ahead log. The
-	// paper's evaluation configures 32k slots (§6.2).
-	WALSlots    int
-	WALSlotSize int
 
 	// ECData (k = Fm+1) and ECParity (m = Fm) enable erasure coding when
 	// both are non-zero; ECData+ECParity must equal len(MemoryNodes) and
@@ -147,18 +138,8 @@ type Config struct {
 	StragglerMinLatency time.Duration
 }
 
-// applyWorkers bounds concurrent background appliers; no deployment, test
-// or experiment ever set it differently.
-const applyWorkers = 4
-
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.WALSlotSize <= 0 {
-		out.WALSlotSize = 4096
-	}
-	if out.WALSlots <= 0 {
-		out.WALSlots = 32 * 1024
-	}
 	if out.StragglerMinLatency <= 0 {
 		out.StragglerMinLatency = 2 * time.Millisecond
 	}
@@ -250,8 +231,6 @@ func (c Config) Layout() memnode.Layout {
 		ibs = cfg.ECBlockSize / cfg.ECData
 	}
 	return memnode.Layout{
-		WALSlotSize:        cfg.WALSlotSize,
-		WALSlots:           cfg.WALSlots,
 		DirectSize:         cfg.DirectSize,
 		MainSize:           main,
 		IntegrityBlockSize: ibs,
@@ -261,9 +240,7 @@ func (c Config) Layout() memnode.Layout {
 // Stats are cumulative operation counters, exposed for the benchmark
 // harness.
 type Stats struct {
-	Writes        uint64 // logged write requests committed
 	DirectWrites  uint64 // direct-zone writes committed
-	Applies       uint64 // WAL entries applied to materialized memory
 	Reads         uint64 // main-space read requests served
 	RemoteReads   uint64 // RDMA READ operations issued for main-space reads
 	DecodedReads  uint64 // main-space reads requiring erasure decoding
@@ -301,11 +278,10 @@ type Stats struct {
 
 // Memory is the coordinator-side replicated memory handle. It is safe for
 // concurrent use. Create with New, then call Recover exactly once before
-// serving (it replays the write-ahead log left by a previous coordinator).
+// serving (it loads the checksum cache the previous coordinator left).
 type Memory struct {
 	cfg    Config
 	layout memnode.Layout
-	geo    wal.Geometry
 	code   *erasure.Code // nil when EC disabled
 	chunk  int           // EC chunk size C; 0 when disabled
 
@@ -343,9 +319,8 @@ type Memory struct {
 	transferring atomic.Bool
 
 	// gate is the reconfiguration write gate: every mutating client path
-	// holds the read side for its duration; a restripe cutover takes the
-	// write side (plus an apply drain) to get a moment with no write in
-	// flight anywhere.
+	// holds the read side for its duration; a cutover takes the write side
+	// to get a moment with no write in flight anywhere.
 	gate sync.RWMutex
 
 	// dirtyMain and dirtyDirect, when non-nil, collect the ranges mutated by
@@ -359,20 +334,10 @@ type Memory struct {
 
 	integ *integrity // checksummed main memory
 
-	seqMu     sync.Mutex
-	seqCond   *sync.Cond
-	nextIndex uint64
-	watermark uint64          // every index <= watermark has been applied
-	applied   map[uint64]bool // applied indexes above the watermark
-
-	applySem chan struct{}
-	applyWG  sync.WaitGroup
-
 	workers    []*nodeWorker
 	workerWG   sync.WaitGroup
 	queueDepth metrics.Depth
 	// The pools are separate objects (see bufPool), not fields.
-	slotPool  *sync.Pool
 	ecPool    *sync.Pool // *ecScratch, EC apply/reconstruct scratch
 	chunkPool *sync.Pool // *[]byte of chunk size, verified-read buffers
 
@@ -397,7 +362,7 @@ type Memory struct {
 	recoveredOnce atomic.Bool
 
 	stats struct {
-		writes, directWrites, applies    atomic.Uint64
+		directWrites                     atomic.Uint64
 		reads, remoteReads, decodedReads atomic.Uint64
 		nodeFailures, nodeRecovered      atomic.Uint64
 		nodeTimeouts, nodeSuspected      atomic.Uint64
@@ -423,24 +388,19 @@ func New(cfg Config) (*Memory, error) {
 	}
 	c := cfg.withDefaults()
 	m := &Memory{
-		cfg:       c,
-		layout:    c.Layout(),
-		nodes:     append([]string(nil), c.MemoryNodes...),
-		conns:     make([]atomic.Pointer[connBox], len(c.MemoryNodes)),
-		state:     make([]atomic.Int32, len(c.MemoryNodes)),
-		applied:   make(map[uint64]bool),
-		applySem:  make(chan struct{}, applyWorkers),
-		nextIndex: 1,
+		cfg:    c,
+		layout: c.Layout(),
+		nodes:  append([]string(nil), c.MemoryNodes...),
+		conns:  make([]atomic.Pointer[connBox], len(c.MemoryNodes)),
+		state:  make([]atomic.Int32, len(c.MemoryNodes)),
+		ecPool: new(sync.Pool),
 	}
-	m.seqCond = sync.NewCond(&m.seqMu)
 	m.epoch.Store(c.Epoch)
 	m.shadows = make([]atomic.Pointer[shadowNode], len(c.MemoryNodes))
 	m.health = make([]nodeHealth, len(c.MemoryNodes))
 	for i := range m.health {
 		m.health[i].rng = rand.New(rand.NewSource(int64(i) + 1))
 	}
-	m.geo = m.layout.WALGeometry()
-	m.slotPool, m.ecPool = bufPool(m.geo.SlotSize), new(sync.Pool)
 	if c.ECData > 0 {
 		code, err := erasure.New(c.ECData, c.ECParity)
 		if err != nil {
@@ -727,9 +687,7 @@ func (m *Memory) WriteAlign() int { return m.cfg.WriteAlign() }
 // node failure takes its counters with it).
 func (m *Memory) Stats() Stats {
 	s := Stats{
-		Writes:        m.stats.writes.Load(),
 		DirectWrites:  m.stats.directWrites.Load(),
-		Applies:       m.stats.applies.Load(),
 		Reads:         m.stats.reads.Load(),
 		RemoteReads:   m.stats.remoteReads.Load(),
 		DecodedReads:  m.stats.decodedReads.Load(),
@@ -786,12 +744,6 @@ func bufPool(size int) *sync.Pool {
 	}}
 }
 
-// getSlot takes a WAL-slot-sized buffer from the pool.
-func (m *Memory) getSlot() []byte { return *m.slotPool.Get().(*[]byte) }
-
-// putSlot recycles a slot buffer once no write referencing it is in flight.
-func (m *Memory) putSlot(b []byte) { m.slotPool.Put(&b) }
-
 // emit records a control-plane event against the named node, tagged with
 // this coordinator's term. Safe with no ring configured.
 func (m *Memory) emit(typ, node, detail string) {
@@ -809,9 +761,6 @@ func (m *Memory) fence() {
 	if m.fenced.CompareAndSwap(false, true) {
 		m.emit("repmem.fenced", "", "newer coordinator took over")
 		m.closed.Store(true)
-		m.seqMu.Lock()
-		m.seqCond.Broadcast()
-		m.seqMu.Unlock()
 		if m.cfg.OnFenced != nil {
 			go m.cfg.OnFenced()
 		}
@@ -884,18 +833,13 @@ func (m *Memory) writeTargetsInto(need int, wait, bestEffort []int) ([]int, []in
 	return wait, bestEffort
 }
 
-// Close tears down all connections and stops background work. It does not
-// wait for in-flight applies on other goroutines beyond the apply queue.
+// Close tears down all connections and stops background work.
 func (m *Memory) Close() {
 	if m.closed.Swap(true) {
 		return
 	}
-	m.seqMu.Lock()
-	m.seqCond.Broadcast()
-	m.seqMu.Unlock()
-	m.applyWG.Wait()
-	// Workers stop after the appliers have drained (they feed the workers)
-	// and before the connections close (queued requests still need them).
+	// Workers stop before the connections close (queued requests still need
+	// them).
 	m.stopWorkers()
 	for i := range m.conns {
 		if b := m.conns[i].Swap(nil); b != nil {

@@ -47,8 +47,6 @@ func baseConfig(e *testEnv, cpu string) Config {
 		Dial:        e.dialer(cpu),
 		MemSize:     64 << 10,
 		DirectSize:  16 << 10,
-		WALSlots:    64,
-		WALSlotSize: 512,
 	}
 }
 
@@ -66,7 +64,7 @@ func newMemory(t *testing.T, cfg Config) *Memory {
 }
 
 func TestConfigValidate(t *testing.T) {
-	e := newEnv(t, 3, Config{MemSize: 1024, DirectSize: 0, WALSlots: 4, WALSlotSize: 128}.Layout())
+	e := newEnv(t, 3, Config{MemSize: 1024, DirectSize: 0}.Layout())
 	good := baseConfig(e, "c")
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
@@ -101,7 +99,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	m := newMemory(t, baseConfig(e, "c"))
 
@@ -116,26 +114,22 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf, data) {
 		t.Fatalf("read %q, want %q", buf, data)
 	}
-	st := m.Stats()
-	if st.Writes != 1 || st.Reads != 1 {
+	if st := m.Stats(); st.Reads != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestWriteReplicatedToAllNodes(t *testing.T) {
-	cfg0 := Config{MemSize: 8 << 10, DirectSize: 0, WALSlots: 16, WALSlotSize: 256}
+	cfg0 := Config{MemSize: 8 << 10, DirectSize: 0}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.MemSize = 8 << 10
 	cfg.DirectSize = 0
-	cfg.WALSlots = 16
-	cfg.WALSlotSize = 256
 	m := newMemory(t, cfg)
 
 	if err := m.Write(128, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	m.WaitApplied(t)
 
 	layout := cfg.Layout()
 	for _, name := range e.names {
@@ -148,20 +142,8 @@ func TestWriteReplicatedToAllNodes(t *testing.T) {
 	}
 }
 
-// WaitApplied blocks until every committed entry has been applied. Test helper.
-func (m *Memory) WaitApplied(t *testing.T) {
-	t.Helper()
-	m.seqMu.Lock()
-	for m.watermark+1 < m.nextIndex {
-		m.seqMu.Unlock()
-		m.applyWG.Wait()
-		m.seqMu.Lock()
-	}
-	m.seqMu.Unlock()
-}
-
 func TestWriteBatchAtomicEntry(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 0, WALSlots: 64, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 0}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.DirectSize = 0
@@ -186,28 +168,12 @@ func TestWriteBatchAtomicEntry(t *testing.T) {
 	}
 }
 
-func TestWriteBatchTooLarge(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 0, WALSlots: 16, WALSlotSize: 128}
-	e := newEnv(t, 3, cfg0.Layout())
-	cfg := baseConfig(e, "c")
-	cfg.DirectSize = 0
-	cfg.WALSlots = 16
-	cfg.WALSlotSize = 128
-	m := newMemory(t, cfg)
-	err := m.Write(0, make([]byte, 4096))
-	if !errors.Is(err, wal.ErrTooLarge) {
-		t.Fatalf("err = %v, want ErrTooLarge", err)
-	}
-}
-
 func TestOutOfRangeAccess(t *testing.T) {
-	cfg0 := Config{MemSize: 4 << 10, DirectSize: 1 << 10, WALSlots: 16, WALSlotSize: 256}
+	cfg0 := Config{MemSize: 4 << 10, DirectSize: 1 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.MemSize = 4 << 10
 	cfg.DirectSize = 1 << 10
-	cfg.WALSlots = 16
-	cfg.WALSlotSize = 256
 	m := newMemory(t, cfg)
 
 	if err := m.Write(uint64(cfg.MemSize), []byte{1}); !errors.Is(err, ErrOutOfRange) {
@@ -225,13 +191,11 @@ func TestOutOfRangeAccess(t *testing.T) {
 }
 
 func TestDirectWriteRead(t *testing.T) {
-	cfg0 := Config{MemSize: 4 << 10, DirectSize: 8 << 10, WALSlots: 16, WALSlotSize: 256}
+	cfg0 := Config{MemSize: 4 << 10, DirectSize: 8 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.MemSize = 4 << 10
 	cfg.DirectSize = 8 << 10
-	cfg.WALSlots = 16
-	cfg.WALSlotSize = 256
 	m := newMemory(t, cfg)
 
 	data := []byte("direct, unlogged")
@@ -264,7 +228,7 @@ func TestDirectWriteRead(t *testing.T) {
 }
 
 func TestWriteToleratesMinorityFailure(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10}
 	e := newEnv(t, 5, cfg0.Layout())
 	m := newMemory(t, baseConfig(e, "c"))
 
@@ -286,7 +250,7 @@ func TestWriteToleratesMinorityFailure(t *testing.T) {
 }
 
 func TestWriteFailsWithoutQuorum(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	m := newMemory(t, baseConfig(e, "c"))
 	e.nw.Fabric().Kill(e.names[0])
@@ -297,13 +261,12 @@ func TestWriteFailsWithoutQuorum(t *testing.T) {
 }
 
 func TestReadFailsOverToAnotherNode(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	m := newMemory(t, baseConfig(e, "c"))
 	if err := m.Write(10, []byte("xyz")); err != nil {
 		t.Fatal(err)
 	}
-	m.WaitApplied(t)
 	e.nw.Fabric().Kill(e.names[0])
 	e.nw.Fabric().Kill(e.names[1])
 	// One node left: reads must still succeed (no read quorum needed).
@@ -325,13 +288,11 @@ func TestReadFailsOverToAnotherNode(t *testing.T) {
 }
 
 func TestConcurrentWritersDisjointRanges(t *testing.T) {
-	cfg0 := Config{MemSize: 256 << 10, DirectSize: 0, WALSlots: 128, WALSlotSize: 2048}
+	cfg0 := Config{MemSize: 256 << 10, DirectSize: 0}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.MemSize = 256 << 10
 	cfg.DirectSize = 0
-	cfg.WALSlots = 128
-	cfg.WALSlotSize = 2048
 	m := newMemory(t, cfg)
 
 	const workers = 8
@@ -370,12 +331,11 @@ func TestOverlappingWritesSerialized(t *testing.T) {
 	// Concurrent writes to the same address: the final state must equal one
 	// of the writes in full (no interleaving), and reads during the storm
 	// must always see a complete payload.
-	cfg0 := Config{MemSize: 16 << 10, DirectSize: 0, WALSlots: 64, WALSlotSize: 1024}
+	cfg0 := Config{MemSize: 16 << 10, DirectSize: 0}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.MemSize = 16 << 10
 	cfg.DirectSize = 0
-	cfg.WALSlotSize = 1024
 	m := newMemory(t, cfg)
 
 	const workers = 6
@@ -418,16 +378,14 @@ func TestOverlappingWritesSerialized(t *testing.T) {
 	<-readerDone
 }
 
-func TestLogWrapAround(t *testing.T) {
-	// More writes than WAL slots: the circular log must recycle slots once
-	// entries are applied.
-	cfg0 := Config{MemSize: 16 << 10, DirectSize: 0, WALSlots: 8, WALSlotSize: 256}
+func TestRepeatedWritesLastWriterWins(t *testing.T) {
+	// Many more writes than addresses: each address reads back the last value
+	// written to it.
+	cfg0 := Config{MemSize: 16 << 10, DirectSize: 0}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.MemSize = 16 << 10
 	cfg.DirectSize = 0
-	cfg.WALSlots = 8
-	cfg.WALSlotSize = 256
 	m := newMemory(t, cfg)
 
 	for i := 0; i < 100; i++ {
@@ -435,17 +393,19 @@ func TestLogWrapAround(t *testing.T) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	buf := make([]byte, 2)
-	if err := m.Read(uint64(99%16)*64, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 99 {
-		t.Fatalf("read %v", buf)
+	for a := 0; a < 16; a++ {
+		buf := make([]byte, 2)
+		if err := m.Read(uint64(a)*64, buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := byte(a + (99-a)/16*16); buf[0] != want || buf[1] != 0 {
+			t.Fatalf("address %d read %v, want [%d 0]", a*64, buf, want)
+		}
 	}
 }
 
 func TestCoordinatorFailoverRecoversCommittedWrites(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 
 	m1 := newMemory(t, baseConfig(e, "cpu1"))
@@ -477,10 +437,11 @@ func TestCoordinatorFailoverRecoversCommittedWrites(t *testing.T) {
 }
 
 func TestFailoverMidLogUncommittedTailDiscardedOrKept(t *testing.T) {
-	// Write entries where the last one reaches only one node (simulated by
-	// killing two nodes mid-stream); failover must preserve all acked
-	// entries. The unacked tail may appear or not — both are legal.
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 0, WALSlots: 64, WALSlotSize: 512}
+	// Every acknowledged write survives a coordinator handover. The main
+	// space has no log, so there is no uncommitted tail to keep or discard:
+	// a write acknowledges only once materialized, and the successor reads
+	// the materialized memory directly.
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 0}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "cpu1")
 	cfg.DirectSize = 0
@@ -508,12 +469,11 @@ func TestFailoverMidLogUncommittedTailDiscardedOrKept(t *testing.T) {
 }
 
 func TestMemoryNodeRecoveryRestoresData(t *testing.T) {
-	cfg0 := Config{MemSize: 32 << 10, DirectSize: 8 << 10, WALSlots: 32, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 32 << 10, DirectSize: 8 << 10}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.MemSize = 32 << 10
 	cfg.DirectSize = 8 << 10
-	cfg.WALSlots = 32
 	m := newMemory(t, cfg)
 
 	for i := uint64(0); i < 10; i++ {
@@ -532,11 +492,10 @@ func TestMemoryNodeRecoveryRestoresData(t *testing.T) {
 		t.Fatal(err) // triggers failure detection
 	}
 	memnode.Reset(e.nw.Node(victim), cfg.Layout())
-	// The write returned on the two live nodes' acknowledgements. The victim's
-	// failed append is noted when its own completion arrives, and the entry
-	// is not finished (WaitApplied) before that: detection is then a fact,
-	// not a race with the victim's worker.
-	m.WaitApplied(t)
+	// A write returns only after every waited-on node's completion, the
+	// victim's failed one included, and a completion is accounted before it
+	// is delivered: detection is then a fact, not a race with the victim's
+	// worker.
 	if len(m.DeadMemoryNodes()) != 1 {
 		t.Fatalf("dead = %v", m.DeadMemoryNodes())
 	}
@@ -553,7 +512,6 @@ func TestMemoryNodeRecoveryRestoresData(t *testing.T) {
 	if got := len(m.LiveMemoryNodes()); got != 3 {
 		t.Fatalf("live = %d", got)
 	}
-	m.WaitApplied(t)
 
 	// The recovered node must now hold a full copy: kill the other two and
 	// read everything back from the recovered one.
@@ -598,12 +556,11 @@ func TestMemoryNodeRecoveryRestoresData(t *testing.T) {
 
 func TestQuickMainSpaceMatchesModel(t *testing.T) {
 	// Random writes and reads against a model byte array.
-	cfg0 := Config{MemSize: 8 << 10, DirectSize: 0, WALSlots: 32, WALSlotSize: 512}
+	cfg0 := Config{MemSize: 8 << 10, DirectSize: 0}
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.MemSize = 8 << 10
 	cfg.DirectSize = 0
-	cfg.WALSlots = 32
 	m := newMemory(t, cfg)
 	model := make([]byte, cfg.MemSize)
 

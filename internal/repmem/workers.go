@@ -22,7 +22,7 @@ import (
 // A worker sends flights, not requests: after its blocking receive it takes
 // whatever else is already queued for the node and submits the lot as one
 // vectored write (DESIGN.md §8, "Vectored writes and queue coalescing").
-// Concurrent committers' log slots, and the appliers' blocks, then share one
+// Concurrent committers' KV log slots, and the appliers' blocks, then share one
 // channel hop, one transport round trip and one completion per node. The
 // window is whatever has queued while the worker was busy — empty, and so
 // free, when a writer is alone.
@@ -109,8 +109,8 @@ func (m *Memory) enqueue(i int, req nodeReq) {
 }
 
 // shadowNode mirrors one group slot's write stream to a joining node during
-// replacement. It is the single funnel: every per-node write — WAL append,
-// main-memory apply, EC chunk, integrity strip, direct write — reaches node
+// replacement. It is the single funnel: every per-node write — main-memory
+// block, EC chunk, integrity strip, direct write — reaches node
 // i through enqueue, so mirroring there captures the full stream, every
 // segment of every request. The shadow's own worker writes one request at a
 // time and waits for it; a replacement window is short and correctness

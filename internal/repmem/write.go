@@ -10,20 +10,26 @@ import (
 	"github.com/repro/sift/internal/wal"
 )
 
-// Write commits a single logged update to the main space: the update is
-// appended to the write-ahead log on a majority of memory nodes (one
-// one-sided RDMA WRITE each) and applied to the materialized memory in the
-// background. Write returns as soon as the entry is committed; the affected
-// range stays locked until the background apply completes, so subsequent
-// reads never observe the pre-write state after a successful Write.
+// Write updates the main space: see WriteBatch.
 func (m *Memory) Write(addr uint64, data []byte) error {
 	return m.WriteBatch([]wal.Write{{Addr: addr, Data: data}})
 }
 
-// WriteBatch commits several updates atomically: they occupy a single log
-// entry, so they are applied together without interleaving with other
-// conflicting writes (paper §3.3.2). The whole batch must fit in one WAL
-// slot.
+// UnloggedWrite is Write. The name is kept for callers built against the
+// time the main space also had a logged write path (the benchmark's traced
+// probe); new code calls Write.
+func (m *Memory) UnloggedWrite(addr uint64, data []byte) error { return m.Write(addr, data) }
+
+// WriteBatch materializes several main-space writes at once, without a log
+// of its own: their expanded ranges are locked in one atomic acquisition,
+// every node receives all of them as one vectored request, and the call
+// returns when the last waited-on node has completed it. The writes' byte
+// ranges must be pairwise disjoint; sub-block writes may share an integrity
+// or EC block. Nothing orders the writes of one call against each other on a
+// node's memory as a reader sees it — a caller that needs "this before that"
+// (a block before the pointer to it) makes two calls. Durability is the
+// caller's: the key-value store logs every put in the direct zone first, and
+// an update torn by a coordinator failure is repaired by replaying that log.
 func (m *Memory) WriteBatch(writes []wal.Write) error {
 	// The reconfiguration gate: held shared by every write-path entry point,
 	// exclusively by a cutover. A writer that blocks here across a cutover
@@ -34,121 +40,33 @@ func (m *Memory) WriteBatch(writes []wal.Write) error {
 	if err := m.checkOpen(); err != nil {
 		return err
 	}
-	if len(writes) == 0 {
-		return nil
-	}
-	var start time.Time
-	if m.cfg.Latency != nil {
-		start = time.Now()
-	}
-	ranges := make([]lockRange, len(writes))
-	for i, w := range writes {
+	var buf [4]lockRange
+	ranges := buf[:0]
+	for _, w := range writes {
 		if err := m.checkMainRange(w.Addr, len(w.Data)); err != nil {
 			return err
 		}
-		ranges[i] = m.expandWriteRange(w.Addr, len(w.Data))
+		ranges = append(ranges, m.expandWriteRange(w.Addr, len(w.Data)))
 	}
-
-	// All of the batch's ranges are taken in one atomic acquisition, so
-	// batches whose ranges cross cannot deadlock against each other.
 	m.locks.acquire(exclusive, ranges...)
-	unlock := func() { m.locks.release(exclusive, ranges...) }
-
-	// Reserve a log index, bounded by the circular log capacity: index i may
-	// only be written once entry i-Slots has been applied (its slot is being
-	// reused).
-	m.seqMu.Lock()
-	for m.nextIndex > m.watermark+uint64(m.geo.Slots) && !m.closed.Load() {
-		m.seqCond.Wait()
-	}
-	if m.closed.Load() {
-		m.seqMu.Unlock()
-		unlock()
-		return m.checkOpen()
-	}
-	idx := m.nextIndex
-	m.nextIndex++
-	m.seqMu.Unlock()
-
-	entry := wal.Entry{Index: idx, Writes: writes}
-	slot := m.getSlot()
-	n, err := entry.Encode(slot)
-	if err != nil {
-		m.putSlot(slot)
-		m.finishEntry(idx)
-		unlock()
-		return fmt.Errorf("repmem: %w", err)
-	}
-	// Zero the slot tail: recovery compares raw slot bytes against freshly
-	// encoded (zero-tailed) images, and pooled buffers carry old payloads.
-	clear(slot[n:])
-
-	// appendsDone closes once every node's WAL write has completed, at
-	// which point the slot buffer is recyclable and — crucially — no write
-	// to this log slot is still in flight, so the slot may be reused by a
-	// later entry without racing a straggler.
-	appendsDone := make(chan struct{})
-	err = m.appendQuorum(idx, slot, func() {
-		m.putSlot(slot)
-		close(appendsDone)
-	})
-	if err != nil {
-		unlock()
-		go func() {
-			<-appendsDone
-			m.finishEntry(idx)
-		}()
+	m.applyWrites(writes)
+	m.locks.release(exclusive, ranges...)
+	if err := m.checkOpen(); err != nil {
 		return err
 	}
-	m.stats.writes.Add(1)
-	if h := m.cfg.Latency; h != nil {
-		h.Write.Record(time.Since(start))
-	}
-
-	// Committed: hand the apply to the background pool. The caller's locks
-	// are released by the applier.
-	m.applyWG.Add(1)
-	go func() {
-		m.applySem <- struct{}{}
-		defer func() {
-			<-m.applySem
-			m.applyWG.Done()
-		}()
-		m.applyEntry(entry)
-		unlock()
-		<-appendsDone
-		m.finishEntry(idx)
-		m.stats.applies.Add(1)
-	}()
-	return nil
-}
-
-// appendQuorum writes a WAL slot image to every writable node through the
-// per-node workers and returns once a majority has acknowledged (or the
-// quorum is unreachable). allDone runs exactly once, after the last
-// waited-on node completes — success or failure — when slot may be
-// recycled. Suspect nodes receive the slot best-effort on a private copy,
-// so a gray node neither delays the quorum nor pins the slot buffer.
-func (m *Memory) appendQuorum(idx uint64, slot []byte, allDone func()) error {
-	offset := m.geo.SlotOffset(idx)
-	wait, bestEffort := m.writeTargets(m.Majority())
-	g := newQuorumGroup(len(wait), m.Majority(), allDone)
-	// Copies first: once the last waited-on write is enqueued it may
-	// complete, and allDone recycle slot, at any moment.
-	for _, i := range bestEffort {
-		m.enqueueBestEffort(i, offset, slot)
-	}
-	for _, i := range wait {
-		m.enqueue(i, nodeReq{offset: offset, data: slot, done: g.ack})
-	}
-	err := m.waitQuorum(g)
-	if err != nil {
-		if oerr := m.checkOpen(); oerr != nil {
-			return oerr
+	// Suspects count toward the quorum here: they still hold the data from
+	// before they turned gray plus best-effort copies of everything since,
+	// and are repaired in full before rejoining reads.
+	alive := 0
+	for i := range m.nodes {
+		if m.state[i].Load() != nodeDead {
+			alive++
 		}
-		return err
 	}
-	return m.checkOpen()
+	if alive < m.Majority() {
+		return fmt.Errorf("%w: lost quorum during main-space write", ErrNoQuorum)
+	}
+	return nil
 }
 
 // waitQuorum blocks on the quorum group, timing the ack wait into the
@@ -161,29 +79,6 @@ func (m *Memory) waitQuorum(g *quorumGroup) error {
 		return err
 	}
 	return g.wait()
-}
-
-// finishEntry marks idx as applied (or abandoned) and advances the
-// contiguous watermark, freeing its slot for reuse.
-func (m *Memory) finishEntry(idx uint64) {
-	m.seqMu.Lock()
-	m.applied[idx] = true
-	for m.applied[m.watermark+1] {
-		delete(m.applied, m.watermark+1)
-		m.watermark++
-	}
-	m.seqCond.Broadcast()
-	m.seqMu.Unlock()
-}
-
-// applyEntry writes an entry's updates to the materialized memory on every
-// writable node, one write at a time: the writes of one logged entry may
-// overlap, and the later one wins. Failures mark the node dead; the entry
-// remains recoverable from the WAL.
-func (m *Memory) applyEntry(entry wal.Entry) {
-	for i := range entry.Writes {
-		m.applyWrites(entry.Writes[i : i+1])
-	}
 }
 
 // applyUnit is one run of whole integrity/EC blocks that applyWrites sends:
@@ -515,59 +410,6 @@ func (m *Memory) directWrite(addr uint64, data []byte, release func()) error {
 	m.stats.directWrites.Add(1)
 	if h := m.cfg.Latency; h != nil {
 		h.DirectWrite.Record(time.Since(start))
-	}
-	return nil
-}
-
-// UnloggedWrite updates the main space immediately, without a WAL entry.
-// It blocks until the update is materialized on every writable node. This
-// is for applications that provide their own write-ahead durability (the
-// key-value store logs puts in the direct zone and applies blocks through
-// this path); a torn update after a coordinator failure is repaired by the
-// application replaying its own log.
-func (m *Memory) UnloggedWrite(addr uint64, data []byte) error {
-	return m.UnloggedWriteBatch([]wal.Write{{Addr: addr, Data: data}})
-}
-
-// UnloggedWriteBatch is UnloggedWrite for several writes at once: their
-// expanded ranges are locked in one atomic acquisition, every node receives
-// all of them as one vectored request, and the call returns when the last
-// waited-on node has completed it. The writes' byte ranges must be pairwise
-// disjoint; sub-block writes may share an integrity or EC block. Nothing
-// orders the writes of one call against each other on a node's memory as a
-// reader sees it — a caller that needs "this before that" (a block before
-// the pointer to it) makes two calls.
-func (m *Memory) UnloggedWriteBatch(writes []wal.Write) error {
-	m.gate.RLock()
-	defer m.gate.RUnlock()
-	if err := m.checkOpen(); err != nil {
-		return err
-	}
-	var buf [4]lockRange
-	ranges := buf[:0]
-	for _, w := range writes {
-		if err := m.checkMainRange(w.Addr, len(w.Data)); err != nil {
-			return err
-		}
-		ranges = append(ranges, m.expandWriteRange(w.Addr, len(w.Data)))
-	}
-	m.locks.acquire(exclusive, ranges...)
-	m.applyWrites(writes)
-	m.locks.release(exclusive, ranges...)
-	if err := m.checkOpen(); err != nil {
-		return err
-	}
-	// Suspects count toward the quorum here: they still hold the data from
-	// before they turned gray plus best-effort copies of everything since,
-	// and are repaired in full before rejoining reads.
-	alive := 0
-	for i := range m.nodes {
-		if m.state[i].Load() != nodeDead {
-			alive++
-		}
-	}
-	if alive < m.Majority() {
-		return fmt.Errorf("%w: lost quorum during unlogged write", ErrNoQuorum)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 // Package wal implements the write-ahead-log entry format and circular log
-// geometry shared by Sift's replicated memory layer and key-value store
-// (paper §3.3, §3.4.1, §4.1).
+// geometry of the key-value store's log, the only log Sift keeps in
+// replicated memory (paper §3.3, §3.4.1, §4.1). Its Write type also names
+// the main-space writes the replicated memory layer takes.
 //
 // The log is a fixed array of fixed-size slots living inside a replicated
 // memory region. An entry carries its own log index, so a slot's occupant is
@@ -28,9 +29,8 @@ import (
 
 // Codec errors.
 var (
-	ErrTooLarge    = errors.New("wal: entry exceeds slot size")
-	ErrCorrupt     = errors.New("wal: corrupt or torn entry")
-	ErrBadGeometry = errors.New("wal: invalid log geometry")
+	ErrTooLarge = errors.New("wal: entry exceeds slot size")
+	ErrCorrupt  = errors.New("wal: corrupt or torn entry")
 )
 
 // castagnoli is the CRC32-C table; CRC32-C has better error detection than
@@ -144,14 +144,6 @@ type Geometry struct {
 	Base     uint64 // byte offset of slot 0 within the region
 	SlotSize int    // bytes per slot; every entry must fit in one slot
 	Slots    int    // number of slots
-}
-
-// Validate checks the geometry for sanity.
-func (g Geometry) Validate() error {
-	if g.SlotSize < entryHeaderSize || g.Slots < 1 {
-		return fmt.Errorf("%w: slotSize=%d slots=%d", ErrBadGeometry, g.SlotSize, g.Slots)
-	}
-	return nil
 }
 
 // TotalSize returns the log area's size in bytes.

@@ -55,7 +55,6 @@ func (cl *Cluster) initObs() {
 	}
 
 	// Replicated memory hot-path latency (stable across coordinator terms).
-	reg.Observe("sift_repmem_write_seconds", "Logged write commit latency (WAL append quorum).", &cl.latency.Write)
 	reg.Observe("sift_repmem_direct_write_seconds", "Direct-zone write commit latency.", &cl.latency.DirectWrite)
 	reg.Observe("sift_repmem_read_seconds", "Main-space read latency.", &cl.latency.Read)
 	reg.Observe("sift_repmem_quorum_wait_seconds", "Quorum ack wait inside a write fan-out.", &cl.latency.Quorum)
@@ -71,12 +70,10 @@ func (cl *Cluster) initObs() {
 			return 0
 		}
 	}
-	reg.CounterFunc("sift_repmem_quorum_writes_total", "Writes committed on a majority (logged + direct).",
-		mem(func(s repmem.Stats) uint64 { return s.Writes + s.DirectWrites }))
+	reg.CounterFunc("sift_repmem_quorum_writes_total", "Direct-zone writes committed on a majority.",
+		mem(func(s repmem.Stats) uint64 { return s.DirectWrites }))
 	reg.CounterFunc("sift_repmem_reads_total", "Main-space reads served.",
 		mem(func(s repmem.Stats) uint64 { return s.Reads }))
-	reg.CounterFunc("sift_repmem_applies_total", "WAL entries applied to materialized memory.",
-		mem(func(s repmem.Stats) uint64 { return s.Applies }))
 	reg.CounterFunc("sift_repmem_node_failures_total", "Memory node failure detections.",
 		mem(func(s repmem.Stats) uint64 { return s.NodeFailures }))
 	reg.CounterFunc("sift_repmem_node_recoveries_total", "Memory node recoveries completed.",

@@ -82,7 +82,7 @@ func TestObsSmoke(t *testing.T) {
 		t.Error("no coordinator promotion recorded")
 	}
 	for _, want := range []string{
-		"# TYPE sift_repmem_write_seconds summary",
+		"# TYPE sift_repmem_direct_write_seconds summary",
 		"sift_process_goroutines",
 		`sift_node_up{node="mem0"} 1`,
 		"sift_kv_recovery_seconds",

@@ -98,10 +98,6 @@ type Config struct {
 	// KVWALSlots is the key-value circular log size (default 4096 entries;
 	// the paper uses 64k).
 	KVWALSlots int
-	// MemWALSlots and MemWALSlotSize define the replicated-memory log
-	// (defaults 1024 × 4096 B; the paper uses 32k slots).
-	MemWALSlots    int
-	MemWALSlotSize int
 
 	// HeartbeatInterval, ReadInterval, and MissedBeats configure failure
 	// detection (defaults 7ms / 7ms / 3, the §6.5 values).
@@ -189,12 +185,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.KVWALSlots <= 0 {
 		out.KVWALSlots = 4096
-	}
-	if out.MemWALSlots <= 0 {
-		out.MemWALSlots = 1024
-	}
-	if out.MemWALSlotSize <= 0 {
-		out.MemWALSlotSize = 4096
 	}
 	if out.HeartbeatInterval <= 0 {
 		out.HeartbeatInterval = 7 * time.Millisecond

@@ -16,8 +16,6 @@ func smallConfig() Config {
 		MaxKeySize:           32,
 		MaxValueSize:         128,
 		KVWALSlots:           128,
-		MemWALSlots:          128,
-		MemWALSlotSize:       1024,
 		HeartbeatInterval:    2 * time.Millisecond,
 		ReadInterval:         2 * time.Millisecond,
 		NodeRecoveryInterval: 20 * time.Millisecond,
