@@ -310,18 +310,27 @@ func fig11(o options) {
 	printTimeline(o.out, tl)
 }
 
-// fig12 reproduces Figure 12: throughput across a coordinator failure.
+// fig12 reproduces Figure 12: throughput across a coordinator failure. It
+// then kills the coordinator of a group with the paper's 64k-slot KV log and
+// prints that takeover's account too.
 func fig12(o options) {
 	fmt.Fprintln(o.out, "Figure 12: read-heavy throughput during a coordinator failure (100ms intervals)")
-	tl, err := bench.CoordinatorFailureTimeline(bench.FailureConfig{
+	fc := bench.FailureConfig{
 		Keys: o.keys, ValueSize: o.valueSize, Clients: o.clients,
 		Steady: o.duration / 2, Outage: o.duration / 2, Observe: o.duration,
 		Seed: o.seed,
-	})
+	}
+	tl, err := bench.CoordinatorFailureTimeline(fc)
 	if err != nil {
 		log.Fatalf("siftbench: fig12: %v", err)
 	}
 	printTimeline(o.out, tl)
+	const paperSlots = 64 * 1024
+	takeover, err := bench.TakeoverAt(paperSlots, fc)
+	if err != nil {
+		log.Fatalf("siftbench: fig12 at %d log slots: %v", paperSlots, err)
+	}
+	fmt.Fprintf(o.out, "at %d log slots: %s\n", paperSlots, takeover)
 }
 
 // shardLinkLatency is the fabric latency of the sharded deployments: the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/repro/sift"
 	"github.com/repro/sift/internal/metrics"
 	"github.com/repro/sift/internal/workload"
 )
@@ -144,23 +145,66 @@ func CoordinatorFailureTimeline(cfg FailureConfig) (FailureTimeline, error) {
 	}()
 
 	time.Sleep(c.Steady)
+	before, _ := promotions(cluster)
 	killed := cluster.KillCoordinator()
 	events["coordinator killed"] = time.Since(start)
 	if killed == 0 {
 		return FailureTimeline{}, fmt.Errorf("bench: no coordinator to kill")
 	}
 
-	if err := cluster.WaitForCoordinator(c.Outage + c.Observe + 30*time.Second); err != nil {
+	takeover, err := successor(cluster, before, c.Outage+c.Observe+30*time.Second)
+	if err != nil {
 		return FailureTimeline{}, err
 	}
 	events["new coordinator completes log recovery"] = time.Since(start)
-	var takeover string
-	for _, e := range cluster.Events().Recent(0) {
-		if e.Type == "coordinator.promoted" {
-			takeover = e.Detail // the last promotion is the successor's
-		}
-	}
 
 	res := <-done
 	return FailureTimeline{Series: res.Timeline, Events: events, Takeover: takeover}, nil
+}
+
+// TakeoverAt populates a Sift group whose KV log has the given number of
+// slots, kills its coordinator, and returns the successor's account of the
+// takeover: what CoordinatorFailureTimeline reports, at another log size and
+// without the client load.
+func TakeoverAt(slots int, cfg FailureConfig) (string, error) {
+	c := cfg.withDefaults()
+	cl, err := sift.NewCluster(sift.Config{
+		F: 1, ErasureCoding: c.EC, Keys: c.Keys, MaxValueSize: maxInt(c.ValueSize, 64),
+		KVWALSlots: slots, Seed: c.Seed,
+	})
+	if err != nil {
+		return "", err
+	}
+	defer cl.Close()
+	if err := Populate(&siftSystem{cluster: cl, client: cl.Client()}, c.Keys, c.ValueSize); err != nil {
+		return "", err
+	}
+	before, _ := promotions(cl)
+	if cl.KillCoordinator() == 0 {
+		return "", fmt.Errorf("bench: no coordinator to kill")
+	}
+	return successor(cl, before, 30*time.Second)
+}
+
+// promotions counts the cluster's coordinator.promoted events and returns
+// the last one's detail.
+func promotions(cl *sift.Cluster) (n int, last string) {
+	for _, e := range cl.Events().Recent(0) {
+		if e.Type == "coordinator.promoted" {
+			n, last = n+1, e.Detail
+		}
+	}
+	return n, last
+}
+
+// successor waits for a promotion after the before-th and returns its
+// account of the takeover. A serving store alone does not show it: the
+// event is emitted after the store is published.
+func successor(cl *sift.Cluster, before int, timeout time.Duration) (string, error) {
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if n, last := promotions(cl); n > before {
+			return last, nil
+		}
+	}
+	return "", fmt.Errorf("bench: no successor promoted within %v", timeout)
 }

@@ -639,10 +639,10 @@ func (n *CPUNode) coordinate(ctx context.Context, term uint16) {
 // unavailable" in one line. total runs from the election win.
 func takeoverDetail(total, memRecover time.Duration, r kv.Recovery) string {
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-	return fmt.Sprintf("takeover total=%.1fms mem_recover=%.1fms kv_tables=%.1fms log_read=%.1fms reconcile=%.1fms rewrite=%.1fms replay=%.1fms"+
-		" entries=%d mark=%d above_mark=%d replayed_records=%d chain_reads=%d",
-		ms(total), ms(memRecover), ms(r.Tables), ms(r.LogRead), ms(r.Reconcile), ms(r.Rewrite), ms(r.Replay),
-		r.Scanned, r.Mark, r.Above, r.Replayed, r.ChainReads)
+	return fmt.Sprintf("takeover total=%.1fms mem_recover=%.1fms kv_tables=%.1fms scan=%.1fms log_read=%.1fms reconcile=%.1fms rewrite=%.1fms replay=%.1fms"+
+		" entries=%d read_slots=%d mark=%d above_mark=%d replayed_records=%d chain_reads=%d",
+		ms(total), ms(memRecover), ms(r.Tables), ms(r.Scan), ms(r.LogRead), ms(r.Reconcile), ms(r.Rewrite), ms(r.Replay),
+		r.Scanned, r.ReadSlots, r.Mark, r.Above, r.Replayed, r.ChainReads)
 }
 
 // Memory returns the coordinator's replicated memory handle, or nil. It is

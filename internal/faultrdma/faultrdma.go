@@ -279,7 +279,11 @@ func (nf *NodeFaults) planCorruption(op *rdma.Op) []byteFlip {
 	if op.Kind != rdma.OpRead && op.Kind != rdma.OpWrite {
 		return nil
 	}
-	if len(op.Data) == 0 {
+	n := len(op.Data)
+	for _, seg := range op.More {
+		n += len(seg.Data)
+	}
+	if n == 0 {
 		return nil
 	}
 	nf.mu.Lock()
@@ -292,7 +296,7 @@ func (nf *NodeFaults) planCorruption(op *rdma.Op) []byteFlip {
 	}
 	flips := make([]byteFlip, 1+nf.corruptRng.Intn(3))
 	for i := range flips {
-		flips[i] = byteFlip{pos: nf.corruptRng.Intn(len(op.Data)), mask: byte(1 + nf.corruptRng.Intn(255))}
+		flips[i] = byteFlip{pos: nf.corruptRng.Intn(n), mask: byte(1 + nf.corruptRng.Intn(255))}
 	}
 	return flips
 }
@@ -417,9 +421,11 @@ var (
 // Submit implements rdma.Submitter. It never blocks: fault handling either
 // completes the op, forwards it, or parks it. A vectored write is judged
 // segment by segment — each can be dropped, delayed, corrupted or parked on
-// its own, as the separate writes it stands for would have been.
+// its own, as the separate writes it stands for would have been. A vectored
+// read is one operation, judged once: a per-op drop rate p must not fail a
+// scan of n segments with probability 1 − (1 − p)^n.
 func (c *conn) Submit(op *rdma.Op) {
-	if len(op.More) > 0 {
+	if len(op.More) > 0 && op.Kind == rdma.OpWrite {
 		rdma.SubmitSegments(op, c.Submit)
 		return
 	}
@@ -448,7 +454,7 @@ func (c *conn) Submit(op *rdma.Op) {
 		c.parkOp(op)
 	case actDup:
 		c.nf.dups.Add(1)
-		shadow := cloneOp(op)
+		shadow := op.Shadow()
 		c.forward(op)
 		c.forward(shadow)
 	default:
@@ -465,7 +471,7 @@ func (c *conn) Submit(op *rdma.Op) {
 func (c *conn) corruptOp(op *rdma.Op, flips []byteFlip) *rdma.Op {
 	switch op.Kind {
 	case rdma.OpWrite:
-		shadow := cloneOp(op)
+		shadow := op.Shadow()
 		for _, f := range flips {
 			shadow.Data[f.pos] ^= f.mask
 		}
@@ -482,17 +488,26 @@ func (c *conn) corruptOp(op *rdma.Op, flips []byteFlip) *rdma.Op {
 		op.Done = func(o *rdma.Op) {
 			if o.Err == nil {
 				for _, f := range flips {
-					o.Data[f.pos] ^= f.mask
+					flipRead(o, f)
 				}
 				c.nf.corrupts.Add(1)
 			}
-			if prev != nil {
-				prev(o)
-			}
+			prev(o)
 		}
 		return op
 	}
 	return op
+}
+
+// flipRead applies f to a read's payload, its segments counted as one run of
+// bytes after Data.
+func flipRead(op *rdma.Op, f byteFlip) {
+	buf := op.Data
+	for i := 0; f.pos >= len(buf); i++ {
+		f.pos -= len(buf)
+		buf = op.More[i].Data
+	}
+	buf[f.pos] ^= f.mask
 }
 
 // delayOp executes op after d. When d overruns the op deadline the
@@ -500,7 +515,7 @@ func (c *conn) corruptOp(op *rdma.Op, flips []byteFlip) *rdma.Op {
 // executes the real work at d (it happened, just too late to matter).
 func (c *conn) delayOp(op *rdma.Op, d time.Duration) {
 	if c.opDeadline > 0 && d >= c.opDeadline {
-		shadow := cloneOp(op)
+		shadow := op.Shadow()
 		time.AfterFunc(c.opDeadline, func() { op.Complete(rdma.ErrDeadline) })
 		time.AfterFunc(d, func() {
 			c.nf.parkedLate.Add(1)
@@ -527,7 +542,7 @@ func (c *conn) parkOp(op *rdma.Op) {
 	}
 	c.park = append(c.park, p)
 	if c.opDeadline > 0 {
-		p.shadow = cloneOp(op)
+		p.shadow = op.Shadow()
 		p.timer = time.AfterFunc(c.opDeadline, func() { c.timeoutParked(p) })
 	}
 	c.mu.Unlock()
@@ -577,26 +592,14 @@ func (c *conn) releaseParked() {
 	}
 }
 
-// forward hands op to the inner transport.
+// forward hands op to the inner transport; a blocking-only one is driven
+// from a goroutine of its own.
 func (c *conn) forward(op *rdma.Op) {
 	if c.sub != nil {
 		c.sub.Submit(op)
 		return
 	}
-	go func() {
-		var err error
-		switch op.Kind {
-		case rdma.OpRead:
-			err = c.inner.Read(op.Region, op.Offset, op.Data)
-		case rdma.OpWrite:
-			err = c.inner.Write(op.Region, op.Offset, op.Data)
-		case rdma.OpCAS:
-			op.Old, err = c.inner.CompareAndSwap(op.Region, op.Offset, op.Expect, op.Swap)
-		default:
-			err = fmt.Errorf("rdma: unknown op kind %d", op.Kind)
-		}
-		op.Complete(err)
-	}()
+	go rdma.Send(c.inner, op)
 }
 
 // do submits op and waits, implementing the blocking Verbs methods. Waits
@@ -665,27 +668,6 @@ func (c *conn) PipelineStats() rdma.PipelineStats {
 		return ps.PipelineStats()
 	}
 	return rdma.PipelineStats{}
-}
-
-// cloneOp copies an op, including its write payload, so the clone outlives
-// the submitter's buffers (which may be pooled and recycled the moment the
-// original completes).
-func cloneOp(op *rdma.Op) *rdma.Op {
-	s := &rdma.Op{
-		Kind:   op.Kind,
-		Region: op.Region,
-		Offset: op.Offset,
-		Expect: op.Expect,
-		Swap:   op.Swap,
-		Done:   func(*rdma.Op) {},
-	}
-	switch op.Kind {
-	case rdma.OpWrite:
-		s.Data = append([]byte(nil), op.Data...)
-	case rdma.OpRead:
-		s.Data = make([]byte, len(op.Data))
-	}
-	return s
 }
 
 func kindName(k rdma.OpKind) string {

@@ -376,3 +376,40 @@ func TestCorruptRegionScoping(t *testing.T) {
 		t.Fatalf("cas word corrupted: old=%d err=%v", got, err)
 	}
 }
+
+// TestVectoredReadDrawsOnce: to the fault schedule a vectored read is one
+// operation. With a drop rate of one half, a run of 64-segment reads fails
+// exactly where a run of plain reads under the same seed does — one drop draw
+// each, not one per segment.
+func TestVectoredReadDrawsOnce(t *testing.T) {
+	outcomes := func(segments int) []bool {
+		ctrl := NewController(7, 0)
+		ctrl.Node("m0").SetDrop(0.5)
+		v := dialWrapped(t, ctrl, newTestNet())
+		var ok []bool
+		for i := 0; i < 64; i++ {
+			op := &rdma.Op{Kind: rdma.OpRead, Region: 1, Data: make([]byte, 8)}
+			for k := 1; k < segments; k++ {
+				op.More = append(op.More, rdma.Seg{Offset: uint64(16 * k), Data: make([]byte, 8)})
+			}
+			done := make(chan error, 1)
+			op.Done = func(o *rdma.Op) { done <- o.Err }
+			v.(rdma.Submitter).Submit(op)
+			ok = append(ok, <-done == nil)
+		}
+		return ok
+	}
+	plain, vectored := outcomes(1), outcomes(64)
+	drops := 0
+	for i := range plain {
+		if plain[i] != vectored[i] {
+			t.Fatalf("read %d: plain succeeded=%v, vectored succeeded=%v; the schedules diverge", i, plain[i], vectored[i])
+		}
+		if !plain[i] {
+			drops++
+		}
+	}
+	if drops == 0 || drops == len(plain) {
+		t.Fatalf("%d of %d reads dropped at rate 0.5: the check compares nothing", drops, len(plain))
+	}
+}

@@ -313,6 +313,20 @@ const bucketStripes = 512
 // log (paper §4.3). On a fresh deployment both steps see zeroes and the
 // store starts empty.
 func New(mem *repmem.Memory, cfg Config) (*Store, error) {
+	s, err := open(mem, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.recover(); err != nil {
+		return nil, err
+	}
+	s.startAppliers()
+	return s, nil
+}
+
+// open builds the store over mem with nothing recovered and no applier
+// running.
+func open(mem *repmem.Memory, cfg Config) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -355,19 +369,18 @@ func New(mem *repmem.Memory, cfg Config) (*Store, error) {
 	s.zeroBlock = make([]byte, s.stride)
 	cacheEntries := int(float64(c.Capacity) * c.CacheFraction)
 	s.cache = newCache(cacheEntries)
+	return s, nil
+}
 
-	if err := s.recover(); err != nil {
-		return nil, err
-	}
-
-	s.shards = make([]*shardQueue, c.ApplyShards)
+// startAppliers starts the background appliers, one per shard.
+func (s *Store) startAppliers() {
+	s.shards = make([]*shardQueue, s.cfg.ApplyShards)
 	for i := range s.shards {
 		q := newShardQueue()
 		s.shards[i] = q
 		s.applyWG.Add(1)
 		go s.applyLoop(q)
 	}
-	return s, nil
 }
 
 // Close stops the background appliers. Pending applies are drained first so

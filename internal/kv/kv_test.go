@@ -445,12 +445,23 @@ func TestKVProcessRecovery(t *testing.T) {
 	}
 }
 
+// TestKVRecoveryWarmCache: what a recovery replays — the puts the failed
+// store had not applied — is in the successor's cache. (What it had applied
+// is not: the tables hold it.)
 func TestKVRecoveryWarmCache(t *testing.T) {
 	cfg := testCfg()
 	e := newKVEnv(t, cfg, false)
-	s1 := newStore(t, e, "cpu1", cfg)
-	for i := 0; i < 10; i++ {
-		s1.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
+	s1 := newStore(t, e, "cpu1", cfg) // lends its memory and geometry; commits nothing itself
+	for i := uint64(1); i <= 10; i++ {
+		// Committed and never applied: the log is all a successor has of it.
+		entry := entryFor(i, 0, record{op: opPut, key: []byte(fmt.Sprintf("k%d", i%10)), value: []byte("v")})
+		slot := make([]byte, s1.kvGeo.SlotSize)
+		if _, err := entry.Encode(slot); err != nil {
+			t.Fatal(err)
+		}
+		if err := s1.mem.DirectWrite(s1.kvGeo.SlotOffset(i), slot); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s2 := newStore(t, e, "cpu2", cfg)
 	if s2.cache.len() == 0 {

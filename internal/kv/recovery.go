@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
+	"github.com/repro/sift/internal/repmem"
 	"github.com/repro/sift/internal/wal"
 )
 
@@ -13,40 +16,43 @@ import (
 // takeover gives of itself (the promotion event, /metrics).
 type Recovery struct {
 	Tables    time.Duration // index table and bitmap read
-	LogRead   time.Duration // every node's copy of the KV log
+	Scan      time.Duration // every node's head of every log slot
+	LogRead   time.Duration // every node's copy of the slots read in full
 	Reconcile time.Duration // merging the copies
 	Rewrite   time.Duration // re-encoding and comparing slots above the mark
-	Replay    time.Duration // token map, cache warm-up, re-applying above the mark
+	Replay    time.Duration // token map and re-applying above the mark
 	Total     time.Duration
 
 	Mark       uint64 // largest applied mark a valid entry carried
 	Scanned    int    // entries in the log's window
-	Above      int    // of those, entries above the mark
+	ReadSlots  int    // slots read in full
+	Above      int    // of the window's entries, those above the mark
 	Replayed   int    // their records, applied again
 	ChainReads uint64 // remote block reads the replay cost
 }
 
 // recover rebuilds the coordinator's soft state after a key-value process
 // failure (paper §4.3): it loads the index table and bitmap from replicated
-// memory, merges the per-node copies of the circular KV log, and replays the
-// merged log in index order, warming the cache as it goes. On a fresh
-// deployment everything is zeroed and recovery is a no-op.
+// memory, merges the per-node copies of the circular KV log, and replays what
+// the failed process had not applied, in index order. On a fresh deployment
+// everything is zeroed and recovery is a no-op.
 //
-// What it replays is bounded by the applied mark (Store.mark). Every entry
-// carries the mark its committer had read, and a mark only ever says what was
-// true when it was read, so the largest one among the valid entries holds
-// whichever node it came from. Entries at or below it are in the tables
-// already: they only rebuild the idempotency-token map and warm the value
-// cache. Entries above it — the few the failed process had not retired, or
-// the whole window of a log written before entries carried a mark — are made
-// the same on every node and applied again, which is idempotent record by
-// record because every later record for the same key is replayed after it.
+// What it reads and replays is bounded by the applied mark (Store.mark), the
+// largest mark a valid entry carries: entries at or below it are in the
+// tables, and of them only the idempotency tokens are needed; entries above
+// it are made the same on every node and applied again, which is idempotent
+// record by record. So a scan first reads every slot's head from every node,
+// and the largest mark the heads carry is the hint h. Only the slots whose
+// heads name an index above h, or an idempotent batch, are read in full; if
+// the verified mark r falls short of h, so are those naming (r, h]. Every
+// slot whose newest copy could hold an index above the mark is thus read in
+// full from every node that answered (DESIGN.md §8).
 func (s *Store) recover() error {
 	r := &s.recovery
 	start := time.Now()
 	lap := func(d *time.Duration, since time.Time) time.Time {
 		now := time.Now()
-		*d = now.Sub(since)
+		*d += now.Sub(since)
 		return now
 	}
 
@@ -64,19 +70,99 @@ func (s *Store) recover() error {
 	}
 	at := lap(&r.Tables, start)
 
-	// Merge the per-node copies of the KV log. An entry committed by the old
-	// process was durable on a majority, so it appears in at least one copy.
-	areas, err := s.mem.DirectReadAll(0, s.kvGeo.TotalSize())
-	if err != nil {
-		return fmt.Errorf("kv recovery: log read: %w", err)
+	// Scan every node's head of every slot. A head naming an index of
+	// another slot is garbage and names nothing; a mark at or above its own
+	// entry's index cannot have been read when that index was reserved.
+	geo := s.kvGeo
+	n := uint64(geo.Slots)
+	spans := make([]repmem.Span, geo.Slots)
+	for slot := range spans {
+		spans[slot] = repmem.Span{Addr: uint64(slot * geo.SlotSize), Size: wal.HeadSize}
 	}
-	at = lap(&r.LogRead, at)
-	entries := wal.Reconcile(s.kvGeo, areas)
-	for _, e := range entries {
-		r.Mark = max(r.Mark, markOf(e))
+	scan, err := s.mem.DirectReadAll(spans...)
+	if err != nil {
+		return fmt.Errorf("kv recovery: log scan: %w", err)
+	}
+	scan = slices.DeleteFunc(scan, func(row []byte) bool { return row == nil })
+	// The passes over the heads test what is cheap first: the residue check
+	// divides, and a healthy log has a head in every slot of every node.
+	var hint uint64
+	for _, row := range scan {
+		for slot := 0; slot < geo.Slots; slot++ {
+			if h := wal.ParseHead(row[slot*wal.HeadSize:]); h.Addr > hint && h.Addr < h.Index && h.Index%n == uint64(slot) {
+				hint = h.Addr
+			}
+		}
+	}
+	at = lap(&r.Scan, at)
+
+	// Read in full, from every node, the slots whose head on some node names
+	// an index above the hint, or an idempotent batch; reconcile them.
+	read := make(map[int][][]byte) // a slot's copies, once read in full
+	fetched := make([]bool, geo.Slots)
+	var readSlots []int
+	want := func(lo, hi uint64, tokens bool) (slots []int) {
+		for slot := 0; slot < geo.Slots; slot++ {
+			if fetched[slot] {
+				continue
+			}
+			for _, row := range scan {
+				h := wal.ParseHead(row[slot*wal.HeadSize:])
+				if (lo < h.Index && h.Index <= hi || tokens && h.Index != 0 && h.First == opBatchToken) && h.Index%n == uint64(slot) {
+					slots = append(slots, slot)
+					break
+				}
+			}
+		}
+		return slots
+	}
+	var entries []wal.Entry
+	floor, slots := hint, want(hint, math.MaxUint64, true)
+	for {
+		if len(slots) > 0 {
+			spans := make([]repmem.Span, len(slots))
+			for k, slot := range slots {
+				spans[k] = repmem.Span{Addr: uint64(slot * geo.SlotSize), Size: geo.SlotSize}
+			}
+			rows, err := s.mem.DirectReadAll(spans...)
+			if err != nil {
+				return fmt.Errorf("kv recovery: log read: %w", err)
+			}
+			for k, slot := range slots {
+				cs := make([][]byte, 0, len(rows))
+				for _, row := range rows {
+					if row != nil {
+						cs = append(cs, row[k*geo.SlotSize:(k+1)*geo.SlotSize])
+					}
+				}
+				read[slot], fetched[slot] = cs, true
+			}
+			readSlots = append(readSlots, slots...)
+		}
+		at = lap(&r.LogRead, at)
+		copies := make([][][]byte, len(readSlots))
+		for k, slot := range readSlots {
+			copies[k] = read[slot]
+		}
+		entries = wal.Reconcile(geo, readSlots, copies)
+		r.Mark = 0
+		for _, e := range entries {
+			r.Mark = max(r.Mark, markOf(e))
+		}
+		at = lap(&r.Reconcile, at)
+		if r.Mark >= floor {
+			break
+		}
+		// The hint's carrier did not verify (torn, or garbage that looked like
+		// a head): what lies between the mark that did and the hint is read too.
+		slots, floor = want(r.Mark, floor, false), r.Mark
+	}
+	r.ReadSlots = len(readSlots)
+	var top uint64 // the largest index found: entries are in index order
+	if len(entries) > 0 {
+		top = entries[len(entries)-1].Index
 	}
 	r.Scanned = len(entries)
-	at = lap(&r.Reconcile, at)
 
 	// Resolve the idempotency tokens, in index order. Recovery runs before
 	// the appliers start, so the map is ours alone — no lock needed.
@@ -110,17 +196,16 @@ func (s *Store) recover() error {
 	// a subsequent recovery (before this window fully turns over) replays the
 	// same log: an entry to replay is on every node as it was decoded, and a
 	// slot that holds no entry of the window, or a skipped duplicate, is
-	// zeroes. At or below the mark nothing is compared or written: a majority
-	// holds each of those entries, and whatever else a node has in such a slot
-	// is older and stays outside every later window.
-	occupied := make([]bool, s.kvGeo.Slots)
+	// zeroes. A slot holding an entry at or below the mark is not compared or
+	// written: a majority holds each of those entries, and whatever else a
+	// node has in such a slot is older and stays outside every later window.
+	occupied := make([]bool, geo.Slots)
 	var slotBuf []byte
-	zeros := make([]byte, s.kvGeo.SlotSize)
+	zeros := make([]byte, geo.SlotSize)
 	settle := func(slot int, want []byte) (wrote bool, err error) {
-		off := slot * s.kvGeo.SlotSize
-		for _, area := range areas {
-			if area != nil && !bytes.Equal(area[off:off+len(want)], want) {
-				if err := s.mem.DirectWrite(uint64(off), want); err != nil {
+		for _, c := range read[slot] {
+			if !bytes.Equal(c[:len(want)], want) {
+				if err := s.mem.DirectWrite(uint64(slot*geo.SlotSize), want); err != nil {
 					return false, fmt.Errorf("kv recovery: log rewrite: %w", err)
 				}
 				return true, nil
@@ -129,7 +214,7 @@ func (s *Store) recover() error {
 		return false, nil
 	}
 	for i, e := range entries {
-		slot := int(e.Index % uint64(s.kvGeo.Slots))
+		slot := int(e.Index % n)
 		if e.Index <= r.Mark {
 			occupied[slot] = true
 			continue
@@ -140,13 +225,13 @@ func (s *Store) recover() error {
 		}
 		occupied[slot] = true
 		if slotBuf == nil {
-			slotBuf = make([]byte, s.kvGeo.SlotSize)
+			slotBuf = make([]byte, geo.SlotSize)
 		}
-		n, err := e.Encode(slotBuf)
+		size, err := e.Encode(slotBuf)
 		if err != nil {
 			return fmt.Errorf("kv recovery: re-encode: %w", err)
 		}
-		clear(slotBuf[n:])
+		clear(slotBuf[size:])
 		wrote, err := settle(slot, slotBuf)
 		if err != nil {
 			return err
@@ -158,22 +243,40 @@ func (s *Store) recover() error {
 		}
 	}
 	for slot, full := range occupied {
-		if !full {
+		switch {
+		case full:
+		case fetched[slot]:
 			if _, err := settle(slot, zeros); err != nil {
 				return err
+			}
+		default:
+			// Not read in full, so its heads name nothing above the mark. One
+			// that names pos, the index the window puts here, is an applied
+			// entry; otherwise the slot holds no entry of the window, and one
+			// whose head is not zeroes somewhere is cleared. (Before the log
+			// has come round, pos wraps past top for the slots beyond it.)
+			pos := top - top%n + uint64(slot)
+			if uint64(slot) > top%n {
+				pos -= n
+			}
+			off := slot * wal.HeadSize
+			if pos > 0 && pos <= top && slices.ContainsFunc(scan, func(row []byte) bool { return wal.ParseHead(row[off:]).Index == pos }) {
+				r.Scanned++
+			} else if slices.ContainsFunc(scan, func(row []byte) bool { return !bytes.Equal(row[off:off+wal.HeadSize], zeros[:wal.HeadSize]) }) {
+				if err := s.mem.DirectWrite(uint64(slot*geo.SlotSize), zeros); err != nil {
+					return fmt.Errorf("kv recovery: log rewrite: %w", err)
+				}
 			}
 		}
 	}
 	at = lap(&r.Rewrite, at)
 
-	// Replay in index order, populating the cache as we go (§6.5: "while the
-	// log is being replayed, the cache is populated in parallel"). An entry at
-	// or below the mark only warms the cache, unpinned. One above it goes
-	// through the appliers' own batch path, a window of applyBatchMax records
-	// at a time: each record is pinned in the cache like a fresh commit, so
-	// its block's location is recorded as the batch settles, and the new
-	// coordinator's first put to a replayed key costs no chain walk.
-	var maxIdx uint64
+	// Replay above the mark, in index order, through the appliers' own batch
+	// path, a window of applyBatchMax records at a time: each record is pinned
+	// in the cache like a fresh commit, so its block's location is recorded
+	// as the batch settles, and the new coordinator's first put to a replayed
+	// key costs no chain walk. Entries at or below the mark warm nothing: the
+	// tables hold their values, and a miss reads them there.
 	ov := newOverlay()
 	batch := make([]*applyTask, 0, applyBatchMax)
 	replay := func() error {
@@ -188,8 +291,9 @@ func (s *Store) recover() error {
 		return nil
 	}
 	for i, e := range entries {
-		maxIdx = e.Index // entries are in index order
-		applied := e.Index <= r.Mark
+		if e.Index <= r.Mark {
+			continue
+		}
 		for _, rec := range recs[i] {
 			if rec.op == opBatchToken {
 				continue // log metadata, not a key: stays out of the cache
@@ -199,10 +303,7 @@ func (s *Store) recover() error {
 				value = nil
 			}
 			key := string(rec.key)
-			s.cache.put(key, value, !applied, e.Index)
-			if applied {
-				continue
-			}
+			s.cache.put(key, value, true, e.Index)
 			batch = append(batch, &applyTask{idx: e.Index, rec: rec, key: key, ok: true})
 			if len(batch) == applyBatchMax {
 				if err := replay(); err != nil {
@@ -214,8 +315,8 @@ func (s *Store) recover() error {
 	if err := replay(); err != nil {
 		return err
 	}
-	if maxIdx+1 > s.nextIdx {
-		s.nextIdx = maxIdx + 1
+	if top+1 > s.nextIdx {
+		s.nextIdx = top + 1
 	}
 	// Everything in the window is now applied, and every slot above the old
 	// mark is the same on all nodes: the new process starts with nothing held.

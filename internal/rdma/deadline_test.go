@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -234,7 +235,13 @@ func TestInprocDeadline(t *testing.T) {
 // the op must complete exactly once, with ErrDeadline, the late
 // acknowledgements must be discarded frame by frame, and the connection must
 // keep serving.
-func TestTCPVectoredWriteExpiresOnce(t *testing.T) {
+func TestTCPVectoredWriteExpiresOnce(t *testing.T) { testVectorExpiresOnce(t, OpWrite) }
+
+// TestTCPVectoredReadExpiresOnce is the same for a read: the first frame's
+// payload lands in the first buffer, the late ones are swallowed.
+func TestTCPVectoredReadExpiresOnce(t *testing.T) { testVectorExpiresOnce(t, OpRead) }
+
+func testVectorExpiresOnce(t *testing.T, kind OpKind) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +267,10 @@ func TestTCPVectoredWriteExpiresOnce(t *testing.T) {
 				return
 			}
 			length := binary.LittleEndian.Uint32(hdr[21:25])
-			if _, err := io.CopyN(io.Discard, conn, int64(length)); err != nil {
+			var payload []byte
+			if hdr[8] == opRead {
+				payload = bytes.Repeat([]byte{byte(n + 1)}, int(length))
+			} else if _, err := io.CopyN(io.Discard, conn, int64(length)); err != nil {
 				return
 			}
 			if n == 1 {
@@ -269,7 +279,8 @@ func TestTCPVectoredWriteExpiresOnce(t *testing.T) {
 			var resp [respHeaderSize]byte
 			copy(resp[0:8], hdr[0:8])
 			resp[8] = statusOK
-			if _, err := conn.Write(resp[:]); err != nil {
+			binary.LittleEndian.PutUint32(resp[9:13], uint32(len(payload)))
+			if _, err := conn.Write(append(resp[:], payload...)); err != nil {
 				return
 			}
 		}
@@ -281,22 +292,24 @@ func TestTCPVectoredWriteExpiresOnce(t *testing.T) {
 	}
 	defer v.Close()
 	done := make(chan error, 4)
-	v.(Submitter).Submit(&Op{Kind: OpWrite, Region: 1, Offset: 0, Data: []byte{1},
-		More: []Seg{{Offset: 8, Data: []byte{2}}, {Offset: 16, Data: []byte{3}}},
+	bufs := [][]byte{{0}, {0}, {0}}
+	v.(Submitter).Submit(&Op{Kind: kind, Region: 1, Offset: 0, Data: bufs[0],
+		More: []Seg{{Offset: 8, Data: bufs[1]}, {Offset: 16, Data: bufs[2]}},
 		Done: func(op *Op) { done <- op.Err }})
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrDeadline) {
-			t.Fatalf("vectored write: got %v, want ErrDeadline", err)
+			t.Fatalf("vectored op: got %v, want ErrDeadline", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("vectored write never completed")
+		t.Fatal("vectored op never completed")
 	}
 	if st := v.(PipelineStatser).PipelineStats(); st.Expiries != 1 {
 		t.Fatalf("Expiries = %d, want 1 (one op, however many frames)", st.Expiries)
 	}
-	// The two late acknowledgements arrive while these run; each must be
-	// swallowed without failing the connection or completing anything twice.
+	// The two late answers arrive while these run; each must be swallowed
+	// without failing the connection, completing anything twice or touching
+	// the buffers the expired op handed back.
 	dl := time.Now().Add(5 * time.Second)
 	for {
 		err := v.Write(1, 24, []byte{4})
@@ -309,8 +322,11 @@ func TestTCPVectoredWriteExpiresOnce(t *testing.T) {
 	}
 	select {
 	case err := <-done:
-		t.Fatalf("vectored write completed a second time (err=%v)", err)
+		t.Fatalf("vectored op completed a second time (err=%v)", err)
 	default:
+	}
+	if kind == OpRead && (bufs[0][0] != 1 || bufs[1][0] != 0 || bufs[2][0] != 0) {
+		t.Fatalf("buffers after the expiry = %v, want only the prompt first frame's [1 0 0]", bufs)
 	}
 }
 
@@ -321,7 +337,12 @@ func TestTCPVectoredWriteExpiresOnce(t *testing.T) {
 // in flight. The dead connection must still complete the op exactly once: a
 // second completion would carry the dead connection's error to the healthy
 // one's flight.
-func TestTCPFailAllCompletesVectoredWriteOnce(t *testing.T) {
+func TestTCPFailAllCompletesVectoredWriteOnce(t *testing.T) { testFailAllCompletesOnce(t, OpWrite) }
+
+// TestTCPFailAllCompletesVectoredReadOnce is the same for a 64-frame read.
+func TestTCPFailAllCompletesVectoredReadOnce(t *testing.T) { testFailAllCompletesOnce(t, OpRead) }
+
+func testFailAllCompletesOnce(t *testing.T, kind OpKind) {
 	dial := func() *tcpConn {
 		v, err := DialTCP(startHungServer(t), DialOpts{})
 		if err != nil {
@@ -351,18 +372,18 @@ func TestTCPFailAllCompletesVectoredWriteOnce(t *testing.T) {
 		more[i] = Seg{Offset: uint64(8 * (i + 1)), Data: []byte{byte(i)}}
 	}
 	var dones atomic.Int32
-	op := &Op{Kind: OpWrite, Region: 1, Data: []byte{0xff}, More: more}
+	op := &Op{Kind: kind, Region: 1, Data: []byte{0xff}, More: more}
 	op.Done = func(op *Op) {
 		if dones.Add(1) == 1 {
 			healthy.Submit(op)
 			if !inFlight(healthy) {
-				t.Error("resubmitted write never reached the healthy connection's pending map")
+				t.Error("resubmitted op never reached the healthy connection's pending map")
 			}
 		}
 	}
 	dead.Submit(op)
 	if !inFlight(dead) {
-		t.Fatal("vectored write never reached the pending map")
+		t.Fatal("vectored op never reached the pending map")
 	}
 
 	// Fail the connection from here rather than through Close, so failAll has

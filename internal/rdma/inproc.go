@@ -138,7 +138,7 @@ const (
 )
 
 // segHeaderSize approximates the wire cost of one further segment of a
-// vectored write (offset, length).
+// vectored op (offset, length).
 const segHeaderSize = 16
 
 // inprocConn is a reliable connection on the in-process transport. Verbs are
@@ -192,12 +192,15 @@ func (c *inprocConn) admit(op *Op) (*Region, error) {
 }
 
 // execute is the remote NIC's part of a verb: op applied to region r, a
-// vectored write segment by segment in order, stopping at the first error.
+// vectored op segment by segment in order, stopping at the first error.
 func (c *inprocConn) execute(r *Region, op *Op) (err error) {
 	epoch := c.epochs[op.Region]
 	switch op.Kind {
 	case OpRead:
-		return r.ReadAt(epoch, op.Offset, op.Data)
+		if err = r.check(epoch); err != nil {
+			return err
+		}
+		return r.readv(op.Offset, op.Data, op.More)
 	case OpWrite:
 		err = r.WriteAt(epoch, op.Offset, op.Data)
 		for i := 0; err == nil && i < len(op.More); i++ {
@@ -215,7 +218,12 @@ func (c *inprocConn) execute(r *Region, op *Op) (err error) {
 func wireSizes(op *Op) (req, resp int) {
 	switch op.Kind {
 	case OpRead:
-		return opHeaderSize, opHeaderSize + len(op.Data)
+		req, resp = opHeaderSize, opHeaderSize+len(op.Data)
+		for i := range op.More {
+			req += segHeaderSize
+			resp += len(op.More[i].Data)
+		}
+		return req, resp
 	case OpWrite:
 		req = opHeaderSize + len(op.Data)
 		for i := range op.More {

@@ -26,7 +26,8 @@ const (
 	OpCAS
 )
 
-// Seg is one further (offset, payload) segment of a vectored write.
+// Seg is one further segment of a vectored op: an offset and the payload
+// written there, or the buffer read into.
 type Seg struct {
 	Offset uint64
 	Data   []byte
@@ -46,12 +47,13 @@ type Op struct {
 	// Data is the destination buffer for OpRead or the payload for OpWrite.
 	Data []byte
 
-	// More makes an OpWrite vectored: after (Offset, Data) each segment is
-	// written to the same Region, in order, in the same flight — one request
-	// leg carrying every payload, one acknowledgement, one Done. The outcome
-	// is all-or-error: Err is the first failing segment's error, and then
-	// nothing is promised about which segments landed. Connections that do
-	// not carry vectors natively expand them with SubmitSegments.
+	// More makes an OpWrite or OpRead vectored: after (Offset, Data) each
+	// segment is written to, or read from, the same Region, in order, in the
+	// same flight — one request leg, one response leg carrying every payload,
+	// one Done. The outcome is all-or-error: Err is the first failing
+	// segment's error, and then nothing is promised about which segments
+	// landed or which buffers were filled. Connections that do not carry
+	// vectors natively expand them with SubmitSegments.
 	More []Seg
 
 	// Expect and Swap are the OpCAS arguments; Old receives the value
@@ -75,13 +77,11 @@ type Op struct {
 	deadline time.Time // completion deadline, assigned by the transport at Submit
 }
 
-// SubmitSegments carries a vectored write over a connection that handles one
+// SubmitSegments carries a vectored op over a connection that handles one
 // segment per operation: each segment goes through submit as its own
-// single-segment write, in order, and op completes once, after the last of
-// them has, with the first error any reported. An op without More goes to
-// submit as it is. Wrappers whose Submit reads only op.Data (fault injection,
-// the WAN transport) call this first, so no segment is dropped on the way
-// through them.
+// single-segment op of the same kind, in order, and op completes once, after
+// the last of them has, with the first error any reported. An op without More
+// goes to submit as it is.
 func SubmitSegments(op *Op, submit func(*Op)) {
 	if len(op.More) == 0 {
 		submit(op)
@@ -99,13 +99,53 @@ func SubmitSegments(op *Op, submit func(*Op)) {
 	}
 }
 
-// checkSegments rejects a vector on anything but a write; every connection
-// kind refuses such an op before any of it is sent.
+// checkSegments rejects a vector on a CAS; every connection kind refuses
+// such an op before any of it is sent.
 func checkSegments(op *Op) error {
-	if len(op.More) > 0 && op.Kind != OpWrite {
+	if len(op.More) > 0 && op.Kind != OpWrite && op.Kind != OpRead {
 		return fmt.Errorf("rdma: op kind %d cannot carry segments", op.Kind)
 	}
 	return nil
+}
+
+// Send carries op over v: submitted when v pipelines, otherwise through v's
+// blocking verbs on the calling goroutine, a vector one segment at a time.
+func Send(v Verbs, op *Op) {
+	if sub, ok := v.(Submitter); ok {
+		sub.Submit(op)
+		return
+	}
+	SubmitSegments(op, func(o *Op) {
+		var err error
+		switch o.Kind {
+		case OpRead:
+			err = v.Read(o.Region, o.Offset, o.Data)
+		case OpWrite:
+			err = v.Write(o.Region, o.Offset, o.Data)
+		case OpCAS:
+			o.Old, err = v.CompareAndSwap(o.Region, o.Offset, o.Expect, o.Swap)
+		default:
+			err = fmt.Errorf("rdma: unknown op kind %d", o.Kind)
+		}
+		o.Complete(err)
+	})
+}
+
+// Shadow returns a copy of op that owns its buffers, for a wrapper that
+// executes op late after its submitter has been answered: a write's payloads
+// are copied, a read gets fresh destinations, and Done does nothing.
+func (op *Op) Shadow() *Op {
+	own := func(b []byte) []byte {
+		if op.Kind == OpRead {
+			return make([]byte, len(b))
+		}
+		return append([]byte(nil), b...)
+	}
+	s := &Op{Kind: op.Kind, Region: op.Region, Offset: op.Offset, Data: own(op.Data), Expect: op.Expect, Swap: op.Swap, Done: func(*Op) {}}
+	for _, seg := range op.More {
+		s.More = append(s.More, Seg{Offset: seg.Offset, Data: own(seg.Data)})
+	}
+	return s
 }
 
 // segFanIn completes a vectored op once all of its single-segment ops have.
@@ -160,7 +200,7 @@ type Submitter interface {
 // PipelineStats is a snapshot of a pipelined connection's counters.
 type PipelineStats struct {
 	// Submitted counts operations submitted over the connection's lifetime
-	// (a vectored write is one).
+	// (a vectored op is one).
 	Submitted uint64
 	// Flushes counts writer wake-ups that pushed a batch to the wire
 	// (doorbells). Submitted/Flushes is the mean coalescing factor.

@@ -155,14 +155,30 @@ func (r *Region) ReadAt(epoch, offset uint64, buf []byte) error {
 	if err := r.check(epoch); err != nil {
 		return err
 	}
-	if err := r.bounds(offset, len(buf)); err != nil {
+	return r.readv(offset, buf, nil)
+}
+
+// readv is a read once the epoch has been checked: (offset, buf) and then
+// every segment of more. The segments are bounds-checked and their stripes
+// locked as one hull, so a vectored read of thousands of small segments costs
+// one pass over the locks, not one per segment. (An end that wraps past 2^64
+// leaves the hull ending at its offset, which is then out of bounds.)
+func (r *Region) readv(offset uint64, buf []byte, more []Seg) error {
+	lo, hi := offset, max(offset, offset+uint64(len(buf)))
+	for _, s := range more {
+		lo, hi = min(lo, s.Offset), max(hi, s.Offset, s.Offset+uint64(len(s.Data)))
+	}
+	if err := r.bounds(lo, int(hi-lo)); err != nil {
 		return err
 	}
-	first, last := r.stripeRange(offset, len(buf))
+	first, last := r.stripeRange(lo, int(hi-lo))
 	for i := first; i <= last; i++ {
 		r.stripes[i].RLock()
 	}
 	copy(buf, r.buf[offset:])
+	for _, s := range more {
+		copy(s.Data, r.buf[s.Offset:])
+	}
 	for i := last; i >= first; i-- {
 		r.stripes[i].RUnlock()
 	}

@@ -487,8 +487,8 @@ func (c *tcpConn) sweepLoop() {
 }
 
 // expireOverdue completes every queued or in-flight op whose deadline has
-// passed with ErrDeadline (a vectored write with every frame it is still
-// owed an answer for). Taking wmu first keeps the sweep from completing
+// passed with ErrDeadline (a vectored op with every frame it is still owed
+// an answer for). Taking wmu first keeps the sweep from completing
 // an op whose Data the writer is still serializing. Expired in-flight IDs
 // are remembered so their late responses can be discarded.
 func (c *tcpConn) expireOverdue(now time.Time) {
@@ -504,7 +504,7 @@ func (c *tcpConn) expireOverdue(now time.Time) {
 		if !op.deadline.IsZero() && now.After(op.deadline) {
 			delete(c.pending, id)
 			c.expired[id] = struct{}{}
-			// A vectored write is pending under one ID per frame; it is a
+			// A vectored op is pending under one ID per frame; it is a
 			// victim once, at the first of them met.
 			if op.acks > 0 {
 				op.acks = 0
@@ -543,8 +543,8 @@ func (c *tcpConn) finish(op *Op, err error) {
 
 // abort fails the connection over a malformed response to op and completes
 // op with everything else in flight. owned says the reader took op's last
-// frame out of pending; otherwise op is a vectored write that failAll (or
-// the deadline sweep) finds under its other frames.
+// frame out of pending; otherwise op is a vectored op that failAll (or the
+// deadline sweep) finds under its other frames.
 func (c *tcpConn) abort(op *Op, owned bool, err error) {
 	err = c.fail(err)
 	if owned {
@@ -601,7 +601,7 @@ func (c *tcpConn) Submit(op *Op) {
 		op.complete(fmt.Errorf("%w: transfer of %d bytes exceeds wire limit", ErrOutOfBounds, wire))
 		return
 	}
-	op.Err = nil // accumulates the first error across a vectored write's frames
+	op.Err = nil // accumulates the first error across a vectored op's frames
 	op.deadline = time.Time{}
 	if c.opDeadline > 0 {
 		op.deadline = time.Now().Add(c.opDeadline)
@@ -620,9 +620,9 @@ func (c *tcpConn) Submit(op *Op) {
 }
 
 // encodeOp serializes op into the buffered writer: one request frame, or for
-// a vectored write one frame per segment, back to back under consecutive
-// IDs. The wire format knows nothing of vectors; the daemon executes the
-// frames in arrival order and acknowledges each.
+// a vectored op one frame per segment, back to back under consecutive IDs.
+// The wire format knows nothing of vectors; the daemon executes the frames in
+// arrival order and answers each.
 func (c *tcpConn) encodeOp(op *Op) error {
 	if err := c.encodeFrame(op, op.id, op.Offset, op.Data); err != nil {
 		return err
@@ -758,19 +758,34 @@ func (c *tcpConn) readLoop() {
 		}
 		c.mu.Lock()
 		op, ok := c.pending[id]
-		delete(c.pending, id)
 		var wasExpired, last bool
 		var kind OpKind
+		var dst []byte // a read frame's destination
 		if !ok {
 			_, wasExpired = c.expired[id]
 			delete(c.expired, id)
 		} else {
-			// A vectored write completes on the last of its frames'
-			// acknowledgements, with the first error any of them reported.
-			// Until then the deadline sweep may still complete it, so
-			// everything read from or written to the op happens here, under
-			// mu; after the last acknowledgement it is the reader's alone.
+			// A vectored op completes on the last of its frames' responses,
+			// with the first error any of them reported. Until then the
+			// deadline sweep may still complete it, so everything read from or
+			// written to the op happens here, under mu; after the last response
+			// it is the reader's alone.
 			kind = op.Kind
+			if kind == OpRead {
+				dst = op.Data
+				if k := id - op.id; k > 0 {
+					dst = op.More[k-1].Data
+				}
+			}
+			if kind == OpRead && status == statusOK && op.acks > 1 {
+				c.mu.Unlock()
+				if err := c.stageFrame(op, id, dst, length); err != nil {
+					c.failAll(c.fail(err))
+					return
+				}
+				continue
+			}
+			delete(c.pending, id)
 			if status != statusOK && op.Err == nil {
 				op.Err = statusToError(status)
 			}
@@ -802,11 +817,11 @@ func (c *tcpConn) readLoop() {
 				return
 			}
 		case kind == OpRead:
-			if int(length) != len(op.Data) {
-				c.abort(op, last, fmt.Errorf("rdma: read response length %d, want %d", length, len(op.Data)))
+			if int(length) != len(dst) {
+				c.abort(op, last, fmt.Errorf("rdma: read response length %d, want %d", length, len(dst)))
 				return
 			}
-			if _, err := io.ReadFull(c.br, op.Data); err != nil {
+			if _, err := io.ReadFull(c.br, dst); err != nil {
 				c.abort(op, last, err)
 				return
 			}
@@ -831,6 +846,32 @@ func (c *tcpConn) readLoop() {
 			c.finish(op, op.Err)
 		}
 	}
+}
+
+// stageFrame takes in a successful frame of a vectored read other than its
+// last. Until the last frame is in, the deadline sweep or failAll may
+// complete the op and hand its buffers back to the submitter, so the payload
+// is read aside and copied to dst under mu, and only if the frame is still
+// pending then; a frame the sweep expired meanwhile has had its late answer.
+func (c *tcpConn) stageFrame(op *Op, id uint64, dst []byte, length uint32) error {
+	if int(length) != len(dst) {
+		return fmt.Errorf("rdma: read response length %d, want %d", length, len(dst))
+	}
+	buf := getWireBuf(len(dst))
+	defer putWireBuf(buf)
+	if _, err := io.ReadFull(c.br, buf); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	if c.pending[id] == op {
+		copy(dst, buf)
+		delete(c.pending, id)
+		op.acks--
+	} else {
+		delete(c.expired, id)
+	}
+	c.mu.Unlock()
+	return nil
 }
 
 // Read implements Verbs.

@@ -14,11 +14,11 @@ import (
 	"github.com/repro/sift/internal/wantransport"
 )
 
-// Vectored-write conformance: one table of expectations, run against every
+// Vectored-op conformance: one table of expectations, run against every
 // connection a vectored op can meet — the two transports that carry vectors
-// natively, and the two wrappers that expand them, each over a pipelined
-// and over a blocking-only inner connection (the wrappers' synchronous
-// fallback).
+// natively, and the two wrappers, which expand a vectored write and pass a
+// vectored read through whole, each over a pipelined and over a
+// blocking-only inner connection (the wrappers' synchronous fallback).
 
 const vecLimit = 10 * time.Second // bounds waits that must end; no passing case runs it out
 
@@ -142,25 +142,26 @@ func submitVec(t *testing.T, c rdma.Verbs, region rdma.RegionID, segs ...rdma.Se
 
 func fill(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
 
+// vecKinds are the connection kinds. native kinds carry a vectored write as
+// one request and apply it in list order; the wrappers issue its segments in
+// list order as separate writes, which (like any separate writes on one
+// connection) the in-process lanes may then execute side by side, so only
+// disjoint segments are checked through them.
+var vecKinds = []struct {
+	name   string
+	native bool
+	env    func(t *testing.T) vecEnv
+}{
+	{"inproc", true, func(t *testing.T) vecEnv { return inprocEnv(t, nil) }},
+	{"tcp", true, tcpEnv},
+	{"faultrdma", false, func(t *testing.T) vecEnv { return faultEnv(t, false) }},
+	{"faultrdma-blocking", false, func(t *testing.T) vecEnv { return faultEnv(t, true) }},
+	{"wantransport", false, func(t *testing.T) vecEnv { return wanEnv(t, false) }},
+	{"wantransport-blocking", false, func(t *testing.T) vecEnv { return wanEnv(t, true) }},
+}
+
 func TestVectoredWriteConformance(t *testing.T) {
-	// native kinds carry the vector as one request and apply it in list
-	// order; the wrappers issue the segments in list order as separate writes,
-	// which (like any separate writes on one connection) the in-process lanes
-	// may then execute side by side, so only disjoint segments are checked
-	// through them.
-	kinds := []struct {
-		name   string
-		native bool
-		env    func(t *testing.T) vecEnv
-	}{
-		{"inproc", true, func(t *testing.T) vecEnv { return inprocEnv(t, nil) }},
-		{"tcp", true, tcpEnv},
-		{"faultrdma", false, func(t *testing.T) vecEnv { return faultEnv(t, false) }},
-		{"faultrdma-blocking", false, func(t *testing.T) vecEnv { return faultEnv(t, true) }},
-		{"wantransport", false, func(t *testing.T) vecEnv { return wanEnv(t, false) }},
-		{"wantransport-blocking", false, func(t *testing.T) vecEnv { return wanEnv(t, true) }},
-	}
-	for _, k := range kinds {
+	for _, k := range vecKinds {
 		t.Run(k.name, func(t *testing.T) {
 			t.Run("segments land in order with one completion", func(t *testing.T) {
 				e := k.env(t)
@@ -233,26 +234,26 @@ func TestVectoredWriteConformance(t *testing.T) {
 				}
 			})
 
+			// Of the ops that change a node, only a write carries segments:
+			// a CAS carrying them is refused before it is sent (a read may
+			// carry them: TestVectoredReadConformance).
 			t.Run("only a write carries segments", func(t *testing.T) {
 				e := k.env(t)
 				c := e.dial(t, rdma.DialOpts{})
-				for _, kind := range []rdma.OpKind{rdma.OpRead, rdma.OpCAS} {
-					buf := make([]byte, 8)
-					done := make(chan error, 2)
-					c.(rdma.Submitter).Submit(&rdma.Op{Kind: kind, Region: 1, Offset: 0, Data: buf, Swap: 7,
-						More: []rdma.Seg{{Offset: 64, Data: fill(8, 'm')}},
-						Done: func(o *rdma.Op) { done <- o.Err }})
-					select {
-					case err := <-done:
-						if err == nil {
-							t.Fatalf("op kind %d carrying segments succeeded", kind)
-						}
-					case <-time.After(vecLimit):
-						t.Fatalf("op kind %d carrying segments never completed", kind)
+				done := make(chan error, 2)
+				c.(rdma.Submitter).Submit(&rdma.Op{Kind: rdma.OpCAS, Region: 1, Offset: 0, Swap: 7,
+					More: []rdma.Seg{{Offset: 64, Data: fill(8, 'm')}},
+					Done: func(o *rdma.Op) { done <- o.Err }})
+				select {
+				case err := <-done:
+					if err == nil {
+						t.Fatal("a CAS carrying segments succeeded")
 					}
+				case <-time.After(vecLimit):
+					t.Fatal("a CAS carrying segments never completed")
 				}
 				if got := e.read(1, 0, 72); !bytes.Equal(got, make([]byte, 72)) {
-					t.Fatalf("a rejected op reached the region: %q", got)
+					t.Fatalf("a rejected CAS reached the region: %q", got)
 				}
 			})
 
@@ -310,6 +311,114 @@ func TestVectoredWriteConformance(t *testing.T) {
 					if !bytes.Equal(payloads[i], fill(32, "stu"[i])) {
 						t.Fatalf("segment %d: the submitter's buffer was modified", i)
 					}
+				}
+			})
+		})
+	}
+}
+
+// submitVecRead submits a vectored read of segs (their Data the buffers to
+// fill) and returns its outcome, failing the test unless Done fires once.
+func submitVecRead(t *testing.T, c rdma.Verbs, region rdma.RegionID, segs ...rdma.Seg) error {
+	t.Helper()
+	var fired atomic.Int32
+	done := make(chan error, 2)
+	c.(rdma.Submitter).Submit(&rdma.Op{Kind: rdma.OpRead, Region: region, Offset: segs[0].Offset, Data: segs[0].Data, More: segs[1:],
+		Done: func(o *rdma.Op) {
+			fired.Add(1)
+			done <- o.Err
+		}})
+	select {
+	case err := <-done:
+		time.Sleep(5 * time.Millisecond) // room for a stray second Done
+		if n := fired.Load(); n != 1 {
+			t.Fatalf("Done fired %d times, want 1", n)
+		}
+		return err
+	case <-time.After(vecLimit):
+		t.Fatal("vectored read never completed")
+		return nil
+	}
+}
+
+func TestVectoredReadConformance(t *testing.T) {
+	for _, k := range vecKinds {
+		t.Run(k.name, func(t *testing.T) {
+			t.Run("every segment is filled with one completion", func(t *testing.T) {
+				e := k.env(t)
+				c := e.dial(t, rdma.DialOpts{})
+				if err := submitVec(t, c, 1, rdma.Seg{Offset: 0, Data: []byte("0123456789abcdefghijklmnopqrstuv")}); err != nil {
+					t.Fatal(err)
+				}
+				// Overlapping, out of order, empty and region-edge segments.
+				segs := []rdma.Seg{
+					{Offset: 8, Data: make([]byte, 4)},
+					{Offset: 0, Data: make([]byte, 32)},
+					{Offset: 30, Data: make([]byte, 2)},
+					{Offset: 100, Data: nil},
+					{Offset: 4092, Data: make([]byte, 4)},
+				}
+				if err := submitVecRead(t, c, 1, segs...); err != nil {
+					t.Fatalf("vectored read: %v", err)
+				}
+				for _, s := range segs {
+					if want := e.read(1, s.Offset, len(s.Data)); !bytes.Equal(s.Data, want) {
+						t.Fatalf("segment at %d read %q, the region holds %q", s.Offset, s.Data, want)
+					}
+				}
+			})
+
+			t.Run("a failing segment fails the op", func(t *testing.T) {
+				e := k.env(t)
+				c := e.dial(t, rdma.DialOpts{})
+				err := submitVecRead(t, c, 1,
+					rdma.Seg{Offset: 0, Data: make([]byte, 8)},
+					rdma.Seg{Offset: 4090, Data: make([]byte, 8)}, // runs past the region
+					rdma.Seg{Offset: 64, Data: make([]byte, 8)},
+				)
+				if !errors.Is(err, rdma.ErrOutOfBounds) {
+					t.Fatalf("out-of-bounds segment: err=%v, want ErrOutOfBounds", err)
+				}
+				c.Close()
+				if err := submitVecRead(t, c, 1, rdma.Seg{Offset: 0, Data: make([]byte, 8)}, rdma.Seg{Offset: 64, Data: make([]byte, 8)}); err == nil {
+					t.Fatal("vectored read on a closed connection succeeded")
+				}
+			})
+
+			t.Run("a fault is judged once", func(t *testing.T) {
+				e := k.env(t)
+				if e.faults == nil {
+					t.Skip("no fault injection on this connection")
+				}
+				c := e.dial(t, rdma.DialOpts{})
+				segs := func() []rdma.Seg {
+					return []rdma.Seg{{Offset: 0, Data: make([]byte, 16)}, {Offset: 512, Data: make([]byte, 16)}, {Offset: 1024, Data: make([]byte, 16)}}
+				}
+				e.faults.SetDrop(1)
+				if err := submitVecRead(t, c, 1, segs()...); !errors.Is(err, faultrdma.ErrInjected) {
+					t.Fatalf("dropped vectored read: err=%v, want ErrInjected", err)
+				}
+				e.faults.SetDrop(0)
+				if st := e.faults.Stats(); st.Drops != 1 {
+					t.Fatalf("one vectored read of three segments counted %d drops, want 1", st.Drops)
+				}
+				// Corruption flips 1–3 bytes somewhere in the op's payload: once.
+				e.faults.SetCorrupt(1)
+				got := segs()
+				if err := submitVecRead(t, c, 1, got...); err != nil {
+					t.Fatalf("corrupted vectored read: %v", err)
+				}
+				e.faults.SetCorrupt(0)
+				flipped := 0
+				for _, s := range got {
+					for _, b := range s.Data {
+						if b != 0 {
+							flipped++
+						}
+					}
+				}
+				if st := e.faults.Stats(); st.Corrupts != 1 || flipped < 1 || flipped > 3 {
+					t.Fatalf("corrupted vectored read: %d corruptions, %d bytes flipped; want 1 and 1–3", st.Corrupts, flipped)
 				}
 			})
 		})

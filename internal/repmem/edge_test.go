@@ -289,7 +289,7 @@ func TestDirectWriteOnlySurvivingCopyRecovered(t *testing.T) {
 	cfg2.MemSize = 4 << 10
 	cfg2.DirectSize = 4 << 10
 	m2 := newMemory(t, cfg2)
-	copies, err := m2.DirectReadAll(0, 256)
+	copies, err := m2.DirectReadAll(Span{Addr: 0, Size: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestDirectWriteOnlySurvivingCopyRecovered(t *testing.T) {
 		if cp == nil {
 			continue
 		}
-		if entries := geo.ScanWindow(cp); len(entries) == 1 && entries[0].Index == 1 {
+		if entries := wal.Reconcile(geo, []int{0}, [][][]byte{{cp}}); len(entries) == 1 && entries[0].Index == 1 {
 			found = true
 		}
 	}

@@ -135,11 +135,10 @@ func (g *integrity) bootstrapFresh() {
 // the node is rebuilt.
 func (g *integrity) loadSums() error {
 	m := g.m
-	images := make([][]byte, len(m.nodes))
+	images := m.readReplicas(0, Span{Addr: m.layout.IntegrityBase(), Size: 4 * g.blocks})
 	got := 0
-	for i, row := range m.readReplicas(lockRange{addr: m.layout.IntegrityBase(), size: 4 * g.blocks}) {
+	for i, row := range images {
 		if row != nil {
-			images[i] = row[0]
 			got++
 		} else if m.state[i].Load() == nodeLive {
 			m.observe(i, healthEvent{kind: evOpError})

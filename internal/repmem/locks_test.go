@@ -335,7 +335,7 @@ func TestDirectWriteNeighbourSlotsDoNotSerialize(t *testing.T) {
 
 	chunkRead := make(chan struct{})
 	go func() {
-		if _, err := m.DirectReadAll(0, 4096); err != nil {
+		if _, err := m.DirectReadAll(Span{Addr: 0, Size: 4096}); err != nil {
 			t.Errorf("DirectReadAll: %v", err)
 		}
 		close(chunkRead)

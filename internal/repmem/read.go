@@ -172,32 +172,49 @@ func (m *Memory) DirectRead(addr uint64, buf []byte) error {
 	return fmt.Errorf("%w: all read attempts failed", ErrNoQuorum)
 }
 
-// DirectReadAll returns each live node's copy of a direct-space range,
-// letting callers quorum-merge self-validating data (the key-value store's
-// WAL recovery). Unreachable nodes yield nil entries.
-func (m *Memory) DirectReadAll(addr uint64, size int) ([][]byte, error) {
+// Span is a direct-space byte range: Size bytes at Addr.
+type Span struct {
+	Addr uint64
+	Size int
+}
+
+// DirectReadAll returns each live node's copy of several direct-space
+// ranges, the spans back to back in one row per node, read as one vectored
+// read per node — letting callers quorum-merge self-validating data (the
+// key-value store's log recovery). Nodes not read yield nil rows. Fewer than
+// a majority of copies is ErrNoQuorum: an entry acknowledged at a majority is
+// only certain to be in a majority's copies.
+func (m *Memory) DirectReadAll(spans ...Span) ([][]byte, error) {
 	if err := m.checkOpen(); err != nil {
 		return nil, err
 	}
-	if err := m.checkDirectRange(addr, size); err != nil {
-		return nil, err
+	if len(spans) == 0 {
+		return make([][]byte, len(m.nodes)), nil
 	}
-	r := lockRange{addr: addr, size: size}
+	lo, hi := spans[0].Addr, spans[0].Addr
+	for _, sp := range spans {
+		if err := m.checkDirectRange(sp.Addr, sp.Size); err != nil {
+			return nil, err
+		}
+		lo, hi = min(lo, sp.Addr), max(hi, sp.Addr+uint64(sp.Size))
+	}
+	// One shared lock over the spans' hull: the lock's cost is per range
+	// held, and a scan names thousands.
+	r := lockRange{addr: lo, size: int(hi - lo)}
 	m.directLocks.acquire(shared, r)
 	defer m.directLocks.release(shared, r)
-	out := make([][]byte, len(m.nodes))
-	got := 0
-	for i, row := range m.readReplicas(lockRange{m.physDirect(addr), size}) {
-		if row != nil {
-			out[i] = row[0]
-			got++
-		}
-	}
+	out := m.readReplicas(m.layout.DirectBase(), spans...)
 	if e := m.checkOpen(); e != nil {
 		return nil, e
 	}
-	if got == 0 {
-		return nil, fmt.Errorf("%w: no live memory nodes", ErrNoQuorum)
+	got := 0
+	for _, row := range out {
+		if row != nil {
+			got++
+		}
+	}
+	if got < m.Majority() {
+		return nil, fmt.Errorf("%w: %d of %d copies readable", ErrNoQuorum, got, len(m.nodes))
 	}
 	return out, nil
 }

@@ -209,7 +209,7 @@ func TestDirectWriteRead(t *testing.T) {
 	if !bytes.Equal(buf, data) {
 		t.Fatalf("read %q", buf)
 	}
-	copies, err := m.DirectReadAll(4096, len(data))
+	copies, err := m.DirectReadAll(Span{Addr: 4096, Size: len(data)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,15 +128,19 @@ func (m *Memory) scrubStep(cursor, n int) int {
 	return cursor
 }
 
-// readReplicas reads the same ranges of the replicated region from every
-// live node with all reads in flight at once, so a caller holding a range
-// lock pays one round trip however many replicas and ranges it compares. It
-// returns got[node][range]; a node that is not live, or failed a read, has
-// a nil row.
-func (m *Memory) readReplicas(ranges ...lockRange) [][][]byte {
-	got := make([][][]byte, len(m.nodes))
+// readReplicas reads the same spans of the replicated region, at base, from
+// every live node, as one vectored read per node with every node's in flight
+// at once, so a caller holding a range lock pays one round trip however many
+// replicas and spans it compares. It returns each node's copy of the spans
+// back to back; a node that is not live, or failed its read, has a nil row.
+func (m *Memory) readReplicas(base uint64, spans ...Span) [][]byte {
+	got := make([][]byte, len(m.nodes))
 	conns := make([]rdma.Verbs, len(m.nodes))
-	errs := make([]error, len(m.nodes)*len(ranges))
+	errs := make([]error, len(m.nodes))
+	total := 0
+	for _, sp := range spans {
+		total += sp.Size
+	}
 	var wg sync.WaitGroup
 	for _, i := range m.nodesInState(nodeLive) {
 		c, err := m.conn(i)
@@ -145,25 +149,25 @@ func (m *Memory) readReplicas(ranges ...lockRange) [][][]byte {
 			continue
 		}
 		conns[i] = c
-		got[i] = make([][]byte, len(ranges))
-		for k, r := range ranges {
-			buf := make([]byte, r.size)
-			got[i][k] = buf
-			wg.Add(1)
-			go func(err *error) {
-				defer wg.Done()
-				*err = c.Read(replRegion, r.addr, buf)
-			}(&errs[i*len(ranges)+k])
+		got[i] = make([]byte, total)
+		segs := make([]rdma.Seg, len(spans))
+		at := 0
+		for k, sp := range spans {
+			segs[k] = rdma.Seg{Offset: base + sp.Addr, Data: got[i][at : at+sp.Size : at+sp.Size]}
+			at += sp.Size
 		}
+		wg.Add(1)
+		rdma.Send(c, &rdma.Op{Kind: rdma.OpRead, Region: replRegion, Offset: segs[0].Offset, Data: segs[0].Data, More: segs[1:],
+			Done: func(o *rdma.Op) {
+				errs[i] = o.Err
+				wg.Done()
+			}})
 	}
 	wg.Wait()
-	for i, c := range conns {
-		for _, err := range errs[i*len(ranges) : (i+1)*len(ranges)] {
-			if err != nil {
-				m.noteConnError(i, c, err)
-				got[i] = nil
-				break
-			}
+	for i, err := range errs {
+		if err != nil {
+			m.noteConnError(i, conns[i], err)
+			got[i] = nil
 		}
 	}
 	return got
@@ -184,14 +188,15 @@ func (m *Memory) scrubMainBlock(b uint64) (corrupt, repaired, unrepaired int) {
 	m.locks.acquire(shared, r)
 	var bad int
 	var stripFix []int
-	for i, got := range m.readReplicas(lockRange{g.physOff(b), g.physLen(b)}, lockRange{g.stripOff(b), 4}) {
+	n := g.physLen(b)
+	for i, got := range m.readReplicas(0, Span{g.physOff(b), n}, Span{g.stripOff(b), 4}) {
 		if got == nil {
 			continue
 		}
-		if crcBlock(got[0]) != g.sum(i, b) {
+		if crcBlock(got[:n]) != g.sum(i, b) {
 			m.noteCorruption(i, 1)
 			bad++
-		} else if !bytes.Equal(got[1], stripEntry(g.sum(i, b))) {
+		} else if !bytes.Equal(got[n:], stripEntry(g.sum(i, b))) {
 			// Data is good; the stored strip entry must agree (a corrupted
 			// strip write leaves clean data under a lying checksum, which
 			// would poison the next recovery's loadSums vote).
@@ -256,15 +261,7 @@ func (m *Memory) scrubDirectRange(idx int) (corrupt, repaired, unrepaired int) {
 		return 0, 0, 0
 	}
 
-	read := func() [][]byte {
-		copies := make([][]byte, len(m.nodes))
-		for i, got := range m.readReplicas(lockRange{m.physDirect(off), int(n)}) {
-			if got != nil {
-				copies[i] = got[0]
-			}
-		}
-		return copies
-	}
+	read := func() [][]byte { return m.readReplicas(m.layout.DirectBase(), Span{off, int(n)}) }
 	agree := func(copies [][]byte) bool {
 		var first []byte
 		for _, c := range copies {

@@ -277,23 +277,10 @@ func (c *flightCtx) complete(o *rdma.Op) {
 	flightCtxPool.Put(c)
 }
 
-// submitWrite sends a (vectored) write over conn: pipelined when the
-// connection can, otherwise one blocking write per segment on the calling
-// goroutine.
-func submitWrite(conn rdma.Verbs, op *rdma.Op) {
-	if sub, ok := conn.(rdma.Submitter); ok {
-		sub.Submit(op)
-		return
-	}
-	rdma.SubmitSegments(op, func(o *rdma.Op) {
-		o.Complete(conn.Write(o.Region, o.Offset, o.Data))
-	})
-}
-
 // writeReq writes one request over conn as one flight and waits for it.
 func writeReq(conn rdma.Verbs, req nodeReq) error {
 	ch := make(chan error, 1)
-	submitWrite(conn, &rdma.Op{
+	rdma.Send(conn, &rdma.Op{
 		Kind: rdma.OpWrite, Region: replRegion, Offset: req.offset, Data: req.data, More: req.more,
 		Done: func(o *rdma.Op) { ch <- o.Err },
 	})
@@ -350,7 +337,7 @@ func (m *Memory) sendFlight(i int, reqs []nodeReq) {
 	c := getFlightCtx()
 	c.m, c.node, c.conn, c.start = m, i, conn, now
 	c.load(reqs)
-	submitWrite(conn, &c.op)
+	rdma.Send(conn, &c.op)
 }
 
 // enqueueBestEffort sends a write to a suspect node without making any

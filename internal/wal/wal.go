@@ -11,20 +11,21 @@
 // torn (partially written) slot decodes as invalid rather than as garbage.
 //
 // Recovery correctness depends on one property of this geometry: every entry
-// in the window (maxIndex-slots, maxIndex] is still in the log, so replaying
-// the whole decoded window in index order reproduces exactly the state the
-// failed coordinator could have exposed — even without an applied-index
-// watermark (see Reconcile).
+// in the window (maxIndex-slots, maxIndex] is still in the log, so a recovery
+// that finds the window's upper end and everything above what was already
+// applied has all it must replay (see Reconcile). A slot's first HeadSize
+// bytes say, unverified, which index it holds and what its first write
+// carries, which is enough to choose the slots worth reading in full.
 package wal
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 )
 
 // Codec errors.
@@ -139,6 +140,31 @@ func Decode(buf []byte) (Entry, error) {
 	return e, nil
 }
 
+// HeadSize is the length of a slot's head: the entry header, the first
+// write's header and the first byte of its data.
+const HeadSize = 32
+
+// Head is what a slot's first HeadSize bytes say of the entry in it. It is
+// unverified — the CRC covers the whole entry — so it can only choose what
+// to read in full, never stand for the entry.
+type Head struct {
+	Index uint64 // 0: the slot is empty, or holds no entry at all
+	Addr  uint64 // the first write's Addr
+	First byte   // the first byte of the first write's data
+}
+
+// ParseHead reads the head of a slot image at least HeadSize bytes long.
+func ParseHead(b []byte) Head {
+	h := Head{Index: binary.LittleEndian.Uint64(b[0:8])}
+	if binary.LittleEndian.Uint16(b[8:10]) > 0 {
+		h.Addr = binary.LittleEndian.Uint64(b[entryHeaderSize:])
+		if binary.LittleEndian.Uint32(b[entryHeaderSize+8:]) > 0 {
+			h.First = b[entryHeaderSize+writeHeaderSize]
+		}
+	}
+	return h
+}
+
 // Geometry describes a circular log's placement inside a memory region.
 type Geometry struct {
 	Base     uint64 // byte offset of slot 0 within the region
@@ -154,95 +180,52 @@ func (g Geometry) SlotOffset(index uint64) uint64 {
 	return g.Base + uint64(int(index%uint64(g.Slots)))*uint64(g.SlotSize)
 }
 
-// ScanWindow decodes every valid entry in a snapshot of the log area (a
-// byte image of length TotalSize, without Base offset applied) and returns
-// entries belonging to the active window (maxIndex-Slots, maxIndex], sorted
-// by index. Torn and stale-lap slots are skipped.
-func (g Geometry) ScanWindow(area []byte) []Entry {
-	var entries []Entry
-	var maxIndex uint64
-	for s := 0; s < g.Slots; s++ {
-		slot := area[s*g.SlotSize : (s+1)*g.SlotSize]
-		e, err := Decode(slot)
-		if err != nil {
-			continue
-		}
-		// A slot can only legitimately hold indexes ≡ s (mod Slots); anything
-		// else is garbage from a buggy writer or bit flip that passed CRC.
-		if e.Index%uint64(g.Slots) != uint64(s) {
-			continue
-		}
-		entries = append(entries, e)
-		if e.Index > maxIndex {
-			maxIndex = e.Index
-		}
-	}
-	// Keep only the active window.
-	lo := uint64(0)
-	if maxIndex > uint64(g.Slots) {
-		lo = maxIndex - uint64(g.Slots)
-	}
-	out := entries[:0]
-	for _, e := range entries {
-		if e.Index > lo {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
-}
-
-// Reconcile merges per-node snapshots of the same log area into the single
-// consistent, up-to-date log the paper's coordinator recovery constructs
-// (§3.4.1): the union of valid entries across nodes, restricted to the
-// global active window, deduplicated, in index order.
+// Reconcile merges per-node copies of some of the log's slots into the
+// single consistent, up-to-date log the paper's coordinator recovery
+// constructs (§3.4.1): copies[k] holds the copies of slot slots[k] (nil ones
+// were not read), and the result is the union of valid entries across them,
+// restricted to the active window of the largest index found, deduplicated,
+// in index order. Given every slot, that is the whole log; given a subset, it
+// is exact for those slots as long as the slot holding the largest index is
+// among them.
 //
-// It is one pass over the slots. The window holds exactly one index per
-// slot, so of a slot's copies only the newest valid entry can be in it; the
-// copies are compared first and a copy equal to an earlier one is not
-// decoded again — in a healthy log that is one CRC and one payload copy per
-// slot, however many nodes were read. Where copies hold different entries of
-// one index, the first area's wins.
+// Of a slot's copies only the newest valid entry can be in the window, which
+// holds exactly one index per slot. The copies are compared first and a copy
+// equal to an earlier one is not decoded again — in a healthy log that is one
+// CRC and one payload copy per slot, however many nodes were read. Where
+// copies hold different entries of one index, the first copy's wins.
 //
 // Safety: an entry acked to a client was durable on a majority of nodes, so
 // with at most Fm of 2Fm+1 snapshots missing it appears in at least one
 // snapshot and is therefore always recovered. Unacked entries may or may not
 // appear; either outcome is correct because the client never saw a commit.
-func Reconcile(g Geometry, areas [][]byte) []Entry {
-	newest := make([]Entry, g.Slots)
-	copies := make([][]byte, 0, len(areas))
+func Reconcile(g Geometry, slots []int, copies [][][]byte) []Entry {
+	out := make([]Entry, 0, len(slots))
 	var maxIndex uint64
-	for s := 0; s < g.Slots; s++ {
-		copies = copies[:0]
-		for _, area := range areas {
-			if area != nil {
-				copies = append(copies, area[s*g.SlotSize:(s+1)*g.SlotSize])
-			}
-		}
-		for i, c := range copies {
-			if slices.ContainsFunc(copies[:i], func(seen []byte) bool { return bytes.Equal(seen, c) }) {
+	for k, s := range slots {
+		var newest Entry
+		cs := copies[k]
+		for i, c := range cs {
+			if c == nil || slices.ContainsFunc(cs[:i], func(seen []byte) bool { return bytes.Equal(seen, c) }) {
 				continue
 			}
 			e, err := Decode(c)
 			// A slot can only legitimately hold indexes ≡ s (mod Slots).
-			if err != nil || e.Index%uint64(g.Slots) != uint64(s) || e.Index <= newest[s].Index {
+			if err != nil || e.Index%uint64(g.Slots) != uint64(s) || e.Index <= newest.Index {
 				continue
 			}
-			newest[s] = e
-			if e.Index > maxIndex {
-				maxIndex = e.Index
-			}
+			newest = e
+		}
+		if newest.Index != 0 {
+			out = append(out, newest)
+			maxIndex = max(maxIndex, newest.Index)
 		}
 	}
 	lo := uint64(0)
 	if maxIndex > uint64(g.Slots) {
 		lo = maxIndex - uint64(g.Slots)
 	}
-	out := make([]Entry, 0, min(maxIndex-lo, uint64(g.Slots)))
-	for i := lo + 1; i <= maxIndex; i++ {
-		if e := newest[i%uint64(g.Slots)]; e.Index == i {
-			out = append(out, e)
-		}
-	}
+	out = slices.DeleteFunc(out, func(e Entry) bool { return e.Index <= lo })
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Index, b.Index) })
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -127,7 +128,7 @@ func TestScanWindowBasic(t *testing.T) {
 	for i := uint64(1); i <= 5; i++ {
 		writeEntryToArea(t, g, area, Entry{Index: i, Writes: []Write{{Addr: i * 10, Data: []byte{byte(i)}}}})
 	}
-	entries := g.ScanWindow(area)
+	entries := reconcileAll(g, [][]byte{area})
 	if len(entries) != 5 {
 		t.Fatalf("got %d entries, want 5", len(entries))
 	}
@@ -145,7 +146,7 @@ func TestScanWindowDropsStaleLaps(t *testing.T) {
 	for i := uint64(1); i <= 6; i++ {
 		writeEntryToArea(t, g, area, Entry{Index: i, Writes: nil})
 	}
-	entries := g.ScanWindow(area)
+	entries := reconcileAll(g, [][]byte{area})
 	// Window is (6-4, 6] = {3,4,5,6}.
 	want := []uint64{3, 4, 5, 6}
 	if len(entries) != len(want) {
@@ -165,7 +166,7 @@ func TestScanWindowSkipsTorn(t *testing.T) {
 	writeEntryToArea(t, g, area, Entry{Index: 2, Writes: []Write{{Addr: 2, Data: []byte("b")}}})
 	// Tear entry 2: corrupt a payload byte.
 	area[2*g.SlotSize+20] ^= 0xff
-	entries := g.ScanWindow(area)
+	entries := reconcileAll(g, [][]byte{area})
 	if len(entries) != 1 || entries[0].Index != 1 {
 		t.Fatalf("entries = %+v, want just index 1", entries)
 	}
@@ -179,7 +180,7 @@ func TestScanWindowRejectsWrongSlot(t *testing.T) {
 	buf := make([]byte, g.SlotSize)
 	e.Encode(buf)
 	copy(area[5*g.SlotSize:], buf)
-	if entries := g.ScanWindow(area); len(entries) != 0 {
+	if entries := reconcileAll(g, [][]byte{area}); len(entries) != 0 {
 		t.Fatalf("misplaced entry accepted: %+v", entries)
 	}
 }
@@ -195,7 +196,7 @@ func TestReconcileUnion(t *testing.T) {
 	for _, i := range []uint64{2, 3, 4} {
 		writeEntryToArea(t, g, b, Entry{Index: i, Writes: []Write{{Addr: i, Data: []byte{byte(i)}}}})
 	}
-	merged := Reconcile(g, [][]byte{a, b, nil})
+	merged := reconcileAll(g, [][]byte{a, b, nil})
 	want := []uint64{1, 2, 3, 4}
 	if len(merged) != len(want) {
 		t.Fatalf("merged %d entries, want %d", len(merged), len(want))
@@ -218,7 +219,7 @@ func TestReconcileWindowAcrossNodes(t *testing.T) {
 	for i := uint64(1); i <= 7; i++ {
 		writeEntryToArea(t, g, b, Entry{Index: i, Writes: nil})
 	}
-	merged := Reconcile(g, [][]byte{a, b})
+	merged := reconcileAll(g, [][]byte{a, b})
 	// Global window is (7-4, 7] = {4,5,6,7}.
 	want := []uint64{4, 5, 6, 7}
 	if len(merged) != len(want) {
@@ -258,7 +259,7 @@ func TestReconcileQuickAckedEntriesSurvive(t *testing.T) {
 		for _, node := range rng.Perm(n)[:rng.Intn(3)] {
 			areas[node] = nil
 		}
-		merged := Reconcile(g, areas)
+		merged := reconcileAll(g, areas)
 		found := map[uint64]bool{}
 		for _, e := range merged {
 			found[e.Index] = true
@@ -275,6 +276,126 @@ func TestReconcileQuickAckedEntriesSurvive(t *testing.T) {
 	}
 }
 
+// reconcileAll reconciles every slot of whole per-node log areas.
+func reconcileAll(g Geometry, areas [][]byte) []Entry {
+	slots := make([]int, g.Slots)
+	copies := make([][][]byte, g.Slots)
+	for s := range slots {
+		slots[s] = s
+		for _, a := range areas {
+			if a != nil {
+				copies[s] = append(copies[s], a[s*g.SlotSize:(s+1)*g.SlotSize])
+			}
+		}
+	}
+	return Reconcile(g, slots, copies)
+}
+
+// TestReconcileSubsetMatchesWhole: reconciling any set of slots that holds
+// the largest index gives the whole log's entries in those slots.
+func TestReconcileSubsetMatchesWhole(t *testing.T) {
+	g := Geometry{SlotSize: 96, Slots: 16}
+	rng := rand.New(rand.NewSource(29))
+	for round := 0; round < 200; round++ {
+		areas := make([][]byte, 3)
+		head := uint64(1 + rng.Intn(3*g.Slots))
+		for n := range areas {
+			areas[n] = make([]byte, g.TotalSize())
+			for idx := uint64(1); idx <= head; idx++ {
+				if n == 0 || rng.Intn(4) > 0 {
+					writeEntryToArea(t, g, areas[n], Entry{Index: idx, Writes: []Write{{Addr: idx, Data: []byte{byte(n)}}}})
+				}
+			}
+		}
+		whole := reconcileAll(g, areas)
+		var slots []int
+		var copies [][][]byte
+		for s := 0; s < g.Slots; s++ {
+			if s != int(head%uint64(g.Slots)) && rng.Intn(2) == 0 {
+				continue
+			}
+			slots = append(slots, s)
+			var cs [][]byte
+			for _, a := range areas {
+				cs = append(cs, a[s*g.SlotSize:(s+1)*g.SlotSize])
+			}
+			copies = append(copies, cs)
+		}
+		var want []uint64
+		for _, e := range whole {
+			if slices.Contains(slots, int(e.Index%uint64(g.Slots))) {
+				want = append(want, e.Index)
+			}
+		}
+		var got []uint64
+		for _, e := range Reconcile(g, slots, copies) {
+			got = append(got, e.Index)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: slots %v reconcile to %v, the whole log has %v there", round, slots, got, want)
+		}
+	}
+}
+
+// TestHeadNamesTheEntry: a slot's head carries its entry's index, the first
+// write's address and the first data byte; an empty slot's names nothing.
+func TestHeadNamesTheEntry(t *testing.T) {
+	buf := make([]byte, 128)
+	if h := ParseHead(buf); h != (Head{}) {
+		t.Fatalf("empty slot's head = %+v", h)
+	}
+	e := Entry{Index: 77, Writes: []Write{{Addr: 41, Data: []byte{3, 9}}, {Addr: 5, Data: []byte{8}}}}
+	if _, err := e.Encode(buf); err != nil {
+		t.Fatal(err)
+	}
+	if h := ParseHead(buf[:HeadSize]); h != (Head{Index: 77, Addr: 41, First: 3}) {
+		t.Fatalf("head = %+v", h)
+	}
+	clear(buf)
+	(&Entry{Index: 78}).Encode(buf)
+	if h := ParseHead(buf); h != (Head{Index: 78}) {
+		t.Fatalf("head of an entry without writes = %+v", h)
+	}
+}
+
+// scanWindow decodes every valid entry in a snapshot of the log area (a
+// byte image of length TotalSize, without Base offset applied) and returns
+// entries belonging to the active window (maxIndex-Slots, maxIndex], sorted
+// by index. Torn and stale-lap slots are skipped.
+func scanWindow(g Geometry, area []byte) []Entry {
+	var entries []Entry
+	var maxIndex uint64
+	for s := 0; s < g.Slots; s++ {
+		slot := area[s*g.SlotSize : (s+1)*g.SlotSize]
+		e, err := Decode(slot)
+		if err != nil {
+			continue
+		}
+		// A slot can only legitimately hold indexes ≡ s (mod Slots); anything
+		// else is garbage from a buggy writer or bit flip that passed CRC.
+		if e.Index%uint64(g.Slots) != uint64(s) {
+			continue
+		}
+		entries = append(entries, e)
+		if e.Index > maxIndex {
+			maxIndex = e.Index
+		}
+	}
+	// Keep only the active window.
+	lo := uint64(0)
+	if maxIndex > uint64(g.Slots) {
+		lo = maxIndex - uint64(g.Slots)
+	}
+	out := entries[:0]
+	for _, e := range entries {
+		if e.Index > lo {
+			out = append(out, e)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
+	return out
+}
+
 // reconcileByScan is Reconcile as it was before it became one pass over the
 // slots — each area scanned on its own, the union taken, first area winning —
 // kept as the reference the one-pass version is checked against.
@@ -285,7 +406,7 @@ func reconcileByScan(g Geometry, areas [][]byte) []Entry {
 		if area == nil {
 			continue
 		}
-		for _, e := range g.ScanWindow(area) {
+		for _, e := range scanWindow(g, area) {
 			if _, ok := byIndex[e.Index]; !ok {
 				byIndex[e.Index] = e
 			}
@@ -349,7 +470,7 @@ func TestReconcileMatchesScanReference(t *testing.T) {
 	}
 	check := func(name string, areas [][]byte) {
 		t.Helper()
-		want, got := reconcileByScan(g, areas), Reconcile(g, areas)
+		want, got := reconcileByScan(g, areas), reconcileAll(g, areas)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d entries, the scan reference gives %d", name, len(got), len(want))
 		}

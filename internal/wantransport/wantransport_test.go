@@ -275,3 +275,51 @@ func TestWrapBudgetDeadline(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestWrapVectoredReadIsOneFlight: a vectored read crosses the link as one
+// request and one response, however many segments it carries, and fills
+// every segment; a vectored write is still its separate writes.
+func TestWrapVectoredReadIsOneFlight(t *testing.T) {
+	net := rdma.NewNetwork(netsim.NewFabric(nil))
+	node := rdma.NewNode("mem")
+	node.Register(1, rdma.NewRegion(4096, false))
+	net.AddNode(node)
+	inner, err := net.Dial("cpu", "mem", rdma.DialOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	im := &netsim.Impairment{OneWay: 100 * time.Microsecond}
+	im.Seed(1)
+	tr := New(Config{Data: 4, RTT: time.Millisecond})
+	v := tr.Wrap(inner, ImpairedLink{Imp: im}).(rdma.Submitter)
+	defer v.Close()
+	do := func(op *rdma.Op) (flights uint64) {
+		t.Helper()
+		before := tr.Snapshot().Flights
+		done := make(chan error, 1)
+		op.Done = func(o *rdma.Op) { done <- o.Err }
+		v.Submit(op)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		return tr.Snapshot().Flights - before
+	}
+	const segs = 8
+	write := &rdma.Op{Kind: rdma.OpWrite, Region: 1, Offset: 0, Data: []byte{1}}
+	read := &rdma.Op{Kind: rdma.OpRead, Region: 1, Offset: 0, Data: make([]byte, 1)}
+	for k := 1; k < segs; k++ {
+		write.More = append(write.More, rdma.Seg{Offset: uint64(512 * k), Data: []byte{byte(k + 1)}})
+		read.More = append(read.More, rdma.Seg{Offset: uint64(512 * k), Data: make([]byte, 1)})
+	}
+	if n := do(write); n != 2*segs {
+		t.Fatalf("a write of %d segments took %d flights, want %d", segs, n, 2*segs)
+	}
+	if n := do(read); n != 2 {
+		t.Fatalf("a read of %d segments took %d flights, want 2", segs, n)
+	}
+	for k, s := range append([]rdma.Seg{{Data: read.Data}}, read.More...) {
+		if s.Data[0] != byte(k+1) {
+			t.Fatalf("segment %d read %d, want %d", k, s.Data[0], k+1)
+		}
+	}
+}

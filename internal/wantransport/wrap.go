@@ -49,11 +49,21 @@ type wanConn struct {
 
 var _ rdma.Submitter = (*wanConn)(nil)
 
-// wireSizes returns the request and response datagram payload sizes of op.
+// segHeaderWire approximates the wire cost of one further segment of a
+// vectored read (offset, length), as the inproc transport charges it.
+const segHeaderWire = 16
+
+// wireSizes returns the request and response datagram payload sizes of op, a
+// vectored read's segments included.
 func wireSizes(op *rdma.Op) (req, resp int) {
 	switch op.Kind {
 	case rdma.OpRead:
-		return opHeaderWire, opHeaderWire + len(op.Data)
+		req, resp = opHeaderWire, opHeaderWire+len(op.Data)
+		for _, seg := range op.More {
+			req += segHeaderWire
+			resp += len(seg.Data)
+		}
+		return req, resp
 	case rdma.OpWrite:
 		return opHeaderWire + len(op.Data), opHeaderWire
 	case rdma.OpCAS:
@@ -66,9 +76,10 @@ func wireSizes(op *rdma.Op) (req, resp int) {
 // Submit implements rdma.Submitter. It never blocks: flight times are
 // computed (not slept) and the op is scheduled onto the inner transport
 // after the simulated WAN delay. A vectored write crosses the link as the
-// separate writes it stands for, one flight each.
+// separate writes it stands for, one flight each; a vectored read is one
+// flight, sized by all of its segments.
 func (c *wanConn) Submit(op *rdma.Op) {
-	if len(op.More) > 0 {
+	if len(op.More) > 0 && op.Kind == rdma.OpWrite {
 		rdma.SubmitSegments(op, c.Submit)
 		return
 	}
@@ -89,7 +100,7 @@ func (c *wanConn) Submit(op *rdma.Op) {
 	if !ok1 || !ok2 {
 		// Budget expired: release the submitter with a deadline, execute the
 		// op late via a shadow carrying copied buffers.
-		shadow := cloneOp(op)
+		shadow := op.Shadow()
 		time.AfterFunc(total, func() { op.Complete(rdma.ErrDeadline) })
 		time.AfterFunc(total+c.t.cfg.RTT, func() { c.forward(shadow) })
 		return
@@ -101,24 +112,14 @@ func (c *wanConn) Submit(op *rdma.Op) {
 	time.AfterFunc(total, func() { c.forward(op) })
 }
 
-// forward hands op to the inner transport.
+// forward hands op to the inner transport; a blocking-only one is driven
+// from a goroutine of its own.
 func (c *wanConn) forward(op *rdma.Op) {
 	if c.sub != nil {
 		c.sub.Submit(op)
 		return
 	}
-	go func() {
-		var err error
-		switch op.Kind {
-		case rdma.OpRead:
-			err = c.inner.Read(op.Region, op.Offset, op.Data)
-		case rdma.OpWrite:
-			err = c.inner.Write(op.Region, op.Offset, op.Data)
-		case rdma.OpCAS:
-			op.Old, err = c.inner.CompareAndSwap(op.Region, op.Offset, op.Expect, op.Swap)
-		}
-		op.Complete(err)
-	}()
+	go rdma.Send(c.inner, op)
 }
 
 // do submits op and waits, implementing the blocking Verbs methods.
@@ -158,24 +159,4 @@ func (c *wanConn) PipelineStats() rdma.PipelineStats {
 		return ps.PipelineStats()
 	}
 	return rdma.PipelineStats{}
-}
-
-// cloneOp copies an op, including its write payload, so the clone outlives
-// the submitter's buffers.
-func cloneOp(op *rdma.Op) *rdma.Op {
-	s := &rdma.Op{
-		Kind:   op.Kind,
-		Region: op.Region,
-		Offset: op.Offset,
-		Expect: op.Expect,
-		Swap:   op.Swap,
-		Done:   func(*rdma.Op) {},
-	}
-	switch op.Kind {
-	case rdma.OpWrite:
-		s.Data = append([]byte(nil), op.Data...)
-	case rdma.OpRead:
-		s.Data = make([]byte, len(op.Data))
-	}
-	return s
 }

@@ -131,7 +131,7 @@ func TestObsSmoke(t *testing.T) {
 		if e.Type == "coordinator.promoted" {
 			found = true
 			// The takeover accounts for itself: phases and replay counts.
-			for _, field := range []string{"total=", "mem_recover=", "log_read=", "reconcile=", "replay=", "entries=", "above_mark=", "replayed_records=", "chain_reads="} {
+			for _, field := range []string{"total=", "mem_recover=", "scan=", "log_read=", "reconcile=", "replay=", "entries=", "read_slots=", "above_mark=", "replayed_records=", "chain_reads="} {
 				if !strings.Contains(e.Detail, field) {
 					t.Errorf("coordinator.promoted detail %q lacks %q", e.Detail, field)
 				}
