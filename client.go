@@ -157,6 +157,16 @@ func (c *Client) retry(deadline time.Time, backoff time.Duration, op func(*kv.St
 	}
 }
 
+// invoke records an operation's invocation in History. Key and value are
+// converted only when a recorder is set, so a client that records nothing
+// pays nothing for it.
+func (c *Client) invoke(kind linearize.Kind, key, value []byte) *linearize.Pending {
+	if c.History == nil {
+		return nil
+	}
+	return c.History.Invoke(c.ClientID, kind, string(key), string(value))
+}
+
 // finishWrite resolves a recorded put/delete against its outcome. A write
 // whose fate is unknown stays in the history open-ended; only errors that
 // guarantee the op never reached the log discard it.
@@ -177,6 +187,7 @@ func finishWrite(p *linearize.Pending, err error) {
 // leave the history.
 func finishGet(p *linearize.Pending, out []byte, err error) {
 	switch {
+	case p == nil:
 	case err == nil:
 		p.Commit(string(out), false)
 	case errors.Is(err, ErrNotFound):
@@ -189,7 +200,7 @@ func finishGet(p *linearize.Pending, out []byte, err error) {
 // Put stores value under key. It returns once the update is committed on a
 // majority of memory nodes.
 func (c *Client) Put(key, value []byte) error {
-	p := c.History.Invoke(c.ClientID, linearize.KindPut, string(key), string(value))
+	p := c.invoke(linearize.KindPut, key, value)
 	start := time.Now()
 	err := c.doWAN(wanOpHeader+len(key)+len(value), wanOpHeader,
 		func(st *kv.Store) error { return st.Put(key, value) })
@@ -204,7 +215,7 @@ func (c *Client) Put(key, value []byte) error {
 // miss (or any backup-side anomaly) transparently falls back to the
 // coordinator.
 func (c *Client) Get(key []byte) ([]byte, error) {
-	p := c.History.Invoke(c.ClientID, linearize.KindGet, string(key), "")
+	p := c.invoke(linearize.KindGet, key, nil)
 	var out []byte
 	start := time.Now()
 	if v, ok := c.cluster.wanBackupGet(key); ok {
@@ -234,7 +245,7 @@ func (c *Client) Get(key []byte) ([]byte, error) {
 
 // Delete removes key. Deleting a missing key is not an error.
 func (c *Client) Delete(key []byte) error {
-	p := c.History.Invoke(c.ClientID, linearize.KindDelete, string(key), "")
+	p := c.invoke(linearize.KindDelete, key, nil)
 	start := time.Now()
 	err := c.doWAN(wanOpHeader+len(key), wanOpHeader,
 		func(st *kv.Store) error { return st.Delete(key) })

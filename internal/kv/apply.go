@@ -98,14 +98,20 @@ func newOverlay() *overlay {
 }
 
 // reset forgets the previous batch, dropping every reference to its records
-// while keeping the buffers.
+// while keeping the buffers. The maps lose only the entries the batch put in
+// them: clearing a map walks its capacity, which is the largest batch ever
+// seen, not this one.
 func (ov *overlay) reset() {
+	for _, key := range ov.names {
+		delete(ov.keys, key)
+	}
+	for i := range ov.blocks {
+		delete(ov.at, ov.blocks[i].idx)
+	}
 	clear(ov.live)
 	clear(ov.names)
 	clear(ov.blocks)
 	clear(ov.settled)
-	clear(ov.keys)
-	clear(ov.at)
 	for i := range ov.stage {
 		clear(ov.stage[i])
 		ov.stage[i] = ov.stage[i][:0]

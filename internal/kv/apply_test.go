@@ -957,3 +957,42 @@ func TestFullStoreBatchReusesFreedBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestOverlayResetForgetsOnlyItsBatch: after a full 256-record batch, a
+// 1-record batch leaves only its own entries in the overlay's maps (its key,
+// and the blocks it met on the way), reset empties both, and each batch's
+// records land as they would without the bigger batch before them.
+func TestOverlayResetForgetsOnlyItsBatch(t *testing.T) {
+	cfg := applyCfg()
+	e := newKVEnv(t, cfg, false)
+	s := newStore(t, e, "c", cfg)
+	task := func(k, v string) *applyTask {
+		return &applyTask{rec: record{op: opPut, key: []byte(k), value: []byte(v)}, key: k, ok: true}
+	}
+	ov := newOverlay()
+	var big []*applyTask
+	for i := 0; i < applyBatchMax; i++ {
+		big = append(big, task(fmt.Sprintf("k%d", i), "v0"))
+	}
+	s.applyBatch(ov, big)
+	s.applyBatch(ov, []*applyTask{task("k7", "v1")})
+	if len(ov.keys) != 1 || len(ov.at) != len(ov.blocks) {
+		t.Errorf("after the 1-record batch: %d keys, %d blocks in the overlay's maps, want 1 and %d", len(ov.keys), len(ov.at), len(ov.blocks))
+	}
+	ov.reset()
+	if len(ov.keys) != 0 || len(ov.at) != 0 {
+		t.Errorf("after reset: %d keys, %d blocks in the overlay's maps, want none", len(ov.keys), len(ov.at))
+	}
+	for i, tk := range big {
+		want := "v0"
+		if i == 7 {
+			want = "v1"
+		}
+		if tk.applyErr != nil {
+			t.Fatalf("%s: %v", tk.key, tk.applyErr)
+		}
+		if blk, _, err := s.findInChain(s.bucketOf(tk.rec.key), tk.rec.key); err != nil || blk == nil || string(blk.value) != want {
+			t.Fatalf("key %s in replicated memory: %+v err=%v, want %q", tk.key, blk, err, want)
+		}
+	}
+}

@@ -6,8 +6,10 @@ package netsim
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -98,64 +100,108 @@ func Sleep(d time.Duration) {
 // Fabric tracks per-node liveness and pairwise partitions. All transports in
 // a simulated deployment share one Fabric so failure injection is globally
 // consistent.
+//
+// The conditions live in one immutable snapshot: readers take it with one
+// atomic load, and every mutator replaces it copy-on-write under mu, so a
+// transfer never waits on failure injection and a calm fabric costs it no
+// map lookup.
 type Fabric struct {
-	mu         sync.RWMutex
+	mu    sync.Mutex // serializes mutators
+	state atomic.Pointer[fabricState]
+}
+
+// fabricState is one snapshot of the fabric's conditions. It is never
+// modified once published.
+type fabricState struct {
 	down       map[string]bool
 	partitions map[[2]string]bool
 	latency    LatencyModel
 	linkImp    map[[2]string]*Impairment // per-link impairment profiles
 	nodeImp    map[string]*Impairment    // per-node: applies to every link touching the node
+
+	calm    bool // nothing down, nothing partitioned, nothing impaired
+	instant bool // latency is zero for every size
 }
 
 // NewFabric creates a Fabric using the given latency model for every link.
 // A nil model means no latency.
 func NewFabric(latency LatencyModel) *Fabric {
-	if latency == nil {
-		latency = NoLatency{}
-	}
-	return &Fabric{
+	f := &Fabric{}
+	f.state.Store(&fabricState{
 		down:       make(map[string]bool),
 		partitions: make(map[[2]string]bool),
-		latency:    latency,
 		linkImp:    make(map[[2]string]*Impairment),
 		nodeImp:    make(map[string]*Impairment),
+	})
+	f.SetLatency(latency)
+	return f
+}
+
+// update publishes a copy of the current snapshot with change applied.
+func (f *Fabric) update(change func(s *fabricState)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	old := f.state.Load()
+	s := &fabricState{
+		down:       maps.Clone(old.down),
+		partitions: maps.Clone(old.partitions),
+		latency:    old.latency,
+		linkImp:    maps.Clone(old.linkImp),
+		nodeImp:    maps.Clone(old.nodeImp),
 	}
+	change(s)
+	s.calm = len(s.down)+len(s.partitions)+len(s.linkImp)+len(s.nodeImp) == 0
+	switch l := s.latency.(type) {
+	case NoLatency:
+		s.instant = true
+	case FixedLatency:
+		s.instant = l.Base == 0 && l.PerByte == 0
+	}
+	f.state.Store(s)
 }
 
 // SetLinkImpairment applies a stationary impairment profile to the a↔b link.
 // A nil impairment clears it. Link-specific profiles win over node-level ones.
 func (f *Fabric) SetLinkImpairment(a, b string, im *Impairment) {
-	f.mu.Lock()
-	if im == nil {
-		delete(f.linkImp, linkKey(a, b))
-	} else {
-		f.linkImp[linkKey(a, b)] = im
-	}
-	f.mu.Unlock()
+	f.update(func(s *fabricState) {
+		if im == nil {
+			delete(s.linkImp, linkKey(a, b))
+		} else {
+			s.linkImp[linkKey(a, b)] = im
+		}
+	})
 }
 
 // SetNodeImpairment applies a stationary impairment profile to every link
 // touching node — the "this replica lives across the WAN" switch. A nil
 // impairment clears it.
 func (f *Fabric) SetNodeImpairment(node string, im *Impairment) {
-	f.mu.Lock()
-	if im == nil {
-		delete(f.nodeImp, node)
-	} else {
-		f.nodeImp[node] = im
-	}
-	f.mu.Unlock()
+	f.update(func(s *fabricState) {
+		if im == nil {
+			delete(s.nodeImp, node)
+		} else {
+			s.nodeImp[node] = im
+		}
+	})
 }
 
 // impairment returns the profile governing the src→dst link, or nil.
-func (f *Fabric) impairment(src, dst string) *Impairment {
-	if im, ok := f.linkImp[linkKey(src, dst)]; ok {
+func (s *fabricState) impairment(src, dst string) *Impairment {
+	if s.calm {
+		return nil
+	}
+	if im, ok := s.linkImp[linkKey(src, dst)]; ok {
 		return im
 	}
-	if im, ok := f.nodeImp[src]; ok {
+	if im, ok := s.nodeImp[src]; ok {
 		return im
 	}
-	return f.nodeImp[dst]
+	return s.nodeImp[dst]
+}
+
+// unreachable reports whether src or dst is down or the link is partitioned.
+func (s *fabricState) unreachable(src, dst string) bool {
+	return !s.calm && (s.down[src] || s.down[dst] || s.partitions[linkKey(src, dst)])
 }
 
 // SetLatency replaces the fabric-wide latency model.
@@ -163,77 +209,77 @@ func (f *Fabric) SetLatency(m LatencyModel) {
 	if m == nil {
 		m = NoLatency{}
 	}
-	f.mu.Lock()
-	f.latency = m
-	f.mu.Unlock()
+	f.update(func(s *fabricState) { s.latency = m })
 }
 
 // Kill marks a node as failed; all traffic to and from it fails.
 func (f *Fabric) Kill(node string) {
-	f.mu.Lock()
-	f.down[node] = true
-	f.mu.Unlock()
+	f.update(func(s *fabricState) { s.down[node] = true })
 }
 
 // Restart clears a node's failed state.
 func (f *Fabric) Restart(node string) {
-	f.mu.Lock()
-	delete(f.down, node)
-	f.mu.Unlock()
+	f.update(func(s *fabricState) { delete(s.down, node) })
 }
 
 // Partition severs the bidirectional link between nodes a and b.
 func (f *Fabric) Partition(a, b string) {
-	f.mu.Lock()
-	f.partitions[linkKey(a, b)] = true
-	f.mu.Unlock()
+	f.update(func(s *fabricState) { s.partitions[linkKey(a, b)] = true })
 }
 
 // Heal restores the link between nodes a and b.
 func (f *Fabric) Heal(a, b string) {
-	f.mu.Lock()
-	delete(f.partitions, linkKey(a, b))
-	f.mu.Unlock()
+	f.update(func(s *fabricState) { delete(s.partitions, linkKey(a, b)) })
 }
 
 // HealAll clears every partition and failed node.
 func (f *Fabric) HealAll() {
-	f.mu.Lock()
-	f.down = make(map[string]bool)
-	f.partitions = make(map[[2]string]bool)
-	f.mu.Unlock()
+	f.update(func(s *fabricState) {
+		clear(s.down)
+		clear(s.partitions)
+	})
 }
 
 // Down reports whether the node is currently failed.
 func (f *Fabric) Down(node string) bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.down[node]
+	return f.state.Load().down[node]
+}
+
+// Instant reports whether a Transfer from src to dst takes no modelled time:
+// the latency model is zero for every size and no impairment applies to the
+// link. It draws no delay, so a random latency model is not advanced. A down
+// or partitioned endpoint does not matter here: Transfer then fails at once.
+func (f *Fabric) Instant(src, dst string) bool {
+	s := f.state.Load()
+	if !s.instant {
+		return false
+	}
+	im := s.impairment(src, dst)
+	return im == nil || im.DatagramOnly
 }
 
 // Transfer simulates sending size bytes from src to dst: it checks
 // reachability, then blocks for the modelled latency. It returns
 // ErrUnreachable if either endpoint is down or the link is partitioned.
 func (f *Fabric) Transfer(src, dst string, size int) error {
-	f.mu.RLock()
-	bad := f.down[src] || f.down[dst] || f.partitions[linkKey(src, dst)]
-	lat := f.latency
-	im := f.impairment(src, dst)
-	f.mu.RUnlock()
-	if bad {
+	s := f.state.Load()
+	if s.unreachable(src, dst) {
 		return ErrUnreachable
 	}
-	d := lat.Delay(size)
-	if im != nil && !im.DatagramOnly {
+	var d time.Duration
+	if !s.instant {
+		d = s.latency.Delay(size)
+	}
+	if im := s.impairment(src, dst); im != nil && !im.DatagramOnly {
 		// Reliable in-order semantics: losses become retransmission stalls.
 		d += im.transferDelay(size)
 	}
+	if d <= 0 {
+		return nil // no flight for the message to be lost in
+	}
 	Sleep(d)
 	// Re-check after the delay: a node that died mid-flight loses the message.
-	f.mu.RLock()
-	bad = f.down[src] || f.down[dst] || f.partitions[linkKey(src, dst)]
-	f.mu.RUnlock()
-	if bad {
+	if f.state.Load().unreachable(src, dst) {
 		return ErrUnreachable
 	}
 	return nil
@@ -245,15 +291,12 @@ func (f *Fabric) Transfer(src, dst string, size int) error {
 // schedule delivery themselves. ErrUnreachable reports a down endpoint or a
 // partition; a merely lossy link returns delivered=false instead.
 func (f *Fabric) SendDatagram(src, dst string, size int) (delay time.Duration, delivered bool, err error) {
-	f.mu.RLock()
-	bad := f.down[src] || f.down[dst] || f.partitions[linkKey(src, dst)]
-	lat := f.latency
-	im := f.impairment(src, dst)
-	f.mu.RUnlock()
-	if bad {
+	s := f.state.Load()
+	if s.unreachable(src, dst) {
 		return 0, false, ErrUnreachable
 	}
-	delay = lat.Delay(size)
+	delay = s.latency.Delay(size)
+	im := s.impairment(src, dst)
 	if im == nil {
 		return delay, true, nil
 	}

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -155,5 +157,115 @@ func TestFabricSetLatency(t *testing.T) {
 func TestLinkKeyCanonical(t *testing.T) {
 	if linkKey("a", "b") != linkKey("b", "a") {
 		t.Fatal("linkKey must be order-insensitive")
+	}
+}
+
+// TestFabricInstant: only a latency model that is zero for every size, on a
+// link no transfer impairment applies to, is instant; a down endpoint is not
+// a delay. Deciding draws nothing from a random model.
+func TestFabricInstant(t *testing.T) {
+	f := NewFabric(nil)
+	if !f.Instant("a", "b") {
+		t.Fatal("NoLatency fabric not instant")
+	}
+	f.Kill("b")
+	if !f.Instant("a", "b") {
+		t.Fatal("a down endpoint made the link non-instant")
+	}
+	f.HealAll()
+	f.SetNodeImpairment("c", &Impairment{OneWay: time.Millisecond})
+	if f.Instant("a", "c") || !f.Instant("a", "b") {
+		t.Fatalf("impaired a-c instant=%v, calm a-b instant=%v", f.Instant("a", "c"), f.Instant("a", "b"))
+	}
+	f.SetNodeImpairment("c", &Impairment{OneWay: time.Millisecond, DatagramOnly: true})
+	if !f.Instant("a", "c") {
+		t.Fatal("a datagram-only impairment made the link non-instant")
+	}
+	f.SetNodeImpairment("c", nil)
+	for _, m := range []LatencyModel{FixedLatency{Base: 2 * time.Millisecond}, FixedLatency{PerByte: 1}, RDMADefault()} {
+		f.SetLatency(m)
+		if f.Instant("a", "b") {
+			t.Fatalf("%+v is instant", m)
+		}
+	}
+	f.SetLatency(FixedLatency{})
+	if !f.Instant("a", "b") {
+		t.Fatal("FixedLatency{0, 0} not instant")
+	}
+
+	// A jitter model is never instant, and deciding does not consume a draw.
+	j, ref := NewJitterLatency(NoLatency{}, time.Millisecond, 7), NewJitterLatency(NoLatency{}, time.Millisecond, 7)
+	f.SetLatency(j)
+	for i := 0; i < 10; i++ {
+		if f.Instant("a", "b") {
+			t.Fatal("jitter model is instant")
+		}
+	}
+	if got, want := j.Delay(0), ref.Delay(0); got != want {
+		t.Fatalf("first draw after deciding %v, want %v", got, want)
+	}
+}
+
+// TestFabricMutatorsRaceTransfer runs every mutator against transfers and
+// datagrams on other goroutines (for the race detector): each outcome is a
+// delivery or ErrUnreachable, and once the fabric is healed and calm again
+// every transfer goes through.
+func TestFabricMutatorsRaceTransfer(t *testing.T) {
+	f := NewFabric(nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := f.Transfer("a", "b", 64); err != nil && !errors.Is(err, ErrUnreachable) {
+					t.Errorf("Transfer: %v", err)
+				}
+				if _, _, err := f.SendDatagram("b", "a", 64); err != nil && !errors.Is(err, ErrUnreachable) {
+					t.Errorf("SendDatagram: %v", err)
+				}
+				f.Down("a")
+				f.Instant("a", "b")
+			}
+		}()
+	}
+	im := &Impairment{OneWay: time.Microsecond}
+	for i := 0; i < 200; i++ {
+		f.Kill("b")
+		f.Partition("a", "b")
+		f.SetNodeImpairment("a", im)
+		f.SetLinkImpairment("a", "b", im)
+		f.SetLatency(FixedLatency{Base: time.Microsecond})
+		f.Restart("b")
+		f.Heal("a", "b")
+		f.SetNodeImpairment("a", nil)
+		f.SetLinkImpairment("a", "b", nil)
+		f.SetLatency(nil)
+		f.Kill("a")
+		f.HealAll()
+	}
+	close(stop)
+	wg.Wait()
+	if err := f.Transfer("a", "b", 64); err != nil {
+		t.Fatalf("transfer on the healed fabric: %v", err)
+	}
+}
+
+// TestTransferKilledMidFlight: a node killed while a delayed transfer is in
+// flight loses the message.
+func TestTransferKilledMidFlight(t *testing.T) {
+	f := NewFabric(FixedLatency{Base: 50 * time.Millisecond})
+	done := make(chan error, 1)
+	go func() { done <- f.Transfer("a", "b", 64) }()
+	time.Sleep(10 * time.Millisecond)
+	f.Kill("b")
+	if err := <-done; !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("transfer to a node killed mid-flight: %v, want ErrUnreachable", err)
 	}
 }

@@ -123,13 +123,17 @@ func (n *Network) Dial(src, dst string, opts DialOpts) (Verbs, error) {
 }
 
 // The in-process send queue, as parameters of the latency model (they are
-// not deployment settings and no configuration reaches them):
+// not deployment settings and no configuration reaches them). It serves only
+// links that carry modelled delay: an op whose link takes no modelled time
+// runs on the goroutine that submits it, as a one-sided verb runs on the
+// RNIC with no host thread handing it on.
 //
 //   - inprocWorkers is the number of lanes: operations one connection can
-//     have on the fabric at once, each occupying its lane for a full round
-//     trip. A real RC queue pair keeps hundreds of work requests in flight;
-//     eight lanes keep the goroutine count per connection small, and cap a
-//     connection at inprocWorkers operations per round trip over slow links.
+//     have on a delayed link at once, each occupying its lane for a full
+//     round trip. A real RC queue pair keeps hundreds of work requests in
+//     flight; eight lanes keep the goroutine count per connection small, and
+//     cap a connection at inprocWorkers operations per round trip over slow
+//     links.
 //   - inprocQueue is the submit-channel depth; submissions beyond it apply
 //     backpressure to the submitter.
 const (
@@ -158,7 +162,8 @@ type inprocConn struct {
 
 	// subMu guards the submit channel's lifecycle: Submit sends while
 	// holding the read side so Close (write side) cannot close the channel
-	// under an in-progress send. Workers start lazily on first Submit.
+	// under an in-progress send. Workers start lazily on the first Submit
+	// over a delayed link.
 	subMu sync.RWMutex
 	subCh chan *Op
 
@@ -236,10 +241,19 @@ func wireSizes(op *Op) (req, resp int) {
 	return opHeaderSize, opHeaderSize
 }
 
-// Submit implements Submitter: the op executes on one of the connection's
-// worker goroutines, so many operations proceed concurrently while the
-// submitter keeps going.
+// Submit implements Submitter. Over a link that takes no modelled time the
+// op runs inline, through the blocking verbs' path, and completes before
+// Submit returns. Otherwise it executes on one of the connection's lanes, so
+// many operations proceed concurrently while the submitter keeps going.
 func (c *inprocConn) Submit(op *Op) {
+	if c.net.fabric.Instant(c.src, c.dst) {
+		c.submitted.Add(1)
+		c.inflight.Inc()
+		err := c.do(op)
+		c.inflight.Dec()
+		op.complete(err)
+		return
+	}
 	for {
 		c.subMu.RLock()
 		if c.closed.Load() {
@@ -253,7 +267,6 @@ func (c *inprocConn) Submit(op *Op) {
 				op.deadline = time.Now().Add(c.opDeadline)
 			}
 			c.submitted.Add(1)
-			c.inflight.Inc()
 			ch <- op
 			c.subMu.RUnlock()
 			return
@@ -264,8 +277,7 @@ func (c *inprocConn) Submit(op *Op) {
 }
 
 // startWorkers lazily creates the submit channel and worker pool, so
-// connections that never Submit (election probes, recovery scans) cost no
-// goroutines.
+// connections that never carry a delayed op cost no goroutines.
 func (c *inprocConn) startWorkers() {
 	c.subMu.Lock()
 	if c.subCh == nil && !c.closed.Load() {
@@ -278,15 +290,16 @@ func (c *inprocConn) startWorkers() {
 	c.subMu.Unlock()
 }
 
-// workerLoop is one lane: one operation at a time, each a full round trip.
-// The clock is read once before and once after: an op that expired while
-// queued completes without executing; one that expires during the round trip
-// still executed remotely but reports ErrDeadline, mirroring the TCP
-// transport's ambiguity (the initiator cannot tell whether a late operation
-// landed).
+// workerLoop is one lane: one operation at a time, each a full round trip,
+// counted in flight while it holds the lane. The clock is read once before
+// and once after: an op that expired while queued completes without
+// executing; one that expires during the round trip still executed remotely
+// but reports ErrDeadline, mirroring the TCP transport's ambiguity (the
+// initiator cannot tell whether a late operation landed).
 func (c *inprocConn) workerLoop(ch chan *Op) {
 	timed := c.opDeadline > 0
 	for op := range ch {
+		c.inflight.Inc()
 		var err error
 		if timed && time.Now().After(op.deadline) {
 			err = ErrDeadline

@@ -24,7 +24,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 )
 
 // Common verb errors.
@@ -78,10 +80,8 @@ type Region struct {
 	// locks its stripes in ascending order to avoid deadlock.
 	stripes [regionStripes]sync.RWMutex
 
-	// mu guards the fencing state below.
-	mu        sync.Mutex
 	exclusive bool
-	epoch     uint64 // current owner epoch; conns with older epochs are fenced
+	epoch     atomic.Uint64 // current owner epoch; conns with older epochs are fenced
 }
 
 // NewRegion allocates a region of the given size. If exclusive is true the
@@ -110,10 +110,7 @@ func (r *Region) Acquire() uint64 {
 	if !r.exclusive {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.epoch++
-	return r.epoch
+	return r.epoch.Add(1)
 }
 
 // check validates an epoch token against the current owner epoch.
@@ -121,9 +118,7 @@ func (r *Region) check(epoch uint64) error {
 	if !r.exclusive || epoch == ObserverEpoch {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if epoch != r.epoch {
+	if epoch != r.epoch.Load() {
 		return ErrFenced
 	}
 	return nil
@@ -257,18 +252,21 @@ func (r *Region) Snapshot() []byte {
 
 // Node is a passive memory host: a set of registered regions. After setup
 // (region registration and, for the TCP transport, listening), the node runs
-// no protocol logic of its own.
+// no protocol logic of its own. The region table is copy-on-write: a lookup
+// is one atomic load, and Register publishes a new table under mu.
 type Node struct {
 	name string
 
-	mu      sync.RWMutex
-	regions map[RegionID]*Region
+	mu      sync.Mutex // serializes Register
+	regions atomic.Pointer[map[RegionID]*Region]
 }
 
 // NewNode creates a node with the given name. The name identifies the node
 // on a netsim.Fabric for failure injection.
 func NewNode(name string) *Node {
-	return &Node{name: name, regions: make(map[RegionID]*Region)}
+	n := &Node{name: name}
+	n.regions.Store(&map[RegionID]*Region{})
+	return n
 }
 
 // Name returns the node's fabric name.
@@ -277,7 +275,9 @@ func (n *Node) Name() string { return n.name }
 // Register registers a memory region under id, replacing any existing one.
 func (n *Node) Register(id RegionID, r *Region) {
 	n.mu.Lock()
-	n.regions[id] = r
+	regions := maps.Clone(*n.regions.Load())
+	regions[id] = r
+	n.regions.Store(&regions)
 	n.mu.Unlock()
 }
 
@@ -290,17 +290,14 @@ func (n *Node) Alloc(id RegionID, size int, exclusive bool) *Region {
 
 // Region returns the region registered under id, or nil.
 func (n *Node) Region(id RegionID) *Region {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.regions[id]
+	return (*n.regions.Load())[id]
 }
 
 // RegionIDs returns all registered region ids.
 func (n *Node) RegionIDs() []RegionID {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	ids := make([]RegionID, 0, len(n.regions))
-	for id := range n.regions {
+	regions := *n.regions.Load()
+	ids := make([]RegionID, 0, len(regions))
+	for id := range regions {
 		ids = append(ids, id)
 	}
 	return ids

@@ -243,7 +243,7 @@ func TestWriteTargetsPartitionsSuspects(t *testing.T) {
 	m := newMemory(t, baseConfig(e, "c0"))
 
 	m.setState(1, nodeSuspect)
-	wait, best := m.writeTargets(m.Majority())
+	wait, best := m.writeTargetsInto(m.Majority(), nil, nil)
 	if len(wait) != 2 || len(best) != 1 || best[0] != 1 {
 		t.Fatalf("wait=%v best=%v, want wait={0,2} best={1}", wait, best)
 	}
@@ -252,7 +252,7 @@ func TestWriteTargetsPartitionsSuspects(t *testing.T) {
 	// the healthy subset alone, so suspects are promoted back into the wait
 	// set — a quorum ack must never mean a majority of the healthy few.
 	m.setState(2, nodeSuspect)
-	wait, best = m.writeTargets(m.Majority())
+	wait, best = m.writeTargetsInto(m.Majority(), nil, nil)
 	if len(wait) != 3 || len(best) != 0 {
 		t.Fatalf("degraded: wait=%v best=%v, want all three waited on", wait, best)
 	}

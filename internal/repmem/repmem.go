@@ -803,19 +803,14 @@ func (m *Memory) writableNodes() []int {
 	return out
 }
 
-// writeTargets partitions a write fan-out: wait lists the nodes whose
+// writeTargetsInto partitions a write fan-out: wait lists the nodes whose
 // completions the caller counts (live + syncing); bestEffort lists suspect
 // and degraded nodes, which receive the write without anyone waiting on
 // them. When the wait set alone cannot reach need, best-effort nodes are
 // promoted back into it: a majority ack must always mean a true majority of
-// the full membership, never a majority of the healthy subset.
-func (m *Memory) writeTargets(need int) (wait, bestEffort []int) {
-	return m.writeTargetsInto(need, nil, nil)
-}
-
-// writeTargetsInto is writeTargets appending into caller-provided slices
-// (reset to length zero), so hot paths with pre-sized scratch avoid the
-// per-call slice allocations.
+// the full membership, never a majority of the healthy subset. The lists are
+// appended to wait and bestEffort, reset to length zero, so a caller with
+// scratch of its own allocates nothing.
 func (m *Memory) writeTargetsInto(need int, wait, bestEffort []int) ([]int, []int) {
 	wait, bestEffort = wait[:0], bestEffort[:0]
 	for i := range m.nodes {

@@ -290,8 +290,9 @@ func writeReq(conn rdma.Verbs, req nodeReq) error {
 // nodeWorkerLoop drains node i's queue, a flight at a time: the request it
 // blocked for plus what is queued behind it, FIFO, up to nodeFlightMax. With
 // a pipelined connection the loop submits and immediately moves on —
-// completions arrive on transport goroutines — so the queue drains at
-// submission speed, not round-trip speed.
+// completions arrive on transport goroutines, or inside Submit over a
+// zero-delay in-process link — so the queue drains at submission speed, not
+// round-trip speed.
 func (m *Memory) nodeWorkerLoop(i int, ch chan nodeReq) {
 	defer m.workerWG.Done()
 	flight := make([]nodeReq, 0, nodeFlightMax)

@@ -382,7 +382,8 @@ func (m *Memory) directWrite(addr uint64, data []byte, release func()) error {
 	held := lockRange{addr: addr, size: len(data)}
 	m.directLocks.acquire(exclusive, held)
 	m.noteDirtyDirect(addr, len(data))
-	wait, bestEffort := m.writeTargets(m.Majority())
+	var waitBuf, bestBuf [8]int
+	wait, bestEffort := m.writeTargetsInto(m.Majority(), waitBuf[:0], bestBuf[:0])
 	g := newQuorumGroup(len(wait), m.Majority(), func() {
 		m.directLocks.release(exclusive, held)
 		if release != nil {
@@ -395,8 +396,9 @@ func (m *Memory) directWrite(addr uint64, data []byte, release func()) error {
 	for _, i := range bestEffort {
 		m.enqueueBestEffort(i, off, data)
 	}
+	ack := g.ack // one method value for every node's request
 	for _, i := range wait {
-		m.enqueue(i, nodeReq{offset: off, data: data, done: g.ack})
+		m.enqueue(i, nodeReq{offset: off, data: data, done: ack})
 	}
 	if err := m.waitQuorum(g); err != nil {
 		if oerr := m.checkOpen(); oerr != nil {
