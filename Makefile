@@ -34,11 +34,12 @@ linearize:
 	$(GO) test -race -timeout 5m ./internal/linearize/
 	$(GO) test -race -timeout 10m -run 'TestRetriable|TestClient|TestAmbiguous|TestNoCoordinatorWithoutSends|TestChaosLinearize' .
 
-# Online reconfiguration suite: the repmem state-transfer/epoch-commit unit
-# tests, the elector membership-update test, and the cluster-level rolling
-# replacement / fencing / backup-straddle scenarios, under the race detector.
+# Online reconfiguration suite: the repmem catch-up, dirty-tracker and
+# epoch-commit unit tests, the elector membership-update test, and the
+# cluster-level rolling replacement / linearizability / fencing /
+# backup-straddle scenarios, under the race detector.
 reconfig:
-	$(GO) test -race -timeout 5m -run 'TestReplace|TestRestripe|TestMembership|TestConfig' ./internal/repmem/
+	$(GO) test -race -timeout 5m -run 'TestReplace|TestRestripe|TestMembership|TestConfig|TestCatchUp|TestDirtyTracker' ./internal/repmem/
 	$(GO) test -race -run 'TestUpdateMembers' ./internal/election/
 	$(GO) test -race -timeout 10m -run 'TestReconfig|TestBackupReadStraddles' .
 

@@ -187,18 +187,17 @@ func TestWriteBatchBestEffortCopyCarriesEverySegment(t *testing.T) {
 	})
 }
 
-// TestWriteBatchesRaceShadowsSuspectsAndClose runs batches from several
-// goroutines while a mirror is attached to and detached from one slot over
-// and over and another node is suspect, then closes the memory under them.
-// The race detector checks what the batch path shares (pooled scratch, one
-// segment vector across the nodes' requests, the mirror's fan-in, best-effort
-// copies); the test checks that nothing hangs and that a batch acknowledged
-// before the close is readable in full.
-func TestWriteBatchesRaceShadowsSuspectsAndClose(t *testing.T) {
+// TestWriteBatchesRaceTrackersSuspectsAndClose runs batches from several
+// goroutines while a catch-up's dirty trackers are installed, snapshotted
+// and removed over and over and one node is suspect, then closes the memory
+// under them. The race detector checks what the batch path shares (pooled
+// scratch, one segment vector across the nodes' requests, the dirty notes,
+// best-effort copies); the test checks that nothing hangs and that a batch
+// acknowledged before the close is readable in full.
+func TestWriteBatchesRaceTrackersSuspectsAndClose(t *testing.T) {
 	modes(t, func(t *testing.T, ec bool) {
 		cfg := batchCfg(ec)
 		e := newEnv(t, 3, cfg.Layout())
-		addMachine(t, e, "m3", cfg.Layout())
 		cfg.MemoryNodes, cfg.Dial = e.names, e.dialer("c")
 		m, err := New(cfg)
 		if err != nil {
@@ -252,16 +251,10 @@ func TestWriteBatchesRaceShadowsSuspectsAndClose(t *testing.T) {
 					return
 				default:
 				}
-				joining, err := e.dialer("c")("m3")
-				if err != nil {
-					t.Errorf("dial joining node: %v", err)
-					return
-				}
-				sh := newShadowNode("m3", joining)
-				m.shadows[2].Store(sh)
-				m.shadows[2].Store(nil)
-				sh.detach()
-				joining.Close()
+				m.dirtyMain.Store(newDirtyTracker())
+				m.dirtyDirect.Store(newDirtyTracker())
+				m.dirtyMain.Swap(nil).snapshot()
+				m.dirtyDirect.Swap(nil).snapshot()
 			}
 		}()
 
@@ -271,7 +264,7 @@ func TestWriteBatchesRaceShadowsSuspectsAndClose(t *testing.T) {
 			m.Close()
 			close(closed)
 		}()
-		mustGet(t, closed, "Close with batches and a mirror in progress")
+		mustGet(t, closed, "Close with batches and a catch-up in progress")
 		close(stop)
 		finished := make(chan struct{})
 		go func() {

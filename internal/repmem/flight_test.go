@@ -3,13 +3,11 @@ package repmem
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/repro/sift/internal/memnode"
 	"github.com/repro/sift/internal/rdma"
 )
 
@@ -273,78 +271,15 @@ func TestBlockApplyIsOneFlightPerNode(t *testing.T) {
 	}
 }
 
-// TestShadowMirrorsEverySegment attaches a replacement mirror to one slot
-// and applies checksummed blocks through it: the joining node must end up
-// with the blocks and their strip entries, byte for byte what the slot's
-// own node holds.
-func TestShadowMirrorsEverySegment(t *testing.T) {
-	cfg0 := Config{MemSize: 64 << 10, DirectSize: 4 << 10, IntegrityBlockSize: 1024}
-	e := newEnv(t, 3, cfg0.Layout())
-	addMachine(t, e, "m3", cfg0.Layout())
-	cfg := cfg0
-	cfg.MemoryNodes, cfg.Dial = e.names, e.dialer("c")
-	m := newMemory(t, cfg)
-
-	joining, err := e.dialer("c")("m3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer joining.Close()
-	sh := newShadowNode("m3", joining)
-	m.shadows[1].Store(sh)
-
-	rng := rand.New(rand.NewSource(3))
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		blocks := rng.Perm(16)[:8]
-		seed := rng.Int63()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for _, b := range blocks {
-				block := make([]byte, 1024)
-				r.Read(block)
-				// Writers overlap on some blocks; the range lock orders them,
-				// and the mirror must keep that order too.
-				if err := m.Write(uint64(16+b)*1024, block); err != nil {
-					t.Errorf("writer %d: %v", w, err)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	m.shadows[1].Store(nil)
-	sh.detach()
-	if err := sh.Err(); err != nil {
-		t.Fatalf("mirror failed: %v", err)
-	}
-
-	own := e.nw.Node("m1").Region(memnode.ReplRegionID).Snapshot()
-	mirror := e.nw.Node("m3").Region(memnode.ReplRegionID).Snapshot()
-	lo, hi := m.physMain(16*1024), m.physMain(32*1024)
-	if !bytes.Equal(own[lo:hi], mirror[lo:hi]) {
-		t.Fatal("mirrored blocks differ from the slot's own")
-	}
-	slo, shi := m.integ.stripOff(16), m.integ.stripOff(32)
-	if !bytes.Equal(own[slo:shi], mirror[slo:shi]) {
-		t.Fatal("mirrored strip entries differ from the slot's own: a request's second segment was lost")
-	}
-	if bytes.Equal(mirror[slo:shi], make([]byte, shi-slo)) {
-		t.Fatal("no strip entry reached the joining node")
-	}
-}
-
-// TestFlightsRaceShadowsAndClose runs commits and applies from many
-// goroutines while a mirror is attached to and detached from a slot over
-// and over, then closes the memory under them. The race detector checks the
-// flight path's sharing (pooled contexts, segment lists, completions); the
-// test itself checks that nothing hangs and no write is acknowledged and
-// then lost.
-func TestFlightsRaceShadowsAndClose(t *testing.T) {
+// TestFlightsRaceTrackersAndClose runs commits and applies from many
+// goroutines while a catch-up's dirty trackers are installed, snapshotted
+// and removed over and over, then closes the memory under them. The race
+// detector checks the flight path's sharing (pooled contexts, segment lists,
+// completions) and the writers' notes; the test itself checks that nothing
+// hangs and no write is acknowledged and then lost.
+func TestFlightsRaceTrackersAndClose(t *testing.T) {
 	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, IntegrityBlockSize: 1024}
 	e := newEnv(t, 3, cfg0.Layout())
-	addMachine(t, e, "m3", cfg0.Layout())
 	cfg := cfg0
 	cfg.MemoryNodes, cfg.Dial = e.names, e.dialer("c")
 	m, err := New(cfg)
@@ -385,17 +320,11 @@ func TestFlightsRaceShadowsAndClose(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			joining, err := e.dialer("c")("m3")
-			if err != nil {
-				t.Errorf("dial joining node: %v", err)
-				return
-			}
-			sh := newShadowNode("m3", joining)
-			m.shadows[2].Store(sh)
+			m.dirtyMain.Store(newDirtyTracker())
+			m.dirtyDirect.Store(newDirtyTracker())
 			time.Sleep(200 * time.Microsecond)
-			m.shadows[2].Store(nil)
-			sh.detach()
-			joining.Close()
+			m.dirtyMain.Swap(nil).snapshot()
+			m.dirtyDirect.Swap(nil).snapshot()
 		}
 	}()
 
@@ -408,7 +337,7 @@ func TestFlightsRaceShadowsAndClose(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(lockTestLimit):
-		t.Fatal("Close hung with flights and a mirror in progress")
+		t.Fatal("Close hung with flights and a catch-up in progress")
 	}
 	stop.Store(true)
 	finished := make(chan struct{})

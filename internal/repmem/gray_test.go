@@ -130,38 +130,36 @@ func signalsOf(h *nodeHealth) healthSignals {
 func TestHealthTransitionTable(t *testing.T) {
 	const floor = 2 * time.Millisecond
 	fast, slow := 100*time.Microsecond, 5*time.Millisecond
-	states := []int32{nodeLive, nodeSyncing, nodeSuspect, nodeDegraded, nodeDead}
+	states := []int32{nodeLive, nodeSuspect, nodeDegraded, nodeDead}
 	events := []struct {
 		name string
 		ev   healthEvent
-		want [5]string // live, syncing, suspect, degraded, dead
+		want [4]string // live, suspect, degraded, dead
 	}{
 		{"op ok", healthEvent{kind: evOpOK, lat: fast},
-			[5]string{"- - -", "- - -", "- - -", "- - -", "- - -"}},
+			[4]string{"- - -", "- - -", "- - -", "- - -"}},
 		{"op deadline", healthEvent{kind: evOpDeadline},
-			[5]string{"- suspect/timeouts dead/timeouts", "- - dead/timeouts", "- - dead/timeouts", "- - dead/timeouts", "- - dead/timeouts"}},
+			[4]string{"- suspect/timeouts dead/timeouts", "- - dead/timeouts", "- - dead/timeouts", "- - dead/timeouts"}},
 		{"op error", healthEvent{kind: evOpError},
-			[5]string{"dead/error dead/error dead/error", "dead/error dead/error dead/error", "dead/error dead/error dead/error", "dead/error dead/error dead/error", "dead/error dead/error dead/error"}},
+			[4]string{"dead/error dead/error dead/error", "dead/error dead/error dead/error", "dead/error dead/error dead/error", "dead/error dead/error dead/error"}},
 		{"fenced by reboot", healthEvent{kind: evFencedByReboot},
-			[5]string{"dead/reboot dead/reboot dead/reboot", "dead/reboot dead/reboot dead/reboot", "dead/reboot dead/reboot dead/reboot", "dead/reboot dead/reboot dead/reboot", "dead/reboot dead/reboot dead/reboot"}},
+			[4]string{"dead/reboot dead/reboot dead/reboot", "dead/reboot dead/reboot dead/reboot", "dead/reboot dead/reboot dead/reboot", "dead/reboot dead/reboot dead/reboot"}},
 		{"probe ok fast", healthEvent{kind: evProbeOK, lat: fast},
-			[5]string{"- - -", "- - -", "dead/repair dead/repair dead/repair", "- dead/repair dead/repair", "- - -"}},
+			[4]string{"- - -", "dead/repair dead/repair dead/repair", "- dead/repair dead/repair", "- - -"}},
 		{"probe ok slow", healthEvent{kind: evProbeOK, lat: slow},
-			[5]string{"- - -", "- - -", "dead/repair dead/repair dead/repair", "- - -", "- - -"}},
+			[4]string{"- - -", "dead/repair dead/repair dead/repair", "- - -", "- - -"}},
 		{"probe deadline", healthEvent{kind: evProbeFailed, cause: evOpDeadline},
-			[5]string{"- suspect/timeouts dead/timeouts", "- - dead/timeouts", "- dead/probes dead/probes", "- dead/probes dead/probes", "- - -"}},
+			[4]string{"- suspect/timeouts dead/timeouts", "- dead/probes dead/probes", "- dead/probes dead/probes", "- - -"}},
 		{"probe error", healthEvent{kind: evProbeFailed, cause: evOpError},
-			[5]string{"dead/error dead/error dead/error", "dead/error dead/error dead/error", "- dead/probes dead/probes", "- dead/probes dead/probes", "- - -"}},
+			[4]string{"dead/error dead/error dead/error", "- dead/probes dead/probes", "- dead/probes dead/probes", "- - -"}},
 		{"corruption", healthEvent{kind: evCorrupt, n: 1},
-			[5]string{"- suspect/corruption suspect/corruption", "- - -", "- - -", "- - -", "- - -"}},
+			[4]string{"- suspect/corruption suspect/corruption", "- - -", "- - -", "- - -"}},
 		{"straggler", healthEvent{kind: evStraggler},
-			[5]string{"degraded/straggler degraded/straggler degraded/straggler", "- - -", "- - -", "- - -", "- - -"}},
-		{"rebuild started", healthEvent{kind: evRebuildStarted},
-			[5]string{"- - -", "- - -", "- - -", "- - -", "syncing/rebuild syncing/rebuild syncing/rebuild"}},
+			[4]string{"degraded/straggler degraded/straggler degraded/straggler", "- - -", "- - -", "- - -"}},
 		{"rebuild done", healthEvent{kind: evRebuildDone},
-			[5]string{"- - -", "live/rebuilt live/rebuilt live/rebuilt", "- - -", "- - -", "- - -"}},
+			[4]string{"- - -", "- - -", "- - -", "live/rebuilt live/rebuilt live/rebuilt"}},
 		{"slot swapped", healthEvent{kind: evSlotSwapped},
-			[5]string{"live/replaced live/replaced live/replaced", "live/replaced live/replaced live/replaced", "live/replaced live/replaced live/replaced", "live/replaced live/replaced live/replaced", "- - -"}},
+			[4]string{"live/replaced live/replaced live/replaced", "live/replaced live/replaced live/replaced", "live/replaced live/replaced live/replaced", "- - -"}},
 	}
 	covered := map[eventKind]bool{}
 	record := func(which int) *nodeHealth {

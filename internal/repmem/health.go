@@ -21,8 +21,7 @@ import (
 // Nothing else writes a node's state.
 const (
 	nodeLive     int32 = iota // serving reads, waited on by writes
-	nodeDead                  // excluded from everything until rebuilt
-	nodeSyncing               // being rebuilt: waited on by writes, not yet readable
+	nodeDead                  // excluded from everything until a rebuild's gated cutover
 	nodeSuspect               // gray: written best-effort, waited on and read by nothing
 	nodeDegraded              // slow but answering: served around like a suspect, not repaired while slow
 )
@@ -60,17 +59,18 @@ const (
 	evProbeFailed                     // a probe failed (cause: the op event its error maps to)
 	evCorrupt                         // n corrupt blocks were found
 	evStraggler                       // the straggler check singled the node out
-	evRebuildStarted                  // a rebuild began writing the node
-	evRebuildDone                     // a rebuild finished copying the node
+	evRebuildDone                     // a catch-up's gated cutover finished the node
 	evSlotSwapped                     // a replacement installed a new machine in the slot
 	numEventKinds
 )
 
-// healthEvent is one input to the table.
+// healthEvent is one input to the table. detail is appended to the logged
+// reason of the move it causes (a rebuild's gate cost).
 type healthEvent struct {
 	kind, cause eventKind
 	lat         time.Duration
 	n           uint64
+	detail      string
 }
 
 // nodeHealth is one node's signals and redial circuit.
@@ -126,7 +126,7 @@ func (h *nodeHealth) step(from int32, ev healthEvent, floor time.Duration) (to i
 		}
 	case evProbeFailed:
 		switch from {
-		case nodeLive, nodeSyncing: // a probe of a serving node is one more op on it
+		case nodeLive: // a probe of a serving node is one more op on it
 			return h.step(from, healthEvent{kind: ev.cause}, floor)
 		case nodeSuspect, nodeDegraded:
 			h.fastProbes.Store(0)
@@ -142,15 +142,11 @@ func (h *nodeHealth) step(from int32, ev healthEvent, floor time.Duration) (to i
 		if from == nodeLive {
 			to, reason = nodeDegraded, "straggler"
 		}
-	case evRebuildStarted:
-		if from == nodeDead {
-			to, reason = nodeSyncing, "rebuild"
-		}
 	case evRebuildDone:
-		if from == nodeSyncing {
+		if from == nodeDead {
 			to, reason = nodeLive, "rebuilt"
 		}
-	case evSlotSwapped: // a dead slot stays dead until its rebuild
+	case evSlotSwapped: // a dead slot stays dead until its catch-up's cutover
 		if from != nodeDead {
 			to, reason = nodeLive, "replaced"
 		}
@@ -179,14 +175,14 @@ func (h *nodeHealth) reset() {
 	h.closeCircuit()
 }
 
-// serving reports whether writes wait on a node in state s.
-func serving(s int32) bool { return s == nodeLive || s == nodeSyncing }
-
 // observe feeds an event about node i through the table and applies the
 // verdict, reporting whether the node moved.
 func (m *Memory) observe(i int, ev healthEvent) bool {
 	from := m.state[i].Load()
 	to, reason := m.health[i].step(from, ev, m.cfg.StragglerMinLatency)
+	if reason != "" && ev.detail != "" {
+		reason += " " + ev.detail
+	}
 	return m.transition(i, from, to, reason)
 }
 
@@ -194,8 +190,8 @@ func (m *Memory) observe(i int, ev healthEvent) bool {
 // become meanwhile, elsewhere only if it is still `from` — and derives every
 // side effect from the pair:
 //
-//   - leaving {live, syncing} stamps lastExclusion, which ack holds cover;
-//   - entering dead, suspect or degraded, and syncing → live, bump the Stats
+//   - leaving live stamps lastExclusion, which ack holds cover;
+//   - entering dead, suspect or degraded, and dead → live, bump the Stats
 //     counter and emit node.dead / .suspect / .degraded / .recovered;
 //   - leaving live publishes membership off the caller's goroutine (it may
 //     be a hot path), entering live publishes it before returning;
@@ -216,7 +212,7 @@ func (m *Memory) transition(i int, from, to int32, reason string) bool {
 	if from == to {
 		return false
 	}
-	if serving(from) && !serving(to) {
+	if from == nodeLive {
 		m.lastExclusion.Store(time.Now().UnixNano())
 	}
 	switch {
@@ -229,7 +225,7 @@ func (m *Memory) transition(i int, from, to int32, reason string) bool {
 	case to == nodeDegraded:
 		m.stats.nodeDegraded.Add(1)
 		m.emit("node.degraded", m.nodeName(i), reason)
-	case to == nodeLive && from == nodeSyncing:
+	case to == nodeLive && from == nodeDead:
 		m.stats.nodeRecovered.Add(1)
 		m.emit("node.recovered", m.nodeName(i), reason)
 	}
@@ -425,7 +421,7 @@ func (h *nodeHealth) backoff(failures int) time.Duration {
 // cluster health surface and the chaos tests.
 type NodeHealth struct {
 	Node           string
-	State          string        // "live", "suspect", "degraded", "syncing", or "dead"
+	State          string        // "live", "suspect", "degraded", or "dead" (also while being rebuilt)
 	EWMALatencyUs  float64       // smoothed write latency in microseconds
 	ConsecTimeouts int           // current consecutive deadline-expiry streak
 	RedialFailures int           // consecutive failed reconnection attempts
@@ -452,7 +448,7 @@ func (m *Memory) Health() []NodeHealth {
 	return out
 }
 
-var stateNames = [...]string{nodeLive: "live", nodeDead: "dead", nodeSyncing: "syncing", nodeSuspect: "suspect", nodeDegraded: "degraded"}
+var stateNames = [...]string{nodeLive: "live", nodeDead: "dead", nodeSuspect: "suspect", nodeDegraded: "degraded"}
 
 func stateName(s int32) string { return stateNames[s] }
 

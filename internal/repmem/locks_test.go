@@ -279,6 +279,23 @@ func (c gatedConn) Submit(op *rdma.Op) {
 	}
 }
 
+// Write is the synchronous write a catch-up sweep makes: it lands, and its
+// return waits for the offset's gate, so the sweep holds there with the
+// batch's read lock taken.
+func (c gatedConn) Write(region rdma.RegionID, off uint64, data []byte) error {
+	err := c.Verbs.Write(region, off, data)
+	if region == replRegion {
+		c.g.mu.Lock()
+		gate := c.g.gates[off]
+		c.g.mu.Unlock()
+		if gate != nil {
+			gate.once.Do(func() { close(gate.submitted) })
+			<-gate.open
+		}
+	}
+	return err
+}
+
 // TestDirectWriteNeighbourSlotsDoNotSerialize pins the hold rule and its
 // reach at the repmem level: a direct write keeps its bytes locked until the
 // last waited-on node completes, which delays a write to the same log slot

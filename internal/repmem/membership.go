@@ -26,7 +26,7 @@ type membership struct {
 }
 
 // publishMembership writes the current live-node bitmap, tagged with this
-// group's config epoch and this coordinator's term, to every writable node.
+// group's config epoch and this coordinator's term, to every live node.
 // Best effort for progress — if the group has lost its quorum the write set
 // shrinks accordingly and progress stops elsewhere anyway — but failures
 // are counted and surfaced (Stats.MembershipPublishErrors, a
@@ -53,7 +53,7 @@ func (m *Memory) publishMembership() {
 	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[:8], w0)
 	binary.LittleEndian.PutUint64(buf[8:], w1)
-	for _, i := range m.writableNodes() {
+	for _, i := range m.nodesInState(nodeLive) {
 		c, err := m.conn(i)
 		if err == nil {
 			err = c.Write(memnode.AdminRegionID, memnode.AdminMembershipOffset, buf[:])
@@ -68,7 +68,7 @@ func (m *Memory) publishMembership() {
 	}
 }
 
-// PublishServing writes this group's (configEpoch, term) to every writable
+// PublishServing writes this group's (configEpoch, term) to every live
 // node's serving word (memnode.AdminServingOffset), marking the takeover
 // complete: recovery and replay are done and the table structures are
 // stable apart from live applies. Backup readers refuse to serve a lease
@@ -81,7 +81,7 @@ func (m *Memory) PublishServing() {
 	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], memnode.PackServing(m.epoch.Load(), m.cfg.Term))
-	for _, i := range m.writableNodes() {
+	for _, i := range m.nodesInState(nodeLive) {
 		c, err := m.conn(i)
 		if err == nil {
 			err = c.Write(memnode.AdminRegionID, memnode.AdminServingOffset, buf[:])

@@ -13,32 +13,35 @@ import (
 	"github.com/repro/sift/internal/rdma"
 )
 
-// Online reconfiguration (ROADMAP "elastic membership"): the group's member
-// set can change while it serves traffic. Two operations exist:
+// Online reconfiguration: the group's member set can change while it serves
+// traffic. Two operations exist:
 //
 //   - ReplaceNode swaps one member for a fresh machine in place, keeping the
-//     group size and data geometry. The joining node is brought to
-//     byte-identity with a shadow write mirror plus the verified recovery
-//     copies, then the slot's identity is cut over under the write gate.
+//     group size and data geometry.
 //
 //   - Restripe moves the group to a different member set and/or erasure
-//     geometry (node count, Fm). Fresh targets are swept to byte-identity
-//     under traffic with dirty-range tracking; the cutover re-copies only
-//     what changed, commits the new config epoch, and closes this Memory
-//     with ErrReconfigured so the owner rebuilds against the new set.
+//     geometry (node count, Fm), commits the new config epoch, and closes
+//     this Memory with ErrReconfigured so the owner rebuilds against the new
+//     set.
 //
-// Both commit by advancing the config-epoch word (memnode.AdminEpochOffset)
-// after planting the new configuration descriptor on both the outgoing and
-// incoming member sets — a discoverer holding any one node can chase to the
-// authoritative configuration. Removed nodes are retired: tombstoned,
-// de-populated, and write-fenced, so their frozen DRAM can never serve a
-// read or accept a data-plane write in the new epoch.
+// Both, and the rebuild of a dead member (rebuildSlot), bring their joining
+// machines up to date the same way: catchUp sweeps the whole space to them
+// under traffic while dirty trackers record what writers change behind the
+// sweep, then re-copies those ranges and runs the caller's cutover under the
+// write gate.
+//
+// Replacement and restripe commit by advancing the config-epoch word
+// (memnode.AdminEpochOffset) after planting the new configuration descriptor
+// on both the outgoing and incoming member sets — a discoverer holding any
+// one node can chase to the authoritative configuration. Removed nodes are
+// retired: tombstoned, de-populated, and write-fenced, so their frozen DRAM
+// can never serve a read or accept a data-plane write in the new epoch.
 
 // dirtyMaxRanges bounds the dirty tracker before it degrades to
 // whole-space mode (the final drain then re-copies everything).
 const dirtyMaxRanges = 4096
 
-// dirtyTracker collects the address ranges mutated while a restripe sweep
+// dirtyTracker collects the address ranges mutated while a catch-up sweep
 // runs, so the cutover can re-copy exactly what the sweep may have missed.
 // Writers note ranges while holding their range locks, which orders every
 // note against the sweep's locked reads: a write is either fully visible to
@@ -101,15 +104,15 @@ func (t *dirtyTracker) snapshot() (all bool, ranges []lockRange) {
 	return false, append([]lockRange(nil), t.ranges...)
 }
 
-// noteDirtyMain records a main-space mutation for an in-flight restripe
-// sweep. No-op (one atomic load) when no restripe is running.
+// noteDirtyMain records a main-space mutation for an in-flight catch-up
+// sweep. No-op (one atomic load) when no catch-up is running.
 func (m *Memory) noteDirtyMain(addr uint64, size int) {
 	if t := m.dirtyMain.Load(); t != nil {
 		t.note(addr, size)
 	}
 }
 
-// noteDirtyDirect records a direct-space mutation for an in-flight restripe
+// noteDirtyDirect records a direct-space mutation for an in-flight catch-up
 // sweep.
 func (m *Memory) noteDirtyDirect(addr uint64, size int) {
 	if t := m.dirtyDirect.Load(); t != nil {
@@ -269,20 +272,17 @@ func (m *Memory) retireNode(name string, epoch uint32) {
 // keeps serving throughout (writers see added latency only during the brief
 // gated cutover).
 //
-// If the outgoing node is live, its write stream is mirrored to the joining
-// node (see shadowNode) while the verified recovery copies bring it to
-// byte-identity, so no catch-up delta pass is needed: by cutover time the
-// mirror has applied everything the copies missed. If the outgoing node is
-// dead, the slot identity is swapped first and the ordinary rebuild
-// pipeline runs against the new machine.
+// The outgoing node may be live, gray or dead: the joining node is caught up
+// from the surviving members either way, and only then, under the write
+// gate, are the descriptor and epoch committed and the slot swapped. A
+// failed copy therefore leaves no committed epoch behind. A dead slot comes
+// alive at the swap, which counts as a recovery.
 func (m *Memory) ReplaceNode(oldName, newName string) error {
 	m.reconfigMu.Lock()
 	defer m.reconfigMu.Unlock()
 	if err := m.checkOpen(); err != nil {
 		return err
 	}
-	m.transferring.Store(true)
-	defer m.transferring.Store(false)
 	slot := -1
 	for j := range m.nodes {
 		switch m.nodeName(j) {
@@ -306,14 +306,42 @@ func (m *Memory) ReplaceNode(oldName, newName string) error {
 		return fmt.Errorf("repmem: init joining node %s: %w", newName, err)
 	}
 
-	if m.state[slot].Load() != nodeDead {
-		if err := m.replaceLive(slot, newName, next, c); err != nil {
+	dst := make([]rdma.Verbs, len(m.nodes))
+	dst[slot] = c
+	var gate string
+	err = m.catchUp(dst, m.code, m.chunk, m.layout, func(cost gateCost) error {
+		if err := writePopulated(c, memnode.MarkerPopulated); err != nil {
+			return fmt.Errorf("repmem: mark %s populated: %w", newName, err)
+		}
+		rec := memnode.ConfigRecord{
+			Epoch: next, Term: m.cfg.Term,
+			ECData: m.cfg.ECData, ECParity: m.cfg.ECParity, ECBlockSize: m.cfg.ECBlockSize,
+			Members: m.newMembersWith(slot, newName),
+		}
+		n := len(m.nodes)
+		targets := m.replaceTargets(slot, c)
+		if err := commitDescriptor(rec, n, n, targets); err != nil {
 			return err
 		}
-	} else {
-		if err := m.replaceDead(slot, newName, next, c); err != nil {
+		if err := advanceEpochWords(rec, n, targets); err != nil {
+			// Some incoming-set epoch words may already carry the new epoch:
+			// the outcome is ambiguous, so stop serving and let discovery
+			// converge on whichever configuration committed.
+			m.closeReconfigured()
 			return err
 		}
+		// The epoch first: the slot turning live publishes membership, which
+		// must be tagged with the epoch whose member list names the new
+		// machine.
+		m.epoch.Store(next)
+		m.swapSlot(slot, newName, c)
+		gate = cost.String()
+		m.observe(slot, healthEvent{kind: evRebuildDone, detail: gate})
+		return nil
+	})
+	if err != nil {
+		c.Close()
+		return fmt.Errorf("repmem: replace %s with %s: %w", oldName, newName, err)
 	}
 
 	// The outgoing node leaves the readable set this instant: start the
@@ -323,7 +351,7 @@ func (m *Memory) ReplaceNode(oldName, newName string) error {
 	m.publishMembership()
 	m.PublishServing()
 	m.retireNode(oldName, next)
-	m.emit("reconfig.replaced", newName, fmt.Sprintf("replaced %s at epoch %d", oldName, next))
+	m.emit("reconfig.replaced", newName, fmt.Sprintf("replaced %s at epoch %d %s", oldName, next, gate))
 	return nil
 }
 
@@ -335,11 +363,11 @@ func (m *Memory) newMembersWith(slot int, name string) []string {
 }
 
 // replaceTargets builds the epoch-commit target list for a single-slot
-// replacement: every writable current member (the outgoing node's conn
+// replacement: every live current member (the outgoing node's conn
 // included, pre-swap) plus the joining node's fresh connection.
 func (m *Memory) replaceTargets(slot int, joining rdma.Verbs) []cfgTarget {
 	var targets []cfgTarget
-	for _, i := range m.writableNodes() {
+	for _, i := range m.nodesInState(nodeLive) {
 		ci, err := m.conn(i)
 		if err != nil {
 			continue
@@ -366,126 +394,6 @@ func (m *Memory) swapSlot(slot int, name string, c rdma.Verbs) {
 		old.v.Close()
 	}
 	m.observe(slot, healthEvent{kind: evSlotSwapped})
-}
-
-// replaceLive is the shadow-mirror replacement of a live (or gray) member.
-func (m *Memory) replaceLive(slot int, newName string, next uint32, c rdma.Verbs) error {
-	sh := newShadowNode(newName, c)
-	m.shadows[slot].Store(sh)
-	abort := func(err error) error {
-		m.shadows[slot].Store(nil)
-		sh.detach()
-		c.Close()
-		return err
-	}
-
-	// State transfer under traffic: verified copies of the direct zone and
-	// materialized memory, while the mirror forwards every concurrent write.
-	// Each copied range is read and written under its range lock, and
-	// writers' locks are held until their mirror lands, so every byte is
-	// covered by exactly one of copy-after-write or mirror-after-copy.
-	if err := m.copyState(slot, c); err != nil {
-		return abort(fmt.Errorf("repmem: state transfer to %s: %w", newName, err))
-	}
-	if err := sh.Err(); err != nil {
-		return abort(fmt.Errorf("repmem: write mirror to %s: %w", newName, err))
-	}
-	if err := writePopulated(c, memnode.MarkerPopulated); err != nil {
-		return abort(fmt.Errorf("repmem: mark %s populated: %w", newName, err))
-	}
-
-	// The outgoing node may have died during the transfer, stopping the
-	// mirror with it; fall back to the dead-slot pipeline (full rebuild of
-	// the joining node — the mirror can no longer be trusted complete).
-	if m.state[slot].Load() == nodeDead {
-		m.shadows[slot].Store(nil)
-		sh.detach()
-		return m.replaceDead(slot, newName, next, c)
-	}
-
-	// Cutover under the write gate: no write is in flight, so every write
-	// the mirror carried has landed; commit the epoch and swap identities.
-	m.gate.Lock()
-	if m.state[slot].Load() == nodeDead {
-		m.gate.Unlock()
-		m.shadows[slot].Store(nil)
-		sh.detach()
-		return m.replaceDead(slot, newName, next, c)
-	}
-	if err := sh.Err(); err != nil {
-		m.gate.Unlock()
-		return abort(fmt.Errorf("repmem: write mirror to %s: %w", newName, err))
-	}
-	if err := m.checkOpen(); err != nil {
-		m.gate.Unlock()
-		return abort(err)
-	}
-
-	rec := memnode.ConfigRecord{
-		Epoch: next, Term: m.cfg.Term,
-		ECData: m.cfg.ECData, ECParity: m.cfg.ECParity, ECBlockSize: m.cfg.ECBlockSize,
-		Members: m.newMembersWith(slot, newName),
-	}
-	n := len(m.nodes)
-	targets := m.replaceTargets(slot, c)
-	if err := commitDescriptor(rec, n, n, targets); err != nil {
-		m.gate.Unlock()
-		return abort(err)
-	}
-	if err := advanceEpochWords(rec, n, targets); err != nil {
-		// Some incoming-set epoch words may already carry the new epoch: the
-		// outcome is ambiguous, so stop serving and let discovery converge on
-		// whichever configuration committed.
-		m.gate.Unlock()
-		m.shadows[slot].Store(nil)
-		sh.detach()
-		c.Close()
-		m.closeReconfigured()
-		return err
-	}
-
-	// The epoch first: a gray slot turning live publishes membership, which
-	// must be tagged with the epoch whose member list names the new machine.
-	m.epoch.Store(next)
-	m.swapSlot(slot, newName, c)
-	m.shadows[slot].Store(nil)
-	m.gate.Unlock()
-	sh.detach()
-	return nil
-}
-
-// replaceDead swaps a dead slot's identity to the joining node and rebuilds
-// it through the ordinary recovery pipeline. The epoch is committed BEFORE
-// the rebuild: membership bitmaps published during the rebuild must index
-// the member list that actually names the joining node, or a successor
-// could map the slot's bit back to the outgoing machine and trust its
-// frozen DRAM.
-func (m *Memory) replaceDead(slot int, newName string, next uint32, c rdma.Verbs) error {
-	rec := memnode.ConfigRecord{
-		Epoch: next, Term: m.cfg.Term,
-		ECData: m.cfg.ECData, ECParity: m.cfg.ECParity, ECBlockSize: m.cfg.ECBlockSize,
-		Members: m.newMembersWith(slot, newName),
-	}
-	n := len(m.nodes)
-	targets := m.replaceTargets(slot, c)
-	if err := commitDescriptor(rec, n, n, targets); err != nil {
-		c.Close()
-		return err
-	}
-	if err := advanceEpochWords(rec, n, targets); err != nil {
-		c.Close()
-		m.closeReconfigured()
-		return err
-	}
-	m.swapSlot(slot, newName, c)
-	m.epoch.Store(next)
-	// Slot stays dead until the rebuild completes, exactly as a crashed
-	// member would; a successor adopting epoch `next` mid-rebuild sees the
-	// joining node unpopulated and absent from the bitmap, and rebuilds it.
-	if err := m.rebuildSlot(slot, c); err != nil {
-		return fmt.Errorf("repmem: rebuild of joining node %s: %w", newName, err)
-	}
-	return nil
 }
 
 // RestripeTarget describes the configuration Restripe moves the group to.
@@ -526,8 +434,6 @@ func (m *Memory) Restripe(t RestripeTarget) (*RestripeResult, error) {
 	if err := m.checkOpen(); err != nil {
 		return nil, err
 	}
-	m.transferring.Store(true)
-	defer m.transferring.Store(false)
 
 	tgtEC := t.ECData > 0 || t.ECParity > 0
 	if tgtEC != (m.code != nil) {
@@ -590,7 +496,7 @@ func (m *Memory) Restripe(t RestripeTarget) (*RestripeResult, error) {
 		Members: append([]string(nil), t.Members...),
 	}
 
-	// Phase 0: dial and initialize every fresh target.
+	// Dial and initialize every fresh target.
 	freshConns := make(map[string]rdma.Verbs, len(fresh))
 	cleanup := func() {
 		for _, c := range freshConns {
@@ -618,106 +524,70 @@ func (m *Memory) Restripe(t RestripeTarget) (*RestripeResult, error) {
 		sweepConns[j] = freshConns[name]
 	}
 
-	// Phase 1: sweep the whole space to the fresh targets under traffic,
-	// with the dirty trackers recording concurrent mutations.
-	m.dirtyMain.Store(newDirtyTracker())
-	m.dirtyDirect.Store(newDirtyTracker())
-	defer m.dirtyMain.Store(nil)
-	defer m.dirtyDirect.Store(nil)
 	m.emit("reconfig.restripe-sweep", "", fmt.Sprintf("epoch %d: %d fresh targets", next, len(fresh)))
-	if err := m.sweepDirect(sweepConns, 0, uint64(m.cfg.DirectSize)); err != nil {
-		cleanup()
-		return nil, err
-	}
-	if err := m.sweepMain(sweepConns, tCode, tChunk, tLayout, 0, uint64(m.cfg.MemSize)); err != nil {
-		cleanup()
-		return nil, err
-	}
-
-	// Phase 2: gated cutover. No write is in flight or can start, so the
-	// delta re-copy below sees the final state of every dirty range.
-	m.gate.Lock()
-	if err := m.checkOpen(); err != nil {
-		m.gate.Unlock()
-		cleanup()
-		return nil, err
-	}
-	dirtyM := m.dirtyMain.Swap(nil)
-	dirtyD := m.dirtyDirect.Swap(nil)
-	err := m.replayDirty(dirtyD, uint64(m.cfg.DirectSize), "direct", func(lo, hi uint64) error {
-		return m.sweepDirect(sweepConns, lo, hi)
-	})
-	if err == nil {
-		err = m.replayDirty(dirtyM, uint64(m.cfg.MemSize), "main", func(lo, hi uint64) error {
-			return m.sweepMain(sweepConns, tCode, tChunk, tLayout, lo, hi)
-		})
-	}
-	if err != nil {
-		m.gate.Unlock()
-		cleanup()
-		return nil, err
-	}
-
-	// Every incoming node is now byte-identical: mark fresh ones populated
-	// BEFORE the epoch advances, so a committed epoch always implies a
-	// usable incoming majority.
-	for name, c := range freshConns {
-		if err := writePopulated(c, memnode.MarkerPopulated); err != nil {
-			m.gate.Unlock()
-			cleanup()
-			return nil, fmt.Errorf("repmem: mark %s populated: %w", name, err)
+	var cutoverAt time.Time
+	var gate string
+	err := m.catchUp(sweepConns, tCode, tChunk, tLayout, func(cost gateCost) error {
+		// Every incoming node is now byte-identical: mark fresh ones
+		// populated BEFORE the epoch advances, so a committed epoch always
+		// implies a usable incoming majority.
+		for name, c := range freshConns {
+			if err := writePopulated(c, memnode.MarkerPopulated); err != nil {
+				return fmt.Errorf("repmem: mark %s populated: %w", name, err)
+			}
 		}
-	}
 
-	// Commit: descriptor to majorities of both sets, then the epoch words.
-	var targets []cfgTarget
-	for _, i := range m.writableNodes() {
-		ci, err := m.conn(i)
-		if err != nil {
-			continue
+		// Commit: descriptor to majorities of both sets, then the epoch words.
+		var targets []cfgTarget
+		for _, i := range m.nodesInState(nodeLive) {
+			ci, err := m.conn(i)
+			if err != nil {
+				continue
+			}
+			name := m.nodeName(i)
+			targets = append(targets, cfgTarget{
+				name: name, conn: ci,
+				inOld: true, inNew: retained[name], retained: true,
+			})
 		}
-		name := m.nodeName(i)
-		targets = append(targets, cfgTarget{
-			name: name, conn: ci,
-			inOld: true, inNew: retained[name], retained: true,
-		})
-	}
-	for name, c := range freshConns {
-		targets = append(targets, cfgTarget{name: name, conn: c, inNew: true})
-	}
-	if err := commitDescriptor(rec, len(cur), len(t.Members), targets); err != nil {
-		m.gate.Unlock()
-		cleanup()
-		return nil, err
-	}
-	if err := advanceEpochWords(rec, len(t.Members), targets); err != nil {
-		m.gate.Unlock()
-		cleanup()
+		for name, c := range freshConns {
+			targets = append(targets, cfgTarget{name: name, conn: c, inNew: true})
+		}
+		if err := commitDescriptor(rec, len(cur), len(t.Members), targets); err != nil {
+			return err
+		}
+		if err := advanceEpochWords(rec, len(t.Members), targets); err != nil {
+			m.closeReconfigured()
+			return err
+		}
+
+		// Seed the new epoch's membership record (every incoming node synced)
+		// so the rebuilt Memory's takeover hygiene trusts the full set.
+		bitmap := uint32(0)
+		for j := range t.Members {
+			bitmap |= 1 << uint(j)
+		}
+		for _, tg := range targets {
+			if tg.inNew {
+				_ = writeMembershipTo(tg.conn, next, m.cfg.Term, 1, bitmap)
+			}
+		}
+		// Closed before the gate opens: a writer it held wakes to
+		// ErrReconfigured instead of writing to the outgoing set.
 		m.closeReconfigured()
+		cutoverAt = time.Now()
+		gate = cost.String()
+		return nil
+	})
+	cleanup()
+	if err != nil {
 		return nil, err
 	}
-
-	// Seed the new epoch's membership record (every incoming node synced)
-	// so the rebuilt Memory's takeover hygiene trusts the full set.
-	bitmap := uint32(0)
-	for j := range t.Members {
-		bitmap |= 1 << uint(j)
-	}
-	for _, tg := range targets {
-		if tg.inNew {
-			_ = writeMembershipTo(tg.conn, next, m.cfg.Term, 1, bitmap)
-		}
-	}
-
-	now := time.Now()
-	m.gate.Unlock()
-	m.closeReconfigured()
-	cleanup()
 	for _, name := range removed {
 		m.retireNode(name, next)
 	}
-	m.emit("reconfig.restriped", "", fmt.Sprintf("epoch %d: %d members, k=%d m=%d", next, len(t.Members), t.ECData, t.ECParity))
-	return &RestripeResult{Record: rec, CutoverAt: now}, nil
+	m.emit("reconfig.restriped", "", fmt.Sprintf("epoch %d: %d members, k=%d m=%d %s", next, len(t.Members), t.ECData, t.ECParity, gate))
+	return &RestripeResult{Record: rec, CutoverAt: cutoverAt}, nil
 }
 
 func keys(set map[string]bool) []string {
@@ -727,6 +597,63 @@ func keys(set map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// catchUp brings the machines in dst up to date with this memory while it
+// serves, writing them in the target geometry (tCode, tChunk, tLayout; this
+// memory's own for a rebuild or replacement, where dst indexes our slots).
+// It is the paper's copy under read locks (§3.4.2) with one change: the
+// destinations receive no client writes while the sweep runs. Dirty
+// trackers note every range a writer changes instead, and once the sweep is
+// done the write gate is taken, the noted ranges are copied again, and
+// commit — the caller's cutover, which makes the destinations members —
+// runs before any write can start. A failed sweep or commit leaves the
+// group as it was, apart from whatever commit itself did.
+func (m *Memory) catchUp(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, tLayout memnode.Layout, commit func(gateCost) error) error {
+	m.transferring.Store(true)
+	defer m.transferring.Store(false)
+	m.dirtyMain.Store(newDirtyTracker())
+	m.dirtyDirect.Store(newDirtyTracker())
+	defer m.dirtyMain.Store(nil)
+	defer m.dirtyDirect.Store(nil)
+	copyDirect := func(lo, hi uint64) error { return m.sweepDirect(dst, lo, hi) }
+	copyMain := func(lo, hi uint64) error { return m.sweepMain(dst, tCode, tChunk, tLayout, lo, hi) }
+	if err := copyDirect(0, uint64(m.cfg.DirectSize)); err != nil {
+		return err
+	}
+	if err := copyMain(0, uint64(m.cfg.MemSize)); err != nil {
+		return err
+	}
+
+	// No write is in flight or can start, so the delta sees the final state
+	// of every dirty range.
+	m.gate.Lock()
+	defer m.gate.Unlock()
+	cost := gateCost{start: time.Now()}
+	if err := m.checkOpen(); err != nil {
+		return err
+	}
+	if err := m.replayDirty(m.dirtyDirect.Swap(nil), uint64(m.cfg.DirectSize), "direct", copyDirect, &cost); err != nil {
+		return err
+	}
+	if err := m.replayDirty(m.dirtyMain.Swap(nil), uint64(m.cfg.MemSize), "main", copyMain, &cost); err != nil {
+		return err
+	}
+	return commit(cost)
+}
+
+// gateCost is what a catch-up's cutover cost writers: the ranges and bytes
+// its delta re-copied under the write gate, and when it took the gate.
+type gateCost struct {
+	start         time.Time
+	ranges, bytes int
+}
+
+// String formats the cost for a cutover's event detail; the gate hold is
+// measured up to the call, which cutovers make last.
+func (g gateCost) String() string {
+	return fmt.Sprintf("gate=%.3fms delta_ranges=%d delta_bytes=%d",
+		float64(time.Since(g.start).Microseconds())/1000, g.ranges, g.bytes)
 }
 
 // sweepDirect copies the direct-zone range [lo, hi) to every non-nil dst
@@ -783,7 +710,7 @@ func (m *Memory) readDirectFromLive(addr uint64, buf []byte) error {
 // plain replication, chunk j under erasure coding) plus its integrity strip
 // entries. Source reads are verified, so a corrupt source is never blessed
 // onto a target, strip entry and all. Restripes pass the incoming geometry;
-// rebuilds and replacements pass this memory's own (copyState).
+// rebuilds and replacements pass this memory's own.
 func (m *Memory) sweepMain(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, tLayout memnode.Layout, lo, hi uint64) error {
 	if hi > uint64(m.cfg.MemSize) {
 		hi = uint64(m.cfg.MemSize)
@@ -887,28 +814,27 @@ func (m *Memory) sweepMainEC(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, 
 }
 
 // replayDirty re-copies a dirty tracker's recorded ranges through the given
-// sweep function (called at cutover, under the write gate, so the final
-// state of every range is what gets copied).
-func (m *Memory) replayDirty(t *dirtyTracker, size uint64, space string, sweep func(lo, hi uint64) error) error {
+// sweep function, adding them to cost (called at cutover, under the write
+// gate, so the final state of every range is what gets copied).
+func (m *Memory) replayDirty(t *dirtyTracker, size uint64, space string, sweep func(lo, hi uint64) error, cost *gateCost) error {
 	if t == nil {
 		return nil
 	}
 	all, ranges := t.snapshot()
 	if all {
 		m.emit("reconfig.dirty-overflow", "", "re-copying entire "+space+" space at cutover")
-		return sweep(0, size)
+		ranges = []lockRange{{addr: 0, size: int(size)}}
 	}
 	for _, r := range ranges {
-		hi := r.addr + uint64(r.size)
-		if hi > size {
-			hi = size
-		}
+		hi := min(r.addr+uint64(r.size), size)
 		if r.addr >= hi {
 			continue
 		}
 		if err := sweep(r.addr, hi); err != nil {
 			return err
 		}
+		cost.ranges++
+		cost.bytes += int(hi - r.addr)
 	}
 	return nil
 }

@@ -133,11 +133,10 @@ func (m *Memory) RecoverNodeNow(node string) error {
 	return fmt.Errorf("repmem: unknown memory node %q", node)
 }
 
-// recoverNode reintegrates dead node i: reconnect, switch it to write-only
-// (syncing) so it receives all new updates, then incrementally copy the
-// direct zone and materialized memory under read locks — blocking
-// conflicting updates but never blocking reads (paper §3.4.2) — and finally
-// mark it readable.
+// recoverNode reintegrates dead node i: reconnect and rebuild it (see
+// rebuildSlot). The copy runs under read locks — blocking conflicting
+// updates but never blocking reads (paper §3.4.2) — while the node stays
+// dead; it turns live at the rebuild's gated cutover.
 func (m *Memory) recoverNode(i int) error {
 	// Serialize with structural reconfiguration: a replacement swapping this
 	// very slot's identity mid-copy would leave the copy writing to a
@@ -170,12 +169,14 @@ func (m *Memory) recoverNode(i int) error {
 }
 
 // rebuildSlot brings slot i — whose connection c points at a blank or stale
-// machine — from dead to live member: mark unpopulated, switch the slot to
-// write-only (syncing) so it receives all new updates, copy the direct zone
-// and materialized memory under read locks, then mark it populated and
-// readable. Shared by ordinary dead-node recovery and by node replacement,
-// which swaps the slot's identity to a fresh machine first and then rebuilds
-// it through this same pipeline.
+// machine — from dead to live member. The slot stays dead, receiving no
+// writes, while catchUp copies the direct zone and materialized memory to it
+// in this memory's own geometry: under erasure coding each block is
+// reconstructed from the surviving chunks and re-encoded to regenerate
+// exactly the chunk slot i holds (§5.1: "the coordinator rebuilds each block
+// and encodes it to generate the missing chunks"); source reads are
+// verified either way, so a corrupt source is never copied. Under the write
+// gate, after the delta, the node is marked populated and turns live.
 func (m *Memory) rebuildSlot(i int, c rdma.Verbs) error {
 	// Mark the node unpopulated for the duration of the copy: if this
 	// coordinator dies mid-recovery, its successor must rebuild the node
@@ -184,40 +185,19 @@ func (m *Memory) rebuildSlot(i int, c rdma.Verbs) error {
 		m.nodeFailed(i, err)
 		return err
 	}
-
-	// From here on the node receives every new write; reads still avoid it
-	// until the copy completes.
-	m.observe(i, healthEvent{kind: evRebuildStarted})
-
-	if err := m.copyState(i, c); err != nil {
-		m.nodeFailed(i, err)
-		return err
-	}
-	if err := writePopulated(c, memnode.MarkerPopulated); err != nil {
-		m.nodeFailed(i, err)
-		return err
-	}
-	if !m.observe(i, healthEvent{kind: evRebuildDone}) {
-		return fmt.Errorf("repmem: node %s failed during its rebuild", m.nodeName(i))
-	}
-	return nil
-}
-
-// copyState copies the direct zone and the materialized memory, in this
-// memory's own geometry, to the machine behind c at slot i: the restripe
-// sweeps with one destination. Each range is read and written under its
-// read lock, so a concurrent write is either copied or lands after the copy
-// (the slot receives every write from before the copy starts). Under
-// erasure coding each block is reconstructed from the surviving chunks and
-// re-encoded to regenerate exactly the chunk slot i holds (§5.1: "the
-// coordinator rebuilds each block and encodes it to generate the missing
-// chunks"); source reads are verified either way, so a corrupt source is
-// never copied.
-func (m *Memory) copyState(i int, c rdma.Verbs) error {
 	dst := make([]rdma.Verbs, len(m.nodes))
 	dst[i] = c
-	if err := m.sweepDirect(dst, 0, uint64(m.cfg.DirectSize)); err != nil {
-		return err
+	err := m.catchUp(dst, m.code, m.chunk, m.layout, func(cost gateCost) error {
+		if err := writePopulated(c, memnode.MarkerPopulated); err != nil {
+			return err
+		}
+		if !m.observe(i, healthEvent{kind: evRebuildDone, detail: cost.String()}) {
+			return fmt.Errorf("repmem: node %s failed during its rebuild", m.nodeName(i))
+		}
+		return nil
+	})
+	if err != nil {
+		m.nodeFailed(i, err)
 	}
-	return m.sweepMain(dst, m.code, m.chunk, m.layout, 0, uint64(m.cfg.MemSize))
+	return err
 }

@@ -301,17 +301,13 @@ type Memory struct {
 	// starts at cfg.Epoch and is bumped by in-place replacement cutovers.
 	epoch atomic.Uint32
 
-	// shadows holds the per-index mirror targets during an in-place node
-	// replacement: while shadows[i] is set, every write enqueued for node i
-	// is duplicated to the shadow, and completions wait for both.
-	shadows []atomic.Pointer[shadowNode]
-
 	// reconfigMu serializes structural node-set changes (ReplaceNode,
-	// Restripe cutover) with background node recovery, which copies state
-	// into the same indexes.
+	// Restripe) with background node recovery, which copies state into the
+	// same indexes; it also keeps catch-ups, which share the dirty
+	// trackers, one at a time.
 	reconfigMu sync.Mutex
 
-	// transferring is set while a reconfiguration bulk state transfer is
+	// transferring is set while a catch-up's bulk state transfer is
 	// running. The relative straggler check is suspended for its duration:
 	// a sweep saturating the fabric skews every node's latency EWMA, and a
 	// spurious suspicion can cost the read path its EC quorum mid-transfer.
@@ -324,8 +320,8 @@ type Memory struct {
 	gate sync.RWMutex
 
 	// dirtyMain and dirtyDirect, when non-nil, collect the ranges mutated by
-	// the write paths so a restripe state transfer can re-copy what changed
-	// under it (see dirtyTracker).
+	// the write paths so a catch-up can re-copy what changed under its sweep
+	// (see dirtyTracker).
 	dirtyMain   atomic.Pointer[dirtyTracker]
 	dirtyDirect atomic.Pointer[dirtyTracker]
 
@@ -396,7 +392,6 @@ func New(cfg Config) (*Memory, error) {
 		ecPool: new(sync.Pool),
 	}
 	m.epoch.Store(c.Epoch)
-	m.shadows = make([]atomic.Pointer[shadowNode], len(c.MemoryNodes))
 	m.health = make([]nodeHealth, len(c.MemoryNodes))
 	for i := range m.health {
 		m.health[i].rng = rand.New(rand.NewSource(int64(i) + 1))
@@ -588,7 +583,7 @@ func (m *Memory) publishConfigPlane() {
 		return
 	}
 	want := memnode.PackServing(rec.Epoch, rec.Term)
-	for _, i := range m.writableNodes() {
+	for _, i := range m.nodesInState(nodeLive) {
 		c, err := m.conn(i)
 		if err != nil {
 			continue
@@ -792,19 +787,8 @@ func (m *Memory) nodesInState(s int32) []int {
 	return out
 }
 
-// writableNodes returns nodes that should receive writes (live + syncing).
-func (m *Memory) writableNodes() []int {
-	out := make([]int, 0, len(m.nodes))
-	for i := range m.nodes {
-		if s := m.state[i].Load(); s == nodeLive || s == nodeSyncing {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // writeTargetsInto partitions a write fan-out: wait lists the nodes whose
-// completions the caller counts (live + syncing); bestEffort lists suspect
+// completions the caller counts (the live ones); bestEffort lists suspect
 // and degraded nodes, which receive the write without anyone waiting on
 // them. When the wait set alone cannot reach need, best-effort nodes are
 // promoted back into it: a majority ack must always mean a true majority of
@@ -815,7 +799,7 @@ func (m *Memory) writeTargetsInto(need int, wait, bestEffort []int) ([]int, []in
 	wait, bestEffort = wait[:0], bestEffort[:0]
 	for i := range m.nodes {
 		switch m.state[i].Load() {
-		case nodeLive, nodeSyncing:
+		case nodeLive:
 			wait = append(wait, i)
 		case nodeSuspect, nodeDegraded:
 			bestEffort = append(bestEffort, i)

@@ -3,7 +3,6 @@ package repmem
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/repro/sift/internal/rdma"
@@ -86,10 +85,7 @@ func (m *Memory) stopWorkers() {
 }
 
 // enqueue hands req to node i's worker. After the memory is closed, done
-// fires immediately with ErrClosed. While a shadow is attached to slot i
-// (node replacement in progress), the request is also mirrored to the
-// joining node, and done fires only after BOTH complete — so range locks
-// and pooled buffers stay held until the mirror has landed too.
+// fires immediately with ErrClosed.
 func (m *Memory) enqueue(i int, req nodeReq) {
 	req.enq = time.Now()
 	w := m.workers[i]
@@ -99,125 +95,10 @@ func (m *Memory) enqueue(i int, req nodeReq) {
 		req.done(ErrClosed)
 		return
 	}
-	if sh := m.shadows[i].Load(); sh != nil {
-		req = sh.mirror(req)
-	}
 	m.stats.enqueued.Add(1)
 	m.queueDepth.Inc()
 	w.ch <- req
 	w.mu.RUnlock()
-}
-
-// shadowNode mirrors one group slot's write stream to a joining node during
-// replacement. It is the single funnel: every per-node write — main-memory
-// block, EC chunk, integrity strip, direct write — reaches node
-// i through enqueue, so mirroring there captures the full stream, every
-// segment of every request. The shadow's own worker writes one request at a
-// time and waits for it; a replacement window is short and correctness
-// (per-slot ordering) matters more than mirror throughput.
-type shadowNode struct {
-	name string
-	conn rdma.Verbs
-
-	mu     sync.RWMutex
-	ch     chan nodeReq
-	closed bool
-	wg     sync.WaitGroup
-
-	failed  bool
-	failErr error
-	errMu   sync.Mutex
-}
-
-func newShadowNode(name string, conn rdma.Verbs) *shadowNode {
-	sh := &shadowNode{name: name, conn: conn, ch: make(chan nodeReq, nodeQueueDepth)}
-	sh.wg.Add(1)
-	go sh.loop()
-	return sh
-}
-
-// shadowFanIn joins a primary completion and its mirror: the original done
-// fires exactly once, after both, with the primary's outcome. The shadow's
-// outcome never surfaces to writers — a failed shadow aborts the
-// replacement, not the client write.
-type shadowFanIn struct {
-	orig    func(error)
-	err     error
-	pending atomic.Int32
-}
-
-func (f *shadowFanIn) finish(err error, primary bool) {
-	if primary {
-		f.err = err
-	}
-	if f.pending.Add(-1) == 0 {
-		f.orig(f.err)
-	}
-}
-
-// mirror enqueues a copy of req to the shadow and rewires req.done through
-// a fan-in. Requests share the data buffer: the caller's buffer lifetime is
-// bounded by its done firing, which now waits for the mirror as well. If
-// the shadow is already detached, req passes through unchanged.
-func (sh *shadowNode) mirror(req nodeReq) nodeReq {
-	sh.mu.RLock()
-	if sh.closed {
-		sh.mu.RUnlock()
-		return req
-	}
-	f := &shadowFanIn{orig: req.done}
-	f.pending.Store(2)
-	sh.ch <- nodeReq{offset: req.offset, data: req.data, more: req.more, enq: req.enq,
-		done: func(err error) { f.finish(err, false) }}
-	sh.mu.RUnlock()
-	req.done = func(err error) { f.finish(err, true) }
-	return req
-}
-
-func (sh *shadowNode) loop() {
-	defer sh.wg.Done()
-	for req := range sh.ch {
-		var err error
-		if sh.Err() != nil {
-			err = sh.failErr // sticky: one lost mirror write aborts the replacement
-		} else {
-			err = writeReq(sh.conn, req)
-			if err != nil {
-				sh.fail(err)
-			}
-		}
-		req.done(err)
-	}
-}
-
-func (sh *shadowNode) fail(err error) {
-	sh.errMu.Lock()
-	if !sh.failed {
-		sh.failed, sh.failErr = true, err
-	}
-	sh.errMu.Unlock()
-}
-
-// Err returns the first mirror-write failure, if any.
-func (sh *shadowNode) Err() error {
-	sh.errMu.Lock()
-	defer sh.errMu.Unlock()
-	return sh.failErr
-}
-
-// detach stops the mirror: no new requests are accepted, queued ones drain,
-// and detach returns once the last has completed. Callers detach only AFTER
-// swapping the slot's primary connection to the shadow's (or on abort), so
-// a drained duplicate against the swapped-in connection is harmless — the
-// primary path writes the same bytes to the same addresses.
-func (sh *shadowNode) detach() {
-	sh.mu.Lock()
-	if !sh.closed {
-		sh.closed = true
-		close(sh.ch)
-	}
-	sh.mu.Unlock()
-	sh.wg.Wait()
 }
 
 // flightCtx bundles the rdma.Op of one flight with its completion context so
@@ -275,16 +156,6 @@ func (c *flightCtx) complete(o *rdma.Op) {
 	clear(c.dones)
 	c.m, c.conn = nil, nil
 	flightCtxPool.Put(c)
-}
-
-// writeReq writes one request over conn as one flight and waits for it.
-func writeReq(conn rdma.Verbs, req nodeReq) error {
-	ch := make(chan error, 1)
-	rdma.Send(conn, &rdma.Op{
-		Kind: rdma.OpWrite, Region: replRegion, Offset: req.offset, Data: req.data, More: req.more,
-		Done: func(o *rdma.Op) { ch <- o.Err },
-	})
-	return <-ch
 }
 
 // nodeWorkerLoop drains node i's queue, a flight at a time: the request it

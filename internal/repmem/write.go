@@ -32,9 +32,10 @@ func (m *Memory) UnloggedWrite(addr uint64, data []byte) error { return m.Write(
 // an update torn by a coordinator failure is repaired by replaying that log.
 func (m *Memory) WriteBatch(writes []wal.Write) error {
 	// The reconfiguration gate: held shared by every write-path entry point,
-	// exclusively by a cutover. A writer that blocks here across a cutover
-	// wakes to find the memory closed (ErrReconfigured) and retries against
-	// the rebuilt group.
+	// exclusively by a catch-up's delta and cutover. A writer that blocks
+	// here across a rebuild or replacement wakes to the new member in its
+	// slot; across a restripe it wakes to the memory closed
+	// (ErrReconfigured) and retries against the rebuilt group.
 	m.gate.RLock()
 	defer m.gate.RUnlock()
 	if err := m.checkOpen(); err != nil {

@@ -120,11 +120,11 @@ func (cl *Cluster) freshMemName() string {
 
 // ReplaceMemoryNode live-replaces memory node oldName with a fresh machine
 // named newName ("" picks a name), preserving the group's geometry. The old
-// node may be live (its contents are mirrored onto the replacement under
-// traffic, then cut over under a short write barrier) or dead (the
-// replacement is rebuilt from the surviving copies). The replaced node's
-// machine is left on the fabric, fenced out by the new config epoch and its
-// retired tombstone. Returns the replacement's name.
+// node may be live or dead: either way the replacement is caught up from
+// the surviving copies under traffic and cut over under a short write
+// barrier, and a failed copy leaves the configuration as it was. The
+// replaced node's machine is left on the fabric, fenced out by the new
+// config epoch and its retired tombstone. Returns the replacement's name.
 func (cl *Cluster) ReplaceMemoryNode(oldName, newName string) (string, error) {
 	cl.mu.Lock()
 	if cl.closed {

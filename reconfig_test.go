@@ -87,9 +87,9 @@ func awaitConfigEpoch(t *testing.T, cl *Cluster, want uint32) {
 	}
 }
 
-// replicasByteIdentical compares every member's replicated region from the
-// direct-zone base up (WAL area excluded: it is pooled, not mirrored).
-// Only meaningful under full replication, where replicas must converge.
+// replicasByteIdentical compares every member's whole replicated region:
+// the direct zone, the main space and its checksum strip. Only meaningful
+// under full replication, where replicas must converge.
 func replicasByteIdentical(cl *Cluster) bool {
 	layout := cl.mcfg.Layout()
 	var first []byte
@@ -362,6 +362,92 @@ func TestReconfigRestripeEC(t *testing.T) {
 	}
 	if rep.Corrupt != 0 || rep.Unrepaired != 0 {
 		t.Fatalf("scrub after restripe found damage: %+v", rep)
+	}
+}
+
+// TestReconfigLinearizePlain runs linearizability-checked clients across
+// every caller of the memory layer's one catch-up: a live replacement, a
+// memory node killed, restarted empty and rebuilt, a dead node's
+// replacement, and a one-node add followed by a remove (restripes).
+func TestReconfigLinearizePlain(t *testing.T) { reconfigLinearize(t, false) }
+
+// TestReconfigLinearizeEC is TestReconfigLinearizePlain erasure-coded, less
+// the add and remove, which an EC group refuses.
+func TestReconfigLinearizeEC(t *testing.T) { reconfigLinearize(t, true) }
+
+func reconfigLinearize(t *testing.T, ec bool) {
+	if testing.Short() {
+		t.Skip("chaos run in -short mode")
+	}
+	cfg := smallConfig()
+	cfg.ErasureCoding = ec
+	cfg.NodeRecoveryInterval = 10 * time.Millisecond
+	cl := newTestCluster(t, cfg)
+	dumpEventsOnFailure(t, cl)
+	if err := cl.WaitForCoordinator(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	nodes := cl.MemoryNodes()
+	awaitDead := func(node string) bool {
+		deadline := time.Now().Add(10 * time.Second)
+		for time.Now().Before(deadline) {
+			for _, h := range cl.Health() {
+				if h.Node == node && h.State == "dead" {
+					return true
+				}
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		t.Errorf("%s never detected dead (health=%+v)", node, cl.Health())
+		return false
+	}
+	runLinearizeClients(t, cl, 8, func() {
+		pause := func() { time.Sleep(100 * time.Millisecond) }
+		pause()
+		if _, err := cl.ReplaceMemoryNode(nodes[0], ""); err != nil {
+			t.Errorf("live replace of %s: %v", nodes[0], err)
+			return
+		}
+		pause()
+		recovered := cl.Stats().Memory.NodeRecovered
+		cl.KillMemoryNode(nodes[1])
+		if !awaitDead(nodes[1]) {
+			return
+		}
+		cl.RestartMemoryNode(nodes[1])
+		if err := cl.AwaitMemoryNodeRecovery(recovered+1, 20*time.Second); err != nil {
+			t.Errorf("rebuild of %s: %v (health=%+v)", nodes[1], err, cl.Health())
+			return
+		}
+		pause()
+		cl.KillMemoryNode(nodes[2])
+		if !awaitDead(nodes[2]) {
+			return
+		}
+		if _, err := cl.ReplaceMemoryNode(nodes[2], ""); err != nil {
+			t.Errorf("dead replace of %s: %v", nodes[2], err)
+			return
+		}
+		pause()
+		if ec {
+			return
+		}
+		added, err := cl.AddMemoryNode("")
+		if err != nil {
+			t.Errorf("add: %v", err)
+			return
+		}
+		pause()
+		if err := cl.RemoveMemoryNode(added); err != nil {
+			t.Errorf("remove %s: %v", added, err)
+			return
+		}
+		pause()
+	})
+	for _, ev := range []string{"reconfig.replaced", "node.recovered"} {
+		if !eventsContain(cl, ev) {
+			t.Errorf("no %s event", ev)
+		}
 	}
 }
 
