@@ -34,13 +34,16 @@ linearize:
 	$(GO) test -race -timeout 5m ./internal/linearize/
 	$(GO) test -race -timeout 10m -run 'TestRetriable|TestClient|TestAmbiguous|TestNoCoordinatorWithoutSends|TestChaosLinearize' .
 
-# Online reconfiguration suite: the repmem catch-up, dirty-tracker and
-# epoch-commit unit tests, the elector membership-update test, and the
-# cluster-level rolling replacement / linearizability / fencing /
-# backup-straddle scenarios, under the race detector.
+# Online reconfiguration suite: the repmem reconfigure, catch-up,
+# dirty-tracker and epoch-commit unit tests, the elector membership-update
+# and member-change suspicion tests, the CPU node's ambiguous-commit stand-down and follower config
+# refresh, and the cluster-level rolling replacement / linearizability /
+# same-handles / no-election / fencing / backup-straddle scenarios, under
+# the race detector.
 reconfig:
-	$(GO) test -race -timeout 5m -run 'TestReplace|TestRestripe|TestMembership|TestConfig|TestCatchUp|TestDirtyTracker' ./internal/repmem/
-	$(GO) test -race -run 'TestUpdateMembers' ./internal/election/
+	$(GO) test -race -timeout 5m -run 'TestReconfigure|TestReplace|TestRestripe|TestMembership|TestConfig|TestCatchUp|TestDirtyTracker' ./internal/repmem/
+	$(GO) test -race -run 'TestUpdateMembers|TestAwaitSuspicionRestartsOnMemberChange' ./internal/election/
+	$(GO) test -race -timeout 5m -run 'TestReconfigure|TestRefreshConfig' ./internal/core/
 	$(GO) test -race -timeout 10m -run 'TestReconfig|TestBackupReadStraddles' .
 
 # Horizontal sharding suite: the rendezvous shard-map unit tests, the

@@ -236,6 +236,9 @@ func main() {
 		}
 		snap := node.ConfigSnapshot()
 		if args[0] == "epoch" {
+			// A follower is not told of reconfigurations: ask the memory
+			// nodes for the committed configuration before answering.
+			snap = node.RefreshConfig()
 			return []byte(fmt.Sprintf("epoch %d members %s ec %d+%d",
 				snap.Epoch, strings.Join(snap.Members, ","), snap.ECData, snap.ECParity)), nil
 		}

@@ -118,17 +118,11 @@ type CPUNode struct {
 	confMu sync.Mutex
 	conf   memnode.ConfigRecord
 
-	// reconfigCh carries committed-reconfiguration cutovers into the
-	// coordinate loop, which rebuilds the memory and KV layers against the
-	// new configuration without giving up the term.
-	reconfigCh chan reconfigEvent
-
 	// Stats.
 	elections     atomic.Uint64
 	promotions    atomic.Uint64
 	demotions     atomic.Uint64
 	dethronements atomic.Uint64
-	reconfigs     atomic.Uint64
 }
 
 // label names this CPU node in events ("cpu3").
@@ -153,7 +147,7 @@ func NewCPUNode(cfg Config) *CPUNode {
 	if cfg.BackupReads && cfg.LeaseWindow <= 0 {
 		cfg.LeaseWindow = 4 * cfg.Election.HeartbeatInterval
 	}
-	n := &CPUNode{cfg: cfg, reconfigCh: make(chan reconfigEvent)}
+	n := &CPUNode{cfg: cfg}
 	epoch := cfg.Memory.Epoch
 	if epoch == 0 {
 		epoch = 1
@@ -501,137 +495,79 @@ func (n *CPUNode) coordinate(ctx context.Context, term uint16) {
 		}
 	}
 
-	// The serve loop below normally runs its body once. A committed
-	// reconfiguration (delivered on reconfigCh) tears the memory and KV
-	// layers down and rebuilds them against the adopted configuration —
-	// without giving up the term, so clients see one coordinator throughout
-	// a membership change.
-	var exclusionSeed time.Time // cutover instant for backup-lease exclusion
-	var pendingDone []chan struct{}
-	serveReady := func() {
-		for _, d := range pendingDone {
-			close(d)
-		}
-		pendingDone = nil
+	// A configuration this node cannot build over — a stale-config refusal,
+	// meaning a newer configuration was committed (possibly by a
+	// reconfiguration whose commit was left ambiguous) — is resolved by
+	// discovering and adopting the committed one and building again.
+	// Anything else — lost quorum between election and takeover — forfeits
+	// the term.
+	mcfg := n.cfg.Memory
+	mcfg.OnFenced = func() {
+		n.emit("coordinator.fenced", term, "replicated memory fenced")
+		fence()
 	}
-	defer serveReady() // never leave a reconfiguration caller hanging
-	promoted := false
-	defer func() {
-		if promoted {
-			n.store.Store(nil)
-			n.term.Store(0)
-			n.demotions.Add(1)
-			n.emit("coordinator.demoted", term, "")
-		}
-	}()
-	rebuilds := 0
-
-	for {
+	mcfg.Term = term // tags membership publications; successors take the max
+	if mcfg.Events == nil {
+		mcfg.Events = n.cfg.Events
+	}
+	var mem *repmem.Memory
+	for attempt := 0; ; attempt++ {
 		snap := n.ConfigSnapshot()
-		mcfg := n.cfg.Memory
 		mcfg.MemoryNodes = snap.Members
 		mcfg.Epoch = snap.Epoch
 		mcfg.ECData, mcfg.ECParity = snap.ECData, snap.ECParity
 		if snap.ECBlockSize > 0 {
 			mcfg.ECBlockSize = snap.ECBlockSize
 		}
-		mcfg.OnFenced = func() {
-			n.emit("coordinator.fenced", term, "replicated memory fenced")
-			fence()
+		var err error
+		if mem, err = repmem.New(mcfg); err == nil {
+			break
 		}
-		mcfg.Term = term // tags membership publications; successors take the max
-		if mcfg.Events == nil {
-			mcfg.Events = n.cfg.Events
-		}
-		mem, err := repmem.New(mcfg)
-		if err != nil {
-			// A stale-config refusal means a newer configuration was
-			// committed (possibly by our own half-finished reconfiguration):
-			// discover and adopt it, then retry. Anything else — lost quorum
-			// between election and takeover — forfeits the term.
-			if errors.Is(err, repmem.ErrStaleConfig) && rebuilds < 8 {
-				rebuilds++
-				if n.discoverAndAdopt() {
-					continue
-				}
-			}
+		if !errors.Is(err, repmem.ErrStaleConfig) || attempt == 8 || !n.discoverAndAdopt() {
 			return
-		}
-		if !exclusionSeed.IsZero() {
-			// Backup-read leases granted against the pre-cutover node set must
-			// expire before this configuration acknowledges anything.
-			mem.MarkExclusion(exclusionSeed)
-		}
-		recoverStart := time.Now()
-		if err := mem.Recover(); err != nil {
-			mem.Close()
-			return
-		}
-		memRecover := time.Since(recoverStart)
-		store, err := kv.New(mem, n.cfg.KV)
-		if err != nil {
-			mem.Close()
-			return
-		}
-		stopRecovery := mem.StartRecovery(n.cfg.NodeRecoveryInterval)
-		stopScrub := func() {}
-		if n.cfg.ScrubInterval > 0 {
-			stopScrub = mem.StartScrub(n.cfg.ScrubInterval)
-		}
-
-		if n.cfg.BackupReads {
-			// Takeover complete: recovery and replay are done, so lease holders
-			// at this term may now trust what they read.
-			mem.PublishServing()
-		}
-
-		n.term.Store(uint32(term))
-		n.store.Store(store)
-		n.setRole(Coordinator)
-		if !promoted {
-			promoted = true
-			n.promotions.Add(1)
-			n.emit("coordinator.promoted", term, takeoverDetail(time.Since(takeoverStart), memRecover, store.Recovery()))
-		}
-		serveReady() // reconfiguration callers: the new config is serving
-
-		teardown := func() {
-			n.store.Store(nil)
-			stopRecovery()
-			stopScrub()
-			store.Close()
-			mem.Close()
-		}
-
-		select {
-		case <-ctx.Done():
-			teardown()
-			return
-		case <-stepDown:
-			teardown()
-			return
-		case ev := <-n.reconfigCh:
-			n.reconfigs.Add(1)
-			teardown()
-			if len(ev.rec.Members) > 0 {
-				n.adoptRecord(ev.rec)
-			} else {
-				// The sender could not tell whether its epoch commit landed
-				// (partial advance): resolve from the admin plane.
-				n.discoverAndAdopt()
-			}
-			if !ev.cutover.IsZero() {
-				exclusionSeed = ev.cutover
-			}
-			if ev.done != nil {
-				pendingDone = append(pendingDone, ev.done)
-			}
-			rebuilds++
-			n.emit("coordinator.reconfigured", term,
-				fmt.Sprintf("rebuilding at config epoch %d", n.ConfigSnapshot().Epoch))
-			continue
 		}
 	}
+	recoverStart := time.Now()
+	if err := mem.Recover(); err != nil {
+		mem.Close()
+		return
+	}
+	memRecover := time.Since(recoverStart)
+	store, err := kv.New(mem, n.cfg.KV)
+	if err != nil {
+		mem.Close()
+		return
+	}
+	stopRecovery := mem.StartRecovery(n.cfg.NodeRecoveryInterval)
+	stopScrub := func() {}
+	if n.cfg.ScrubInterval > 0 {
+		stopScrub = mem.StartScrub(n.cfg.ScrubInterval)
+	}
+
+	if n.cfg.BackupReads {
+		// Takeover complete: recovery and replay are done, so lease holders
+		// at this term may now trust what they read.
+		mem.PublishServing()
+	}
+
+	n.term.Store(uint32(term))
+	n.store.Store(store)
+	n.setRole(Coordinator)
+	n.promotions.Add(1)
+	n.emit("coordinator.promoted", term, takeoverDetail(time.Since(takeoverStart), memRecover, store.Recovery()))
+
+	select {
+	case <-ctx.Done():
+	case <-stepDown:
+	}
+	n.store.Store(nil)
+	stopRecovery()
+	stopScrub()
+	store.Close()
+	mem.Close()
+	n.term.Store(0)
+	n.demotions.Add(1)
+	n.emit("coordinator.demoted", term, "")
 }
 
 // takeoverDetail is the promotion event's account of where a takeover's time

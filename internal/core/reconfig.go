@@ -1,16 +1,16 @@
 // Reconfiguration plane: coordinator-driven add/remove/replace of memory
 // nodes under traffic. The heavy lifting (state transfer, re-striping, epoch
-// commit) lives in internal/repmem; this file adopts committed
-// configurations into the CPU-node state machine, rebuilds the serving
-// layers after a cutover, and lets followers discover configurations they
-// were not told about from the admin plane itself.
+// commit, the in-place cutover) lives in internal/repmem; this file adopts
+// committed configurations into the CPU-node state machine and lets
+// followers discover configurations they were not told about from the admin
+// plane itself.
 package core
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
+	"slices"
 
 	"github.com/repro/sift/internal/election"
 	"github.com/repro/sift/internal/kv"
@@ -22,17 +22,6 @@ import (
 // ErrNotCoordinator is returned by reconfiguration entry points invoked on a
 // node that is not currently serving as coordinator.
 var ErrNotCoordinator = errors.New("core: not the coordinator")
-
-// reconfigEvent tells the coordinate loop to rebuild its serving layers.
-// A zero-Member rec means "rediscover from the admin plane" (the sender
-// could not tell whether its epoch commit landed). cutover, when set, seeds
-// the new memory's backup-lease exclusion window. done, when non-nil, is
-// closed once the rebuilt configuration is serving.
-type reconfigEvent struct {
-	rec     memnode.ConfigRecord
-	cutover time.Time
-	done    chan struct{}
-}
 
 // ConfigSnapshot returns a copy of the node's currently adopted memory-node
 // configuration.
@@ -46,10 +35,6 @@ func (n *CPUNode) ConfigSnapshot() memnode.ConfigRecord {
 
 // ConfigEpoch returns the adopted config epoch.
 func (n *CPUNode) ConfigEpoch() uint32 { return n.ConfigSnapshot().Epoch }
-
-// Reconfigs returns how many in-term serving-layer rebuilds this node has
-// performed for committed reconfigurations.
-func (n *CPUNode) Reconfigs() uint64 { return n.reconfigs.Load() }
 
 // adoptRecord installs rec as the node's configuration if it supersedes the
 // current one, and retargets the elector at the new member set either way
@@ -69,6 +54,15 @@ func (n *CPUNode) adoptRecord(rec memnode.ConfigRecord) {
 // follower so its elector and next takeover use the new member set without
 // waiting for admin-plane discovery.
 func (n *CPUNode) AdoptConfig(rec memnode.ConfigRecord) { n.adoptRecord(rec) }
+
+// RefreshConfig adopts any committed configuration on the admin plane newer
+// than the adopted one and returns the adopted configuration. Only a
+// coordinator learns of its own reconfigurations as they commit; a follower
+// answering for the group asks the memory nodes first.
+func (n *CPUNode) RefreshConfig() memnode.ConfigRecord {
+	n.discoverAndAdopt()
+	return n.ConfigSnapshot()
+}
 
 // discoverAndAdopt reads the admin plane for a committed configuration newer
 // than the adopted one and installs it. Returns whether anything newer was
@@ -163,66 +157,44 @@ func (n *CPUNode) coordinatorMemory() (*kv.Store, *repmem.Memory, error) {
 }
 
 // ReplaceMemoryNode replaces memory node oldName with newName (same
-// capacity, typically a fresh machine) while this node coordinates. The
-// replacement preserves the group's geometry, so the serving KV layer is NOT
-// rebuilt: the memory layer swaps the slot's connection under its own write
-// barrier and traffic continues. On success the adopted configuration and
-// the elector's member set advance to the new epoch.
+// capacity, typically a fresh machine) while this node coordinates: a
+// reconfiguration to the current member list with one name swapped.
 func (n *CPUNode) ReplaceMemoryNode(oldName, newName string) error {
 	_, mem, err := n.coordinatorMemory()
 	if err != nil {
 		return err
 	}
-	if err := mem.ReplaceNode(oldName, newName); err != nil {
-		if errors.Is(err, repmem.ErrReconfigured) {
-			// The epoch commit's outcome is ambiguous: resolve from the
-			// admin plane and rebuild, holding the term.
-			rerr := n.requestRebuild(memnode.ConfigRecord{}, time.Now())
-			return fmt.Errorf("%w (resolved by rediscovery: %v)", err, rerr)
-		}
-		return err
+	rec := mem.ConfigRecord()
+	i := slices.Index(rec.Members, oldName)
+	if i < 0 {
+		return fmt.Errorf("core: unknown memory node %q", oldName)
 	}
-	n.adoptRecord(mem.ConfigRecord())
-	return nil
+	rec.Members[i] = newName
+	return n.reconfigure(mem, repmem.Target{Members: rec.Members, ECData: rec.ECData, ECParity: rec.ECParity})
 }
 
 // RestripeMemoryNodes moves the group to a new member set and/or erasure
 // geometry (full replication stays full replication, EC stays EC with the
-// same block size — see repmem.Restripe for the exact rules). The memory
-// layer copies and re-encodes every live byte onto the target set under
-// traffic, commits the new epoch under a short write barrier, and then this
-// node rebuilds its serving layers against the new configuration without
-// giving up the term. The call returns once the new configuration serves.
+// same block size — see repmem.Reconfigure for the exact rules) while this
+// node coordinates.
 func (n *CPUNode) RestripeMemoryNodes(members []string, ecData, ecParity int) error {
 	_, mem, err := n.coordinatorMemory()
 	if err != nil {
 		return err
 	}
-	res, err := mem.Restripe(repmem.RestripeTarget{Members: members, ECData: ecData, ECParity: ecParity})
-	if err != nil {
-		if errors.Is(err, repmem.ErrReconfigured) {
-			rerr := n.requestRebuild(memnode.ConfigRecord{}, time.Now())
-			return fmt.Errorf("%w (resolved by rediscovery: %v)", err, rerr)
-		}
-		return err
-	}
-	return n.requestRebuild(res.Record, res.CutoverAt)
+	return n.reconfigure(mem, repmem.Target{Members: members, ECData: ecData, ECParity: ecParity})
 }
 
-// requestRebuild hands a committed (or ambiguous, zero-Member) configuration
-// to the coordinate loop and waits until the rebuilt layers are serving.
-func (n *CPUNode) requestRebuild(rec memnode.ConfigRecord, cutover time.Time) error {
-	done := make(chan struct{})
-	ev := reconfigEvent{rec: rec, cutover: cutover, done: done}
-	select {
-	case n.reconfigCh <- ev:
-	case <-time.After(10 * time.Second):
-		return fmt.Errorf("core: coordinator loop did not accept the reconfiguration")
+// reconfigure moves the serving memory to t — the memory layer copies what
+// the joining nodes need under traffic and cuts over in place, under a short
+// write barrier — and retargets the elector at the committed member set. The
+// store keeps serving over the same memory throughout. A commit that leaves
+// the epoch ambiguous fences the memory: this node stands down, and its
+// successor discovers whichever configuration committed (see coordinate).
+func (n *CPUNode) reconfigure(mem *repmem.Memory, t repmem.Target) error {
+	if err := mem.Reconfigure(t); err != nil {
+		return err
 	}
-	select {
-	case <-done:
-		return nil
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("core: serving-layer rebuild after reconfiguration timed out")
-	}
+	n.adoptRecord(mem.ConfigRecord())
+	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -349,20 +350,23 @@ func (e *Elector) Lease(w time.Duration) (uint16, bool) {
 // suspected dead) — or ctx is cancelled. Rounds where a majority of nodes
 // is unreachable do not count as missed beats: the follower cannot
 // distinguish its own partition from a coordinator failure, and campaigning
-// would be futile without a quorum anyway.
+// would be futile without a quorum anyway. A round over a member set other
+// than the previous round's starts the count again: the new set's words are
+// whatever the coordinator last wrote there — nothing, for a fresh node —
+// until its first heartbeat round on the new set.
 func (e *Elector) AwaitSuspicion(ctx context.Context) (map[string]Word, error) {
 	var last Word
+	var members []string
 	missed := 0
-	first := true
 	ticker := time.NewTicker(e.cfg.ReadInterval)
 	defer ticker.Stop()
 	for {
+		now := e.memberSnapshot()
 		words, best, err := e.ReadAll()
 		if err == nil {
-			if first || best.Newer(last) {
-				last = best
+			if !slices.Equal(now, members) || best.Newer(last) {
+				last, members = best, now
 				missed = 0
-				first = false
 			} else {
 				missed++
 				if missed >= e.cfg.MissedBeats {

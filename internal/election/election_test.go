@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -522,4 +523,93 @@ func TestUpdateMembersReconfigures(t *testing.T) {
 	if got := e2.Majority(); got != 2 {
 		t.Fatalf("majority after shrink = %d, want 2", got)
 	}
+}
+
+// readCountingConn counts the reads made through it.
+type readCountingConn struct {
+	rdma.Verbs
+	n *atomic.Int32
+}
+
+func (c readCountingConn) Read(region rdma.RegionID, off uint64, buf []byte) error {
+	err := c.Verbs.Read(region, off, buf)
+	c.n.Add(1)
+	return err
+}
+
+// TestAwaitSuspicionRestartsOnMemberChange: a follower retargeted onto a
+// member set whose words are older than its last observation — the set a
+// reconfiguration returns to, which the coordinator has not heartbeated
+// since — must not count the rounds before the coordinator's first
+// heartbeat there as missed beats. Here the new set stays stale for
+// MissedBeats rounds, then advances: no suspicion.
+func TestAwaitSuspicionRestartsOnMemberChange(t *testing.T) {
+	nw, names, mk := testGroup(t, 3)
+	next := []string{"x", "y", "z"}
+	for _, n := range next {
+		node := rdma.NewNode(n)
+		node.Alloc(1, 64, false)
+		nw.AddNode(node)
+	}
+	setWords := func(nodes []string, w Word) {
+		for _, n := range nodes {
+			c, err := nw.Dial("test", n, rdma.DialOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], w.Pack())
+			if err := c.Write(1, 0, buf[:]); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+		}
+	}
+	setWords(names, Word{Term: 1, Node: 1, Timestamp: 10})
+	setWords(next, Word{Term: 1, Node: 1, Timestamp: 5})
+
+	var readsA, readsX atomic.Int32
+	cfg := mk(2)
+	cfg.ReadInterval = 50 * time.Millisecond
+	dial := cfg.Dial
+	cfg.Dial = func(node string) (rdma.Verbs, error) {
+		c, err := dial(node)
+		switch {
+		case err != nil:
+		case node == names[0]:
+			c = readCountingConn{Verbs: c, n: &readsA}
+		case node == next[0]:
+			c = readCountingConn{Verbs: c, n: &readsX}
+		}
+		return c, err
+	}
+	follower := New(cfg)
+	defer follower.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	suspected := make(chan error, 1)
+	go func() {
+		_, err := follower.AwaitSuspicion(ctx)
+		suspected <- err
+	}()
+	// rounds waits for the follower's want-th read of a node, failing if
+	// it suspects the coordinator first.
+	rounds := func(n *atomic.Int32, want int32) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); n.Load() < want; time.Sleep(100 * time.Microsecond) {
+			select {
+			case err := <-suspected:
+				t.Fatalf("suspected the coordinator after %d rounds over a set it had not heartbeated yet (err=%v)", n.Load(), err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d read rounds never happened", want)
+			}
+		}
+	}
+	rounds(&readsA, 1)
+	follower.UpdateMembers(next)
+	rounds(&readsX, int32(cfg.MissedBeats))
+	setWords(next, Word{Term: 1, Node: 1, Timestamp: 11})
+	rounds(&readsX, int32(cfg.MissedBeats)+2)
 }

@@ -176,9 +176,9 @@ func TestWriteBatchBestEffortCopyCarriesEverySegment(t *testing.T) {
 		eventually(t, "the best-effort copy on the suspect node", func() bool {
 			region := e.nw.Node("m2").Region(memnode.ReplRegionID).Snapshot()
 			for _, b := range []uint64{2, 5, 7, 9, 10} {
-				data := region[m.integ.physOff(b) : m.integ.physOff(b)+uint64(m.integ.physLen(b))]
-				entry := binary.LittleEndian.Uint32(region[m.integ.stripOff(b):])
-				if crcBlock(data) != entry || entry != m.integ.sum(2, b) {
+				data := region[m.grp.Load().integ.physOff(b) : m.grp.Load().integ.physOff(b)+uint64(m.grp.Load().integ.physLen(b))]
+				entry := binary.LittleEndian.Uint32(region[m.grp.Load().integ.stripOff(b):])
+				if crcBlock(data) != entry || entry != m.grp.Load().integ.sum(2, b) {
 					return false
 				}
 			}

@@ -89,7 +89,7 @@ func BenchmarkECRead(b *testing.B) {
 				}
 				size := blockSize
 				if mode == "Chunk" {
-					size = blockSize / (m.code.K() + 1) // strictly inside chunk 0
+					size = blockSize / (m.grp.Load().code.K() + 1) // strictly inside chunk 0
 				}
 				buf := make([]byte, size)
 				b.SetBytes(int64(size))

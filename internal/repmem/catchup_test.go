@@ -129,16 +129,14 @@ func TestCatchUpCopiesWhatChangesBehindTheSweep(t *testing.T) {
 		{name: "rebuild", dest: "m2", dead: "m2", cutover: []string{"node.recovered"},
 			run: func(m *Memory) error { return m.RecoverNodeNow("m2") }},
 		{name: "replace-live", dest: "m3", cutover: []string{"reconfig.replaced"},
-			run: func(m *Memory) error { return m.ReplaceNode("m1", "m3") }},
+			run: func(m *Memory) error { return replaceNode(m, "m1", "m3") }},
 		{name: "replace-dead", dest: "m3", dead: "m1", cutover: []string{"reconfig.replaced", "node.recovered"},
-			run: func(m *Memory) error { return m.ReplaceNode("m1", "m3") }},
+			run: func(m *Memory) error { return replaceNode(m, "m1", "m3") }},
 		{name: "restripe-plain", dest: "m3", cutover: []string{"reconfig.restriped"}, run: func(m *Memory) error {
-			_, err := m.Restripe(RestripeTarget{Members: []string{"m0", "m1", "m2", "m3"}})
-			return err
+			return m.Reconfigure(Target{Members: []string{"m0", "m1", "m2", "m3"}})
 		}},
 		{name: "restripe-ec", ec: true, dest: "f0", cutover: []string{"reconfig.restriped"}, run: func(m *Memory) error {
-			_, err := m.Restripe(RestripeTarget{Members: []string{"f0", "f1", "f2"}, ECData: 2, ECParity: 1})
-			return err
+			return m.Reconfigure(Target{Members: []string{"f0", "f1", "f2"}, ECData: 2, ECParity: 1})
 		}},
 	}
 	for _, tc := range cases {
@@ -239,27 +237,25 @@ func runCatchUpCase(t *testing.T, tc catchUpCase) {
 		if !bytes.Equal(dst, src) {
 			t.Fatalf("%s: %s is not byte-identical to m0 after the cutover", tc.name, tc.dest)
 		}
-		if m.checkOpen() == nil {
-			if got := m.Health(); !slices.ContainsFunc(got, func(h NodeHealth) bool { return h.Node == tc.dest && h.State == "live" }) {
-				t.Fatalf("%s: %s not live after the cutover: %+v", tc.name, tc.dest, got)
-			}
+		if got := m.Health(); !slices.ContainsFunc(got, func(h NodeHealth) bool { return h.Node == tc.dest && h.State == "live" }) {
+			t.Fatalf("%s: %s not live after the cutover: %+v", tc.name, tc.dest, got)
 		}
 		return
 	}
-	// Erasure-coded: a memory over the new set decodes both writes, and
-	// every chunk verifies against its strip entry.
-	cfg2 := cfg
-	cfg2.MemoryNodes, cfg2.Epoch, cfg2.Dial = joiners, 2, e.dialer("c2")
-	m2 := newMemory(t, cfg2)
+	// Erasure-coded: the same handle, now over the new set, decodes both
+	// writes, and every chunk verifies against its strip entry.
+	if got := m.MemberNames(); !slices.Equal(got, joiners) {
+		t.Fatalf("members after the EC restripe = %v, want %v", got, joiners)
+	}
 	gotD := make([]byte, len(direct))
 	gotM := make([]byte, len(mem))
-	if err := m2.DirectRead(0, gotD); err != nil || !bytes.Equal(gotD, direct) {
+	if err := m.DirectRead(0, gotD); err != nil || !bytes.Equal(gotD, direct) {
 		t.Fatalf("direct zone after the EC restripe: err=%v equal=%v", err, bytes.Equal(gotD, direct))
 	}
-	if err := m2.Read(0, gotM); err != nil || !bytes.Equal(gotM, mem) {
+	if err := m.Read(0, gotM); err != nil || !bytes.Equal(gotM, mem) {
 		t.Fatalf("main space after the EC restripe: err=%v equal=%v", err, bytes.Equal(gotM, mem))
 	}
-	rep, err := m2.ScrubOnce()
+	rep, err := m.ScrubOnce()
 	if err != nil || rep.Corrupt != 0 || rep.Unrepaired != 0 {
 		t.Fatalf("scrub after the EC restripe: %+v err=%v", rep, err)
 	}
@@ -301,12 +297,12 @@ func TestReplaceDeadSlotFailedCopyDoesNotCommit(t *testing.T) {
 	// Two admin writes prepare the joining node; the tenth operation on it
 	// falls inside the main-space sweep.
 	faults.Node("m3").FailStopAfter(10)
-	err := m.ReplaceNode("m1", "m3")
+	err := replaceNode(m, "m1", "m3")
 	if err == nil {
-		t.Fatal("ReplaceNode succeeded with the joining node failing mid-copy")
+		t.Fatal("replacement succeeded with the joining node failing mid-copy")
 	}
 	if !errors.Is(err, faultrdma.ErrInjected) {
-		t.Fatalf("ReplaceNode error = %v, want the injected fault", err)
+		t.Fatalf("replacement error = %v, want the injected fault", err)
 	}
 	if got := m.Epoch(); got != 1 {
 		t.Fatalf("epoch after a failed replacement = %d, want 1", got)

@@ -161,7 +161,7 @@ func TestQueuedCommitsShareOneFlightPerNode(t *testing.T) {
 		if len(subs) != 2 {
 			t.Fatalf("%s saw %d submissions for %d writes, want 2: %v", name, len(subs), writers+1, subs)
 		}
-		if len(subs[0]) != 1 || subs[0][0] != m.physDirect(0) {
+		if len(subs[0]) != 1 || subs[0][0] != m.grp.Load().physDirect(0) {
 			t.Fatalf("%s: lone writer's submission carried %v", name, subs[0])
 		}
 		seen := map[uint64]bool{}
@@ -169,7 +169,7 @@ func TestQueuedCommitsShareOneFlightPerNode(t *testing.T) {
 			seen[off] = true
 		}
 		for s := 1; s <= writers; s++ {
-			if !seen[m.physDirect(uint64(s*slotSize))] {
+			if !seen[m.grp.Load().physDirect(uint64(s*slotSize))] {
 				t.Fatalf("%s: slot %d missing from the shared flight %v", name, s, subs[1])
 			}
 		}
@@ -195,7 +195,7 @@ func TestQueuedCommitsShareOneFlightPerNode(t *testing.T) {
 func TestDrainPreservesPerNodeOrder(t *testing.T) {
 	m, logs := loggedMemory(t, Config{MemSize: 64 << 10, DirectSize: 16 << 10})
 	const node, reqs = 1, 2*nodeFlightMax + 7
-	log := logs[m.nodeName(node)]
+	log := logs[m.at(node).name]
 	open := log.shutLane()
 
 	var done sync.WaitGroup
@@ -206,19 +206,19 @@ func TestDrainPreservesPerNodeOrder(t *testing.T) {
 		}
 		done.Done()
 	}
-	m.enqueue(node, nodeReq{offset: m.physDirect(0), data: []byte{0xff}, done: ack})
+	m.enqueue(m.grp.Load(), node, nodeReq{offset: m.grp.Load().physDirect(0), data: []byte{0xff}, done: ack})
 	eventually(t, "worker held in Submit", func() bool { _, blocked := log.snapshot(); return blocked == 1 })
 
 	var want []uint64
 	for i := 0; i < reqs; i++ {
-		off := m.physDirect(uint64(64 + 16*i))
+		off := m.grp.Load().physDirect(uint64(64 + 16*i))
 		req := nodeReq{offset: off, data: []byte{byte(i)}, done: ack}
 		want = append(want, off)
 		if i%3 == 0 { // some requests carry a second segment
 			req.more = []rdma.Seg{{Offset: off + 8, Data: []byte{byte(i)}}}
 			want = append(want, off+8)
 		}
-		m.enqueue(node, req)
+		m.enqueue(m.grp.Load(), node, req)
 	}
 	open()
 	done.Wait()
@@ -259,8 +259,8 @@ func TestBlockApplyIsOneFlightPerNode(t *testing.T) {
 				if len(subs) != 1 || len(subs[0]) != 2 {
 					t.Fatalf("%s: block apply arrived as %v, want one submission of two segments", name, subs)
 				}
-				if subs[0][1] != m.integ.stripOff(3) {
-					t.Fatalf("%s: second segment at %d, want the strip entry at %d", name, subs[0][1], m.integ.stripOff(3))
+				if subs[0][1] != m.grp.Load().integ.stripOff(3) {
+					t.Fatalf("%s: second segment at %d, want the strip entry at %d", name, subs[0][1], m.grp.Load().integ.stripOff(3))
 				}
 			}
 			got := make([]byte, 1024)

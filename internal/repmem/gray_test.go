@@ -158,8 +158,6 @@ func TestHealthTransitionTable(t *testing.T) {
 			[4]string{"degraded/straggler degraded/straggler degraded/straggler", "- - -", "- - -", "- - -"}},
 		{"rebuild done", healthEvent{kind: evRebuildDone},
 			[4]string{"- - -", "- - -", "- - -", "live/rebuilt live/rebuilt live/rebuilt"}},
-		{"slot swapped", healthEvent{kind: evSlotSwapped},
-			[4]string{"live/replaced live/replaced live/replaced", "live/replaced live/replaced live/replaced", "live/replaced live/replaced live/replaced", "- - -"}},
 	}
 	covered := map[eventKind]bool{}
 	record := func(which int) *nodeHealth {
@@ -189,7 +187,7 @@ func TestHealthTransitionTable(t *testing.T) {
 				} else if to != from {
 					t.Fatalf("%s on %s: moved to %s with no reason", e.name, stateName(from), stateName(to))
 				}
-				if to == nodeLive && (from != nodeLive || e.ev.kind == evSlotSwapped) && signalsOf(h) != (healthSignals{}) {
+				if to == nodeLive && from != nodeLive && signalsOf(h) != (healthSignals{}) {
 					t.Fatalf("%s on %s: record not reset: %+v", e.name, stateName(from), signalsOf(h))
 				}
 				got = append(got, cell)
@@ -218,20 +216,20 @@ func TestReplacedDegradedSlotStartsFresh(t *testing.T) {
 	cfg.Term = 1
 	m := newMemory(t, cfg)
 
-	h := &m.health[1]
+	h := &m.at(1).health
 	m.setState(1, nodeDegraded)
 	h.ewma.Observe(40_000)
 	h.timeouts.Store(1)
 	h.strikes.Store(2)
 	h.fastProbes.Store(degradeExitProbes - 1)
 	h.corrupt.Store(3)
-	if err := m.ReplaceNode("m1", "m3"); err != nil {
-		t.Fatalf("ReplaceNode: %v", err)
+	if err := replaceNode(m, "m1", "m3"); err != nil {
+		t.Fatalf("replace: %v", err)
 	}
-	if s := m.state[1].Load(); s != nodeLive {
+	if s := m.at(1).state.Load(); s != nodeLive {
 		t.Fatalf("replaced slot is %s, want live", stateName(s))
 	}
-	if got := signalsOf(h); got != (healthSignals{}) {
+	if got := signalsOf(&m.at(1).health); got != (healthSignals{}) {
 		t.Fatalf("replaced slot's record %+v, want a fresh node's", got)
 	}
 }
@@ -241,7 +239,7 @@ func TestWriteTargetsPartitionsSuspects(t *testing.T) {
 	m := newMemory(t, baseConfig(e, "c0"))
 
 	m.setState(1, nodeSuspect)
-	wait, best := m.writeTargetsInto(m.Majority(), nil, nil)
+	wait, best := m.grp.Load().writeTargetsInto(m.Majority(), nil, nil)
 	if len(wait) != 2 || len(best) != 1 || best[0] != 1 {
 		t.Fatalf("wait=%v best=%v, want wait={0,2} best={1}", wait, best)
 	}
@@ -250,7 +248,7 @@ func TestWriteTargetsPartitionsSuspects(t *testing.T) {
 	// the healthy subset alone, so suspects are promoted back into the wait
 	// set — a quorum ack must never mean a majority of the healthy few.
 	m.setState(2, nodeSuspect)
-	wait, best = m.writeTargetsInto(m.Majority(), nil, nil)
+	wait, best = m.grp.Load().writeTargetsInto(m.Majority(), nil, nil)
 	if len(wait) != 3 || len(best) != 0 {
 		t.Fatalf("degraded: wait=%v best=%v, want all three waited on", wait, best)
 	}
@@ -261,24 +259,24 @@ func TestNoteNodeErrorSuspicionThenDeath(t *testing.T) {
 	m := newMemory(t, baseConfig(e, "c0"))
 	deadlines := func(n int) {
 		for k := 0; k < n; k++ {
-			m.noteConnError(0, nil, rdma.ErrDeadline)
+			m.noteConnError(m.at(0), nil, rdma.ErrDeadline)
 		}
 	}
 
 	deadlines(1)
-	if s := m.state[0].Load(); s != nodeLive {
+	if s := m.at(0).state.Load(); s != nodeLive {
 		t.Fatalf("after 1 timeout: state %s, want live", stateName(s))
 	}
 	deadlines(1)
-	if s := m.state[0].Load(); s != nodeSuspect {
+	if s := m.at(0).state.Load(); s != nodeSuspect {
 		t.Fatalf("after 2 timeouts: state %s, want suspect", stateName(s))
 	}
 	deadlines(13)
-	if s := m.state[0].Load(); s != nodeSuspect {
+	if s := m.at(0).state.Load(); s != nodeSuspect {
 		t.Fatalf("after 15 timeouts: state %s, want suspect", stateName(s))
 	}
 	deadlines(1)
-	if s := m.state[0].Load(); s != nodeDead {
+	if s := m.at(0).state.Load(); s != nodeDead {
 		t.Fatalf("after 16 timeouts: state %s, want dead", stateName(s))
 	}
 	st := m.Stats()
@@ -287,15 +285,15 @@ func TestNoteNodeErrorSuspicionThenDeath(t *testing.T) {
 	}
 
 	// A success on another node clears its streak.
-	m.noteConnError(1, nil, rdma.ErrDeadline)
-	m.noteOpResult(1, nil, time.Millisecond, nil)
-	if n := m.health[1].timeouts.Load(); n != 0 {
+	m.noteConnError(m.at(1), nil, rdma.ErrDeadline)
+	m.noteOpResult(m.at(1), nil, time.Millisecond, nil)
+	if n := m.at(1).health.timeouts.Load(); n != 0 {
 		t.Fatalf("streak after success = %d, want 0", n)
 	}
 
 	// Non-deadline errors kill immediately.
-	m.noteConnError(2, nil, errors.New("connection reset"))
-	if s := m.state[2].Load(); s != nodeDead {
+	m.noteConnError(m.at(2), nil, errors.New("connection reset"))
+	if s := m.at(2).state.Load(); s != nodeDead {
 		t.Fatalf("after transport error: state %s, want dead", stateName(s))
 	}
 }
@@ -328,7 +326,7 @@ func TestWriteCommitsWithSuspectNode(t *testing.T) {
 	if err := m.RecoverNodeNow("m1"); err != nil {
 		t.Fatalf("recover suspect: %v", err)
 	}
-	if s := m.state[1].Load(); s != nodeLive {
+	if s := m.at(1).state.Load(); s != nodeLive {
 		t.Fatalf("after recovery: state %d, want live", s)
 	}
 	if err := m.Read(100, got); err != nil || !bytes.Equal(got, want) {
@@ -361,13 +359,13 @@ func TestStragglerCheckKeepsWriteQuorum(t *testing.T) {
 	e := newEnv(t, 3, cfg0.Layout())
 	m := newMemory(t, baseConfig(e, "c"))
 	for i, us := range []float64{50, 40_000, 90_000} { // bar: 16 × 50 µs, floor 2 ms
-		m.health[i].ewma.Reset()
+		m.at(i).health.ewma.Reset()
 		for n := 0; n < stragglerMinSamples; n++ {
-			m.health[i].ewma.Observe(us)
+			m.at(i).health.ewma.Observe(us)
 		}
 	}
-	m.checkStragglers()
-	m.checkStragglers() // a second pass finds nothing more it may exclude
+	m.checkStragglers(m.grp.Load())
+	m.checkStragglers(m.grp.Load()) // a second pass finds nothing more it may exclude
 	if got := m.DegradedMemoryNodes(); len(got) != 1 || got[0] != "m2" {
 		t.Fatalf("degraded %v, want only the slowest node m2", got)
 	}

@@ -14,11 +14,11 @@ import (
 	"github.com/repro/sift/internal/rdma"
 )
 
-// Node health. Each memory node has one record — its state word in
-// Memory.state, its signals and redial circuit in Memory.health — and one
-// table moves it between states: step folds an event into the record and
-// names the state to move to, transition performs what the move implies.
-// Nothing else writes a node's state.
+// Node health. Each memory node has one record — its member's state word,
+// signals and redial circuit (group.go) — and one table moves it between
+// states: step folds an event into the record and names the state to move
+// to, transition performs what the move implies. Nothing else writes a
+// node's state once the memory serves.
 const (
 	nodeLive     int32 = iota // serving reads, waited on by writes
 	nodeDead                  // excluded from everything until a rebuild's gated cutover
@@ -60,7 +60,6 @@ const (
 	evCorrupt                         // n corrupt blocks were found
 	evStraggler                       // the straggler check singled the node out
 	evRebuildDone                     // a catch-up's gated cutover finished the node
-	evSlotSwapped                     // a replacement installed a new machine in the slot
 	numEventKinds
 )
 
@@ -146,14 +145,9 @@ func (h *nodeHealth) step(from int32, ev healthEvent, floor time.Duration) (to i
 		if from == nodeDead {
 			to, reason = nodeLive, "rebuilt"
 		}
-	case evSlotSwapped: // a dead slot stays dead until its catch-up's cutover
-		if from != nodeDead {
-			to, reason = nodeLive, "replaced"
-		}
 	}
-	// A machine entering service, rebuilt or swapped in, carries none of its
-	// past.
-	if ev.kind == evSlotSwapped || to == nodeLive && from != nodeLive {
+	// A machine entering service carries none of its past.
+	if to == nodeLive && from != nodeLive {
 		h.reset()
 	}
 	return to, reason
@@ -175,20 +169,20 @@ func (h *nodeHealth) reset() {
 	h.closeCircuit()
 }
 
-// observe feeds an event about node i through the table and applies the
+// observe feeds an event about member mb through the table and applies the
 // verdict, reporting whether the node moved.
-func (m *Memory) observe(i int, ev healthEvent) bool {
-	from := m.state[i].Load()
-	to, reason := m.health[i].step(from, ev, m.cfg.StragglerMinLatency)
+func (m *Memory) observe(mb *member, ev healthEvent) bool {
+	from := mb.state.Load()
+	to, reason := mb.health.step(from, ev, m.cfg.StragglerMinLatency)
 	if reason != "" && ev.detail != "" {
 		reason += " " + ev.detail
 	}
-	return m.transition(i, from, to, reason)
+	return m.transition(mb, from, to, reason)
 }
 
-// transition moves node i from `from` to `to` — to dead whatever the state has
-// become meanwhile, elsewhere only if it is still `from` — and derives every
-// side effect from the pair:
+// transition moves member mb from `from` to `to` — to dead whatever the state
+// has become meanwhile, elsewhere only if it is still `from` — and derives
+// every side effect from the pair:
 //
 //   - leaving live stamps lastExclusion, which ack holds cover;
 //   - entering dead, suspect or degraded, and dead → live, bump the Stats
@@ -197,16 +191,16 @@ func (m *Memory) observe(i int, ev healthEvent) bool {
 //     be a hot path), entering live publishes it before returning;
 //   - a verdict of dead drops the connection: the next dial re-acquires the
 //     region.
-func (m *Memory) transition(i int, from, to int32, reason string) bool {
+func (m *Memory) transition(mb *member, from, to int32, reason string) bool {
 	if reason == "" {
 		return false
 	}
 	if to == nodeDead {
-		from = m.state[i].Swap(nodeDead)
-		if b := m.conns[i].Swap(nil); b != nil {
+		from = mb.state.Swap(nodeDead)
+		if b := mb.conn.Swap(nil); b != nil {
 			b.v.Close()
 		}
-	} else if from != to && !m.state[i].CompareAndSwap(from, to) {
+	} else if from != to && !mb.state.CompareAndSwap(from, to) {
 		return false
 	}
 	if from == to {
@@ -218,16 +212,16 @@ func (m *Memory) transition(i int, from, to int32, reason string) bool {
 	switch {
 	case to == nodeDead:
 		m.stats.nodeFailures.Add(1)
-		m.emit("node.dead", m.nodeName(i), reason)
+		m.emit("node.dead", mb.name, reason)
 	case to == nodeSuspect:
 		m.stats.nodeSuspected.Add(1)
-		m.emit("node.suspect", m.nodeName(i), reason)
+		m.emit("node.suspect", mb.name, reason)
 	case to == nodeDegraded:
 		m.stats.nodeDegraded.Add(1)
-		m.emit("node.degraded", m.nodeName(i), reason)
+		m.emit("node.degraded", mb.name, reason)
 	case to == nodeLive && from == nodeDead:
 		m.stats.nodeRecovered.Add(1)
-		m.emit("node.recovered", m.nodeName(i), reason)
+		m.emit("node.recovered", mb.name, reason)
 	}
 	switch {
 	case to == nodeLive:
@@ -238,62 +232,62 @@ func (m *Memory) transition(i int, from, to int32, reason string) bool {
 	return true
 }
 
-// setState places node i in state s with no side effect: New seeds what it
-// finds before the memory serves, and tests stage states.
-func (m *Memory) setState(i int, s int32) { m.state[i].Store(s) }
-
-// noteOpResult records a completed write against node i.
-func (m *Memory) noteOpResult(i int, c rdma.Verbs, lat time.Duration, err error) {
+// noteOpResult records a completed write against member mb.
+func (m *Memory) noteOpResult(mb *member, c rdma.Verbs, lat time.Duration, err error) {
 	if err == nil {
-		m.health[i].opOK(lat)
+		mb.health.opOK(lat)
 		return
 	}
-	m.noteConnError(i, c, err)
+	m.noteConnError(mb, c, err)
 }
 
-// noteConnError feeds a failed operation on node i's connection c (nil when
-// none could be had) through the table.
-func (m *Memory) noteConnError(i int, c rdma.Verbs, err error) {
-	if kind, ok := m.classify(i, c, err); ok {
-		m.observe(i, healthEvent{kind: kind})
+// noteConnError feeds a failed operation on member mb's connection c (nil
+// when none could be had) through the table.
+func (m *Memory) noteConnError(mb *member, c rdma.Verbs, err error) {
+	if kind, ok := m.classify(mb, c, err); ok {
+		m.observe(mb, healthEvent{kind: kind})
 	}
 }
 
-// nodeFailed declares node i dead over a failed operation, whatever the
+// nodeFailed declares member mb dead over a failed operation, whatever the
 // error, unless a newer coordinator took over.
-func (m *Memory) nodeFailed(i int, err error) {
+func (m *Memory) nodeFailed(mb *member, err error) {
 	if errors.Is(err, rdma.ErrFenced) {
-		m.fence()
+		m.fence("newer coordinator took over")
 		return
 	}
-	m.observe(i, healthEvent{kind: evOpError})
+	m.observe(mb, healthEvent{kind: evOpError})
 }
 
-// noteCorruption records n corrupt blocks found on node i.
-func (m *Memory) noteCorruption(i, n int) {
+// noteCorruption records n corrupt blocks found on member mb.
+func (m *Memory) noteCorruption(mb *member, n int) {
 	if n <= 0 {
 		return
 	}
 	m.stats.corruptions.Add(uint64(n))
-	m.observe(i, healthEvent{kind: evCorrupt, n: uint64(n)})
+	m.observe(mb, healthEvent{kind: evCorrupt, n: uint64(n)})
 }
 
 // classify maps a failed operation's error to the table's event. It reports
-// false when the error is no evidence about the node: a completion from a
-// connection no longer node i's current one was accounted for when that
-// connection was torn down (attributing it again would kill the fresh
+// false when the error is no evidence about the node: the member was retired
+// by a Reconfigure (its connection was closed on purpose), a completion from
+// a connection no longer the member's current one was accounted for when
+// that connection was torn down (attributing it again would kill the fresh
 // connection, or fence the memory over our own redial), and an ErrFenced
 // from a newer coordinator's takeover fences this memory instead.
-func (m *Memory) classify(i int, c rdma.Verbs, err error) (eventKind, bool) {
+func (m *Memory) classify(mb *member, c rdma.Verbs, err error) (eventKind, bool) {
+	if mb.retired.Load() {
+		return 0, false
+	}
 	if c != nil {
-		if b := m.conns[i].Load(); b == nil || b.v != c {
+		if b := mb.conn.Load(); b == nil || b.v != c {
 			return 0, false
 		}
 	}
 	switch {
 	case errors.Is(err, rdma.ErrFenced):
 		if c == nil || m.fencedByTakeover(c) {
-			m.fence()
+			m.fence("newer coordinator took over")
 			return 0, false
 		}
 		return evFencedByReboot, true
@@ -323,20 +317,20 @@ func (m *Memory) fencedByTakeover(c rdma.Verbs) bool {
 	return err != nil || populated
 }
 
-// probe times a one-byte read of node i and feeds the outcome through the
+// probe times a one-byte read of member mb and feeds the outcome through the
 // table: how an idle group notices a failure, a suspect shows it answers
 // again, and a degraded node shows it is fast again.
-func (m *Memory) probe(i int) {
-	c, err := m.conn(i)
+func (m *Memory) probe(mb *member) {
+	c, err := m.conn(mb)
 	start := time.Now()
 	if err == nil {
 		var b [1]byte
 		err = c.Read(replRegion, 0, b[:])
 	}
 	if err == nil {
-		m.observe(i, healthEvent{kind: evProbeOK, lat: time.Since(start)})
-	} else if cause, ok := m.classify(i, c, err); ok {
-		m.observe(i, healthEvent{kind: evProbeFailed, cause: cause})
+		m.observe(mb, healthEvent{kind: evProbeOK, lat: time.Since(start)})
+	} else if cause, ok := m.classify(mb, c, err); ok {
+		m.observe(mb, healthEvent{kind: evProbeFailed, cause: cause})
 	}
 }
 
@@ -345,29 +339,48 @@ func (m *Memory) probe(i int) {
 // refused without touching the network.
 var ErrCircuitOpen = errors.New("repmem: redial circuit open")
 
-// conn returns node i's connection, dialing through the node's redial
+// errRetired is what conn returns for a member a Reconfigure removed.
+var errRetired = fmt.Errorf("%w: memory node retired by a reconfiguration", ErrClosed)
+
+// conn returns member mb's connection, dialing through the member's redial
 // circuit when it has been dropped; a node down at connect time joins later
 // this way. Dialing re-acquires the replicated region, so a redial fences
-// writes still buffered on the node's previous connection.
-func (m *Memory) conn(i int) (rdma.Verbs, error) {
-	if b := m.conns[i].Load(); b != nil {
+// writes still buffered on the node's previous connection. A retired member
+// is never dialed again.
+func (m *Memory) conn(mb *member) (rdma.Verbs, error) {
+	if b := mb.conn.Load(); b != nil {
 		return b.v, nil
 	}
-	h := &m.health[i]
+	h := &mb.health
 	h.dialMu.Lock()
 	defer h.dialMu.Unlock()
-	if b := m.conns[i].Load(); b != nil {
+	if b := mb.conn.Load(); b != nil {
 		return b.v, nil
 	}
-	v, err := h.dial(m.nodeName(i), m.cfg.Dial, time.Now())
+	if mb.retired.Load() {
+		return nil, errRetired
+	}
+	v, err := h.dial(mb.name, m.cfg.Dial, time.Now())
 	switch {
 	case err == nil:
 		m.stats.redials.Add(1)
-		m.conns[i].Store(&connBox{v: v})
+		mb.conn.Store(&connBox{v: v})
 	case !errors.Is(err, ErrCircuitOpen):
 		m.stats.redialErrors.Add(1)
 	}
 	return v, err
+}
+
+// retire removes member mb from service for good: no dial from here on, and
+// its connection closed.
+func (mb *member) retire() {
+	mb.health.dialMu.Lock()
+	mb.retired.Store(true)
+	b := mb.conn.Swap(nil)
+	mb.health.dialMu.Unlock()
+	if b != nil {
+		b.v.Close()
+	}
 }
 
 // dial makes one attempt through the circuit at time now: refused while a
@@ -432,12 +445,13 @@ type NodeHealth struct {
 // Health snapshots every node's record.
 func (m *Memory) Health() []NodeHealth {
 	now := time.Now()
-	out := make([]NodeHealth, len(m.nodes))
-	for i := range m.nodes {
-		h := &m.health[i]
+	g := m.grp.Load()
+	out := make([]NodeHealth, len(g.members))
+	for i, mb := range g.members {
+		h := &mb.health
 		out[i] = NodeHealth{
-			Node:           m.nodeName(i),
-			State:          stateName(m.state[i].Load()),
+			Node:           mb.name,
+			State:          stateName(mb.state.Load()),
 			EWMALatencyUs:  h.ewma.Value(),
 			ConsecTimeouts: int(h.timeouts.Load()),
 			RedialFailures: int(h.dialFailures.Load()),
@@ -455,8 +469,10 @@ func stateName(s int32) string { return stateNames[s] }
 // namesInState returns the names of the nodes in state s.
 func (m *Memory) namesInState(s int32) []string {
 	var out []string
-	for _, i := range m.nodesInState(s) {
-		out = append(out, m.nodeName(i))
+	for _, mb := range m.grp.Load().members {
+		if mb.state.Load() == s {
+			out = append(out, mb.name)
+		}
 	}
 	return out
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync/atomic"
+
+	"github.com/repro/sift/internal/memnode"
 )
 
 // Checksummed main memory. Every logical integrity block — one EC block
@@ -29,37 +31,42 @@ func crcBlock(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 // could not be repaired from the surviving replicas.
 var ErrCorrupt = errors.New("repmem: unrepairable corruption")
 
-// integrity is the checksum machinery for one Memory. sums is the
-// coordinator-side checksum cache: one row shared by all replicas in plain
-// mode (replicas are byte-identical), one row per node under erasure coding
-// (each node stores a different chunk).
+// integrity is the checksum cache of one group: one row shared by all
+// replicas in plain mode (replicas are byte-identical), one row per member
+// index under erasure coding (each node stores a different chunk). A
+// Reconfigure that keeps the code keeps the integrity too: a row is a
+// function of the logical data and the code alone.
 type integrity struct {
-	m       *Memory
 	ibs     uint64 // logical block size
 	blocks  int    // logical block count
+	memSize uint64
 	physIBS uint64 // per-node bytes per block (chunk size under EC)
+	perNode bool   // one row per member (erasure coding)
+	layout  memnode.Layout
 	sums    [][]atomic.Uint32
 }
 
-func newIntegrity(m *Memory) *integrity {
-	g := &integrity{m: m, ibs: uint64(m.cfg.IntegrityBlockSize)}
-	g.blocks = (m.cfg.MemSize + int(g.ibs) - 1) / int(g.ibs)
-	g.physIBS = g.ibs
+// newIntegrity sizes an empty checksum cache for group g under cfg.
+func newIntegrity(cfg Config, g *group) *integrity {
+	ig := &integrity{ibs: uint64(cfg.IntegrityBlockSize), memSize: uint64(cfg.MemSize), layout: g.layout}
+	ig.blocks = (cfg.MemSize + int(ig.ibs) - 1) / int(ig.ibs)
+	ig.physIBS = ig.ibs
 	rows := 1
-	if m.code != nil {
-		g.physIBS = uint64(m.chunk)
-		rows = len(m.nodes)
+	if g.code != nil {
+		ig.physIBS = uint64(g.chunk)
+		ig.perNode = true
+		rows = len(g.members)
 	}
-	g.sums = make([][]atomic.Uint32, rows)
-	for r := range g.sums {
-		g.sums[r] = make([]atomic.Uint32, g.blocks)
+	ig.sums = make([][]atomic.Uint32, rows)
+	for r := range ig.sums {
+		ig.sums[r] = make([]atomic.Uint32, ig.blocks)
 	}
-	return g
+	return ig
 }
 
-// row returns the checksum row for node i.
+// row returns the checksum row for member index i.
 func (g *integrity) row(i int) []atomic.Uint32 {
-	if g.m.code == nil {
+	if !g.perNode {
 		return g.sums[0]
 	}
 	return g.sums[i]
@@ -72,26 +79,26 @@ func (g *integrity) setSum(i int, b uint64, v uint32) { g.row(i)[b].Store(v) }
 // may be short when MemSize is not a multiple of the block size).
 func (g *integrity) blockRange(b uint64) (addr uint64, length int) {
 	addr = b * g.ibs
-	length = int(min64(g.ibs, uint64(g.m.cfg.MemSize)-addr))
+	length = int(min64(g.ibs, g.memSize-addr))
 	return addr, length
 }
 
 // physOff returns the region offset of block b's bytes on any node.
 func (g *integrity) physOff(b uint64) uint64 {
-	return g.m.layout.MainBase() + b*g.physIBS
+	return g.layout.MainBase() + b*g.physIBS
 }
 
 // physLen returns how many bytes of block b each node stores.
 func (g *integrity) physLen(b uint64) int {
-	if g.m.code != nil {
-		return g.m.chunk
+	if g.perNode {
+		return int(g.physIBS)
 	}
 	_, length := g.blockRange(b)
 	return length
 }
 
 // stripOff returns the region offset of block b's strip entry.
-func (g *integrity) stripOff(b uint64) uint64 { return g.m.layout.IntegrityOffset(b) }
+func (g *integrity) stripOff(b uint64) uint64 { return g.layout.IntegrityOffset(b) }
 
 // stripEntry renders one strip entry.
 func stripEntry(sum uint32) []byte {
@@ -100,11 +107,11 @@ func stripEntry(sum uint32) []byte {
 	return buf
 }
 
-// bootstrapFresh initializes the checksum cache and every reachable node's
-// strip for an all-zero fresh deployment (the CRC of a zero block is not
-// zero, so the zeroed strip would otherwise flag every block corrupt).
-func (g *integrity) bootstrapFresh() {
-	m := g.m
+// bootstrapFresh initializes group g's checksum cache and every reachable
+// node's strip for an all-zero fresh deployment (the CRC of a zero block is
+// not zero, so the zeroed strip would otherwise flag every block corrupt).
+func (m *Memory) bootstrapFresh(grp *group) {
+	g := grp.integ
 	image := make([]byte, 4*g.blocks)
 	for b := uint64(0); b < uint64(g.blocks); b++ {
 		sum := crcBlock(make([]byte, g.physLen(b)))
@@ -113,45 +120,46 @@ func (g *integrity) bootstrapFresh() {
 		}
 		binary.LittleEndian.PutUint32(image[4*b:], sum)
 	}
-	for _, i := range m.nodesInState(nodeLive) {
-		c, err := m.conn(i)
+	for _, i := range grp.nodesInState(nodeLive) {
+		mb := grp.members[i]
+		c, err := m.conn(mb)
 		if err == nil {
-			err = c.Write(replRegion, m.layout.IntegrityBase(), image)
+			err = c.Write(replRegion, grp.layout.IntegrityBase(), image)
 		}
 		if err != nil {
-			m.nodeFailed(i, err)
+			m.nodeFailed(mb, err)
 		}
 	}
 }
 
-// loadSums reloads the checksum cache from the nodes' strips at coordinator
-// takeover, every live node's strip read at once. A node whose strip cannot
-// be read leaves the group until it is rebuilt, whatever the error was: its
-// cache row would otherwise be missing while it keeps serving. Fewer than a
-// majority of readable strips fails with ErrNoQuorum. Plain mode
-// majority-votes each entry across the strips read (a node that died
-// mid-write may hold a stale or torn strip); under erasure coding each
+// loadSums reloads group g's checksum cache from the nodes' strips at
+// coordinator takeover, every live node's strip read at once. A node whose
+// strip cannot be read leaves the group until it is rebuilt, whatever the
+// error was: its cache row would otherwise be missing while it keeps
+// serving. Fewer than a majority of readable strips fails with ErrNoQuorum.
+// Plain mode majority-votes each entry across the strips read (a node that
+// died mid-write may hold a stale or torn strip); under erasure coding each
 // node's strip fills its own row, and a dead node's row is rewritten when
 // the node is rebuilt.
-func (g *integrity) loadSums() error {
-	m := g.m
-	images := m.readReplicas(0, Span{Addr: m.layout.IntegrityBase(), Size: 4 * g.blocks})
+func (m *Memory) loadSums(grp *group) error {
+	g := grp.integ
+	images := m.readReplicas(grp, 0, Span{Addr: grp.layout.IntegrityBase(), Size: 4 * g.blocks})
 	got := 0
 	for i, row := range images {
 		if row != nil {
 			got++
-		} else if m.state[i].Load() == nodeLive {
-			m.observe(i, healthEvent{kind: evOpError})
+		} else if mb := grp.members[i]; mb.state.Load() == nodeLive {
+			m.observe(mb, healthEvent{kind: evOpError})
 		}
 	}
 	if e := m.checkOpen(); e != nil {
 		return e
 	}
-	if got < m.Majority() {
-		return fmt.Errorf("%w: read checksum strips from %d of %d nodes", ErrNoQuorum, got, len(m.nodes))
+	if got < grp.majority() {
+		return fmt.Errorf("%w: read checksum strips from %d of %d nodes", ErrNoQuorum, got, len(grp.members))
 	}
-	if m.code != nil {
-		for i := range m.nodes {
+	if g.perNode {
+		for i := range grp.members {
 			if images[i] == nil {
 				continue
 			}
@@ -165,7 +173,7 @@ func (g *integrity) loadSums() error {
 		counts := make(map[uint32]int)
 		var winner uint32
 		best := 0
-		for i := range m.nodes {
+		for i := range grp.members {
 			if images[i] == nil {
 				continue
 			}
@@ -196,23 +204,22 @@ func (g *integrity) verifySpan(i int, spanStart uint64, data []byte) []uint64 {
 	return bad
 }
 
-// read serves a verified main-space read: it reads under expanded read
-// locks, and when verification fails it repairs the damaged blocks under
-// write locks and retries. A read that can be served from a clean replica
-// (or reconstructed) succeeds immediately; the repair then runs before
-// returning so the damaged replica never lingers.
-func (g *integrity) read(addr uint64, buf []byte) error {
-	m := g.m
+// readVerified serves a verified main-space read from group grp: it reads
+// under expanded read locks, and when verification fails it repairs the
+// damaged blocks under write locks and retries. A read that can be served
+// from a clean replica (or reconstructed) succeeds immediately; the repair
+// then runs before returning so the damaged replica never lingers.
+func (m *Memory) readVerified(grp *group, addr uint64, buf []byte) error {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
-		r := m.expandWriteRange(addr, len(buf))
+		r := m.expandWriteRange(grp, addr, len(buf))
 		m.locks.acquire(shared, r)
 		var bad []uint64
 		var err error
-		if m.code == nil {
-			bad, err = g.readPlainVerified(addr, buf)
+		if grp.code == nil {
+			bad, err = m.readPlainVerified(grp, addr, buf)
 		} else {
-			bad, err = g.readECVerified(addr, buf)
+			bad, err = m.readECVerified(grp, addr, buf)
 		}
 		m.locks.release(shared, r)
 		if len(bad) == 0 {
@@ -221,7 +228,7 @@ func (g *integrity) read(addr uint64, buf []byte) error {
 		lastErr = err
 		m.stats.readRepairs.Add(1)
 		m.emit("read.repair", "", fmt.Sprintf("%d corrupt block(s) at read time", len(bad)))
-		if rerr := g.repairBlocks(bad); rerr != nil && err != nil {
+		if rerr := m.repairBlocks(grp, bad); rerr != nil && err != nil {
 			return fmt.Errorf("%w (block repair: %v)", err, rerr)
 		}
 		if err == nil {
@@ -235,22 +242,22 @@ func (g *integrity) read(addr uint64, buf []byte) error {
 // verifies it, failing over to the next replica when a block is corrupt.
 // It returns every corrupt block observed (for post-read repair) even when
 // a later replica served the data cleanly. Caller holds expanded rlocks.
-func (g *integrity) readPlainVerified(addr uint64, buf []byte) ([]uint64, error) {
-	m := g.m
+func (m *Memory) readPlainVerified(grp *group, addr uint64, buf []byte) ([]uint64, error) {
+	g := grp.integ
 	firstB := addr / g.ibs
 	lastB := firstB
 	if len(buf) > 0 {
 		lastB = (addr + uint64(len(buf)) - 1) / g.ibs
 	}
 	spanStart := firstB * g.ibs
-	spanEnd := min64((lastB+1)*g.ibs, uint64(m.cfg.MemSize))
+	spanEnd := min64((lastB+1)*g.ibs, g.memSize)
 	scratch := buf
 	aligned := addr == spanStart && addr+uint64(len(buf)) == spanEnd
 	if !aligned {
 		scratch = make([]byte, spanEnd-spanStart)
 	}
 
-	live := m.nodesInState(nodeLive)
+	live := grp.nodesInState(nodeLive)
 	if len(live) == 0 {
 		return nil, fmt.Errorf("%w: no live memory nodes", ErrNoQuorum)
 	}
@@ -258,12 +265,13 @@ func (g *integrity) readPlainVerified(addr uint64, buf []byte) ([]uint64, error)
 	start := int(m.readRR.Add(1))
 	for k := 0; k < len(live); k++ {
 		i := live[(start+k)%len(live)]
-		c, err := m.conn(i)
+		mb := grp.members[i]
+		c, err := m.conn(mb)
 		if err == nil {
-			err = c.Read(replRegion, m.physMain(spanStart), scratch)
+			err = c.Read(replRegion, grp.physMain(spanStart), scratch)
 		}
 		if err != nil {
-			m.noteConnError(i, c, err)
+			m.noteConnError(mb, c, err)
 			if e := m.checkOpen(); e != nil {
 				return blockSet(badSet), e
 			}
@@ -277,7 +285,7 @@ func (g *integrity) readPlainVerified(addr uint64, buf []byte) ([]uint64, error)
 			}
 			return blockSet(badSet), nil
 		}
-		m.noteCorruption(i, len(nodeBad))
+		m.noteCorruption(mb, len(nodeBad))
 		for _, b := range nodeBad {
 			badSet[b] = struct{}{}
 		}
@@ -289,9 +297,9 @@ func (g *integrity) readPlainVerified(addr uint64, buf []byte) ([]uint64, error)
 // verification, falling back from the single-chunk fast path to block
 // reconstruction when the owner's chunk is corrupt. Caller holds expanded
 // rlocks.
-func (g *integrity) readECVerified(addr uint64, buf []byte) ([]uint64, error) {
-	m := g.m
-	C := uint64(m.chunk)
+func (m *Memory) readECVerified(grp *group, addr uint64, buf []byte) ([]uint64, error) {
+	g := grp.integ
+	C := uint64(grp.chunk)
 	B := uint64(m.cfg.ECBlockSize)
 	var bad []uint64
 
@@ -303,27 +311,27 @@ func (g *integrity) readECVerified(addr uint64, buf []byte) ([]uint64, error) {
 		within := addr % B
 		j := int(within / C)
 		endWithin := within + uint64(len(buf)) - 1
-		if int(endWithin/C) == j && m.state[j].Load() == nodeLive {
-			c, err := m.conn(j)
+		if mb := grp.members[j]; int(endWithin/C) == j && mb.state.Load() == nodeLive {
+			c, err := m.conn(mb)
 			if err == nil {
-				cp := m.chunkPool.Get().(*[]byte)
+				cp := grp.chunkPool.Get().(*[]byte)
 				chunk := *cp
 				if err = c.Read(replRegion, g.physOff(b), chunk); err == nil {
 					m.stats.remoteReads.Add(1)
 					if crcBlock(chunk) == g.sum(j, b) {
 						copy(buf, chunk[within%C:])
-						m.chunkPool.Put(cp)
+						grp.chunkPool.Put(cp)
 						return nil, nil
 					}
 					// Corrupt owner: treat exactly like a dead-node read and
 					// reconstruct below.
-					m.noteCorruption(j, 1)
+					m.noteCorruption(mb, 1)
 					bad = append(bad, b)
 				}
-				m.chunkPool.Put(cp)
+				grp.chunkPool.Put(cp)
 			}
 			if err != nil {
-				m.noteConnError(j, c, err)
+				m.noteConnError(mb, c, err)
 				if e := m.checkOpen(); e != nil {
 					return bad, e
 				}
@@ -333,8 +341,8 @@ func (g *integrity) readECVerified(addr uint64, buf []byte) ([]uint64, error) {
 
 	// General path: reconstruct each affected block — whole-block spans
 	// straight into the caller's buffer, partial edges via scratch.
-	sc := m.getECScratch()
-	defer m.putECScratch(sc)
+	sc := m.getECScratch(grp)
+	defer grp.ecPool.Put(sc)
 	first := addr / B
 	last := first
 	if len(buf) > 0 {
@@ -349,7 +357,7 @@ func (g *integrity) readECVerified(addr uint64, buf []byte) ([]uint64, error) {
 		if whole {
 			target = buf[lo-addr : hi-addr]
 		}
-		corrupt, err := m.readBlockECInto(sc, b, target)
+		corrupt, err := m.readBlockECInto(grp, sc, b, target)
 		if len(corrupt) > 0 {
 			bad = append(bad, b)
 		}
@@ -377,19 +385,19 @@ func blockSet(s map[uint64]struct{}) []uint64 {
 
 // repairBlocks rewrites damaged replicas of the given blocks under write
 // locks. It is called with no locks held.
-func (g *integrity) repairBlocks(blocks []uint64) error {
+func (m *Memory) repairBlocks(grp *group, blocks []uint64) error {
 	var firstErr error
 	for _, b := range blocks {
-		start, length := g.blockRange(b)
+		start, length := grp.integ.blockRange(b)
 		r := lockRange{addr: start, size: length}
-		g.m.locks.acquire(exclusive, r)
+		m.locks.acquire(exclusive, r)
 		var err error
-		if g.m.code == nil {
-			_, _, err = g.repairPlainBlockLocked(b)
+		if grp.code == nil {
+			_, _, err = m.repairPlainBlockLocked(grp, b)
 		} else {
-			_, err = g.repairECBlockLocked(b)
+			_, err = m.repairECBlockLocked(grp, b)
 		}
-		g.m.locks.release(exclusive, r)
+		m.locks.release(exclusive, r)
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("block %d: %w", b, err)
 		}
@@ -404,12 +412,13 @@ func (g *integrity) repairBlocks(blocks []uint64) error {
 // strip at takeover — a strict majority of agreeing replicas is adopted and
 // the cache and strips are corrected instead. Caller holds the block's
 // write lock. Returns the canonical content.
-func (g *integrity) repairPlainBlockLocked(b uint64) ([]byte, int, error) {
-	m := g.m
+func (m *Memory) repairPlainBlockLocked(grp *group, b uint64) ([]byte, int, error) {
+	g := grp.integ
 	length := g.physLen(b)
 	copies := make(map[int][]byte)
-	for _, i := range m.nodesInState(nodeLive) {
-		c, err := m.conn(i)
+	for _, i := range grp.nodesInState(nodeLive) {
+		mb := grp.members[i]
+		c, err := m.conn(mb)
 		if err == nil {
 			data := make([]byte, length)
 			if err = c.Read(replRegion, g.physOff(b), data); err == nil {
@@ -417,7 +426,7 @@ func (g *integrity) repairPlainBlockLocked(b uint64) ([]byte, int, error) {
 				continue
 			}
 		}
-		m.noteConnError(i, c, err)
+		m.noteConnError(mb, c, err)
 		if e := m.checkOpen(); e != nil {
 			return nil, 0, e
 		}
@@ -429,7 +438,7 @@ func (g *integrity) repairPlainBlockLocked(b uint64) ([]byte, int, error) {
 	want := g.sum(0, b)
 	var canonical []byte
 	fixStrip := false
-	for i := range m.nodes {
+	for i := range grp.members {
 		data, ok := copies[i]
 		if ok && crcBlock(data) == want {
 			canonical = data
@@ -441,7 +450,7 @@ func (g *integrity) repairPlainBlockLocked(b uint64) ([]byte, int, error) {
 		// byte-identical replicas: corruption is independent per node, so
 		// agreement means the cache (not the data) was wrong.
 		best, total := 0, 0
-		for i := range m.nodes {
+		for i := range grp.members {
 			data, ok := copies[i]
 			if !ok {
 				continue
@@ -467,7 +476,7 @@ func (g *integrity) repairPlainBlockLocked(b uint64) ([]byte, int, error) {
 
 	entry := stripEntry(want)
 	repaired := 0
-	for i := range m.nodes {
+	for i, mb := range grp.members {
 		data, ok := copies[i]
 		if !ok {
 			continue
@@ -476,7 +485,7 @@ func (g *integrity) repairPlainBlockLocked(b uint64) ([]byte, int, error) {
 		if !deviant && !fixStrip {
 			continue
 		}
-		c, err := m.conn(i)
+		c, err := m.conn(mb)
 		if err == nil {
 			if deviant {
 				err = c.Write(replRegion, g.physOff(b), canonical)
@@ -486,7 +495,7 @@ func (g *integrity) repairPlainBlockLocked(b uint64) ([]byte, int, error) {
 			}
 		}
 		if err != nil {
-			m.noteConnError(i, c, err)
+			m.noteConnError(mb, c, err)
 			continue
 		}
 		if deviant {
@@ -501,16 +510,17 @@ func (g *integrity) repairPlainBlockLocked(b uint64) ([]byte, int, error) {
 // the block from the chunks that verify, re-encodes it, and rewrites every
 // deviant chunk (and strip entry) in place. Caller holds the block's write
 // lock.
-func (g *integrity) repairECBlockLocked(b uint64) (int, error) {
-	m := g.m
-	k := m.code.K()
-	stored := make([][]byte, len(m.nodes))
-	verified := make([][]byte, len(m.nodes))
+func (m *Memory) repairECBlockLocked(grp *group, b uint64) (int, error) {
+	g := grp.integ
+	k := grp.code.K()
+	stored := make([][]byte, len(grp.members))
+	verified := make([][]byte, len(grp.members))
 	good := 0
-	for _, j := range m.nodesInState(nodeLive) {
-		c, err := m.conn(j)
+	for _, j := range grp.nodesInState(nodeLive) {
+		mb := grp.members[j]
+		c, err := m.conn(mb)
 		if err == nil {
-			chunk := make([]byte, m.chunk)
+			chunk := make([]byte, grp.chunk)
 			if err = c.Read(replRegion, g.physOff(b), chunk); err == nil {
 				stored[j] = chunk
 				if crcBlock(chunk) == g.sum(j, b) {
@@ -520,7 +530,7 @@ func (g *integrity) repairECBlockLocked(b uint64) (int, error) {
 				continue
 			}
 		}
-		m.noteConnError(j, c, err)
+		m.noteConnError(mb, c, err)
 		if e := m.checkOpen(); e != nil {
 			return 0, e
 		}
@@ -528,16 +538,16 @@ func (g *integrity) repairECBlockLocked(b uint64) (int, error) {
 	if good < k {
 		return 0, fmt.Errorf("%w: EC block %d has %d verified chunks, need %d", ErrCorrupt, b, good, k)
 	}
-	block, err := m.code.Decode(verified)
+	block, err := grp.code.Decode(verified)
 	if err != nil {
 		return 0, err
 	}
-	enc, err := m.code.Encode(block)
+	enc, err := grp.code.Encode(block)
 	if err != nil {
 		return 0, err
 	}
 	repaired := 0
-	for j := range m.nodes {
+	for j, mb := range grp.members {
 		if stored[j] == nil {
 			continue
 		}
@@ -548,7 +558,7 @@ func (g *integrity) repairECBlockLocked(b uint64) (int, error) {
 			continue
 		}
 		g.setSum(j, b, sum)
-		c, err := m.conn(j)
+		c, err := m.conn(mb)
 		if err == nil {
 			if deviant {
 				err = c.Write(replRegion, g.physOff(b), enc[j])
@@ -558,7 +568,7 @@ func (g *integrity) repairECBlockLocked(b uint64) (int, error) {
 			}
 		}
 		if err != nil {
-			m.noteConnError(j, c, err)
+			m.noteConnError(mb, c, err)
 			continue
 		}
 		if deviant {
@@ -573,13 +583,14 @@ func (g *integrity) repairECBlockLocked(b uint64) (int, error) {
 // replica. It returns an error wrapping ErrCorrupt when every live replica
 // fails verification, and performs no writes, so it is safe under a read
 // lock.
-func (g *integrity) readPlainBlockNoRepair(b uint64) ([]byte, error) {
-	m := g.m
+func (m *Memory) readPlainBlockNoRepair(grp *group, b uint64) ([]byte, error) {
+	g := grp.integ
 	length := g.physLen(b)
 	want := g.sum(0, b)
 	var bad int
-	for _, i := range m.nodesInState(nodeLive) {
-		c, err := m.conn(i)
+	for _, i := range grp.nodesInState(nodeLive) {
+		mb := grp.members[i]
+		c, err := m.conn(mb)
 		if err == nil {
 			data := make([]byte, length)
 			if err = c.Read(replRegion, g.physOff(b), data); err == nil {
@@ -587,11 +598,11 @@ func (g *integrity) readPlainBlockNoRepair(b uint64) ([]byte, error) {
 					return data, nil
 				}
 				bad++
-				m.noteCorruption(i, 1)
+				m.noteCorruption(mb, 1)
 				continue
 			}
 		}
-		m.noteConnError(i, c, err)
+		m.noteConnError(mb, c, err)
 		if e := m.checkOpen(); e != nil {
 			return nil, e
 		}
@@ -605,11 +616,11 @@ func (g *integrity) readPlainBlockNoRepair(b uint64) ([]byte, error) {
 // readPlainBlockLocked returns block b's verified content for a
 // read-modify-write under an already-held write lock, repairing in place
 // when no replica verifies.
-func (g *integrity) readPlainBlockLocked(b uint64) ([]byte, error) {
-	blk, err := g.readPlainBlockNoRepair(b)
+func (m *Memory) readPlainBlockLocked(grp *group, b uint64) ([]byte, error) {
+	blk, err := m.readPlainBlockNoRepair(grp, b)
 	if err == nil || !errors.Is(err, ErrCorrupt) {
 		return blk, err
 	}
-	canonical, _, rerr := g.repairPlainBlockLocked(b)
+	canonical, _, rerr := m.repairPlainBlockLocked(grp, b)
 	return canonical, rerr
 }

@@ -82,7 +82,7 @@ func TestECFastPathCorruptChunkReconstructs(t *testing.T) {
 
 	// Corrupt the stored chunk on node 0 — the owner of the first chunk of
 	// every block, and therefore the fast-path target for this read.
-	e.corruptByte(t, e.names[0], layout.MainBase()+block*uint64(m.chunk)+17)
+	e.corruptByte(t, e.names[0], layout.MainBase()+block*uint64(m.grp.Load().chunk)+17)
 
 	buf := make([]byte, 100)
 	if err := m.Read(block*B, buf); err != nil {

@@ -322,8 +322,8 @@ func TestDirectWriteNeighbourSlotsDoNotSerialize(t *testing.T) {
 	// seen submitted to m2 before the next starts, so that m2's worker never
 	// finds two of them queued and sends them as one flight, which would tie
 	// their completions together.
-	openSlot1, sentSlot1 := gates.hold(m.physDirect(1 * slotSize))
-	openSlot2, sentSlot2 := gates.hold(m.physDirect(2 * slotSize))
+	openSlot1, sentSlot1 := gates.hold(m.grp.Load().physDirect(1 * slotSize))
+	openSlot2, sentSlot2 := gates.hold(m.grp.Load().physDirect(2 * slotSize))
 	write := func(slot int) (returned, released chan struct{}) {
 		returned, released = make(chan struct{}), make(chan struct{})
 		go func() {

@@ -25,36 +25,39 @@ type membership struct {
 	version uint16
 }
 
-// publishMembership writes the current live-node bitmap, tagged with this
-// group's config epoch and this coordinator's term, to every live node.
+// publishMembership writes the current group's live-node bitmap, tagged
+// with its config epoch and this coordinator's term, to every live node.
 // Best effort for progress — if the group has lost its quorum the write set
 // shrinks accordingly and progress stops elsewhere anyway — but failures
 // are counted and surfaced (Stats.MembershipPublishErrors, a
 // "membership.publish-error" event) so a wedged admin region is visible
 // before a failover trips over it.
-func (m *Memory) publishMembership() {
+func (m *Memory) publishMembership() { m.publishMembershipOf(m.grp.Load()) }
+
+// publishMembershipOf publishes group g's record. A Reconfigure seeds the
+// incoming group's record this way before the group is current; a
+// publication of a group a cutover has since superseded stops, so that it
+// cannot overwrite the newer epoch's record.
+func (m *Memory) publishMembershipOf(g *group) {
 	if m.closed.Load() || m.fenced.Load() {
 		return
 	}
-	m.member.mu.Lock()
-	m.member.version++
-	version := m.member.version
-	var bitmap uint32
-	for i := range m.nodes {
-		if m.state[i].Load() == nodeLive {
-			bitmap |= 1 << uint(i)
-		}
-	}
-	w0, w1 := memnode.PackMembership(m.epoch.Load(), m.cfg.Term, version, bitmap)
-	m.member.mu.Unlock()
+	m.membership.mu.Lock()
+	m.membership.version++
+	w0, w1 := memnode.PackMembership(g.epoch, m.cfg.Term, m.membership.version, g.liveBitmap())
+	m.membership.mu.Unlock()
 
 	// One 16-byte write so the record can't tear across two operations
 	// (the complement check in UnpackMembership catches torn media too).
 	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[:8], w0)
 	binary.LittleEndian.PutUint64(buf[8:], w1)
-	for _, i := range m.nodesInState(nodeLive) {
-		c, err := m.conn(i)
+	for _, i := range g.nodesInState(nodeLive) {
+		if m.grp.Load().epoch > g.epoch {
+			return
+		}
+		mb := g.members[i]
+		c, err := m.conn(mb)
 		if err == nil {
 			err = c.Write(memnode.AdminRegionID, memnode.AdminMembershipOffset, buf[:])
 		}
@@ -62,7 +65,7 @@ func (m *Memory) publishMembership() {
 			// Do not recurse into nodeFailed (which would republish); the
 			// next operation against this node will detect the failure.
 			m.stats.membershipPublishErrors.Add(1)
-			m.emit("membership.publish-error", m.nodeName(i), err.Error())
+			m.emit("membership.publish-error", mb.name, err.Error())
 			continue
 		}
 	}
@@ -79,10 +82,11 @@ func (m *Memory) PublishServing() {
 	if m.closed.Load() || m.fenced.Load() {
 		return
 	}
+	g := m.grp.Load()
 	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], memnode.PackServing(m.epoch.Load(), m.cfg.Term))
-	for _, i := range m.nodesInState(nodeLive) {
-		c, err := m.conn(i)
+	binary.LittleEndian.PutUint64(buf[:], memnode.PackServing(g.epoch, m.cfg.Term))
+	for _, i := range g.nodesInState(nodeLive) {
+		c, err := m.conn(g.members[i])
 		if err == nil {
 			err = c.Write(memnode.AdminRegionID, memnode.AdminServingOffset, buf[:])
 		}

@@ -29,7 +29,22 @@ func (m *Memory) Read(addr uint64, buf []byte) error {
 		defer func() { h.Read.Record(time.Since(start)) }()
 	}
 	// Verified read with transparent read-repair; takes its own locks.
-	return m.integ.read(addr, buf)
+	return m.retryOnCurrent(func(g *group) error { return m.readVerified(g, addr, buf) })
+}
+
+// retryOnCurrent runs a read against the current group and, when it fails
+// after a Reconfigure replaced that group, once more against the new one. A
+// read does not hold the write gate, so it can outlive its group; the
+// members the cutover removed had their connections closed before the gate
+// opened, so the first attempt either read what they held before any
+// post-cutover write or failed on them.
+func (m *Memory) retryOnCurrent(read func(*group) error) error {
+	g := m.grp.Load()
+	err := read(g)
+	if cur := m.grp.Load(); err != nil && cur != g && m.checkOpen() == nil {
+		err = read(cur)
+	}
+	return err
 }
 
 // ecScratch is the pooled scratch of an EC block read: a block buffer for
@@ -42,30 +57,28 @@ type ecScratch struct {
 	rparity []byte   // m×chunk read parity backing
 }
 
-// getECScratch takes an EC scratch from the pool, constructing it on first
-// use. Only valid when erasure coding is enabled.
-func (m *Memory) getECScratch() *ecScratch {
-	if v := m.ecPool.Get(); v != nil {
+// getECScratch takes an EC scratch from g's pool, constructing it on first
+// use; return it with g.ecPool.Put. Only valid when g is erasure coded.
+func (m *Memory) getECScratch(g *group) *ecScratch {
+	if v := g.ecPool.Get(); v != nil {
 		return v.(*ecScratch)
 	}
 	return &ecScratch{
 		block:   make([]byte, m.cfg.ECBlockSize),
-		rchunks: make([][]byte, len(m.nodes)),
-		rparity: make([]byte, m.code.M()*m.chunk),
+		rchunks: make([][]byte, len(g.members)),
+		rparity: make([]byte, g.code.M()*g.chunk),
 	}
 }
-
-func (m *Memory) putECScratch(sc *ecScratch) { m.ecPool.Put(sc) }
 
 // readBlockEC fetches any k chunks of EC block b from live nodes (data
 // chunks first) and reconstructs the block into a fresh buffer. A chunk that
 // fails its checksum is skipped like a dead node; the second return value
 // lists the nodes whose chunks were corrupt.
-func (m *Memory) readBlockEC(b uint64) ([]byte, []int, error) {
-	sc := m.getECScratch()
-	defer m.putECScratch(sc)
+func (m *Memory) readBlockEC(g *group, b uint64) ([]byte, []int, error) {
+	sc := m.getECScratch(g)
+	defer g.ecPool.Put(sc)
 	block := make([]byte, m.cfg.ECBlockSize)
-	corrupt, err := m.readBlockECInto(sc, b, block)
+	corrupt, err := m.readBlockECInto(g, sc, b, block)
 	if err != nil {
 		return nil, corrupt, err
 	}
@@ -79,11 +92,11 @@ func (m *Memory) readBlockEC(b uint64) ([]byte, []int, error) {
 // the missing data rows. A chunk that fails its CRC or its read leaves
 // garbage in its block range, but its nil entry in the chunk set forces
 // DecodeInto to overwrite that range from the survivors.
-func (m *Memory) readBlockECInto(sc *ecScratch, b uint64, block []byte) ([]int, error) {
-	n := len(m.nodes)
-	k := m.code.K()
-	C := m.chunk
-	phys := m.layout.MainBase() + b*uint64(C)
+func (m *Memory) readBlockECInto(g *group, sc *ecScratch, b uint64, block []byte) ([]int, error) {
+	n := len(g.members)
+	k := g.code.K()
+	C := g.chunk
+	phys := g.layout.MainBase() + b*uint64(C)
 	chunks := sc.rchunks
 	for j := range chunks {
 		chunks[j] = nil
@@ -92,7 +105,8 @@ func (m *Memory) readBlockECInto(sc *ecScratch, b uint64, block []byte) ([]int, 
 	got := 0
 	decodedNeeded := false
 	for j := 0; j < n && got < k; j++ {
-		if m.state[j].Load() != nodeLive {
+		mb := g.members[j]
+		if mb.state.Load() != nodeLive {
 			if j < k {
 				decodedNeeded = true
 			}
@@ -104,12 +118,12 @@ func (m *Memory) readBlockECInto(sc *ecScratch, b uint64, block []byte) ([]int, 
 		} else {
 			target = sc.rparity[(j-k)*C : (j-k+1)*C]
 		}
-		c, err := m.conn(j)
+		c, err := m.conn(mb)
 		if err == nil {
 			if err = c.Read(replRegion, phys, target); err == nil {
 				m.stats.remoteReads.Add(1)
-				if crcBlock(target) != m.integ.sum(j, b) {
-					m.noteCorruption(j, 1)
+				if crcBlock(target) != g.integ.sum(j, b) {
+					m.noteCorruption(mb, 1)
 					corrupt = append(corrupt, j)
 					if j < k {
 						decodedNeeded = true
@@ -121,7 +135,7 @@ func (m *Memory) readBlockECInto(sc *ecScratch, b uint64, block []byte) ([]int, 
 				continue
 			}
 		}
-		m.noteConnError(j, c, err)
+		m.noteConnError(mb, c, err)
 		if e := m.checkOpen(); e != nil {
 			return corrupt, e
 		}
@@ -135,7 +149,7 @@ func (m *Memory) readBlockECInto(sc *ecScratch, b uint64, block []byte) ([]int, 
 	if decodedNeeded {
 		m.stats.decodedReads.Add(1)
 	}
-	return corrupt, m.code.DecodeInto(block, chunks)
+	return corrupt, g.code.DecodeInto(block, chunks)
 }
 
 // DirectRead serves a direct-space read from one live node.
@@ -149,19 +163,25 @@ func (m *Memory) DirectRead(addr uint64, buf []byte) error {
 	r := lockRange{addr: addr, size: len(buf)}
 	m.directLocks.acquire(shared, r)
 	defer m.directLocks.release(shared, r)
-	live := m.nodesInState(nodeLive)
+	return m.retryOnCurrent(func(g *group) error { return m.directRead(g, addr, buf) })
+}
+
+// directRead reads a direct-space range from one live member of g, failing
+// over member by member. The caller holds the range's shared lock.
+func (m *Memory) directRead(g *group, addr uint64, buf []byte) error {
+	live := g.nodesInState(nodeLive)
 	if len(live) == 0 {
 		return fmt.Errorf("%w: no live memory nodes", ErrNoQuorum)
 	}
 	start := int(m.readRR.Add(1))
 	for k := 0; k < len(live); k++ {
-		i := live[(start+k)%len(live)]
-		c, err := m.conn(i)
+		mb := g.members[live[(start+k)%len(live)]]
+		c, err := m.conn(mb)
 		if err == nil {
-			err = c.Read(replRegion, m.physDirect(addr), buf)
+			err = c.Read(replRegion, g.physDirect(addr), buf)
 		}
 		if err != nil {
-			m.noteConnError(i, c, err)
+			m.noteConnError(mb, c, err)
 			if e := m.checkOpen(); e != nil {
 				return e
 			}
@@ -189,7 +209,7 @@ func (m *Memory) DirectReadAll(spans ...Span) ([][]byte, error) {
 		return nil, err
 	}
 	if len(spans) == 0 {
-		return make([][]byte, len(m.nodes)), nil
+		return make([][]byte, len(m.grp.Load().members)), nil
 	}
 	lo, hi := spans[0].Addr, spans[0].Addr
 	for _, sp := range spans {
@@ -203,18 +223,25 @@ func (m *Memory) DirectReadAll(spans ...Span) ([][]byte, error) {
 	r := lockRange{addr: lo, size: int(hi - lo)}
 	m.directLocks.acquire(shared, r)
 	defer m.directLocks.release(shared, r)
-	out := m.readReplicas(m.layout.DirectBase(), spans...)
-	if e := m.checkOpen(); e != nil {
-		return nil, e
-	}
-	got := 0
-	for _, row := range out {
-		if row != nil {
-			got++
+	var out [][]byte
+	err := m.retryOnCurrent(func(g *group) error {
+		out = m.readReplicas(g, g.layout.DirectBase(), spans...)
+		if e := m.checkOpen(); e != nil {
+			return e
 		}
-	}
-	if got < m.Majority() {
-		return nil, fmt.Errorf("%w: %d of %d copies readable", ErrNoQuorum, got, len(m.nodes))
+		got := 0
+		for _, row := range out {
+			if row != nil {
+				got++
+			}
+		}
+		if got < g.majority() {
+			return fmt.Errorf("%w: %d of %d copies readable", ErrNoQuorum, got, len(g.members))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -13,24 +14,20 @@ import (
 	"github.com/repro/sift/internal/rdma"
 )
 
-// Online reconfiguration: the group's member set can change while it serves
-// traffic. Two operations exist:
+// Online reconfiguration: the group's member set and erasure geometry can
+// change while it serves traffic. Reconfigure moves the memory to a target
+// configuration — a replacement is a target with one name swapped, an add or
+// remove a plain target one longer or shorter, a restripe a new geometry —
+// and cuts over in place: the Memory, and whatever serves above it, carries
+// on over the new group.
 //
-//   - ReplaceNode swaps one member for a fresh machine in place, keeping the
-//     group size and data geometry.
+// Reconfigure, and the rebuild of a dead member (rebuildSlot), bring their
+// joining machines up to date the same way: catchUp sweeps the whole space to
+// them under traffic while dirty trackers record what writers change behind
+// the sweep, then re-copies those ranges and runs the caller's cutover under
+// the write gate.
 //
-//   - Restripe moves the group to a different member set and/or erasure
-//     geometry (node count, Fm), commits the new config epoch, and closes
-//     this Memory with ErrReconfigured so the owner rebuilds against the new
-//     set.
-//
-// Both, and the rebuild of a dead member (rebuildSlot), bring their joining
-// machines up to date the same way: catchUp sweeps the whole space to them
-// under traffic while dirty trackers record what writers change behind the
-// sweep, then re-copies those ranges and runs the caller's cutover under the
-// write gate.
-//
-// Replacement and restripe commit by advancing the config-epoch word
+// A reconfiguration commits by advancing the config-epoch word
 // (memnode.AdminEpochOffset) after planting the new configuration descriptor
 // on both the outgoing and incoming member sets — a discoverer holding any
 // one node can chase to the authoritative configuration. Removed nodes are
@@ -120,13 +117,6 @@ func (m *Memory) noteDirtyDirect(addr uint64, size int) {
 	}
 }
 
-// closeReconfigured closes the memory marking ErrReconfigured as the cause:
-// the member set this handle serves is no longer authoritative.
-func (m *Memory) closeReconfigured() {
-	m.reconfigured.Store(true)
-	m.Close()
-}
-
 // initJoiningNode prepares a freshly dialed node for state transfer: clear
 // any retired tombstone from a previous membership and mark it unpopulated
 // (a half-copied node must never be trusted by a successor).
@@ -140,11 +130,9 @@ func initJoiningNode(c rdma.Verbs) error {
 
 // cfgTarget is one node participating in a config-epoch commit.
 type cfgTarget struct {
-	name     string
-	conn     rdma.Verbs
-	inOld    bool // member of the outgoing configuration
-	inNew    bool // member of the incoming configuration
-	retained bool // carries the old epoch word (advance by CAS, not blind write)
+	conn  rdma.Verbs
+	inOld bool // member of the outgoing configuration: carries the old epoch word
+	inNew bool // member of the incoming configuration
 }
 
 // commitDescriptor plants rec's encoded descriptor on every target and
@@ -180,9 +168,9 @@ func commitDescriptor(rec memnode.ConfigRecord, oldN, newN int, targets []cfgTar
 }
 
 // advanceEpochWords moves every target's config-epoch word to rec's
-// (epoch, term). Retained nodes advance by CAS from their observed word so
-// a racing newer configuration can never be regressed; fresh nodes (whose
-// exclusive region we hold) and outgoing-only nodes are written directly.
+// (epoch, term). Outgoing-set nodes advance by CAS from their observed word
+// so a racing newer configuration can never be regressed; joining nodes
+// (whose exclusive region we hold) are written directly.
 // The commit point of the reconfiguration is the first successful advance
 // on an incoming-set node; success requires a majority of the incoming set.
 func advanceEpochWords(rec memnode.ConfigRecord, newN int, targets []cfgTarget) error {
@@ -193,7 +181,7 @@ func advanceEpochWords(rec memnode.ConfigRecord, newN int, targets []cfgTarget) 
 			continue
 		}
 		ok := false
-		if !t.retained {
+		if !t.inOld {
 			var buf [8]byte
 			binary.LittleEndian.PutUint64(buf[:], want)
 			ok = t.conn.Write(memnode.AdminRegionID, memnode.AdminEpochOffset, buf[:]) == nil
@@ -223,17 +211,6 @@ func advanceEpochWords(rec memnode.ConfigRecord, newN int, targets []cfgTarget) 
 			ErrNoQuorum, rec.Epoch, newOK, newN)
 	}
 	return nil
-}
-
-// writeMembershipTo plants a membership record for the given epoch on one
-// node, bypassing the publisher (used at cutover, before the new epoch's
-// Memory exists to publish for itself).
-func writeMembershipTo(c rdma.Verbs, epoch uint32, term, version uint16, bitmap uint32) error {
-	w0, w1 := memnode.PackMembership(epoch, term, version, bitmap)
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], w0)
-	binary.LittleEndian.PutUint64(buf[8:], w1)
-	return c.Write(memnode.AdminRegionID, memnode.AdminMembershipOffset, buf[:])
 }
 
 // retireNode stamps a removed node with the epoch that removed it, clears
@@ -266,342 +243,211 @@ func (m *Memory) retireNode(name string, epoch uint32) {
 	m.emit("reconfig.retired", name, fmt.Sprintf("epoch %d", epoch))
 }
 
-// ReplaceNode swaps group member oldName for the fresh machine newName,
-// preserving the group size, data geometry, and — crucially under erasure
-// coding — the slot's chunk index. The epoch advances by one; the memory
-// keeps serving throughout (writers see added latency only during the brief
-// gated cutover).
+// Target is a configuration Reconfigure moves the memory to. The logical
+// memory size, the direct-zone size and the EC block size — which the
+// application layers derive their block layout from — stay the current
+// ones.
+type Target struct {
+	// Members is the incoming member list (order fixes chunk indexes).
+	Members []string
+	// ECData and ECParity are the incoming erasure geometry. They must be
+	// zero iff the current configuration is plain-replicated: an online
+	// reconfiguration cannot change the logical block alignment the
+	// application layers were built over.
+	ECData, ECParity int
+}
+
+// Reconfigure moves the memory to target t while it serves traffic, and
+// advances the config epoch by one. A member of the current group is
+// retained without a copy when the target names it and — under erasure
+// coding — keeps its chunk index under an unchanged code; it carries its
+// connection and health record into the new group, so a dead member stays
+// dead there and is rebuilt. Every other target member joins: it must be a
+// machine outside the current group, and catchUp fills it in the target
+// geometry. A current member the target names at another chunk index, or
+// under another code, is refused: rewriting it in place would corrupt the
+// outgoing configuration's state if the cutover never committed.
 //
-// The outgoing node may be live, gray or dead: the joining node is caught up
-// from the surviving members either way, and only then, under the write
-// gate, are the descriptor and epoch committed and the slot swapped. A
-// failed copy therefore leaves no committed epoch behind. A dead slot comes
-// alive at the swap, which counts as a recovery.
-func (m *Memory) ReplaceNode(oldName, newName string) error {
+// The cutover runs under the write gate: the joiners are marked populated,
+// the descriptor and epoch committed, the new epoch's membership record
+// seeded, the exclusion clock stamped, the group swapped and the removed
+// members' connections closed — all before any write can start. A failed
+// copy leaves the configuration as it was. An epoch advance that reaches
+// some incoming nodes but not a majority leaves the committed configuration
+// ambiguous: the memory fences itself (Config.OnFenced) and its owner stands
+// down, leaving a successor to discover whichever configuration committed.
+func (m *Memory) Reconfigure(t Target) error {
 	m.reconfigMu.Lock()
 	defer m.reconfigMu.Unlock()
 	if err := m.checkOpen(); err != nil {
 		return err
 	}
-	slot := -1
-	for j := range m.nodes {
-		switch m.nodeName(j) {
-		case oldName:
-			slot = j
-		case newName:
-			return fmt.Errorf("repmem: %q is already a group member", newName)
-		}
-	}
-	if slot < 0 {
-		return fmt.Errorf("repmem: unknown memory node %q", oldName)
-	}
-	next := m.epoch.Load() + 1
-
-	c, err := m.cfg.Dial(newName)
+	cur := m.grp.Load()
+	next, removed, err := m.plan(cur, t)
 	if err != nil {
-		return fmt.Errorf("repmem: dial joining node %s: %w", newName, err)
+		return err
 	}
-	if err := initJoiningNode(c); err != nil {
-		c.Close()
-		return fmt.Errorf("repmem: init joining node %s: %w", newName, err)
+	dst := make([]rdma.Verbs, len(next.members))
+	var joiners []*member
+	closeJoiners := func() {
+		for _, mb := range joiners {
+			mb.conn.Load().v.Close()
+		}
+	}
+	for j, mb := range next.members {
+		if slices.Contains(cur.members, mb) {
+			continue
+		}
+		c, err := m.cfg.Dial(mb.name)
+		if err == nil {
+			if err = initJoiningNode(c); err != nil {
+				c.Close()
+			}
+		}
+		if err != nil {
+			closeJoiners()
+			return fmt.Errorf("repmem: init joining node %s: %w", mb.name, err)
+		}
+		mb.conn.Store(&connBox{v: c})
+		dst[j] = c
+		joiners = append(joiners, mb)
 	}
 
-	dst := make([]rdma.Verbs, len(m.nodes))
-	dst[slot] = c
+	rec := m.record(next)
 	var gate string
-	err = m.catchUp(dst, m.code, m.chunk, m.layout, func(cost gateCost) error {
-		if err := writePopulated(c, memnode.MarkerPopulated); err != nil {
-			return fmt.Errorf("repmem: mark %s populated: %w", newName, err)
+	err = m.catchUp(cur, dst, next, func(cost gateCost) error {
+		// Every joiner is now up to date: mark it populated BEFORE the epoch
+		// advances, so a committed epoch always implies a usable incoming
+		// majority.
+		for _, mb := range joiners {
+			if err := writePopulated(mb.conn.Load().v, memnode.MarkerPopulated); err != nil {
+				return fmt.Errorf("repmem: mark %s populated: %w", mb.name, err)
+			}
 		}
-		rec := memnode.ConfigRecord{
-			Epoch: next, Term: m.cfg.Term,
-			ECData: m.cfg.ECData, ECParity: m.cfg.ECParity, ECBlockSize: m.cfg.ECBlockSize,
-			Members: m.newMembersWith(slot, newName),
+		var targets []cfgTarget
+		for _, i := range cur.nodesInState(nodeLive) {
+			mb := cur.members[i]
+			if c, err := m.conn(mb); err == nil {
+				targets = append(targets, cfgTarget{conn: c, inOld: true, inNew: slices.Contains(next.members, mb)})
+			}
 		}
-		n := len(m.nodes)
-		targets := m.replaceTargets(slot, c)
-		if err := commitDescriptor(rec, n, n, targets); err != nil {
+		for _, mb := range joiners {
+			targets = append(targets, cfgTarget{conn: mb.conn.Load().v, inNew: true})
+		}
+		if err := commitDescriptor(rec, len(cur.members), len(next.members), targets); err != nil {
 			return err
 		}
-		if err := advanceEpochWords(rec, n, targets); err != nil {
-			// Some incoming-set epoch words may already carry the new epoch:
-			// the outcome is ambiguous, so stop serving and let discovery
-			// converge on whichever configuration committed.
-			m.closeReconfigured()
+		if err := advanceEpochWords(rec, len(next.members), targets); err != nil {
+			// Some incoming-set epoch words may carry the new epoch already:
+			// stop serving and let a successor discover whichever
+			// configuration committed. Should it resolve to the new one after
+			// serving writes at the old, the joiners have missed them:
+			// unpopulated, they are rebuilt rather than read.
+			for _, mb := range joiners {
+				_ = writePopulated(mb.conn.Load().v, memnode.MarkerEmpty)
+			}
+			m.fence(fmt.Sprintf("config epoch %d ambiguous: %v", rec.Epoch, err))
 			return err
 		}
-		// The epoch first: the slot turning live publishes membership, which
-		// must be tagged with the epoch whose member list names the new
-		// machine.
-		m.epoch.Store(next)
-		m.swapSlot(slot, newName, c)
+		// The new epoch's membership record names the live members only, so
+		// a successor rebuilds a retained member that is dead here.
+		m.startWorkers(next)
+		m.publishMembershipOf(next)
+		// The outgoing set leaves the readable set this instant: start the
+		// exclusion clock so lease-based backup acks are held long enough for
+		// every ≤W-stale backup mask to expire (kv AckHold interplay).
+		m.MarkExclusion(time.Now())
+		m.grp.Store(next)
+		for _, mb := range removed {
+			mb.retire()
+		}
+		if m.closed.Load() {
+			m.closeGroup(next) // Close ran during the cutover, on the old group
+		}
 		gate = cost.String()
-		m.observe(slot, healthEvent{kind: evRebuildDone, detail: gate})
 		return nil
 	})
 	if err != nil {
-		c.Close()
-		return fmt.Errorf("repmem: replace %s with %s: %w", oldName, newName, err)
+		closeJoiners()
+		return fmt.Errorf("repmem: reconfigure to epoch %d: %w", rec.Epoch, err)
 	}
-
-	// The outgoing node leaves the readable set this instant: start the
-	// exclusion clock so lease-based backup acks are held long enough for
-	// every ≤W-stale backup mask to expire (kv AckHold interplay).
-	m.MarkExclusion(time.Now())
+	m.stopWorkers(cur)
+	// A joiner taking the index of a dead member it removed is that slot's
+	// recovery.
+	for j, mb := range cur.members {
+		if j < len(next.members) && slices.Contains(joiners, next.members[j]) && mb.state.Load() == nodeDead && mb.retired.Load() {
+			m.stats.nodeRecovered.Add(1)
+			m.emit("node.recovered", next.members[j].name, "replaced "+gate)
+		}
+	}
 	m.publishMembership()
 	m.PublishServing()
-	m.retireNode(oldName, next)
-	m.emit("reconfig.replaced", newName, fmt.Sprintf("replaced %s at epoch %d %s", oldName, next, gate))
+	for _, mb := range removed {
+		m.retireNode(mb.name, rec.Epoch)
+	}
+	if len(joiners) == 1 && len(removed) == 1 && len(next.members) == len(cur.members) && next.code == cur.code {
+		m.emit("reconfig.replaced", joiners[0].name, fmt.Sprintf("replaced %s at epoch %d %s", removed[0].name, rec.Epoch, gate))
+	} else {
+		m.emit("reconfig.restriped", "", fmt.Sprintf("epoch %d: %d members, k=%d m=%d %s", rec.Epoch, len(rec.Members), rec.ECData, rec.ECParity, gate))
+	}
 	return nil
 }
 
-// newMembersWith returns the member list with slot replaced by name.
-func (m *Memory) newMembersWith(slot int, name string) []string {
-	members := m.MemberNames()
-	members[slot] = name
-	return members
-}
-
-// replaceTargets builds the epoch-commit target list for a single-slot
-// replacement: every live current member (the outgoing node's conn
-// included, pre-swap) plus the joining node's fresh connection.
-func (m *Memory) replaceTargets(slot int, joining rdma.Verbs) []cfgTarget {
-	var targets []cfgTarget
-	for _, i := range m.nodesInState(nodeLive) {
-		ci, err := m.conn(i)
-		if err != nil {
-			continue
-		}
-		targets = append(targets, cfgTarget{
-			name: m.nodeName(i), conn: ci,
-			inOld: true, inNew: i != slot, retained: true,
-		})
-	}
-	targets = append(targets, cfgTarget{name: "joining", conn: joining, inNew: true})
-	return targets
-}
-
-// swapSlot installs conn c and name as slot's identity. The slot's health
-// record starts afresh: the new machine has nothing to do with its
-// predecessor's history. A slot that was not dead is live from here on.
-func (m *Memory) swapSlot(slot int, name string, c rdma.Verbs) {
-	h := &m.health[slot]
-	h.dialMu.Lock()
-	old := m.conns[slot].Swap(&connBox{v: c})
-	m.setNodeName(slot, name)
-	h.dialMu.Unlock()
-	if old != nil && old.v != c {
-		old.v.Close()
-	}
-	m.observe(slot, healthEvent{kind: evSlotSwapped})
-}
-
-// RestripeTarget describes the configuration Restripe moves the group to.
-// The logical memory size, direct-zone size, and — crucially,
-// because the kv layer derives its block layout from it — the EC block size
-// are inherited from the current configuration.
-type RestripeTarget struct {
-	// Members is the incoming member list (order fixes chunk indexes).
-	Members []string
-	// ECData and ECParity are the incoming erasure geometry. They must be
-	// zero iff the current configuration is plain-replicated: an online
-	// restripe cannot change the logical block alignment the application
-	// layers were built over.
-	ECData, ECParity int
-}
-
-// RestripeResult reports a committed restripe cutover.
-type RestripeResult struct {
-	// Record is the committed configuration descriptor (epoch, members,
-	// geometry) the owner should rebuild against.
-	Record memnode.ConfigRecord
-	// CutoverAt is when the outgoing member set stopped being
-	// authoritative; the rebuilt memory's exclusion clock must cover it.
-	CutoverAt time.Time
-}
-
-// Restripe moves the group to the target member set and erasure geometry
-// while serving traffic, then commits the new config epoch and closes this
-// Memory with ErrReconfigured (the owner rebuilds a Memory over
-// Record.Members). Plain-replication restripes keep common nodes without
-// copying (every plain node holds the identical full image); erasure-coded
-// restripes require an all-new target set — chunk layouts are geometry-
-// dependent, and rewriting a retained node in place would corrupt the
-// outgoing configuration's state if the coordinator died before the commit.
-func (m *Memory) Restripe(t RestripeTarget) (*RestripeResult, error) {
-	m.reconfigMu.Lock()
-	defer m.reconfigMu.Unlock()
-	if err := m.checkOpen(); err != nil {
-		return nil, err
-	}
-
-	tgtEC := t.ECData > 0 || t.ECParity > 0
-	if tgtEC != (m.code != nil) {
-		return nil, fmt.Errorf("repmem: online restripe cannot change between plain replication and erasure coding")
+// plan builds the group Reconfigure moves cur to — its workers not started —
+// and lists the current members the target removes.
+func (m *Memory) plan(cur *group, t Target) (*group, []*member, error) {
+	if (t.ECData > 0 || t.ECParity > 0) != (cur.code != nil) {
+		return nil, nil, errors.New("repmem: online reconfiguration cannot change between plain replication and erasure coding")
 	}
 	tcfg := m.cfg
 	tcfg.MemoryNodes = t.Members
 	tcfg.ECData, tcfg.ECParity = t.ECData, t.ECParity
 	if err := tcfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	tLayout := tcfg.Layout()
-
-	cur := m.MemberNames()
-	curSet := make(map[string]bool, len(cur))
-	for _, name := range cur {
-		curSet[name] = true
-	}
-	var fresh []string
-	retained := make(map[string]bool)
-	for _, name := range t.Members {
-		if curSet[name] {
-			retained[name] = true
-		} else {
-			fresh = append(fresh, name)
+	k, p := cur.ecGeometry()
+	sameCode := t.ECData == k && t.ECParity == p
+	code := cur.code
+	if !sameCode {
+		var err error
+		if code, err = erasure.New(t.ECData, t.ECParity); err != nil {
+			return nil, nil, err
 		}
 	}
-	if tgtEC && len(retained) > 0 {
-		return nil, fmt.Errorf("repmem: erasure-coded restripe requires an all-new target node set (retained: %v)", keys(retained))
-	}
-	if len(fresh) == 0 && len(t.Members) == len(cur) && t.ECData == m.cfg.ECData && t.ECParity == m.cfg.ECParity {
-		return nil, fmt.Errorf("repmem: target configuration equals current")
-	}
-	var removed []string
-	tgtSet := make(map[string]bool, len(t.Members))
-	for _, name := range t.Members {
-		tgtSet[name] = true
-	}
-	for _, name := range cur {
-		if !tgtSet[name] {
-			removed = append(removed, name)
-		}
-	}
-
-	var tCode *erasure.Code
-	tChunk := 0
-	if tgtEC {
-		code, err := erasure.New(t.ECData, t.ECParity)
-		if err != nil {
-			return nil, err
-		}
-		tCode = code
-		tChunk = m.cfg.ECBlockSize / t.ECData
-	}
-
-	next := m.epoch.Load() + 1
-	rec := memnode.ConfigRecord{
-		Epoch: next, Term: m.cfg.Term,
-		ECData: t.ECData, ECParity: t.ECParity, ECBlockSize: tcfg.ECBlockSize,
-		Members: append([]string(nil), t.Members...),
-	}
-
-	// Dial and initialize every fresh target.
-	freshConns := make(map[string]rdma.Verbs, len(fresh))
-	cleanup := func() {
-		for _, c := range freshConns {
-			c.Close()
-		}
-	}
-	for _, name := range fresh {
-		c, err := m.cfg.Dial(name)
-		if err == nil {
-			err = initJoiningNode(c)
-		}
-		if err != nil {
-			if c != nil {
-				c.Close()
-			}
-			cleanup()
-			return nil, fmt.Errorf("repmem: init restripe target %s: %w", name, err)
-		}
-		freshConns[name] = c
-	}
-	// sweepConns[j] is the connection for t.Members[j] needing data writes
-	// (nil for retained plain nodes, which already hold the full image).
-	sweepConns := make([]rdma.Verbs, len(t.Members))
+	members := make([]*member, len(t.Members))
+	joining := 0
 	for j, name := range t.Members {
-		sweepConns[j] = freshConns[name]
+		switch i := cur.index(name); {
+		case i < 0:
+			members[j] = newMember(name, int64(j)+1)
+			joining++
+		case cur.code == nil || i == j && sameCode:
+			members[j] = cur.members[i]
+		default:
+			return nil, nil, fmt.Errorf("repmem: erasure-coded member %s cannot move from chunk %d of k=%d m=%d to chunk %d of k=%d m=%d in place",
+				name, i, k, p, j, t.ECData, t.ECParity)
+		}
 	}
-
-	m.emit("reconfig.restripe-sweep", "", fmt.Sprintf("epoch %d: %d fresh targets", next, len(fresh)))
-	var cutoverAt time.Time
-	var gate string
-	err := m.catchUp(sweepConns, tCode, tChunk, tLayout, func(cost gateCost) error {
-		// Every incoming node is now byte-identical: mark fresh ones
-		// populated BEFORE the epoch advances, so a committed epoch always
-		// implies a usable incoming majority.
-		for name, c := range freshConns {
-			if err := writePopulated(c, memnode.MarkerPopulated); err != nil {
-				return fmt.Errorf("repmem: mark %s populated: %w", name, err)
-			}
+	var removed []*member
+	for _, mb := range cur.members {
+		if !slices.Contains(members, mb) {
+			removed = append(removed, mb)
 		}
-
-		// Commit: descriptor to majorities of both sets, then the epoch words.
-		var targets []cfgTarget
-		for _, i := range m.nodesInState(nodeLive) {
-			ci, err := m.conn(i)
-			if err != nil {
-				continue
-			}
-			name := m.nodeName(i)
-			targets = append(targets, cfgTarget{
-				name: name, conn: ci,
-				inOld: true, inNew: retained[name], retained: true,
-			})
-		}
-		for name, c := range freshConns {
-			targets = append(targets, cfgTarget{name: name, conn: c, inNew: true})
-		}
-		if err := commitDescriptor(rec, len(cur), len(t.Members), targets); err != nil {
-			return err
-		}
-		if err := advanceEpochWords(rec, len(t.Members), targets); err != nil {
-			m.closeReconfigured()
-			return err
-		}
-
-		// Seed the new epoch's membership record (every incoming node synced)
-		// so the rebuilt Memory's takeover hygiene trusts the full set.
-		bitmap := uint32(0)
-		for j := range t.Members {
-			bitmap |= 1 << uint(j)
-		}
-		for _, tg := range targets {
-			if tg.inNew {
-				_ = writeMembershipTo(tg.conn, next, m.cfg.Term, 1, bitmap)
-			}
-		}
-		// Closed before the gate opens: a writer it held wakes to
-		// ErrReconfigured instead of writing to the outgoing set.
-		m.closeReconfigured()
-		cutoverAt = time.Now()
-		gate = cost.String()
-		return nil
-	})
-	cleanup()
-	if err != nil {
-		return nil, err
 	}
-	for _, name := range removed {
-		m.retireNode(name, next)
+	if joining == 0 && len(removed) == 0 && sameCode {
+		return nil, nil, errors.New("repmem: target configuration equals current")
 	}
-	m.emit("reconfig.restriped", "", fmt.Sprintf("epoch %d: %d members, k=%d m=%d %s", next, len(t.Members), t.ECData, t.ECParity, gate))
-	return &RestripeResult{Record: rec, CutoverAt: cutoverAt}, nil
+	next := newGroup(tcfg, cur.epoch+1, members, code)
+	if next.integ = cur.integ; !sameCode {
+		next.integ = newIntegrity(tcfg, next)
+	}
+	return next, removed, nil
 }
 
-func keys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// catchUp brings the machines in dst up to date with this memory while it
-// serves, writing them in the target geometry (tCode, tChunk, tLayout; this
-// memory's own for a rebuild or replacement, where dst indexes our slots).
+// catchUp brings the machines in dst up to date with group src — the
+// current one — while it serves, writing them in group tgt's geometry and
+// filling tgt's checksum rows; dst indexes tgt's members, and tgt is src for
+// a rebuild.
 // It is the paper's copy under read locks (§3.4.2) with one change: the
 // destinations receive no client writes while the sweep runs. Dirty
 // trackers note every range a writer changes instead, and once the sweep is
@@ -609,15 +455,16 @@ func keys(set map[string]bool) []string {
 // commit — the caller's cutover, which makes the destinations members —
 // runs before any write can start. A failed sweep or commit leaves the
 // group as it was, apart from whatever commit itself did.
-func (m *Memory) catchUp(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, tLayout memnode.Layout, commit func(gateCost) error) error {
+
+func (m *Memory) catchUp(src *group, dst []rdma.Verbs, tgt *group, commit func(gateCost) error) error {
 	m.transferring.Store(true)
 	defer m.transferring.Store(false)
 	m.dirtyMain.Store(newDirtyTracker())
 	m.dirtyDirect.Store(newDirtyTracker())
 	defer m.dirtyMain.Store(nil)
 	defer m.dirtyDirect.Store(nil)
-	copyDirect := func(lo, hi uint64) error { return m.sweepDirect(dst, lo, hi) }
-	copyMain := func(lo, hi uint64) error { return m.sweepMain(dst, tCode, tChunk, tLayout, lo, hi) }
+	copyDirect := func(lo, hi uint64) error { return m.sweepDirect(src, dst, lo, hi) }
+	copyMain := func(lo, hi uint64) error { return m.sweepMain(src, dst, tgt, lo, hi) }
 	if err := copyDirect(0, uint64(m.cfg.DirectSize)); err != nil {
 		return err
 	}
@@ -656,11 +503,11 @@ func (g gateCost) String() string {
 		float64(time.Since(g.start).Microseconds())/1000, g.ranges, g.bytes)
 }
 
-// sweepDirect copies the direct-zone range [lo, hi) to every non-nil dst
-// connection, batch by batch under read locks: concurrent DirectWrites to a
+// sweepDirect copies the direct-zone range [lo, hi) from src to every
+// non-nil dst connection, batch by batch under read locks: concurrent DirectWrites to a
 // batch are excluded for its duration, so none can slip between the source
 // read and the target write and be overwritten by stale data.
-func (m *Memory) sweepDirect(dst []rdma.Verbs, lo, hi uint64) error {
+func (m *Memory) sweepDirect(src *group, dst []rdma.Verbs, lo, hi uint64) error {
 	buf := make([]byte, recoveryBatch)
 	for off := lo; off < hi; off += uint64(len(buf)) {
 		n := uint64(len(buf))
@@ -670,13 +517,13 @@ func (m *Memory) sweepDirect(dst []rdma.Verbs, lo, hi uint64) error {
 		chunk := buf[:n]
 		r := lockRange{addr: off, size: int(n)}
 		m.directLocks.acquire(shared, r)
-		err := m.readDirectFromLive(off, chunk)
+		err := m.readDirectFromLive(src, off, chunk)
 		for _, c := range dst {
 			if err != nil {
 				break
 			}
 			if c != nil {
-				err = c.Write(replRegion, m.physDirect(off), chunk)
+				err = c.Write(replRegion, src.physDirect(off), chunk)
 			}
 		}
 		m.directLocks.release(shared, r)
@@ -687,17 +534,17 @@ func (m *Memory) sweepDirect(dst []rdma.Verbs, lo, hi uint64) error {
 	return nil
 }
 
-// readDirectFromLive reads a direct-zone range from any live node without
-// taking locks (the caller holds them).
-func (m *Memory) readDirectFromLive(addr uint64, buf []byte) error {
-	for _, j := range m.nodesInState(nodeLive) {
-		cj, err := m.conn(j)
+// readDirectFromLive reads a direct-zone range from any live member of g
+// without taking locks (the caller holds them).
+func (m *Memory) readDirectFromLive(g *group, addr uint64, buf []byte) error {
+	for _, j := range g.nodesInState(nodeLive) {
+		cj, err := m.conn(g.members[j])
 		if err == nil {
-			if err = cj.Read(replRegion, m.physDirect(addr), buf); err == nil {
+			if err = cj.Read(replRegion, g.physDirect(addr), buf); err == nil {
 				return nil
 			}
 		}
-		m.nodeFailed(j, err)
+		m.nodeFailed(g.members[j], err)
 		if e := m.checkOpen(); e != nil {
 			return e
 		}
@@ -705,30 +552,30 @@ func (m *Memory) readDirectFromLive(addr uint64, buf []byte) error {
 	return fmt.Errorf("%w: no live source for direct copy", ErrNoQuorum)
 }
 
-// sweepMain copies the main-space range [lo, hi) to the target nodes in the
-// TARGET geometry: dst[j] receives member j's share (the full image under
-// plain replication, chunk j under erasure coding) plus its integrity strip
-// entries. Source reads are verified, so a corrupt source is never blessed
-// onto a target, strip entry and all. Restripes pass the incoming geometry;
-// rebuilds and replacements pass this memory's own.
-func (m *Memory) sweepMain(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, tLayout memnode.Layout, lo, hi uint64) error {
+// sweepMain copies the main-space range [lo, hi) from src to the target
+// nodes in tgt's geometry: dst[j] receives member j's share (the full image
+// under plain replication, chunk j under erasure coding) plus its integrity
+// strip entries. Source reads are verified, so a corrupt source is never
+// blessed onto a target, strip entry and all.
+func (m *Memory) sweepMain(src *group, dst []rdma.Verbs, tgt *group, lo, hi uint64) error {
 	if hi > uint64(m.cfg.MemSize) {
 		hi = uint64(m.cfg.MemSize)
 	}
 	if lo >= hi {
 		return nil
 	}
-	if tCode != nil {
-		return m.sweepMainEC(dst, tCode, tChunk, tLayout, lo, hi)
+	if tgt.code != nil {
+		return m.sweepMainEC(src, dst, tgt, lo, hi)
 	}
-	return m.sweepMainPlain(dst, tLayout, lo, hi)
+	return m.sweepMainPlain(src, dst, tgt, lo, hi)
 }
 
-// sweepMainPlain handles plain→plain restripes and plain rebuilds: each
-// target node receives the full image, block by block. A block with no
-// verified source replica is repaired (under write locks) and retried.
-func (m *Memory) sweepMainPlain(dst []rdma.Verbs, tLayout memnode.Layout, lo, hi uint64) error {
-	g := m.integ
+// sweepMainPlain handles plain reconfigurations and rebuilds: each target
+// node receives the full image, block by block. A block with no verified
+// source replica is repaired (under write locks) and retried. The target
+// shares src's checksum row, which already holds every block's sum.
+func (m *Memory) sweepMainPlain(src *group, dst []rdma.Verbs, tgt *group, lo, hi uint64) error {
+	g := src.integ
 	b0 := lo / g.ibs
 	b1 := (hi - 1) / g.ibs
 	for b := b0; b <= b1; b++ {
@@ -738,7 +585,7 @@ func (m *Memory) sweepMainPlain(dst []rdma.Verbs, tLayout memnode.Layout, lo, hi
 			r := lockRange{addr: start, size: length}
 			m.locks.acquire(shared, r)
 			var blk []byte
-			blk, err = g.readPlainBlockNoRepair(b)
+			blk, err = m.readPlainBlockNoRepair(src, b)
 			for _, c := range dst {
 				if err != nil {
 					break
@@ -747,14 +594,14 @@ func (m *Memory) sweepMainPlain(dst []rdma.Verbs, tLayout memnode.Layout, lo, hi
 					continue
 				}
 				if err = c.Write(replRegion, g.physOff(b), blk); err == nil {
-					err = c.Write(replRegion, tLayout.IntegrityOffset(b), stripEntry(g.sum(0, b)))
+					err = c.Write(replRegion, tgt.layout.IntegrityOffset(b), stripEntry(g.sum(0, b)))
 				}
 			}
 			m.locks.release(shared, r)
 			if err == nil || !errors.Is(err, ErrCorrupt) {
 				break
 			}
-			if rerr := g.repairBlocks([]uint64{b}); rerr != nil {
+			if rerr := m.repairBlocks(src, []uint64{b}); rerr != nil {
 				return rerr
 			}
 		}
@@ -765,28 +612,26 @@ func (m *Memory) sweepMainPlain(dst []rdma.Verbs, tLayout memnode.Layout, lo, hi
 	return nil
 }
 
-// sweepMainEC handles EC→EC restripes and EC rebuilds: each logical block is
-// reconstructed (and verified) through the current geometry, re-encoded with
-// the target code, and target chunk j lands on dst[j] with its strip entry.
-// When the target code is this memory's own (a rebuild or replacement), dst
-// indexes our slots, and the checksum cache's row for each is set too: a
-// slot rebuilt after a takeover has no row loaded.
-func (m *Memory) sweepMainEC(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, tLayout memnode.Layout, lo, hi uint64) error {
-	own := tCode == m.code
+// sweepMainEC handles erasure-coded reconfigurations and rebuilds: each
+// logical block is reconstructed (and verified) through src's geometry,
+// re-encoded with tgt's code, and chunk j lands on dst[j] with its strip
+// entry and its sum in tgt's checksum row — a member rebuilt after a
+// takeover, or a joiner, has no row loaded.
+func (m *Memory) sweepMainEC(src *group, dst []rdma.Verbs, tgt *group, lo, hi uint64) error {
 	B := uint64(m.cfg.ECBlockSize)
 	chunks := make([][]byte, len(dst))
-	parity := make([]byte, (tCode.M())*tChunk)
-	for i := 0; i < tCode.M(); i++ {
-		chunks[tCode.K()+i] = parity[i*tChunk : (i+1)*tChunk]
+	parity := make([]byte, tgt.code.M()*tgt.chunk)
+	for i := 0; i < tgt.code.M(); i++ {
+		chunks[tgt.code.K()+i] = parity[i*tgt.chunk : (i+1)*tgt.chunk]
 	}
 	b0 := lo / B
 	b1 := (hi + B - 1) / B
 	for b := b0; b < b1; b++ {
 		r := lockRange{addr: b * B, size: int(B)}
 		m.locks.acquire(shared, r)
-		block, _, err := m.readBlockEC(b)
+		block, _, err := m.readBlockEC(src, b)
 		if err == nil {
-			err = tCode.EncodeTo(block, chunks)
+			err = tgt.code.EncodeTo(block, chunks)
 		}
 		if err == nil {
 			for j, c := range dst {
@@ -794,13 +639,11 @@ func (m *Memory) sweepMainEC(dst []rdma.Verbs, tCode *erasure.Code, tChunk int, 
 					continue
 				}
 				sum := crcBlock(chunks[j])
-				if own {
-					m.integ.setSum(j, b, sum)
-				}
-				if err = c.Write(replRegion, tLayout.MainBase()+b*uint64(tChunk), chunks[j]); err != nil {
+				tgt.integ.setSum(j, b, sum)
+				if err = c.Write(replRegion, tgt.layout.MainBase()+b*uint64(tgt.chunk), chunks[j]); err != nil {
 					break
 				}
-				if err = c.Write(replRegion, tLayout.IntegrityOffset(b), stripEntry(sum)); err != nil {
+				if err = c.Write(replRegion, tgt.layout.IntegrityOffset(b), stripEntry(sum)); err != nil {
 					break
 				}
 			}

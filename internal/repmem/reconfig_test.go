@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/repro/sift/internal/memnode"
 	"github.com/repro/sift/internal/rdma"
@@ -78,8 +80,8 @@ func TestReplaceLiveNodeUnderTraffic(t *testing.T) {
 		}
 	}()
 
-	if err := m.ReplaceNode("m1", "m3"); err != nil {
-		t.Fatalf("ReplaceNode: %v", err)
+	if err := replaceNode(m, "m1", "m3"); err != nil {
+		t.Fatalf("replace: %v", err)
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -139,8 +141,8 @@ func TestReplaceDeadNode(t *testing.T) {
 	m.Write(128, []byte("detect")) // trigger failure detection
 	awaitState(t, m, "m1", "dead")
 
-	if err := m.ReplaceNode("m1", "m3"); err != nil {
-		t.Fatalf("ReplaceNode(dead): %v", err)
+	if err := replaceNode(m, "m1", "m3"); err != nil {
+		t.Fatalf("replace (dead): %v", err)
 	}
 	if got := m.Epoch(); got != 2 {
 		t.Fatalf("epoch = %d, want 2", got)
@@ -174,7 +176,7 @@ func TestReplacedGroupRefusesStaleConfig(t *testing.T) {
 	if err := m.Write(0, []byte("epoch1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ReplaceNode("m0", "m3"); err != nil {
+	if err := replaceNode(m, "m0", "m3"); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
@@ -237,7 +239,8 @@ func TestRestripePlainGrowAndShrink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Grow 3 → 5 under traffic.
+	// Grow 3 → 5 under traffic: the writer carries on across the cutover,
+	// on the same handle.
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -245,63 +248,43 @@ func TestRestripePlainGrowAndShrink(t *testing.T) {
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
 			if err := m.Write(uint64(8192+(i%32)*128), []byte{byte(i)}); err != nil {
-				if errors.Is(err, ErrReconfigured) {
-					return // expected at the cutover instant
-				}
 				t.Errorf("writer: %v", err)
 				return
 			}
 		}
 	}()
 	grown := append(append([]string(nil), e.names...), "m3", "m4")
-	res, err := m.Restripe(RestripeTarget{Members: grown})
+	err := m.Reconfigure(Target{Members: grown})
 	stop.Store(true)
 	wg.Wait()
 	if err != nil {
-		t.Fatalf("grow restripe: %v", err)
+		t.Fatalf("grow: %v", err)
 	}
-	if res.Record.Epoch != 2 || len(res.Record.Members) != 5 {
-		t.Fatalf("grow record = %+v", res.Record)
+	if rec := m.ConfigRecord(); rec.Epoch != 2 || !slices.Equal(rec.Members, grown) {
+		t.Fatalf("grow record = %+v", rec)
 	}
-	// The old handle is dead.
-	if err := m.Write(0, []byte("x")); !errors.Is(err, ErrReconfigured) {
-		t.Fatalf("write on restriped handle = %v, want ErrReconfigured", err)
-	}
-
-	// Rebuild over the committed record; data intact on the 5-node group.
-	cfg2 := cfg
-	cfg2.Dial = e.dialer("cpu1b")
-	cfg2.MemoryNodes = res.Record.Members
-	cfg2.Epoch = res.Record.Epoch
-	m2 := newMemory(t, cfg2)
 	got := make([]byte, len(want))
-	if err := m2.Read(512, got); err != nil {
+	if err := m.Read(512, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("data lost growing 3→5")
 	}
 	db := make([]byte, 2)
-	if err := m2.DirectRead(0, db); err != nil || string(db) != "dz" {
+	if err := m.DirectRead(0, db); err != nil || string(db) != "dz" {
 		t.Fatalf("direct zone after grow: %q err=%v", db, err)
 	}
-	if got := len(m2.LiveMemoryNodes()); got != 5 {
+	if got := len(m.LiveMemoryNodes()); got != 5 {
 		t.Fatalf("live after grow = %d, want 5", got)
 	}
 
 	// Shrink 5 → 3, dropping one original and one joiner.
 	shrunk := []string{"m0", "m2", "m3"}
-	res2, err := m2.Restripe(RestripeTarget{Members: shrunk})
-	if err != nil {
-		t.Fatalf("shrink restripe: %v", err)
+	if err := m.Reconfigure(Target{Members: shrunk}); err != nil {
+		t.Fatalf("shrink: %v", err)
 	}
-	cfg3 := cfg
-	cfg3.Dial = e.dialer("cpu1c")
-	cfg3.MemoryNodes = res2.Record.Members
-	cfg3.Epoch = res2.Record.Epoch
-	m3 := newMemory(t, cfg3)
 	got = make([]byte, len(want))
-	if err := m3.Read(512, got); err != nil {
+	if err := m.Read(512, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -312,6 +295,18 @@ func TestRestripePlainGrowAndShrink(t *testing.T) {
 		if w := readAdminWord(t, e, name, memnode.AdminRetiredOffset); w != 3 {
 			t.Fatalf("%s retired word = %d, want 3", name, w)
 		}
+	}
+	// A successor built from the committed record serves the same data.
+	cfg3 := cfg
+	cfg3.Dial = e.dialer("cpu2")
+	cfg3.Term = 2
+	cfg3.MemoryNodes = m.MemberNames()
+	cfg3.Epoch = m.Epoch()
+	m.Close()
+	m3 := newMemory(t, cfg3)
+	got = make([]byte, len(want))
+	if err := m3.Read(512, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("successor read after shrink: err=%v equal=%v", err, bytes.Equal(got, want))
 	}
 }
 
@@ -329,18 +324,11 @@ func TestRestripeECOntoFreshSet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := m.Restripe(RestripeTarget{Members: []string{"f0", "f1", "f2"}, ECData: 2, ECParity: 1})
-	if err != nil {
+	if err := m.Reconfigure(Target{Members: []string{"f0", "f1", "f2"}, ECData: 2, ECParity: 1}); err != nil {
 		t.Fatalf("EC restripe: %v", err)
 	}
-
-	cfg2 := ecConfig(e, "cpu2", 1)
-	cfg2.Term = 1
-	cfg2.MemoryNodes = res.Record.Members
-	cfg2.Epoch = res.Record.Epoch
-	m2 := newMemory(t, cfg2)
 	got := make([]byte, len(want))
-	if err := m2.Read(uint64(blockFor(1)), got); err != nil {
+	if err := m.Read(uint64(blockFor(1)), got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -354,10 +342,10 @@ func TestRestripeECOntoFreshSet(t *testing.T) {
 	}
 	// Reconstruction still works with a chunk lost on the NEW set.
 	e.nw.Fabric().Kill("f1")
-	m2.Write(0, []byte("detect"))
-	awaitState(t, m2, "f1", "dead")
+	m.Write(0, []byte("detect"))
+	awaitState(t, m, "f1", "dead")
 	got = make([]byte, len(want))
-	if err := m2.Read(uint64(blockFor(1)), got); err != nil {
+	if err := m.Read(uint64(blockFor(1)), got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -366,33 +354,179 @@ func TestRestripeECOntoFreshSet(t *testing.T) {
 }
 
 func TestRestripeRejections(t *testing.T) {
-	cfg0 := Config{MemSize: 16 << 10, DirectSize: 0}
-	e := newEnv(t, 3, cfg0.Layout())
-	cfg := baseConfig(e, "c")
-	cfg.MemSize = 16 << 10
-	cfg.DirectSize = 0
+	e, cfg := newECEnv(t, 1) // 3 nodes, k=2 m=1
+	addMachine(t, e, "f0", cfg.Layout())
 	m := newMemory(t, cfg)
 
-	// Plain → EC online is forbidden (block alignment would change under the
-	// live kv layer).
-	if _, err := m.Restripe(RestripeTarget{Members: e.names, ECData: 2, ECParity: 1}); err == nil {
-		t.Fatal("plain→EC restripe accepted")
+	// Plain ↔ EC online is forbidden (block alignment would change under
+	// the live kv layer).
+	if err := m.Reconfigure(Target{Members: e.names}); err == nil {
+		t.Fatal("EC→plain reconfiguration accepted")
 	}
 	// Identical configuration is rejected.
-	if _, err := m.Restripe(RestripeTarget{Members: e.names}); err == nil {
-		t.Fatal("no-op restripe accepted")
+	if err := m.Reconfigure(Target{Members: e.names, ECData: 2, ECParity: 1}); err == nil {
+		t.Fatal("no-op reconfiguration accepted")
+	}
+	// An erasure-coded member cannot move to another chunk index in place.
+	if err := m.Reconfigure(Target{Members: []string{"m1", "m0", "f0"}, ECData: 2, ECParity: 1}); err == nil {
+		t.Fatal("EC reconfiguration moving a member's chunk index accepted")
 	}
 	// Group-size cap is enforced through Validate.
 	big := make([]string, 33)
 	for i := range big {
 		big[i] = fmt.Sprintf("x%d", i)
 	}
-	if _, err := m.Restripe(RestripeTarget{Members: big}); err == nil {
-		t.Fatal("33-node restripe accepted")
+	if err := m.Reconfigure(Target{Members: big, ECData: 17, ECParity: 16}); err == nil {
+		t.Fatal("33-node reconfiguration accepted")
 	}
-	// The memory must still be serving after rejected restripes.
+	// The memory must still be serving after rejected reconfigurations, at
+	// the epoch it started in.
 	if err := m.Write(0, []byte("still-alive")); err != nil {
 		t.Fatal(err)
+	}
+	if got := m.Epoch(); got != 1 {
+		t.Fatalf("epoch after rejected reconfigurations = %d, want 1", got)
+	}
+}
+
+// TestReconfigureKeepsDeadRetainedMemberDead: a restripe that keeps a
+// member which is dead but reachable — excluded after an op error, its DRAM
+// intact but missing every write since — must not count it live in the new
+// epoch. The same handle keeps it dead, and a successor built from the
+// committed record rebuilds it instead of reading what it missed.
+func TestReconfigureKeepsDeadRetainedMemberDead(t *testing.T) {
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10}
+	e := newEnv(t, 3, cfg0.Layout())
+	addMachine(t, e, "m3", cfg0.Layout())
+	cfg := baseConfig(e, "cpu1")
+	cfg.Term = 1
+	m := newMemory(t, cfg)
+
+	main := func(v byte) []byte { return bytes.Repeat([]byte{v}, 4096) }
+	if err := m.DirectWrite(0, []byte("old-direct")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Write(0, main('o')); err != nil {
+		t.Fatal(err)
+	}
+	m.nodeFailed(m.at(1), errors.New("injected op error"))
+	if err := m.DirectWrite(0, []byte("new-direct")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Write(0, main('n')); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Reconfigure(Target{Members: []string{"m0", "m1", "m2", "m3"}}); err != nil {
+		t.Fatal(err)
+	}
+	if dead := m.DeadMemoryNodes(); !slices.Equal(dead, []string{"m1"}) {
+		t.Fatalf("dead after the restripe = %v, want [m1]", dead)
+	}
+
+	succ := cfg
+	succ.Dial, succ.Term = e.dialer("cpu2"), 2
+	succ.MemoryNodes, succ.Epoch = m.MemberNames(), m.Epoch()
+	m.Close()
+	m2 := newMemory(t, succ)
+	if dead := m2.DeadMemoryNodes(); !slices.Equal(dead, []string{"m1"}) {
+		t.Fatalf("successor's dead nodes = %v, want [m1]", dead)
+	}
+	check := func(who string) {
+		t.Helper()
+		buf := make([]byte, len("new-direct"))
+		for i := 0; i < 16; i++ {
+			if err := m2.DirectRead(0, buf); err != nil || string(buf) != "new-direct" {
+				t.Fatalf("%s: direct read %d = %q, %v; want new-direct", who, i, buf, err)
+			}
+		}
+		blk := make([]byte, 4096)
+		for i := 0; i < 16; i++ {
+			if err := m2.Read(0, blk); err != nil || !bytes.Equal(blk, main('n')) {
+				t.Fatalf("%s: main read %d = %q…, %v; want the new block", who, i, blk[:4], err)
+			}
+		}
+		if st := m2.Stats(); st.CorruptionsDetected != 0 || st.BlocksRepaired != 0 {
+			t.Fatalf("%s: %d corruptions and %d repairs counted, want none", who, st.CorruptionsDetected, st.BlocksRepaired)
+		}
+	}
+	check("successor")
+	if err := m2.RecoverNodeNow("m1"); err != nil {
+		t.Fatalf("rebuild m1: %v", err)
+	}
+	if live := m2.LiveMemoryNodes(); len(live) != 4 {
+		t.Fatalf("live after m1's rebuild = %v, want all four", live)
+	}
+	check("after m1's rebuild")
+}
+
+// casRefusingConn fails every config-epoch CAS while refuse is set.
+type casRefusingConn struct {
+	rdma.Verbs
+	refuse *atomic.Bool
+}
+
+func (c casRefusingConn) CompareAndSwap(region rdma.RegionID, off, expect, swap uint64) (uint64, error) {
+	if c.refuse.Load() && region == memnode.AdminRegionID && off == memnode.AdminEpochOffset {
+		return 0, errors.New("injected: epoch CAS refused")
+	}
+	return c.Verbs.CompareAndSwap(region, off, expect, swap)
+}
+
+// TestReconfigureAmbiguousCommitFences: an epoch advance that reaches some
+// incoming nodes but not a majority of them — here the retained members
+// refuse the CAS and only the joiner takes the new epoch — leaves the
+// committed configuration ambiguous. Reconfigure fails, the memory fences
+// itself (so its owner stands down) without swapping its group, and a
+// successor over the old configuration serves what was written before.
+func TestReconfigureAmbiguousCommitFences(t *testing.T) {
+	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10}
+	e := newEnv(t, 3, cfg0.Layout())
+	addMachine(t, e, "m3", cfg0.Layout())
+	var refuse atomic.Bool
+	cfg := baseConfig(e, "cpu1")
+	cfg.Term = 1
+	dial := cfg.Dial
+	cfg.Dial = func(node string) (rdma.Verbs, error) {
+		c, err := dial(node)
+		if err != nil || node == "m3" {
+			return c, err
+		}
+		return casRefusingConn{Verbs: c, refuse: &refuse}, nil
+	}
+	fenced := make(chan struct{})
+	cfg.OnFenced = func() { close(fenced) }
+	m := newMemory(t, cfg)
+	if err := m.Write(0, []byte("acked-before")); err != nil {
+		t.Fatal(err)
+	}
+
+	refuse.Store(true)
+	if err := m.Reconfigure(Target{Members: []string{"m0", "m1", "m2", "m3"}}); err == nil {
+		t.Fatal("Reconfigure succeeded with the epoch advance below a majority")
+	}
+	select {
+	case <-fenced:
+	case <-time.After(lockTestLimit):
+		t.Fatal("OnFenced never fired after an ambiguous commit")
+	}
+	if err := m.Write(0, []byte("x")); !errors.Is(err, ErrFenced) {
+		t.Fatalf("write after an ambiguous commit = %v, want ErrFenced", err)
+	}
+	if got := m.Epoch(); got != 1 {
+		t.Fatalf("group epoch after an ambiguous commit = %d, want 1 (no cutover)", got)
+	}
+	for n, want := range map[string]uint32{"m0": 1, "m1": 1, "m2": 1, "m3": 2} {
+		if got := uint32(readAdminWord(t, e, n, memnode.AdminEpochOffset) >> 16); got != want {
+			t.Fatalf("%s epoch word = %d, want %d", n, got, want)
+		}
+	}
+
+	succ := baseConfig(e, "cpu2")
+	succ.Term = 2
+	m2 := newMemory(t, succ)
+	buf := make([]byte, len("acked-before"))
+	if err := m2.Read(0, buf); err != nil || string(buf) != "acked-before" {
+		t.Fatalf("successor read %q, %v; want acked-before", buf, err)
 	}
 }
 

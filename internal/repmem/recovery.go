@@ -2,6 +2,7 @@ package repmem
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/repro/sift/internal/memnode"
@@ -22,7 +23,7 @@ func (m *Memory) Recover() error {
 	if m.recoveredOnce.Swap(true) {
 		return fmt.Errorf("repmem: Recover called twice")
 	}
-	return m.integ.loadSums()
+	return m.loadSums(m.grp.Load())
 }
 
 // recoveryBatch is how many bytes are copied per locked step when
@@ -50,14 +51,15 @@ func (m *Memory) StartRecovery(interval time.Duration) (stop func()) {
 				// Probe every node not dead: a live one so an idle group
 				// (a read-from-cache workload) still detects failures, a
 				// suspect or degraded one for readmission (see step).
-				for i := range m.nodes {
-					if m.state[i].Load() != nodeDead {
-						m.probe(i)
+				g := m.grp.Load()
+				for _, mb := range g.members {
+					if mb.state.Load() != nodeDead {
+						m.probe(mb)
 					}
 				}
-				m.checkStragglers()
-				for _, i := range m.nodesInState(nodeDead) {
-					m.recoverNode(i)
+				m.checkStragglers(g)
+				for _, i := range g.nodesInState(nodeDead) {
+					m.recoverNode(g.members[i])
 				}
 			}
 		}
@@ -71,20 +73,21 @@ func (m *Memory) StartRecovery(interval time.Duration) (stop func()) {
 // Degraded, not suspect: a suspect is repaired as soon as it answers a
 // probe, which a merely slow node always does, and would loop through
 // exclusion and rebuild forever.
-func (m *Memory) checkStragglers() {
+func (m *Memory) checkStragglers(g *group) {
 	if m.transferring.Load() {
 		return // bulk state transfer in flight: EWMAs are not comparable
 	}
-	live := m.nodesInState(nodeLive)
+	live := g.nodesInState(nodeLive)
 	if len(live) < 2 {
 		return
 	}
 	best := -1.0
 	for _, i := range live {
-		if m.health[i].ewma.Count() < stragglerMinSamples {
+		h := &g.members[i].health
+		if h.ewma.Count() < stragglerMinSamples {
 			continue
 		}
-		if v := m.health[i].ewma.Value(); best < 0 || v < best {
+		if v := h.ewma.Value(); best < 0 || v < best {
 			best = v
 		}
 	}
@@ -97,17 +100,19 @@ func (m *Memory) checkStragglers() {
 	// EWMAs a scheduling hiccup inflated in the same pass must not cost the
 	// group its writes. The slowest goes first, so a refusal keeps the
 	// faster of two stragglers in the quorum.
-	for room := len(live) - m.Majority(); room > 0; room-- {
-		worst, worstV := -1, 0.0
+	for room := len(live) - g.majority(); room > 0; room-- {
+		var worst *member
+		worstV := 0.0
 		for _, i := range live {
-			if m.state[i].Load() != nodeLive || m.health[i].ewma.Count() < stragglerMinSamples {
+			mb := g.members[i]
+			if mb.state.Load() != nodeLive || mb.health.ewma.Count() < stragglerMinSamples {
 				continue
 			}
-			if v := m.health[i].ewma.Value(); v > best*stragglerFactor && v > floor && v > worstV {
-				worst, worstV = i, v
+			if v := mb.health.ewma.Value(); v > best*stragglerFactor && v > floor && v > worstV {
+				worst, worstV = mb, v
 			}
 		}
-		if worst < 0 {
+		if worst == nil {
 			return
 		}
 		m.observe(worst, healthEvent{kind: evStraggler})
@@ -119,85 +124,87 @@ func (m *Memory) checkStragglers() {
 // rebooted, sending a responsive suspect to repair), a node dead after that
 // is rebuilt — so tests need not wait for the background manager's tick.
 func (m *Memory) RecoverNodeNow(node string) error {
-	for i := range m.nodes {
-		if m.nodeName(i) == node {
-			if m.state[i].Load() != nodeDead {
-				m.probe(i)
-			}
-			if m.state[i].Load() != nodeDead {
-				return nil
-			}
-			return m.recoverNode(i)
-		}
+	g := m.grp.Load()
+	i := g.index(node)
+	if i < 0 {
+		return fmt.Errorf("repmem: unknown memory node %q", node)
 	}
-	return fmt.Errorf("repmem: unknown memory node %q", node)
+	mb := g.members[i]
+	if mb.state.Load() != nodeDead {
+		m.probe(mb)
+	}
+	if mb.state.Load() != nodeDead {
+		return nil
+	}
+	return m.recoverNode(mb)
 }
 
-// recoverNode reintegrates dead node i: reconnect and rebuild it (see
+// recoverNode reintegrates dead member mb: reconnect and rebuild it (see
 // rebuildSlot). The copy runs under read locks — blocking conflicting
 // updates but never blocking reads (paper §3.4.2) — while the node stays
 // dead; it turns live at the rebuild's gated cutover.
-func (m *Memory) recoverNode(i int) error {
-	// Serialize with structural reconfiguration: a replacement swapping this
-	// very slot's identity mid-copy would leave the copy writing to a
-	// connection that no longer belongs to the group.
+func (m *Memory) recoverNode(mb *member) error {
+	// Serialize with reconfiguration: a cutover that ran while we waited may
+	// have removed the member, or moved it to another index.
 	m.reconfigMu.Lock()
 	defer m.reconfigMu.Unlock()
 	if err := m.checkOpen(); err != nil {
 		return err
 	}
-	if m.state[i].Load() != nodeDead {
-		// A reconfiguration that ran while we waited may have rebuilt (or
-		// replaced) the node already.
+	g := m.grp.Load()
+	i := slices.Index(g.members, mb)
+	if i < 0 || mb.state.Load() != nodeDead {
 		return nil
 	}
 	// Reconnect (the old connection was dropped on failure), bypassing the
 	// circuit: a recovery attempt is deliberate.
-	m.health[i].closeCircuit()
-	c, err := m.conn(i)
+	mb.health.closeCircuit()
+	c, err := m.conn(mb)
 	if err != nil {
 		return err
 	}
 	// Probe reachability cheaply before committing to a full copy.
 	var probe [1]byte
 	if err := c.Read(replRegion, 0, probe[:]); err != nil {
-		m.nodeFailed(i, err)
+		m.nodeFailed(mb, err)
 		return err
 	}
 
-	return m.rebuildSlot(i, c)
+	return m.rebuildSlot(g, i, c)
 }
 
-// rebuildSlot brings slot i — whose connection c points at a blank or stale
-// machine — from dead to live member. The slot stays dead, receiving no
-// writes, while catchUp copies the direct zone and materialized memory to it
-// in this memory's own geometry: under erasure coding each block is
-// reconstructed from the surviving chunks and re-encoded to regenerate
-// exactly the chunk slot i holds (§5.1: "the coordinator rebuilds each block
-// and encodes it to generate the missing chunks"); source reads are
-// verified either way, so a corrupt source is never copied. Under the write
-// gate, after the delta, the node is marked populated and turns live.
-func (m *Memory) rebuildSlot(i int, c rdma.Verbs) error {
+// rebuildSlot brings member i of g — the current group, whose connection c
+// points at a blank or stale machine — from dead to live. The member stays
+// dead, receiving no writes, while catchUp copies the direct zone and
+// materialized memory to it in the group's own geometry: under erasure
+// coding each block is reconstructed from the surviving chunks and
+// re-encoded to regenerate exactly the chunk member i holds (§5.1: "the
+// coordinator rebuilds each block and encodes it to generate the missing
+// chunks"); source reads are verified either way, so a corrupt source is
+// never copied. Under the write gate, after the delta, the node is marked
+// populated and turns live.
+func (m *Memory) rebuildSlot(g *group, i int, c rdma.Verbs) error {
+	mb := g.members[i]
 	// Mark the node unpopulated for the duration of the copy: if this
 	// coordinator dies mid-recovery, its successor must rebuild the node
 	// rather than read its half-copied memory.
 	if err := writePopulated(c, memnode.MarkerEmpty); err != nil {
-		m.nodeFailed(i, err)
+		m.nodeFailed(mb, err)
 		return err
 	}
-	dst := make([]rdma.Verbs, len(m.nodes))
+	dst := make([]rdma.Verbs, len(g.members))
 	dst[i] = c
-	err := m.catchUp(dst, m.code, m.chunk, m.layout, func(cost gateCost) error {
+	err := m.catchUp(g, dst, g, func(cost gateCost) error {
 		if err := writePopulated(c, memnode.MarkerPopulated); err != nil {
 			return err
 		}
-		if !m.observe(i, healthEvent{kind: evRebuildDone, detail: cost.String()}) {
-			return fmt.Errorf("repmem: node %s failed during its rebuild", m.nodeName(i))
+		if !m.observe(mb, healthEvent{kind: evRebuildDone, detail: cost.String()}) {
+			return fmt.Errorf("repmem: node %s failed during its rebuild", mb.name)
 		}
 		return nil
 	})
 	if err != nil {
-		m.nodeFailed(i, err)
+		m.nodeFailed(mb, err)
 	}
 	return err
 }

@@ -26,7 +26,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,11 +63,6 @@ var (
 	// configuration was discovered. The caller must re-read the configuration
 	// descriptor (memnode.AdminConfigOffset) and rebuild against it.
 	ErrStaleConfig = errors.New("repmem: config epoch superseded")
-	// ErrReconfigured means the memory closed itself after committing a
-	// reconfiguration cutover: the member set this handle was built over is
-	// no longer the authoritative one. Callers rebuild against the new
-	// configuration; clients treat it like ErrClosed and retry.
-	ErrReconfigured = fmt.Errorf("%w: group reconfigured", ErrClosed)
 )
 
 // Dialer opens an RDMA connection to a memory node with the replicated
@@ -280,31 +274,16 @@ type Stats struct {
 // concurrent use. Create with New, then call Recover exactly once before
 // serving (it loads the checksum cache the previous coordinator left).
 type Memory struct {
-	cfg    Config
-	layout memnode.Layout
-	code   *erasure.Code // nil when EC disabled
-	chunk  int           // EC chunk size C; 0 when disabled
+	// cfg is the configuration New was given. Its MemoryNodes, Epoch, ECData
+	// and ECParity describe the first group only; the current ones are the
+	// group's.
+	cfg Config
+	// grp is the current configuration (group.go).
+	grp atomic.Pointer[group]
 
-	// nodes holds the member names by group index. The slice header and
-	// length are immutable; ReplaceNode rewrites single elements under
-	// nameMu, so element reads go through nodeName. Index-only uses
-	// (len, range-over-index) need no lock.
-	nodes  []string
-	nameMu sync.RWMutex
-	conns  []atomic.Pointer[connBox]
-	// state and health are the nodes' health records (health.go); the state
-	// words sit apart so writers read them off the lines completions write.
-	state  []atomic.Int32
-	health []nodeHealth
-
-	// epoch is the config epoch this member list is authoritative for; it
-	// starts at cfg.Epoch and is bumped by in-place replacement cutovers.
-	epoch atomic.Uint32
-
-	// reconfigMu serializes structural node-set changes (ReplaceNode,
-	// Restripe) with background node recovery, which copies state into the
-	// same indexes; it also keeps catch-ups, which share the dirty
-	// trackers, one at a time.
+	// reconfigMu serializes structural node-set changes (Reconfigure) with
+	// background node recovery, which copies state into the same members; it
+	// also keeps catch-ups, which share the dirty trackers, one at a time.
 	reconfigMu sync.Mutex
 
 	// transferring is set while a catch-up's bulk state transfer is
@@ -328,32 +307,22 @@ type Memory struct {
 	locks       rangeLock // main space
 	directLocks rangeLock // direct space
 
-	integ *integrity // checksummed main memory
-
-	workers    []*nodeWorker
-	workerWG   sync.WaitGroup
 	queueDepth metrics.Depth
-	// The pools are separate objects (see bufPool), not fields.
-	ecPool    *sync.Pool // *ecScratch, EC apply/reconstruct scratch
-	chunkPool *sync.Pool // *[]byte of chunk size, verified-read buffers
 
-	member membership
+	membership membership
 
 	// lastExclusion is the wall time (UnixNano) a node last left the
-	// waited-on write set (live→suspect or →dead). Acknowledgement paths
-	// that feed lease-based backup readers hold acks until this is at least
-	// a lease window old, so a backup's ≤W-stale view of membership can
-	// never make it read an excluded node for an already-acked write.
+	// waited-on write set (live→suspect or →dead, or at a cutover).
+	// Acknowledgement paths that feed lease-based backup readers hold acks
+	// until this is at least a lease window old, so a backup's ≤W-stale view
+	// of membership can never make it read an excluded node for an
+	// already-acked write.
 	lastExclusion atomic.Int64
 
 	readRR atomic.Uint64
 
 	closed atomic.Bool
 	fenced atomic.Bool
-	// reconfigured marks a close caused by a committed reconfiguration
-	// cutover (checkOpen then reports ErrReconfigured, telling the owner to
-	// rebuild against the new configuration rather than stand down).
-	reconfigured atomic.Bool
 
 	recoveredOnce atomic.Bool
 
@@ -372,9 +341,6 @@ type Memory struct {
 	scrubPassTime metrics.EWMA // full-sweep duration, µs
 }
 
-// connBox wraps a connection so a nil pointer distinguishes "never dialed".
-type connBox struct{ v rdma.Verbs }
-
 // New validates the config and dials the memory nodes. Nodes that cannot be
 // dialed start in the dead state; New succeeds as long as a majority is
 // reachable.
@@ -383,45 +349,32 @@ func New(cfg Config) (*Memory, error) {
 		return nil, err
 	}
 	c := cfg.withDefaults()
-	m := &Memory{
-		cfg:    c,
-		layout: c.Layout(),
-		nodes:  append([]string(nil), c.MemoryNodes...),
-		conns:  make([]atomic.Pointer[connBox], len(c.MemoryNodes)),
-		state:  make([]atomic.Int32, len(c.MemoryNodes)),
-		ecPool: new(sync.Pool),
-	}
-	m.epoch.Store(c.Epoch)
-	m.health = make([]nodeHealth, len(c.MemoryNodes))
-	for i := range m.health {
-		m.health[i].rng = rand.New(rand.NewSource(int64(i) + 1))
-	}
+	var code *erasure.Code
 	if c.ECData > 0 {
-		code, err := erasure.New(c.ECData, c.ECParity)
-		if err != nil {
+		var err error
+		if code, err = erasure.New(c.ECData, c.ECParity); err != nil {
 			return nil, err
 		}
-		m.code = code
-		m.chunk = c.ECBlockSize / c.ECData
-		m.chunkPool = bufPool(m.chunk)
 	}
-	m.integ = newIntegrity(m)
-	m.startWorkers()
+	members := make([]*member, len(c.MemoryNodes))
+	for i, name := range c.MemoryNodes {
+		members[i] = newMember(name, int64(i)+1)
+	}
+	g := newGroup(c, c.Epoch, members, code)
+	g.integ = newIntegrity(c, g)
+	m := &Memory{cfg: c}
+	m.grp.Store(g)
+	m.startWorkers(g)
 
-	for i, node := range m.nodes {
-		conn, err := c.Dial(node)
+	conns := make([]rdma.Verbs, len(members))
+	for i, mb := range members {
+		conn, err := c.Dial(mb.name)
 		if err != nil {
-			m.setState(i, nodeDead)
+			mb.state.Store(nodeDead)
 			continue
 		}
-		m.conns[i].Store(&connBox{v: conn})
-	}
-
-	conns := make([]rdma.Verbs, len(m.nodes))
-	for i := range m.nodes {
-		if b := m.conns[i].Load(); b != nil {
-			conns[i] = b.v
-		}
+		mb.conn.Store(&connBox{v: conn})
+		conns[i] = conn
 	}
 
 	// Takeover hygiene, part 0: the configuration plane. A node carrying a
@@ -436,19 +389,19 @@ func New(cfg Config) (*Memory, error) {
 		}
 		e, _, err := readEpochWord(cc)
 		if err != nil {
-			m.nodeFailed(i, err)
+			m.nodeFailed(members[i], err)
 			conns[i] = nil
 			continue
 		}
 		if e > c.Epoch {
 			m.Close()
 			return nil, fmt.Errorf("%w: node %s at epoch %d, config built for %d",
-				ErrStaleConfig, m.nodes[i], e, c.Epoch)
+				ErrStaleConfig, members[i].name, e, c.Epoch)
 		}
 		if re, err := readRetired(cc); err == nil && re != 0 {
 			m.Close()
 			return nil, fmt.Errorf("%w: node %s retired at epoch %d",
-				ErrStaleConfig, m.nodes[i], re)
+				ErrStaleConfig, members[i].name, re)
 		}
 	}
 
@@ -460,17 +413,18 @@ func New(cfg Config) (*Memory, error) {
 	// epoch cfg.Epoch (readMembershipAt ignores older-epoch words; newer
 	// ones were caught above).
 	if t, version, bitmap, ok := readMembershipAt(conns, c.Epoch); ok {
-		for i := range m.nodes {
-			if m.state[i].Load() == nodeLive && bitmap&(1<<uint(i)) == 0 {
-				m.setState(i, nodeDead)
+		for i, mb := range members {
+			if mb.state.Load() == nodeLive && bitmap&(1<<uint(i)) == 0 {
+				mb.state.Store(nodeDead)
 				m.stats.nodeFailures.Add(1)
 			}
 		}
-		// A rebuilt Memory of the same term (reconfiguration, not election)
-		// must continue the record's version sequence — restarting at 1
-		// would publish records that readers order below the existing one.
+		// A Memory rebuilt in the same term (a takeover retried against a
+		// rediscovered configuration) must continue the record's version
+		// sequence — restarting at 1 would publish records that readers order
+		// below the existing one.
 		if t == c.Term {
-			m.member.version = version
+			m.membership.version = version
 		}
 	}
 
@@ -480,16 +434,15 @@ func New(cfg Config) (*Memory, error) {
 	// by the previous coordinator's death. Such nodes must be rebuilt, not
 	// read. A group where no reachable node is populated is a fresh
 	// deployment: mark them all populated and start empty.
-	populated := make([]bool, len(m.nodes))
+	populated := make([]bool, len(members))
 	anyPopulated := false
-	for i := range m.nodes {
-		if m.state[i].Load() != nodeLive {
+	for i, mb := range members {
+		if mb.state.Load() != nodeLive {
 			continue
 		}
-		conn := m.conns[i].Load().v
-		p, err := readPopulated(conn)
+		p, err := readPopulated(mb.conn.Load().v)
 		if err != nil {
-			m.nodeFailed(i, err)
+			m.nodeFailed(mb, err)
 			continue
 		}
 		populated[i] = p
@@ -498,39 +451,39 @@ func New(cfg Config) (*Memory, error) {
 		}
 	}
 	reachable := 0
-	for i := range m.nodes {
-		if m.state[i].Load() != nodeLive {
+	for i, mb := range members {
+		if mb.state.Load() != nodeLive {
 			continue
 		}
 		if !anyPopulated {
-			if err := writePopulated(m.conns[i].Load().v, memnode.MarkerPopulated); err != nil {
-				m.nodeFailed(i, err)
+			if err := writePopulated(mb.conn.Load().v, memnode.MarkerPopulated); err != nil {
+				m.nodeFailed(mb, err)
 				continue
 			}
 		} else if !populated[i] {
 			// Stale/empty node among a populated group: rebuild it.
-			m.setState(i, nodeDead)
+			mb.state.Store(nodeDead)
 			m.stats.nodeFailures.Add(1)
 			continue
 		}
 		reachable++
 	}
-	if reachable < m.Majority() {
+	if reachable < g.majority() {
 		m.Close()
-		return nil, fmt.Errorf("%w: reached %d trustworthy nodes of %d", ErrNoQuorum, reachable, len(m.nodes))
+		return nil, fmt.Errorf("%w: reached %d trustworthy nodes of %d", ErrNoQuorum, reachable, len(members))
 	}
 	// On a fresh deployment the materialized memory is all zeroes but the
 	// (also zeroed) strip does not equal the CRC of a zero block, so the
 	// strip must be initialized before the first verified read. On a
 	// populated group Recover loads the strips instead.
 	if !anyPopulated {
-		m.integ.bootstrapFresh()
+		m.bootstrapFresh(g)
 	}
 	// Anchor the configuration plane: make sure every reachable node carries
 	// our epoch's descriptor and epoch word (repairing nodes that missed a
 	// cutover or were freshly bootstrapped), then publish this coordinator's
 	// initial membership view under its own term.
-	m.publishConfigPlane()
+	m.publishConfigPlane(g)
 	m.publishMembership()
 	return m, nil
 }
@@ -556,35 +509,35 @@ func readRetired(c rdma.Verbs) (uint32, error) {
 
 // ConfigRecord renders this memory's current configuration as a descriptor
 // record (member list in group-index order, EC geometry, epoch, term).
-func (m *Memory) ConfigRecord() memnode.ConfigRecord {
-	m.nameMu.RLock()
-	members := append([]string(nil), m.nodes...)
-	m.nameMu.RUnlock()
+func (m *Memory) ConfigRecord() memnode.ConfigRecord { return m.record(m.grp.Load()) }
+
+// record renders group g as a descriptor record.
+func (m *Memory) record(g *group) memnode.ConfigRecord {
+	k, p := g.ecGeometry()
 	return memnode.ConfigRecord{
-		Epoch:       m.epoch.Load(),
+		Epoch:       g.epoch,
 		Term:        m.cfg.Term,
-		ECData:      m.cfg.ECData,
-		ECParity:    m.cfg.ECParity,
+		ECData:      k,
+		ECParity:    p,
 		ECBlockSize: m.cfg.ECBlockSize,
-		Members:     members,
+		Members:     g.names(),
 	}
 }
 
-// publishConfigPlane writes this configuration's descriptor and advances the
-// epoch word on every writable node that is behind. CAS (expect = observed)
-// guards the epoch word so a stale coordinator racing a newer one cannot
-// regress it; the descriptor write is guarded by the epoch-word read (a
-// node at a newer epoch is never touched — New refuses such configs before
-// serving anyway).
-func (m *Memory) publishConfigPlane() {
-	rec := m.ConfigRecord()
+// publishConfigPlane writes group g's descriptor and advances the epoch word
+// on every live member that is behind. CAS (expect = observed) guards the
+// epoch word so a stale coordinator racing a newer one cannot regress it; the
+// descriptor write is guarded by the epoch-word read (a node at a newer epoch
+// is never touched — New refuses such configs before serving anyway).
+func (m *Memory) publishConfigPlane(g *group) {
+	rec := m.record(g)
 	image, err := memnode.EncodeConfig(rec)
 	if err != nil {
 		return
 	}
 	want := memnode.PackServing(rec.Epoch, rec.Term)
-	for _, i := range m.nodesInState(nodeLive) {
-		c, err := m.conn(i)
+	for _, i := range g.nodesInState(nodeLive) {
+		c, err := m.conn(g.members[i])
 		if err != nil {
 			continue
 		}
@@ -630,35 +583,16 @@ func (m *Memory) SinceExclusion() time.Duration {
 }
 
 // Majority returns the commit quorum size (⌊n/2⌋+1 over full membership).
-func (m *Memory) Majority() int { return len(m.nodes)/2 + 1 }
+func (m *Memory) Majority() int { return m.grp.Load().majority() }
 
 // Epoch returns the config epoch this memory currently serves.
-func (m *Memory) Epoch() uint32 { return m.epoch.Load() }
+func (m *Memory) Epoch() uint32 { return m.grp.Load().epoch }
 
 // MemberNames returns the current member list in group-index order.
-func (m *Memory) MemberNames() []string {
-	m.nameMu.RLock()
-	defer m.nameMu.RUnlock()
-	return append([]string(nil), m.nodes...)
-}
-
-// nodeName returns member i's name (safe against concurrent replacement).
-func (m *Memory) nodeName(i int) string {
-	m.nameMu.RLock()
-	defer m.nameMu.RUnlock()
-	return m.nodes[i]
-}
-
-// setNodeName installs a new name for group index i (node replacement).
-func (m *Memory) setNodeName(i int, name string) {
-	m.nameMu.Lock()
-	m.nodes[i] = name
-	m.nameMu.Unlock()
-}
+func (m *Memory) MemberNames() []string { return m.grp.Load().names() }
 
 // MarkExclusion stamps the exclusion clock (see lastExclusion) at the given
-// time. Reconfiguration cutovers call it — on the outgoing memory when the
-// cutover commits and on the incoming one at construction — so lease-based
+// time. A Reconfigure cutover calls it under the write gate, so lease-based
 // acknowledgement holds (kv.Config.AckHold) keep covering backup readers
 // whose ≤W-stale masks still name the outgoing member set.
 func (m *Memory) MarkExclusion(t time.Time) {
@@ -672,7 +606,7 @@ func (m *Memory) MemSize() int { return m.cfg.MemSize }
 func (m *Memory) DirectSize() int { return m.cfg.DirectSize }
 
 // ErasureEnabled reports whether the main space is erasure coded.
-func (m *Memory) ErasureEnabled() bool { return m.code != nil }
+func (m *Memory) ErasureEnabled() bool { return m.grp.Load().code != nil }
 
 // WriteAlign returns the memory's write alignment (see Config.WriteAlign).
 func (m *Memory) WriteAlign() int { return m.cfg.WriteAlign() }
@@ -706,8 +640,8 @@ func (m *Memory) Stats() Stats {
 		ScrubPasses:         m.stats.scrubPasses.Load(),
 		ScrubPassUs:         uint64(m.scrubPassTime.Value()),
 	}
-	for i := range m.conns {
-		b := m.conns[i].Load()
+	for _, mb := range m.grp.Load().members {
+		b := mb.conn.Load()
 		if b == nil {
 			continue
 		}
@@ -728,10 +662,11 @@ func (m *Memory) Stats() Stats {
 // bufPool returns a pool of size-byte buffers. It is an object of its own
 // and its constructor closes over the size alone, because the runtime keeps
 // every pool it has seen in use reachable until two collections later: a
-// pool that is a field of the Memory, or whose constructor captures it,
-// keeps a closed Memory reachable that long — and through its dialer the
-// memory nodes' regions under it, which a process that builds deployments
-// one after another (tests, the benchmark's set-ups) then cannot reuse.
+// pool that is a field of the Memory or its group, or whose constructor
+// captures either, keeps a closed Memory reachable that long — and through
+// its dialer the memory nodes' regions under it, which a process that
+// builds deployments one after another (tests, the benchmark's set-ups)
+// then cannot reuse.
 func bufPool(size int) *sync.Pool {
 	return &sync.Pool{New: func() any {
 		b := make([]byte, size)
@@ -751,10 +686,12 @@ func (m *Memory) QueueDepth() (current, max int64) {
 	return m.queueDepth.Current(), m.queueDepth.Max()
 }
 
-// fence marks the memory as fenced and fires the callback once.
-func (m *Memory) fence() {
+// fence marks the memory as fenced and fires the callback once: a newer
+// coordinator took over, or a reconfiguration left the config epoch
+// ambiguous. Either way this memory stops serving and its owner stands down.
+func (m *Memory) fence(why string) {
 	if m.fenced.CompareAndSwap(false, true) {
-		m.emit("repmem.fenced", "", "newer coordinator took over")
+		m.emit("repmem.fenced", "", why)
 		m.closed.Store(true)
 		if m.cfg.OnFenced != nil {
 			go m.cfg.OnFenced()
@@ -767,38 +704,24 @@ func (m *Memory) checkOpen() error {
 	if m.fenced.Load() {
 		return ErrFenced
 	}
-	if m.reconfigured.Load() {
-		return ErrReconfigured
-	}
 	if m.closed.Load() {
 		return ErrClosed
 	}
 	return nil
 }
 
-// nodesInState returns the indexes of the nodes in state s.
-func (m *Memory) nodesInState(s int32) []int {
-	out := make([]int, 0, len(m.nodes))
-	for i := range m.nodes {
-		if m.state[i].Load() == s {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// writeTargetsInto partitions a write fan-out: wait lists the nodes whose
-// completions the caller counts (the live ones); bestEffort lists suspect
-// and degraded nodes, which receive the write without anyone waiting on
-// them. When the wait set alone cannot reach need, best-effort nodes are
+// writeTargetsInto partitions a write fan-out over g: wait lists the nodes
+// whose completions the caller counts (the live ones); bestEffort lists
+// suspect and degraded nodes, which receive the write without anyone waiting
+// on them. When the wait set alone cannot reach need, best-effort nodes are
 // promoted back into it: a majority ack must always mean a true majority of
 // the full membership, never a majority of the healthy subset. The lists are
 // appended to wait and bestEffort, reset to length zero, so a caller with
 // scratch of its own allocates nothing.
-func (m *Memory) writeTargetsInto(need int, wait, bestEffort []int) ([]int, []int) {
+func (g *group) writeTargetsInto(need int, wait, bestEffort []int) ([]int, []int) {
 	wait, bestEffort = wait[:0], bestEffort[:0]
-	for i := range m.nodes {
-		switch m.state[i].Load() {
+	for i, mb := range g.members {
+		switch mb.state.Load() {
 		case nodeLive:
 			wait = append(wait, i)
 		case nodeSuspect, nodeDegraded:
@@ -817,22 +740,26 @@ func (m *Memory) Close() {
 	if m.closed.Swap(true) {
 		return
 	}
-	// Workers stop before the connections close (queued requests still need
-	// them).
-	m.stopWorkers()
-	for i := range m.conns {
-		if b := m.conns[i].Swap(nil); b != nil {
+	m.closeGroup(m.grp.Load())
+}
+
+// closeGroup stops g's workers, then closes its members' connections (queued
+// requests still need them).
+func (m *Memory) closeGroup(g *group) {
+	m.stopWorkers(g)
+	for _, mb := range g.members {
+		if b := mb.conn.Swap(nil); b != nil {
 			b.v.Close()
 		}
 	}
 }
 
-// physMain maps a main-space address to the physical region offset on node
-// i, valid only for the full-replication layout (EC uses chunk math).
-func (m *Memory) physMain(addr uint64) uint64 { return m.layout.MainBase() + addr }
+// physMain maps a main-space address to the physical region offset on any
+// member, valid only for the full-replication layout (EC uses chunk math).
+func (g *group) physMain(addr uint64) uint64 { return g.layout.MainBase() + addr }
 
 // physDirect maps a direct-space address to its physical region offset.
-func (m *Memory) physDirect(addr uint64) uint64 { return m.layout.DirectBase() + addr }
+func (g *group) physDirect(addr uint64) uint64 { return g.layout.DirectBase() + addr }
 
 // checkMainRange validates a main-space access.
 func (m *Memory) checkMainRange(addr uint64, n int) error {

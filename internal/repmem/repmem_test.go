@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -591,4 +592,19 @@ func TestQuickMainSpaceMatchesModel(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// at returns member i of m's current group.
+func (m *Memory) at(i int) *member { return m.grp.Load().members[i] }
+
+// setState places member i of the current group in state s with no side
+// effect, to stage a test.
+func (m *Memory) setState(i int, s int32) { m.at(i).state.Store(s) }
+
+// replaceNode reconfigures m to its current configuration with member old
+// swapped for the machine new: a replacement.
+func replaceNode(m *Memory, old, new string) error {
+	rec := m.ConfigRecord()
+	rec.Members[slices.Index(rec.Members, old)] = new
+	return m.Reconfigure(Target{Members: rec.Members, ECData: rec.ECData, ECParity: rec.ECParity})
 }

@@ -35,7 +35,7 @@ type ScrubReport struct {
 
 // scrubMainBlocks returns how many main-memory blocks the scrubber covers.
 func (m *Memory) scrubMainBlocks() int {
-	return m.integ.blocks
+	return m.grp.Load().integ.blocks
 }
 
 // scrubDirectRanges returns how many direct-zone ranges the scrubber covers.
@@ -83,14 +83,14 @@ func (m *Memory) ScrubOnce() (ScrubReport, error) {
 	}
 	start := time.Now()
 	for b := 0; b < m.scrubMainBlocks(); b++ {
-		c, rep, un := m.scrubMainBlock(uint64(b))
+		c, rep, un := m.scrubMainBlock(m.grp.Load(), uint64(b))
 		r.MainBlocks++
 		r.Corrupt += c
 		r.Repaired += rep
 		r.Unrepaired += un
 	}
 	for i := 0; i < m.scrubDirectRanges(); i++ {
-		c, rep, un := m.scrubDirectRange(i)
+		c, rep, un := m.scrubDirectRange(m.grp.Load(), i)
 		r.DirectRanges++
 		r.Corrupt += c
 		r.Repaired += rep
@@ -116,10 +116,10 @@ func (m *Memory) scrubStep(cursor, n int) int {
 		if m.closed.Load() {
 			return 0
 		}
-		if cursor < mainBlocks {
-			m.scrubMainBlock(uint64(cursor))
+		if g := m.grp.Load(); cursor < mainBlocks {
+			m.scrubMainBlock(g, uint64(cursor))
 		} else {
-			m.scrubDirectRange(cursor - mainBlocks)
+			m.scrubDirectRange(g, cursor-mainBlocks)
 		}
 	}
 	if cursor >= total {
@@ -129,23 +129,23 @@ func (m *Memory) scrubStep(cursor, n int) int {
 }
 
 // readReplicas reads the same spans of the replicated region, at base, from
-// every live node, as one vectored read per node with every node's in flight
+// every live member of g, as one vectored read per node with every node's in flight
 // at once, so a caller holding a range lock pays one round trip however many
 // replicas and spans it compares. It returns each node's copy of the spans
 // back to back; a node that is not live, or failed its read, has a nil row.
-func (m *Memory) readReplicas(base uint64, spans ...Span) [][]byte {
-	got := make([][]byte, len(m.nodes))
-	conns := make([]rdma.Verbs, len(m.nodes))
-	errs := make([]error, len(m.nodes))
+func (m *Memory) readReplicas(g *group, base uint64, spans ...Span) [][]byte {
+	got := make([][]byte, len(g.members))
+	conns := make([]rdma.Verbs, len(g.members))
+	errs := make([]error, len(g.members))
 	total := 0
 	for _, sp := range spans {
 		total += sp.Size
 	}
 	var wg sync.WaitGroup
-	for _, i := range m.nodesInState(nodeLive) {
-		c, err := m.conn(i)
+	for _, i := range g.nodesInState(nodeLive) {
+		c, err := m.conn(g.members[i])
 		if err != nil {
-			m.noteConnError(i, c, err)
+			m.noteConnError(g.members[i], c, err)
 			continue
 		}
 		conns[i] = c
@@ -166,17 +166,17 @@ func (m *Memory) readReplicas(base uint64, spans ...Span) [][]byte {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			m.noteConnError(i, conns[i], err)
+			m.noteConnError(g.members[i], conns[i], err)
 			got[i] = nil
 		}
 	}
 	return got
 }
 
-// scrubMainBlock verifies block b on every live replica against the
+// scrubMainBlock verifies block b on every live replica of grp against the
 // checksum cache and repairs deviants in place.
-func (m *Memory) scrubMainBlock(b uint64) (corrupt, repaired, unrepaired int) {
-	g := m.integ
+func (m *Memory) scrubMainBlock(grp *group, b uint64) (corrupt, repaired, unrepaired int) {
+	g := grp.integ
 	m.stats.scrubbed.Add(1)
 	defer func() {
 		if repaired > 0 {
@@ -189,12 +189,12 @@ func (m *Memory) scrubMainBlock(b uint64) (corrupt, repaired, unrepaired int) {
 	var bad int
 	var stripFix []int
 	n := g.physLen(b)
-	for i, got := range m.readReplicas(0, Span{g.physOff(b), n}, Span{g.stripOff(b), 4}) {
+	for i, got := range m.readReplicas(grp, 0, Span{g.physOff(b), n}, Span{g.stripOff(b), 4}) {
 		if got == nil {
 			continue
 		}
 		if crcBlock(got[:n]) != g.sum(i, b) {
-			m.noteCorruption(i, 1)
+			m.noteCorruption(grp.members[i], 1)
 			bad++
 		} else if !bytes.Equal(got[n:], stripEntry(g.sum(i, b))) {
 			// Data is good; the stored strip entry must agree (a corrupted
@@ -205,16 +205,17 @@ func (m *Memory) scrubMainBlock(b uint64) (corrupt, repaired, unrepaired int) {
 	}
 	m.locks.release(shared, r)
 	for _, i := range stripFix {
+		mb := grp.members[i]
 		m.locks.acquire(exclusive, r)
-		c, err := m.conn(i)
+		c, err := m.conn(mb)
 		if err == nil {
 			err = c.Write(replRegion, g.stripOff(b), stripEntry(g.sum(i, b)))
 		}
 		m.locks.release(exclusive, r)
 		corrupt++
-		m.noteCorruption(i, 1)
+		m.noteCorruption(mb, 1)
 		if err != nil {
-			m.noteConnError(i, c, err)
+			m.noteConnError(mb, c, err)
 			unrepaired++
 			continue
 		}
@@ -227,10 +228,10 @@ func (m *Memory) scrubMainBlock(b uint64) (corrupt, repaired, unrepaired int) {
 	m.locks.acquire(exclusive, r)
 	var fixed int
 	var err error
-	if m.code == nil {
-		_, fixed, err = g.repairPlainBlockLocked(b)
+	if grp.code == nil {
+		_, fixed, err = m.repairPlainBlockLocked(grp, b)
 	} else {
-		fixed, err = g.repairECBlockLocked(b)
+		fixed, err = m.repairECBlockLocked(grp, b)
 	}
 	m.locks.release(exclusive, r)
 	corrupt += bad
@@ -248,7 +249,7 @@ func (m *Memory) scrubMainBlock(b uint64) (corrupt, repaired, unrepaired int) {
 // overwritten when a strict majority of the full membership is
 // byte-identical (every live node receives every direct write, so the
 // honest copies agree); anything less is left alone and counted.
-func (m *Memory) scrubDirectRange(idx int) (corrupt, repaired, unrepaired int) {
+func (m *Memory) scrubDirectRange(g *group, idx int) (corrupt, repaired, unrepaired int) {
 	m.stats.scrubbed.Add(1)
 	defer func() {
 		if repaired > 0 {
@@ -261,7 +262,7 @@ func (m *Memory) scrubDirectRange(idx int) (corrupt, repaired, unrepaired int) {
 		return 0, 0, 0
 	}
 
-	read := func() [][]byte { return m.readReplicas(m.layout.DirectBase(), Span{off, int(n)}) }
+	read := func() [][]byte { return m.readReplicas(g, g.layout.DirectBase(), Span{off, int(n)}) }
 	agree := func(copies [][]byte) bool {
 		var first []byte
 		for _, c := range copies {
@@ -313,18 +314,19 @@ func (m *Memory) scrubDirectRange(idx int) (corrupt, repaired, unrepaired int) {
 		if c == nil || bytes.Equal(c, canonical) {
 			continue
 		}
+		mb := g.members[i]
 		corrupt++
-		m.noteCorruption(i, 1)
-		if 2*best <= len(m.nodes) {
+		m.noteCorruption(mb, 1)
+		if 2*best <= len(g.members) {
 			unrepaired++
 			continue
 		}
-		conn, err := m.conn(i)
+		conn, err := m.conn(mb)
 		if err == nil {
-			err = conn.Write(replRegion, m.physDirect(off), canonical)
+			err = conn.Write(replRegion, g.physDirect(off), canonical)
 		}
 		if err != nil {
-			m.noteConnError(i, conn, err)
+			m.noteConnError(mb, conn, err)
 			unrepaired++
 			continue
 		}

@@ -25,6 +25,10 @@ import (
 // channel hop, one transport round trip and one completion per node. The
 // window is whatever has queued while the worker was busy — empty, and so
 // free, when a writer is alone.
+//
+// Workers belong to a group (group.go). A Reconfigure starts the incoming
+// group's before it publishes the group, and once the cutover is done stops
+// the outgoing group's, which first drain what is queued.
 
 const (
 	// nodeQueueDepth bounds a node worker's submit queue; enqueues beyond it
@@ -58,22 +62,22 @@ type nodeWorker struct {
 	closed bool
 }
 
-// startWorkers launches one worker per memory node.
-func (m *Memory) startWorkers() {
-	m.workers = make([]*nodeWorker, len(m.nodes))
-	for i := range m.workers {
+// startWorkers launches one worker per member of g.
+func (m *Memory) startWorkers(g *group) {
+	g.workers = make([]*nodeWorker, len(g.members))
+	for i := range g.workers {
 		w := &nodeWorker{ch: make(chan nodeReq, nodeQueueDepth)}
-		m.workers[i] = w
-		m.workerWG.Add(1)
-		go m.nodeWorkerLoop(i, w.ch)
+		g.workers[i] = w
+		g.workerWG.Add(1)
+		go m.nodeWorkerLoop(g, i, w.ch)
 	}
 }
 
-// stopWorkers closes every worker channel; the workers drain what is queued
-// and exit. Callers must still be able to reach the connections, so this
-// runs before conns are torn down in Close.
-func (m *Memory) stopWorkers() {
-	for _, w := range m.workers {
+// stopWorkers closes every worker channel of g; the workers drain what is
+// queued and exit. Callers must still be able to reach the connections, so
+// this runs before they are torn down.
+func (m *Memory) stopWorkers(g *group) {
+	for _, w := range g.workers {
 		w.mu.Lock()
 		if !w.closed {
 			w.closed = true
@@ -81,14 +85,14 @@ func (m *Memory) stopWorkers() {
 		}
 		w.mu.Unlock()
 	}
-	m.workerWG.Wait()
+	g.workerWG.Wait()
 }
 
-// enqueue hands req to node i's worker. After the memory is closed, done
-// fires immediately with ErrClosed.
-func (m *Memory) enqueue(i int, req nodeReq) {
+// enqueue hands req to the worker of g's member i. After the group's workers
+// stopped, done fires immediately with ErrClosed.
+func (m *Memory) enqueue(g *group, i int, req nodeReq) {
 	req.enq = time.Now()
-	w := m.workers[i]
+	w := g.workers[i]
 	w.mu.RLock()
 	if w.closed {
 		w.mu.RUnlock()
@@ -110,7 +114,7 @@ type flightCtx struct {
 	segs  []rdma.Seg    // backing for op.More
 	dones []func(error) // one per request carried
 	m     *Memory
-	node  int
+	mb    *member
 	conn  rdma.Verbs
 	start time.Time
 	fn    func(*rdma.Op)
@@ -147,25 +151,25 @@ func (c *flightCtx) load(reqs []nodeReq) {
 // the ctx is recycled with no buffer or callback left referenced.
 func (c *flightCtx) complete(o *rdma.Op) {
 	err := o.Err
-	c.m.noteOpResult(c.node, c.conn, time.Since(c.start), err)
+	c.m.noteOpResult(c.mb, c.conn, time.Since(c.start), err)
 	for _, done := range c.dones {
 		done(err)
 	}
 	*o = rdma.Op{}
 	clear(c.segs)
 	clear(c.dones)
-	c.m, c.conn = nil, nil
+	c.m, c.mb, c.conn = nil, nil, nil
 	flightCtxPool.Put(c)
 }
 
-// nodeWorkerLoop drains node i's queue, a flight at a time: the request it
+// nodeWorkerLoop drains the queue of g's member i, a flight at a time: the request it
 // blocked for plus what is queued behind it, FIFO, up to nodeFlightMax. With
 // a pipelined connection the loop submits and immediately moves on —
 // completions arrive on transport goroutines, or inside Submit over a
 // zero-delay in-process link — so the queue drains at submission speed, not
 // round-trip speed.
-func (m *Memory) nodeWorkerLoop(i int, ch chan nodeReq) {
-	defer m.workerWG.Done()
+func (m *Memory) nodeWorkerLoop(g *group, i int, ch chan nodeReq) {
+	defer g.workerWG.Done()
 	flight := make([]nodeReq, 0, nodeFlightMax)
 	for req := range ch {
 		flight = append(flight[:0], req)
@@ -181,13 +185,13 @@ func (m *Memory) nodeWorkerLoop(i int, ch chan nodeReq) {
 				break drain
 			}
 		}
-		m.sendFlight(i, flight)
+		m.sendFlight(g.members[i], flight)
 	}
 }
 
-// sendFlight submits reqs to node i as one vectored write. The clock is read
+// sendFlight submits reqs to member mb as one vectored write. The clock is read
 // once, for every request's queue wait and the flight's latency.
-func (m *Memory) sendFlight(i int, reqs []nodeReq) {
+func (m *Memory) sendFlight(mb *member, reqs []nodeReq) {
 	now := time.Now()
 	m.queueDepth.Add(-int64(len(reqs)))
 	var waited time.Duration
@@ -198,16 +202,16 @@ func (m *Memory) sendFlight(i int, reqs []nodeReq) {
 	// conn redials through the circuit breaker, so a node that was down at
 	// connect time (or lost its connection mid-run) is re-established from
 	// the write path itself, not only by the recovery manager.
-	conn, err := m.conn(i)
+	conn, err := m.conn(mb)
 	if err != nil {
-		m.noteConnError(i, nil, err)
+		m.noteConnError(mb, nil, err)
 		for _, r := range reqs {
 			r.done(err)
 		}
 		return
 	}
 	c := getFlightCtx()
-	c.m, c.node, c.conn, c.start = m, i, conn, now
+	c.m, c.mb, c.conn, c.start = m, mb, conn, now
 	c.load(reqs)
 	rdma.Send(conn, &c.op)
 }
@@ -217,12 +221,12 @@ func (m *Memory) sendFlight(i int, reqs []nodeReq) {
 // pooled and recycled the moment the waited-on completions finish, while a
 // gray node can sit on this op until its deadline — and the outcome feeds
 // only the health accounting in the worker.
-func (m *Memory) enqueueBestEffort(i int, offset uint64, data []byte, more ...rdma.Seg) {
+func (m *Memory) enqueueBestEffort(g *group, i int, offset uint64, data []byte, more ...rdma.Seg) {
 	req := nodeReq{offset: offset, data: append([]byte(nil), data...), done: func(error) {}}
 	for _, s := range more {
 		req.more = append(req.more, rdma.Seg{Offset: s.Offset, Data: append([]byte(nil), s.Data...)})
 	}
-	m.enqueue(i, req)
+	m.enqueue(g, i, req)
 }
 
 // quorumGroup tracks one fan-out's completions. wait returns as soon as the

@@ -33,24 +33,23 @@ func (m *Memory) UnloggedWrite(addr uint64, data []byte) error { return m.Write(
 func (m *Memory) WriteBatch(writes []wal.Write) error {
 	// The reconfiguration gate: held shared by every write-path entry point,
 	// exclusively by a catch-up's delta and cutover. A writer that blocks
-	// here across a rebuild or replacement wakes to the new member in its
-	// slot; across a restripe it wakes to the memory closed
-	// (ErrReconfigured) and retries against the rebuilt group.
+	// here across a cutover wakes to the new group and writes to it.
 	m.gate.RLock()
 	defer m.gate.RUnlock()
 	if err := m.checkOpen(); err != nil {
 		return err
 	}
+	g := m.grp.Load()
 	var buf [4]lockRange
 	ranges := buf[:0]
 	for _, w := range writes {
 		if err := m.checkMainRange(w.Addr, len(w.Data)); err != nil {
 			return err
 		}
-		ranges = append(ranges, m.expandWriteRange(w.Addr, len(w.Data)))
+		ranges = append(ranges, m.expandWriteRange(g, w.Addr, len(w.Data)))
 	}
 	m.locks.acquire(exclusive, ranges...)
-	m.applyWrites(writes)
+	m.applyWrites(g, writes)
 	m.locks.release(exclusive, ranges...)
 	if err := m.checkOpen(); err != nil {
 		return err
@@ -59,12 +58,12 @@ func (m *Memory) WriteBatch(writes []wal.Write) error {
 	// before they turned gray plus best-effort copies of everything since,
 	// and are repaired in full before rejoining reads.
 	alive := 0
-	for i := range m.nodes {
-		if m.state[i].Load() != nodeDead {
+	for _, mb := range g.members {
+		if mb.state.Load() != nodeDead {
 			alive++
 		}
 	}
-	if alive < m.Majority() {
+	if alive < g.majority() {
 		return fmt.Errorf("%w: lost quorum during main-space write", ErrNoQuorum)
 	}
 	return nil
@@ -132,7 +131,7 @@ func putApplyScratch(sc *applyScratch) {
 
 // applyBlockSize is the unit applyWrites widens to: the integrity block,
 // which under erasure coding is the EC block.
-func (m *Memory) applyBlockSize() uint64 { return m.integ.ibs }
+func (g *group) applyBlockSize() uint64 { return g.integ.ibs }
 
 // applyWrites materializes main-space writes on every writable node as ONE
 // request per node — every block (or chunk) and every strip entry a segment
@@ -157,31 +156,31 @@ func (m *Memory) applyBlockSize() uint64 { return m.integ.ibs }
 // the transport deadline and cannot race a later write to the same range
 // because the node is repaired through full recovery (under the same locks)
 // before it serves reads again.
-func (m *Memory) applyWrites(writes []wal.Write) {
+func (m *Memory) applyWrites(g *group, writes []wal.Write) {
 	sc := applyScratchPool.Get().(*applyScratch)
 	defer putApplyScratch(sc)
-	for len(sc.segs) < len(m.nodes) {
+	for len(sc.segs) < len(g.members) {
 		sc.segs = append(sc.segs, nil)
 	}
-	B := m.applyBlockSize()
+	B := g.applyBlockSize()
 	for _, w := range writes {
 		if len(w.Data) == 0 {
 			continue
 		}
 		m.noteDirtyMain(w.Addr, len(w.Data))
-		m.splitWrite(sc, B, w)
+		m.splitWrite(g, sc, B, w)
 	}
-	if m.code != nil {
-		m.encodeUnits(sc)
+	if g.code != nil {
+		encodeUnits(g, sc)
 	} else {
-		m.checksumUnits(sc)
+		checksumUnits(g, sc)
 	}
 
-	perNode := m.code != nil
+	perNode := g.code != nil
 	if len(sc.segs[0]) == 0 {
 		return
 	}
-	sc.wait, sc.best = m.writeTargetsInto(0, sc.wait, sc.best)
+	sc.wait, sc.best = g.writeTargetsInto(0, sc.wait, sc.best)
 	vector := func(i int) []rdma.Seg {
 		if perNode {
 			return sc.segs[i]
@@ -190,7 +189,7 @@ func (m *Memory) applyWrites(writes []wal.Write) {
 	}
 	for _, i := range sc.best {
 		v := vector(i)
-		m.enqueueBestEffort(i, v[0].Offset, v[0].Data, v[1:]...)
+		m.enqueueBestEffort(g, i, v[0].Offset, v[0].Data, v[1:]...)
 	}
 	if len(sc.wait) == 0 {
 		return
@@ -198,7 +197,7 @@ func (m *Memory) applyWrites(writes []wal.Write) {
 	sc.wg.Add(len(sc.wait))
 	for _, i := range sc.wait {
 		v := vector(i)
-		m.enqueue(i, nodeReq{offset: v[0].Offset, data: v[0].Data, more: v[1:], done: sc.done})
+		m.enqueue(g, i, nodeReq{offset: v[0].Offset, data: v[0].Data, more: v[1:], done: sc.done})
 	}
 	sc.wg.Wait()
 }
@@ -207,7 +206,7 @@ func (m *Memory) applyWrites(writes []wal.Write) {
 // whole blocks becomes one unit over the caller's bytes (one block per unit
 // under erasure coding, where every block is encoded on its own); a partly
 // written block joins, or starts, that block's read-back image.
-func (m *Memory) splitWrite(sc *applyScratch, B uint64, w wal.Write) {
+func (m *Memory) splitWrite(g *group, sc *applyScratch, B uint64, w wal.Write) {
 	end := w.Addr + uint64(len(w.Data))
 	run := -1 // the unit holding this write's current run of whole blocks
 	for b := w.Addr / B; b*B < end; b++ {
@@ -215,7 +214,7 @@ func (m *Memory) splitWrite(sc *applyScratch, B uint64, w wal.Write) {
 		bEnd := min64(bStart+B, uint64(m.cfg.MemSize))
 		lo, hi := max64(w.Addr, bStart), min64(end, bEnd)
 		if lo == bStart && hi == bEnd {
-			if run >= 0 && m.code == nil {
+			if run >= 0 && g.code == nil {
 				u := &sc.units[run]
 				u.nb++
 				u.data = w.Data[u.b*B-w.Addr : hi-w.Addr]
@@ -229,7 +228,7 @@ func (m *Memory) splitWrite(sc *applyScratch, B uint64, w wal.Write) {
 		if !ok {
 			at = len(sc.units)
 			sc.images[b] = at
-			sc.units = append(sc.units, applyUnit{b: b, nb: 1, data: m.readBackBlock(b)})
+			sc.units = append(sc.units, applyUnit{b: b, nb: 1, data: m.readBackBlock(g, b)})
 		}
 		if img := sc.units[at].data; img != nil {
 			copy(img[lo-bStart:], w.Data[lo-w.Addr:hi-w.Addr])
@@ -250,18 +249,18 @@ func (sc *applyScratch) blocks() (n int) {
 // block's write lock, so the read-modify-write is race-free; a corrupt
 // replica met on the way is skipped like a dead one and then overwritten by
 // the apply, which heals it.
-func (m *Memory) readBackBlock(b uint64) []byte {
-	if m.code == nil {
-		blk, err := m.integ.readPlainBlockLocked(b)
+func (m *Memory) readBackBlock(g *group, b uint64) []byte {
+	if g.code == nil {
+		blk, err := m.readPlainBlockLocked(g, b)
 		if err != nil {
 			return nil
 		}
 		return blk
 	}
-	rs := m.getECScratch()
-	defer m.putECScratch(rs)
+	rs := m.getECScratch(g)
+	defer g.ecPool.Put(rs)
 	blk := make([]byte, m.cfg.ECBlockSize)
-	if _, err := m.readBlockECInto(rs, b, blk); err != nil {
+	if _, err := m.readBlockECInto(g, rs, b, blk); err != nil {
 		return nil
 	}
 	return blk
@@ -270,8 +269,8 @@ func (m *Memory) readBackBlock(b uint64) []byte {
 // checksumUnits renders the plain-mode request shared by every node: each
 // unit's bytes, then the strip entries of its blocks as the next segment, so
 // data and checksums land in one flight.
-func (m *Memory) checksumUnits(sc *applyScratch) {
-	g := m.integ
+func checksumUnits(grp *group, sc *applyScratch) {
+	g := grp.integ
 	if need := 4 * sc.blocks(); cap(sc.strip) < need {
 		sc.strip = make([]byte, need)
 	}
@@ -290,7 +289,7 @@ func (m *Memory) checksumUnits(sc *applyScratch) {
 			off += bLen
 		}
 		sc.segs[0] = append(sc.segs[0],
-			rdma.Seg{Offset: m.physMain(u.b * g.ibs), Data: u.data},
+			rdma.Seg{Offset: grp.physMain(u.b * g.ibs), Data: u.data},
 			rdma.Seg{Offset: g.stripOff(u.b), Data: entries})
 	}
 }
@@ -298,8 +297,8 @@ func (m *Memory) checksumUnits(sc *applyScratch) {
 // encodeUnits renders the per-node requests under erasure coding: every
 // block is encoded into its own parity buffers, and node j's vector takes
 // chunk j of each block followed by that chunk's strip entry.
-func (m *Memory) encodeUnits(sc *applyScratch) {
-	n, k, C, blocks := len(m.nodes), m.code.K(), m.chunk, sc.blocks()
+func encodeUnits(g *group, sc *applyScratch) {
+	n, k, C, blocks := len(g.members), g.code.K(), g.chunk, sc.blocks()
 	if need := blocks * (n - k) * C; cap(sc.parity) < need {
 		sc.parity = make([]byte, need)
 	}
@@ -318,18 +317,18 @@ func (m *Memory) encodeUnits(sc *applyScratch) {
 			sc.chunks[j] = parity[len(parity) : len(parity)+C]
 			parity = parity[:len(parity)+C]
 		}
-		if err := m.code.EncodeTo(u.data, sc.chunks); err != nil {
+		if err := g.code.EncodeTo(u.data, sc.chunks); err != nil {
 			continue
 		}
-		physOff := m.layout.MainBase() + u.b*uint64(C)
+		physOff := g.layout.MainBase() + u.b*uint64(C)
 		for j, chunk := range sc.chunks {
 			sc.segs[j] = append(sc.segs[j], rdma.Seg{Offset: physOff, Data: chunk})
 			sum := crcBlock(chunk)
-			m.integ.setSum(j, u.b, sum)
+			g.integ.setSum(j, u.b, sum)
 			entry := strip[len(strip) : len(strip)+4]
 			strip = strip[:len(strip)+4]
 			binary.LittleEndian.PutUint32(entry, sum)
-			sc.segs[j] = append(sc.segs[j], rdma.Seg{Offset: m.integ.stripOff(u.b), Data: entry})
+			sc.segs[j] = append(sc.segs[j], rdma.Seg{Offset: g.integ.stripOff(u.b), Data: entry})
 		}
 	}
 }
@@ -380,28 +379,30 @@ func (m *Memory) directWrite(addr uint64, data []byte, release func()) error {
 	if m.cfg.Latency != nil {
 		start = time.Now()
 	}
+	g := m.grp.Load()
 	held := lockRange{addr: addr, size: len(data)}
 	m.directLocks.acquire(exclusive, held)
 	m.noteDirtyDirect(addr, len(data))
 	var waitBuf, bestBuf [8]int
-	wait, bestEffort := m.writeTargetsInto(m.Majority(), waitBuf[:0], bestBuf[:0])
-	g := newQuorumGroup(len(wait), m.Majority(), func() {
+	need := g.majority()
+	wait, bestEffort := g.writeTargetsInto(need, waitBuf[:0], bestBuf[:0])
+	q := newQuorumGroup(len(wait), need, func() {
 		m.directLocks.release(exclusive, held)
 		if release != nil {
 			release()
 		}
 	})
-	off := m.physDirect(addr)
+	off := g.physDirect(addr)
 	// Copies first: once the last waited-on write is enqueued it may
 	// complete, and release recycle data, at any moment.
 	for _, i := range bestEffort {
-		m.enqueueBestEffort(i, off, data)
+		m.enqueueBestEffort(g, i, off, data)
 	}
-	ack := g.ack // one method value for every node's request
+	ack := q.ack // one method value for every node's request
 	for _, i := range wait {
-		m.enqueue(i, nodeReq{offset: off, data: data, done: ack})
+		m.enqueue(g, i, nodeReq{offset: off, data: data, done: ack})
 	}
-	if err := m.waitQuorum(g); err != nil {
+	if err := m.waitQuorum(q); err != nil {
 		if oerr := m.checkOpen(); oerr != nil {
 			return oerr
 		}
@@ -421,8 +422,8 @@ func (m *Memory) directWrite(addr uint64, data []byte, release func()) error {
 // verification are covered by the caller's lock: to EC block boundaries
 // under erasure coding, to integrity-block boundaries otherwise (identical
 // under EC, where the integrity block is the EC block).
-func (m *Memory) expandWriteRange(addr uint64, size int) lockRange {
-	B := m.applyBlockSize()
+func (m *Memory) expandWriteRange(g *group, addr uint64, size int) lockRange {
+	B := g.applyBlockSize()
 	if size == 0 {
 		return lockRange{addr: addr, size: size}
 	}

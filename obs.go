@@ -169,8 +169,6 @@ func (cl *Cluster) initObs() {
 		func() float64 { return float64(cl.Coordinator()) })
 	reg.GaugeFunc("sift_config_epoch", "Committed config epoch the coordinator serves at (0 when none).",
 		func() float64 { return float64(cl.ConfigEpoch()) })
-	reg.CounterFunc("sift_reconfig_rebuilds_total", "In-term serving-layer rebuilds after committed reconfigurations.",
-		cpu(func(n *core.CPUNode) uint64 { return n.Reconfigs() }))
 	reg.GaugeFunc("sift_pipeline_queue_depth", "Current depth of the per-node write worker queues.",
 		func() float64 {
 			if st := cl.coordinatorStore(); st != nil {

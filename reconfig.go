@@ -213,9 +213,10 @@ func (cl *Cluster) RemoveMemoryNode(name string) error {
 // RestripeMemoryNodes moves the group onto a new member set and/or erasure
 // geometry. Full replication stays full replication and EC stays EC with
 // the same block size — the KV layer's block alignment is derived from it
-// and cannot change under a live store. An EC restripe requires an entirely
-// fresh target set (chunk placement is positional); a plain restripe copies
-// only onto the joining nodes. Machines for fresh member names are created
+// and cannot change under a live store. Only joining nodes are copied to;
+// under EC a current member can stay only at its own chunk index under the
+// same code (chunk placement is positional), so a new geometry needs an
+// entirely fresh target set. Machines for fresh member names are created
 // (or wiped) automatically with the target layout.
 func (cl *Cluster) RestripeMemoryNodes(members []string, ecData, ecParity int) error {
 	cl.mu.Lock()

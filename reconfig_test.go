@@ -308,9 +308,9 @@ func TestReconfigAddRemovePlain(t *testing.T) {
 }
 
 // TestReconfigRestripeEC moves an erasure-coded group onto an entirely
-// fresh member set (EC restripes are all-or-nothing: chunk placement is
-// positional, so retained nodes cannot keep their contents) and checks the
-// one-node add/remove verbs are refused under EC.
+// fresh member set (chunk placement is positional, so a member can stay
+// only at its own chunk index under the same code) and checks the one-node
+// add/remove verbs are refused under EC.
 func TestReconfigRestripeEC(t *testing.T) {
 	cfg := smallConfig()
 	cfg.ErasureCoding = true
@@ -368,11 +368,12 @@ func TestReconfigRestripeEC(t *testing.T) {
 // TestReconfigLinearizePlain runs linearizability-checked clients across
 // every caller of the memory layer's one catch-up: a live replacement, a
 // memory node killed, restarted empty and rebuilt, a dead node's
-// replacement, and a one-node add followed by a remove (restripes).
+// replacement, and a one-node add followed by a remove.
 func TestReconfigLinearizePlain(t *testing.T) { reconfigLinearize(t, false) }
 
-// TestReconfigLinearizeEC is TestReconfigLinearizePlain erasure-coded, less
-// the add and remove, which an EC group refuses.
+// TestReconfigLinearizeEC is TestReconfigLinearizePlain erasure-coded, with
+// a restripe onto a fresh member set in place of the add and remove, which an
+// EC group refuses.
 func TestReconfigLinearizeEC(t *testing.T) { reconfigLinearize(t, true) }
 
 func reconfigLinearize(t *testing.T, ec bool) {
@@ -430,6 +431,11 @@ func reconfigLinearize(t *testing.T, ec bool) {
 		}
 		pause()
 		if ec {
+			k, m := cl.mcfg.ECData, cl.mcfg.ECParity
+			if err := cl.RestripeMemoryNodes([]string{"ecA", "ecB", "ecC"}, k, m); err != nil {
+				t.Errorf("EC restripe onto a fresh set: %v", err)
+			}
+			pause()
 			return
 		}
 		added, err := cl.AddMemoryNode("")
@@ -656,4 +662,127 @@ func TestBackupReadStraddlesReplacement(t *testing.T) {
 	}
 	t.Logf("backup reads resumed post-replacement: %d served, %d fallbacks",
 		cl.cm.backupGets.Value(), cl.cm.backupFallbacks.Value())
+}
+
+// TestReconfigSameHandlesServe: every kind of reconfiguration cuts over in
+// place. With writers running, the coordinator's *kv.Store and the
+// *repmem.Memory under it are the same objects before and after a restripe
+// onto a fresh member set, an add and a remove, and a replace, and no write
+// fails.
+func TestReconfigSameHandlesServe(t *testing.T) {
+	cl := newTestCluster(t, smallConfig())
+	dumpEventsOnFailure(t, cl)
+	if err := cl.WaitForCoordinator(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	st := cl.coordinatorStore()
+	mem := st.Memory()
+
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		go func(w int) {
+			c := cl.Client()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				if err := c.Put([]byte(fmt.Sprintf("w%d-%d", w, i%64)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+					errs <- fmt.Errorf("writer %d: %w", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	same := func(step string) {
+		t.Helper()
+		if got := cl.coordinatorStore(); got != st || got.Memory() != mem {
+			t.Errorf("after %s: store %p memory %p, want the same %p and %p", step, got, got.Memory(), st, mem)
+		}
+	}
+	if err := cl.RestripeMemoryNodes([]string{"fresh0", "fresh1", "fresh2"}, 0, 0); err != nil {
+		t.Fatalf("restripe: %v", err)
+	}
+	same("a restripe")
+	added, err := cl.AddMemoryNode("")
+	if err != nil {
+		t.Fatalf("add: %v", err)
+	}
+	same("an add")
+	if err := cl.RemoveMemoryNode(added); err != nil {
+		t.Fatalf("remove: %v", err)
+	}
+	same("a remove")
+	if _, err := cl.ReplaceMemoryNode("fresh1", ""); err != nil {
+		t.Fatalf("replace: %v", err)
+	}
+	same("a replace")
+	close(stop)
+	for w := 0; w < 4; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	awaitConfigEpoch(t, cl, 5)
+}
+
+// TestReconfigStartsNoElection: a reconfiguration hands the followers the
+// new member set right after an in-place cutover, so none of them misses
+// the coordinator's heartbeats and campaigns. An idle cluster goes through
+// 40 restripes onto a disjoint member set, 40 add/remove pairs and 40
+// replaces, a few heartbeat intervals apart, without a single promotion.
+// (Back to back, with no pause, the loop itself starves the heartbeats on
+// a small host and elections follow on either side of this change.)
+func TestReconfigStartsNoElection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long reconfiguration loop in -short mode")
+	}
+	cl := newTestCluster(t, smallConfig())
+	dumpEventsOnFailure(t, cl)
+	if err := cl.WaitForCoordinator(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	counters := func() (campaigns, promotions uint64) {
+		cl.mu.Lock()
+		defer cl.mu.Unlock()
+		for _, r := range cl.runners {
+			campaigns += r.node.Elections()
+			promotions += r.node.Promotions()
+		}
+		return campaigns, promotions
+	}
+	pause := func() { time.Sleep(4 * cl.cfg.HeartbeatInterval) }
+	c0, p0 := counters()
+	sets := [2][]string{cl.MemoryNodes(), {"alt0", "alt1", "alt2"}}
+	for i := 0; i < 40; i++ {
+		if err := cl.RestripeMemoryNodes(sets[(i+1)%2], 0, 0); err != nil {
+			t.Fatalf("restripe %d: %v", i, err)
+		}
+		pause()
+	}
+	for i := 0; i < 40; i++ {
+		added, err := cl.AddMemoryNode("")
+		if err != nil {
+			t.Fatalf("add %d: %v", i, err)
+		}
+		pause()
+		if err := cl.RemoveMemoryNode(added); err != nil {
+			t.Fatalf("remove %d: %v", i, err)
+		}
+		pause()
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := cl.ReplaceMemoryNode(cl.MemoryNodes()[i%3], ""); err != nil {
+			t.Fatalf("replace %d: %v", i, err)
+		}
+		pause()
+	}
+	c1, p1 := counters()
+	t.Logf("160 reconfigurations: %d campaigns, %d promotions", c1-c0, p1-p0)
+	if p1 != p0 {
+		t.Fatalf("%d elections won across 160 reconfigurations of an idle cluster, want 0", p1-p0)
+	}
 }
