@@ -21,6 +21,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -250,7 +251,12 @@ func main() {
 			if len(args) != 3 {
 				return nil, fmt.Errorf("usage: replace <old-addr> <new-addr>")
 			}
-			if err := node.ReplaceMemoryNode(args[1], args[2]); err != nil {
+			i := slices.Index(snap.Members, args[1])
+			if i < 0 {
+				return nil, fmt.Errorf("admin: %q is not a memory node", args[1])
+			}
+			snap.Members[i] = args[2]
+			if err := node.RestripeMemoryNodes(snap.Members, snap.ECData, snap.ECParity); err != nil {
 				return nil, err
 			}
 		case "add":

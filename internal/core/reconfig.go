@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 
 	"github.com/repro/sift/internal/election"
 	"github.com/repro/sift/internal/kv"
@@ -156,43 +155,21 @@ func (n *CPUNode) coordinatorMemory() (*kv.Store, *repmem.Memory, error) {
 	return st, mem, nil
 }
 
-// ReplaceMemoryNode replaces memory node oldName with newName (same
-// capacity, typically a fresh machine) while this node coordinates: a
-// reconfiguration to the current member list with one name swapped.
-func (n *CPUNode) ReplaceMemoryNode(oldName, newName string) error {
-	_, mem, err := n.coordinatorMemory()
-	if err != nil {
-		return err
-	}
-	rec := mem.ConfigRecord()
-	i := slices.Index(rec.Members, oldName)
-	if i < 0 {
-		return fmt.Errorf("core: unknown memory node %q", oldName)
-	}
-	rec.Members[i] = newName
-	return n.reconfigure(mem, repmem.Target{Members: rec.Members, ECData: rec.ECData, ECParity: rec.ECParity})
-}
-
 // RestripeMemoryNodes moves the group to a new member set and/or erasure
 // geometry (full replication stays full replication, EC stays EC with the
 // same block size — see repmem.Reconfigure for the exact rules) while this
-// node coordinates.
+// node coordinates; a replacement is the current member list with one name
+// swapped. The memory copies what the joining nodes need under traffic and
+// cuts over in place, so the store keeps serving over it throughout, and
+// the elector is then retargeted at the committed member set. A commit that
+// leaves the epoch ambiguous fences the memory: this node stands down, and
+// its successor discovers whichever configuration committed.
 func (n *CPUNode) RestripeMemoryNodes(members []string, ecData, ecParity int) error {
 	_, mem, err := n.coordinatorMemory()
 	if err != nil {
 		return err
 	}
-	return n.reconfigure(mem, repmem.Target{Members: members, ECData: ecData, ECParity: ecParity})
-}
-
-// reconfigure moves the serving memory to t — the memory layer copies what
-// the joining nodes need under traffic and cuts over in place, under a short
-// write barrier — and retargets the elector at the committed member set. The
-// store keeps serving over the same memory throughout. A commit that leaves
-// the epoch ambiguous fences the memory: this node stands down, and its
-// successor discovers whichever configuration committed (see coordinate).
-func (n *CPUNode) reconfigure(mem *repmem.Memory, t repmem.Target) error {
-	if err := mem.Reconfigure(t); err != nil {
+	if err := mem.Reconfigure(repmem.Target{Members: members, ECData: ecData, ECParity: ecParity}); err != nil {
 		return err
 	}
 	n.adoptRecord(mem.ConfigRecord())

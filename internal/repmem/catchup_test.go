@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,6 +119,39 @@ type catchUpCase struct {
 	run  func(m *Memory) error
 	// cutover lists the events whose detail must report the gate's cost.
 	cutover []string
+}
+
+// TestCatchUpPacerLetsTimersFire: a CPU-bound loop that steps a pacer, as
+// the catch-up sweep does, lets a ticker on its one processor fire about
+// every millisecond. Without the pacer the runtime holds the ticker until it
+// preempts the loop, every 10 ms.
+func TestCatchUpPacerLetsTimersFire(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ticks atomic.Int32
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tk := time.NewTicker(time.Millisecond)
+		defer tk.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tk.C:
+				ticks.Add(1)
+			}
+		}
+	}()
+	runtime.Gosched() // let the ticker goroutine block on its timer
+	var pace pacer
+	for start := time.Now(); time.Since(start) < 40*time.Millisecond; {
+		pace.step()
+	}
+	close(stop)
+	<-done
+	if n := ticks.Load(); n < 12 {
+		t.Fatalf("ticker fired %d times in 40 ms beside a paced loop, want at least 12", n)
+	}
 }
 
 // TestCatchUpCopiesWhatChangesBehindTheSweep holds each caller's sweep just

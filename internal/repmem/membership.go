@@ -39,7 +39,7 @@ func (m *Memory) publishMembership() { m.publishMembershipOf(m.grp.Load()) }
 // publication of a group a cutover has since superseded stops, so that it
 // cannot overwrite the newer epoch's record.
 func (m *Memory) publishMembershipOf(g *group) {
-	if m.closed.Load() || m.fenced.Load() {
+	if m.checkOpen() != nil {
 		return
 	}
 	m.membership.mu.Lock()
@@ -79,7 +79,7 @@ func (m *Memory) publishMembershipOf(g *group) {
 // views built against an outgoing member set from serving after a
 // reconfiguration cutover. Best effort, like publishMembership.
 func (m *Memory) PublishServing() {
-	if m.closed.Load() || m.fenced.Load() {
+	if m.checkOpen() != nil {
 		return
 	}
 	g := m.grp.Load()

@@ -463,8 +463,9 @@ func (m *Memory) catchUp(src *group, dst []rdma.Verbs, tgt *group, commit func(g
 	m.dirtyDirect.Store(newDirtyTracker())
 	defer m.dirtyMain.Store(nil)
 	defer m.dirtyDirect.Store(nil)
-	copyDirect := func(lo, hi uint64) error { return m.sweepDirect(src, dst, lo, hi) }
-	copyMain := func(lo, hi uint64) error { return m.sweepMain(src, dst, tgt, lo, hi) }
+	pace := new(pacer)
+	copyDirect := func(lo, hi uint64) error { return m.sweepDirect(src, dst, lo, hi, pace) }
+	copyMain := func(lo, hi uint64) error { return m.sweepMain(src, dst, tgt, lo, hi, pace) }
 	if err := copyDirect(0, uint64(m.cfg.DirectSize)); err != nil {
 		return err
 	}
@@ -489,6 +490,34 @@ func (m *Memory) catchUp(src *group, dst []rdma.Verbs, tgt *group, commit func(g
 	return commit(cost)
 }
 
+// pacer gives a long CPU-bound loop's processor up about once a
+// millisecond. Over in-process verbs a catch-up sweep or a scrub never
+// blocks, and the runtime preempts a running goroutine only after 10 ms;
+// until then the timers queued on its processor wait, the coordinator's
+// heartbeat ticker among them — longer than a backup's suspicion window
+// when the heartbeat interval is a few milliseconds.
+type pacer struct{ last time.Time }
+
+// step blocks for a goroutine switch if a millisecond has passed since the
+// last one (or since the first step). Blocking runs the processor's expired
+// timers and what they wake, and the loop is woken straight back onto the
+// processor; runtime.Gosched would queue it behind every runnable goroutine
+// instead, which cost back to back replacements under a writer a tenth of
+// their puts.
+func (p *pacer) step() {
+	if p.last.IsZero() {
+		p.last = time.Now()
+		return
+	}
+	if time.Since(p.last) < time.Millisecond {
+		return
+	}
+	done := make(chan struct{})
+	go close(done)
+	<-done
+	p.last = time.Now()
+}
+
 // gateCost is what a catch-up's cutover cost writers: the ranges and bytes
 // its delta re-copied under the write gate, and when it took the gate.
 type gateCost struct {
@@ -507,9 +536,10 @@ func (g gateCost) String() string {
 // non-nil dst connection, batch by batch under read locks: concurrent DirectWrites to a
 // batch are excluded for its duration, so none can slip between the source
 // read and the target write and be overwritten by stale data.
-func (m *Memory) sweepDirect(src *group, dst []rdma.Verbs, lo, hi uint64) error {
+func (m *Memory) sweepDirect(src *group, dst []rdma.Verbs, lo, hi uint64, pace *pacer) error {
 	buf := make([]byte, recoveryBatch)
 	for off := lo; off < hi; off += uint64(len(buf)) {
+		pace.step()
 		n := uint64(len(buf))
 		if rem := hi - off; rem < n {
 			n = rem
@@ -557,7 +587,7 @@ func (m *Memory) readDirectFromLive(g *group, addr uint64, buf []byte) error {
 // under plain replication, chunk j under erasure coding) plus its integrity
 // strip entries. Source reads are verified, so a corrupt source is never
 // blessed onto a target, strip entry and all.
-func (m *Memory) sweepMain(src *group, dst []rdma.Verbs, tgt *group, lo, hi uint64) error {
+func (m *Memory) sweepMain(src *group, dst []rdma.Verbs, tgt *group, lo, hi uint64, pace *pacer) error {
 	if hi > uint64(m.cfg.MemSize) {
 		hi = uint64(m.cfg.MemSize)
 	}
@@ -565,20 +595,21 @@ func (m *Memory) sweepMain(src *group, dst []rdma.Verbs, tgt *group, lo, hi uint
 		return nil
 	}
 	if tgt.code != nil {
-		return m.sweepMainEC(src, dst, tgt, lo, hi)
+		return m.sweepMainEC(src, dst, tgt, lo, hi, pace)
 	}
-	return m.sweepMainPlain(src, dst, tgt, lo, hi)
+	return m.sweepMainPlain(src, dst, tgt, lo, hi, pace)
 }
 
 // sweepMainPlain handles plain reconfigurations and rebuilds: each target
 // node receives the full image, block by block. A block with no verified
 // source replica is repaired (under write locks) and retried. The target
 // shares src's checksum row, which already holds every block's sum.
-func (m *Memory) sweepMainPlain(src *group, dst []rdma.Verbs, tgt *group, lo, hi uint64) error {
+func (m *Memory) sweepMainPlain(src *group, dst []rdma.Verbs, tgt *group, lo, hi uint64, pace *pacer) error {
 	g := src.integ
 	b0 := lo / g.ibs
 	b1 := (hi - 1) / g.ibs
 	for b := b0; b <= b1; b++ {
+		pace.step()
 		var err error
 		for attempt := 0; attempt < 2; attempt++ {
 			start, length := g.blockRange(b)
@@ -617,7 +648,7 @@ func (m *Memory) sweepMainPlain(src *group, dst []rdma.Verbs, tgt *group, lo, hi
 // re-encoded with tgt's code, and chunk j lands on dst[j] with its strip
 // entry and its sum in tgt's checksum row — a member rebuilt after a
 // takeover, or a joiner, has no row loaded.
-func (m *Memory) sweepMainEC(src *group, dst []rdma.Verbs, tgt *group, lo, hi uint64) error {
+func (m *Memory) sweepMainEC(src *group, dst []rdma.Verbs, tgt *group, lo, hi uint64, pace *pacer) error {
 	B := uint64(m.cfg.ECBlockSize)
 	chunks := make([][]byte, len(dst))
 	parity := make([]byte, tgt.code.M()*tgt.chunk)
@@ -627,6 +658,7 @@ func (m *Memory) sweepMainEC(src *group, dst []rdma.Verbs, tgt *group, lo, hi ui
 	b0 := lo / B
 	b1 := (hi + B - 1) / B
 	for b := b0; b < b1; b++ {
+		pace.step()
 		r := lockRange{addr: b * B, size: int(B)}
 		m.locks.acquire(shared, r)
 		block, _, err := m.readBlockEC(src, b)

@@ -354,39 +354,64 @@ func TestRestripeECOntoFreshSet(t *testing.T) {
 }
 
 func TestRestripeRejections(t *testing.T) {
-	e, cfg := newECEnv(t, 1) // 3 nodes, k=2 m=1
-	addMachine(t, e, "f0", cfg.Layout())
-	m := newMemory(t, cfg)
-
-	// Plain ↔ EC online is forbidden (block alignment would change under
-	// the live kv layer).
-	if err := m.Reconfigure(Target{Members: e.names}); err == nil {
-		t.Fatal("EC→plain reconfiguration accepted")
-	}
-	// Identical configuration is rejected.
-	if err := m.Reconfigure(Target{Members: e.names, ECData: 2, ECParity: 1}); err == nil {
-		t.Fatal("no-op reconfiguration accepted")
-	}
-	// An erasure-coded member cannot move to another chunk index in place.
-	if err := m.Reconfigure(Target{Members: []string{"m1", "m0", "f0"}, ECData: 2, ECParity: 1}); err == nil {
-		t.Fatal("EC reconfiguration moving a member's chunk index accepted")
-	}
-	// Group-size cap is enforced through Validate.
-	big := make([]string, 33)
-	for i := range big {
-		big[i] = fmt.Sprintf("x%d", i)
-	}
-	if err := m.Reconfigure(Target{Members: big, ECData: 17, ECParity: 16}); err == nil {
-		t.Fatal("33-node reconfiguration accepted")
-	}
-	// The memory must still be serving after rejected reconfigurations, at
+	// stillServing checks that m serves after rejected reconfigurations, at
 	// the epoch it started in.
-	if err := m.Write(0, []byte("still-alive")); err != nil {
-		t.Fatal(err)
+	stillServing := func(t *testing.T, m *Memory) {
+		t.Helper()
+		if err := m.Write(0, []byte("still-alive")); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Epoch(); got != 1 {
+			t.Fatalf("epoch after rejected reconfigurations = %d, want 1", got)
+		}
 	}
-	if got := m.Epoch(); got != 1 {
-		t.Fatalf("epoch after rejected reconfigurations = %d, want 1", got)
-	}
+
+	t.Run("plain", func(t *testing.T) {
+		cfg0 := Config{MemSize: 16 << 10, DirectSize: 0}
+		e := newEnv(t, 3, cfg0.Layout())
+		cfg := baseConfig(e, "c")
+		cfg.MemSize = 16 << 10
+		cfg.DirectSize = 0
+		m := newMemory(t, cfg)
+
+		// Plain → EC online is forbidden (block alignment would change
+		// under the live kv layer).
+		if err := m.Reconfigure(Target{Members: e.names, ECData: 2, ECParity: 1}); err == nil {
+			t.Fatal("plain→EC reconfiguration accepted")
+		}
+		// Identical configuration is rejected.
+		if err := m.Reconfigure(Target{Members: e.names}); err == nil {
+			t.Fatal("no-op reconfiguration accepted")
+		}
+		// Group-size cap is enforced through Validate.
+		big := make([]string, 33)
+		for i := range big {
+			big[i] = fmt.Sprintf("x%d", i)
+		}
+		if err := m.Reconfigure(Target{Members: big}); err == nil {
+			t.Fatal("33-node reconfiguration accepted")
+		}
+		stillServing(t, m)
+	})
+
+	t.Run("ec", func(t *testing.T) {
+		e, cfg := newECEnv(t, 1) // 3 nodes, k=2 m=1
+		addMachine(t, e, "f0", cfg.Layout())
+		m := newMemory(t, cfg)
+
+		if err := m.Reconfigure(Target{Members: e.names}); err == nil {
+			t.Fatal("EC→plain reconfiguration accepted")
+		}
+		if err := m.Reconfigure(Target{Members: e.names, ECData: 2, ECParity: 1}); err == nil {
+			t.Fatal("no-op reconfiguration accepted")
+		}
+		// An erasure-coded member cannot move to another chunk index in
+		// place.
+		if err := m.Reconfigure(Target{Members: []string{"m1", "m0", "f0"}, ECData: 2, ECParity: 1}); err == nil {
+			t.Fatal("EC reconfiguration moving a member's chunk index accepted")
+		}
+		stillServing(t, m)
+	})
 }
 
 // TestReconfigureKeepsDeadRetainedMemberDead: a restripe that keeps a
@@ -459,10 +484,17 @@ func TestReconfigureKeepsDeadRetainedMemberDead(t *testing.T) {
 	check("after m1's rebuild")
 }
 
-// casRefusingConn fails every config-epoch CAS while refuse is set.
+// casRefusingConn fails every config-epoch CAS while refuse is set, and
+// counts its Close calls in closes.
 type casRefusingConn struct {
 	rdma.Verbs
 	refuse *atomic.Bool
+	closes *atomic.Int32
+}
+
+func (c casRefusingConn) Close() error {
+	c.closes.Add(1)
+	return c.Verbs.Close()
 }
 
 func (c casRefusingConn) CompareAndSwap(region rdma.RegionID, off, expect, swap uint64) (uint64, error) {
@@ -483,6 +515,7 @@ func TestReconfigureAmbiguousCommitFences(t *testing.T) {
 	e := newEnv(t, 3, cfg0.Layout())
 	addMachine(t, e, "m3", cfg0.Layout())
 	var refuse atomic.Bool
+	var opened, closes atomic.Int32
 	cfg := baseConfig(e, "cpu1")
 	cfg.Term = 1
 	dial := cfg.Dial
@@ -491,7 +524,8 @@ func TestReconfigureAmbiguousCommitFences(t *testing.T) {
 		if err != nil || node == "m3" {
 			return c, err
 		}
-		return casRefusingConn{Verbs: c, refuse: &refuse}, nil
+		opened.Add(1)
+		return casRefusingConn{Verbs: c, refuse: &refuse, closes: &closes}, nil
 	}
 	fenced := make(chan struct{})
 	cfg.OnFenced = func() { close(fenced) }
@@ -519,6 +553,18 @@ func TestReconfigureAmbiguousCommitFences(t *testing.T) {
 		if got := uint32(readAdminWord(t, e, n, memnode.AdminEpochOffset) >> 16); got != want {
 			t.Fatalf("%s epoch word = %d, want %d", n, got, want)
 		}
+	}
+	// The owner's Close still releases the fenced memory's group: its
+	// workers exit and every member connection closes.
+	g := m.grp.Load()
+	m.Close()
+	for i, w := range g.workers {
+		if !w.closed {
+			t.Fatalf("worker %d still running after Close of a fenced memory", i)
+		}
+	}
+	if o, c := opened.Load(), closes.Load(); c != o {
+		t.Fatalf("Close of a fenced memory closed %d of its %d connections", c, o)
 	}
 
 	succ := baseConfig(e, "cpu2")

@@ -45,7 +45,7 @@ func (m *Memory) StartRecovery(interval time.Duration) (stop func()) {
 			case <-done:
 				return
 			case <-ticker.C:
-				if m.closed.Load() {
+				if m.checkOpen() != nil {
 					return
 				}
 				// Probe every node not dead: a live one so an idle group

@@ -688,11 +688,11 @@ func (m *Memory) QueueDepth() (current, max int64) {
 
 // fence marks the memory as fenced and fires the callback once: a newer
 // coordinator took over, or a reconfiguration left the config epoch
-// ambiguous. Either way this memory stops serving and its owner stands down.
+// ambiguous. Either way this memory stops serving and its owner stands down;
+// its group is released by the owner's Close.
 func (m *Memory) fence(why string) {
 	if m.fenced.CompareAndSwap(false, true) {
 		m.emit("repmem.fenced", "", why)
-		m.closed.Store(true)
 		if m.cfg.OnFenced != nil {
 			go m.cfg.OnFenced()
 		}

@@ -58,7 +58,7 @@ func (m *Memory) StartScrub(interval time.Duration) (stop func()) {
 			case <-done:
 				return
 			case <-ticker.C:
-				if m.closed.Load() {
+				if m.checkOpen() != nil {
 					return
 				}
 				cursor = m.scrubStep(cursor, scrubBatch)
@@ -82,7 +82,9 @@ func (m *Memory) ScrubOnce() (ScrubReport, error) {
 		return r, err
 	}
 	start := time.Now()
+	pace := new(pacer)
 	for b := 0; b < m.scrubMainBlocks(); b++ {
+		pace.step()
 		c, rep, un := m.scrubMainBlock(m.grp.Load(), uint64(b))
 		r.MainBlocks++
 		r.Corrupt += c
@@ -90,6 +92,7 @@ func (m *Memory) ScrubOnce() (ScrubReport, error) {
 		r.Unrepaired += un
 	}
 	for i := 0; i < m.scrubDirectRanges(); i++ {
+		pace.step()
 		c, rep, un := m.scrubDirectRange(m.grp.Load(), i)
 		r.DirectRanges++
 		r.Corrupt += c
@@ -112,8 +115,10 @@ func (m *Memory) scrubStep(cursor, n int) int {
 	if cursor >= total {
 		cursor = 0
 	}
+	pace := new(pacer)
 	for ; n > 0 && cursor < total; n, cursor = n-1, cursor+1 {
-		if m.closed.Load() {
+		pace.step()
+		if m.checkOpen() != nil {
 			return 0
 		}
 		if g := m.grp.Load(); cursor < mainBlocks {

@@ -2,6 +2,7 @@ package sift
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/repro/sift/internal/core"
@@ -119,41 +120,32 @@ func (cl *Cluster) freshMemName() string {
 }
 
 // ReplaceMemoryNode live-replaces memory node oldName with a fresh machine
-// named newName ("" picks a name), preserving the group's geometry. The old
-// node may be live or dead: either way the replacement is caught up from
-// the surviving copies under traffic and cut over under a short write
-// barrier, and a failed copy leaves the configuration as it was. The
+// named newName ("" picks a name): a restripe onto the current member list
+// with that one name swapped, in the same geometry. The old node may be
+// live or dead: either way the replacement is caught up from the surviving
+// copies under traffic and cut over under a short write barrier, and a
+// failed copy leaves the configuration as it was. The
 // replaced node's machine is left on the fabric, fenced out by the new
 // config epoch and its retired tombstone. Returns the replacement's name.
 func (cl *Cluster) ReplaceMemoryNode(oldName, newName string) (string, error) {
 	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		return "", ErrClosed
-	}
-	layout := cl.mcfg.Layout()
+	members := append([]string(nil), cl.memNames...)
+	ecData, ecParity := cl.mcfg.ECData, cl.mcfg.ECParity
 	cl.mu.Unlock()
 	if newName == "" {
 		newName = cl.freshMemName()
 	}
-	current := cl.currentMemberSet()
-	if !current[oldName] {
+	i := slices.Index(members, oldName)
+	if i < 0 {
 		return "", fmt.Errorf("sift: %q is not a memory node", oldName)
 	}
-	if current[newName] {
+	if slices.Contains(members, newName) {
 		return "", fmt.Errorf("sift: %q is already a memory node", newName)
 	}
-	if err := cl.ensureMemMachine(newName, layout, current); err != nil {
+	members[i] = newName
+	if err := cl.RestripeMemoryNodes(members, ecData, ecParity); err != nil {
 		return "", err
 	}
-	n, err := cl.coordinatorNode(5 * time.Second)
-	if err != nil {
-		return "", err
-	}
-	if err := n.ReplaceMemoryNode(oldName, newName); err != nil {
-		return "", err
-	}
-	cl.adoptClusterConfig(n.ConfigSnapshot())
 	return newName, nil
 }
 
