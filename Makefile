@@ -85,25 +85,32 @@ bench-ec:
 	$(GO) test -run '^$$' -bench 'BenchmarkECApply|BenchmarkECRead' -benchtime $(BENCHTIME) ./internal/repmem/
 
 # Benchmark smoke: benchmark/ is its own module, outside tier-1, so this is
-# the only place CI builds it. Vets and tests the module, then runs three
-# short workloads through the same run.sh the benchmark driver uses and
-# fails unless every result line (the JSON line each workload ends with)
-# reports "correct":true and "failed":0. It also holds put_sat to at most
-# 5.0 node requests per put (repmem.node_ops_per_put, a count: 3 log-slot
-# requests + 3 apply requests per BATCH, about 3.5 at saturation): an apply
-# that goes back to a request per record, or splits the block and its
-# checksum entry into two requests, or drops the KV block alignment, trips
-# it. Everything the job writes stays under .bench_build/.
+# the only place CI builds it. Vets and tests the module, then runs all six
+# workloads for 3 s each through benchmark/run.sh, the benchmark's command,
+# and fails unless every result line (the JSON line each workload ends with)
+# reports "correct":true and "failed":0. It also holds two counts that
+# repeat to the third digit:
+# - put_sat to at most 5.0 node requests per put (repmem.node_ops_per_put:
+#   3 log-slot requests + 3 apply requests per BATCH, about 3.5 at
+#   saturation): an apply that goes back to a request per record, or splits
+#   the block and its checksum entry into two requests, or drops the KV
+#   block alignment, trips it;
+# - mix_miss to at most 4.5 heap allocations per op (proc.allocs_per_op,
+#   about 4.0; 7.26 before the slab cache): a get miss that allocates
+#   beyond its block buffer, the cache's value copy and key string trips it.
+# Everything the job writes stays under .bench_build/.
 BENCHMARK_SMOKE_OUT ?= .bench_build/smoke.out
 benchmark-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test .
 	mkdir -p $(dir $(BENCHMARK_SMOKE_OUT))
-	bash benchmark/run.sh --workload put_solo,delay_put,put_sat --seed 1 --seconds 2 --trace 0 > $(BENCHMARK_SMOKE_OUT)
+	bash benchmark/run.sh --workload all --seed 1 --seconds 3 --trace 0 > $(BENCHMARK_SMOKE_OUT)
 	@grep '^{' $(BENCHMARK_SMOKE_OUT)
-	@test "$$(grep -c '^{' $(BENCHMARK_SMOKE_OUT))" -eq 3
+	@test "$$(grep -c '^{' $(BENCHMARK_SMOKE_OUT))" -eq 6
 	@! grep '^{' $(BENCHMARK_SMOKE_OUT) | grep -v '"correct":true,.*"failed":0,'
 	@awk '$$1 == "put_sat" && $$2 == "repmem.node_ops_per_put" { print; seen = 1; if ($$3 > 5.0) over = 1 } \
 		END { if (!seen || over) { print "put_sat repmem.node_ops_per_put missing or above 5.0"; exit 1 } }' $(BENCHMARK_SMOKE_OUT)
+	@awk '$$1 == "mix_miss" && $$2 == "proc.allocs_per_op" { print; seen = 1; if ($$3 > 4.5) over = 1 } \
+		END { if (!seen || over) { print "mix_miss proc.allocs_per_op missing or above 4.5"; exit 1 } }' $(BENCHMARK_SMOKE_OUT)
 
 # Size of the tree, the two numbers every CHANGES.md entry carries:
 # non-test Go lines outside benchmark/, and the settable values — exported

@@ -47,3 +47,52 @@ func TestPutAllocationBound(t *testing.T) {
 		t.Errorf("%.2f allocations per put, bound %d", per, putAllocBound)
 	}
 }
+
+// getMissAllocBound is the most heap allocations one get that misses the
+// coordinator cache may cost on a zero-delay in-process cluster, background
+// included: the block buffer, the cache's copy of the value and its key
+// string, plus what the client and the heartbeats add. It is the measured
+// cost, 3.1 on 2 vCPUs, plus a quarter.
+const getMissAllocBound = 4
+
+// TestGetMissAllocationBound guards the allocation cost of a get served by
+// one remote read: keys are read in a cycle over a key set sixteen times the
+// cache, so under LRU every get misses, and runtime.MemStats.Mallocs per get
+// must stay within getMissAllocBound.
+func TestGetMissAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cl := newTestCluster(t, Config{F: 1, Keys: 4096, CacheFraction: 1.0 / 16, MaxKeySize: 32, MaxValueSize: 992, KVWALSlots: 128})
+	c := cl.Client()
+	value := make([]byte, 992)
+	keys := make([][]byte, 4096)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("miss%04d", i))
+		if err := c.Put(keys[i], value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := c.Get(keys[i%len(keys)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	get(len(keys)) // warm: the cache cycles once, pools grown
+	const gets = 8192
+	missesBefore := cl.Stats().KV.CacheMisses
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	get(gets)
+	runtime.ReadMemStats(&after)
+	if misses := cl.Stats().KV.CacheMisses - missesBefore; misses != gets {
+		t.Fatalf("%d of %d gets missed the cache; the bound is for misses", misses, gets)
+	}
+	per := float64(after.Mallocs-before.Mallocs) / gets
+	t.Logf("%.2f allocations per get miss", per)
+	if per > getMissAllocBound {
+		t.Errorf("%.2f allocations per get miss, bound %d", per, getMissAllocBound)
+	}
+}

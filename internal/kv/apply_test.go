@@ -67,9 +67,9 @@ func newProbe(e *env) *probe {
 	for i := range p.allow {
 		p.allow[i] = -1
 	}
-	e.wrap = func(node string, v rdma.Verbs) rdma.Verbs {
+	e.setWrap(func(node string, v rdma.Verbs) rdma.Verbs {
 		return probeConn{Verbs: v, p: p, node: p.index[node]}
-	}
+	})
 	return p
 }
 
@@ -415,7 +415,7 @@ func TestQueuedRecordsApplyAsOneFlightPerStage(t *testing.T) {
 			}
 			for i, k := range append(append([][]byte(nil), keys...), fresh...) {
 				gen := 1 + i/n
-				if blk, _, err := s.findInChain(s.bucketOf(k), k); err != nil || blk == nil || !bytes.Equal(blk.value, val(i%n, gen)) {
+				if blk, _, err := s.findInChain(s.bucketOf(k), k); err != nil || !blk.used || !bytes.Equal(blk.value, val(i%n, gen)) {
 					t.Fatalf("key %s in replicated memory: %+v err=%v", k, blk, err)
 				}
 			}
@@ -578,12 +578,12 @@ func TestBatchStagesKeepChainsWalkable(t *testing.T) {
 	}
 	want := map[string]string{warm: "v1", inPlace: "v2", "brand-new": "v2", twins[0]: "v2", twins[1]: "v2", reborn: "v3"}
 	for _, gone := range []string{head, mid, "passing"} {
-		if blk, _, err := s.findInChain(s.bucketOf([]byte(gone)), []byte(gone)); err != nil || blk != nil {
+		if blk, _, err := s.findInChain(s.bucketOf([]byte(gone)), []byte(gone)); err != nil || blk.used {
 			t.Errorf("deleted key %s still in its chain (err=%v)", gone, err)
 		}
 	}
 	for k, v := range want {
-		if blk, _, err := s.findInChain(s.bucketOf([]byte(k)), []byte(k)); err != nil || blk == nil || string(blk.value) != v {
+		if blk, _, err := s.findInChain(s.bucketOf([]byte(k)), []byte(k)); err != nil || !blk.used || string(blk.value) != v {
 			t.Errorf("key %s in replicated memory: %+v err=%v, want %q", k, blk, err, v)
 		}
 	}
@@ -670,7 +670,7 @@ func modelRun(t *testing.T, e *env, seed int64, crashAfter int) (model map[strin
 	}
 	if crashAfter < 0 {
 		for k, v := range model {
-			if blk, _, err := s.findInChain(s.bucketOf([]byte(k)), []byte(k)); err != nil || blk == nil || string(blk.value) != v {
+			if blk, _, err := s.findInChain(s.bucketOf([]byte(k)), []byte(k)); err != nil || !blk.used || string(blk.value) != v {
 				t.Fatalf("seed %d: key %s in replicated memory: %+v err=%v, want %q", seed, k, blk, err, v)
 			}
 		}
@@ -709,7 +709,7 @@ func TestBatchedApplyMatchesModelAcrossCrashes(t *testing.T) {
 			for crashAfter := 0; crashAfter <= flights; crashAfter += step {
 				e := newKVEnv(t, applyCfg(), ec)
 				model, _, _ := modelRun(t, e, seed, crashAfter)
-				e.wrap = nil
+				e.setWrap(nil)
 				checkSuccessor(t, newStore(t, e, "successor", applyCfg()), model, crashAfter)
 			}
 		})
@@ -729,7 +729,7 @@ func checkSuccessor(t *testing.T, s *Store, model map[string]string, crashAfter 
 				got, err = s.Get([]byte(k))
 			} else if blk, _, ferr := s.findInChain(s.bucketOf([]byte(k)), []byte(k)); ferr != nil {
 				err = ferr
-			} else if blk == nil {
+			} else if !blk.used {
 				err = ErrNotFound
 			} else {
 				got = blk.value
@@ -783,7 +783,7 @@ func TestBitmapStaysLockedUntilItsFlightCompletes(t *testing.T) {
 	release()
 	s.drain(t)
 
-	e.wrap = nil
+	e.setWrap(nil)
 	next := newStore(t, e, "successor", cfg)
 	if got := next.bitmap[0] & 3; got != 3 {
 		t.Fatalf("successor loaded bitmap byte %02b: a bit of the two inserts is lost", got)
@@ -793,7 +793,7 @@ func TestBitmapStaysLockedUntilItsFlightCompletes(t *testing.T) {
 	}
 	next.drain(t)
 	for _, k := range [][]byte{a, b, []byte("third")} {
-		if blk, _, err := next.findInChain(next.bucketOf(k), k); err != nil || blk == nil {
+		if blk, _, err := next.findInChain(next.bucketOf(k), k); err != nil || !blk.used {
 			t.Fatalf("key %s after the successor's insert: %+v err=%v", k, blk, err)
 		}
 	}
@@ -844,7 +844,7 @@ func TestCachedLocationFollowsUnlinkAndDelete(t *testing.T) {
 		t.Fatalf("chain after re-inserting the deleted key: %v", got)
 	}
 	for k, v := range map[string]string{keys[0]: "v0", keys[1]: "v2", keys[2]: "v1"} {
-		if blk, _, err := s.findInChain(0, []byte(k)); err != nil || blk == nil || string(blk.value) != v {
+		if blk, _, err := s.findInChain(0, []byte(k)); err != nil || !blk.used || string(blk.value) != v {
 			t.Errorf("key %s: %+v err=%v, want %q", k, blk, err, v)
 		}
 	}
@@ -913,7 +913,7 @@ func TestAbsorbedRecordsAreAckedAndPersistedOnce(t *testing.T) {
 	if got := sink.calls(); got != 3 {
 		t.Errorf("sink saw %d updates, want 3 (warm, x3, delete y)", got)
 	}
-	if blk, _, err := s.findInChain(s.bucketOf([]byte("x")), []byte("x")); err != nil || blk == nil || string(blk.value) != "x3" {
+	if blk, _, err := s.findInChain(s.bucketOf([]byte("x")), []byte("x")); err != nil || !blk.used || string(blk.value) != "x3" {
 		t.Errorf("x in replicated memory: %+v err=%v", blk, err)
 	}
 }
@@ -947,12 +947,12 @@ func TestFullStoreBatchReusesFreedBlocks(t *testing.T) {
 	})
 	want := map[string]string{"k1": "v1", "k3": "v0", "new0": "v2", "new1": "v2"}
 	for _, k := range []string{"k0", "k2", "new2"} {
-		if blk, _, err := s.findInChain(s.bucketOf([]byte(k)), []byte(k)); err != nil || blk != nil {
+		if blk, _, err := s.findInChain(s.bucketOf([]byte(k)), []byte(k)); err != nil || blk.used {
 			t.Errorf("key %s is in its chain (err=%v)", k, err)
 		}
 	}
 	for k, v := range want {
-		if blk, _, err := s.findInChain(s.bucketOf([]byte(k)), []byte(k)); err != nil || blk == nil || string(blk.value) != v {
+		if blk, _, err := s.findInChain(s.bucketOf([]byte(k)), []byte(k)); err != nil || !blk.used || string(blk.value) != v {
 			t.Errorf("key %s in replicated memory: %+v err=%v, want %q", k, blk, err, v)
 		}
 	}
@@ -991,7 +991,7 @@ func TestOverlayResetForgetsOnlyItsBatch(t *testing.T) {
 		if tk.applyErr != nil {
 			t.Fatalf("%s: %v", tk.key, tk.applyErr)
 		}
-		if blk, _, err := s.findInChain(s.bucketOf(tk.rec.key), tk.rec.key); err != nil || blk == nil || string(blk.value) != want {
+		if blk, _, err := s.findInChain(s.bucketOf(tk.rec.key), tk.rec.key); err != nil || !blk.used || string(blk.value) != want {
 			t.Fatalf("key %s in replicated memory: %+v err=%v, want %q", tk.key, blk, err, want)
 		}
 	}

@@ -1,9 +1,6 @@
 package kv
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // cache is the coordinator's value cache (paper §4.1/§4.2): an LRU map from
 // key to latest committed value, with pin counts that prevent evicting
@@ -16,19 +13,26 @@ import (
 // replicated memory (see location). It rides in the entry because the entry
 // is pinned — hence present — for every record being applied, so it costs
 // no second structure; it never decides whether a value is cached.
+//
+// The entries live in one slab, linked by slab index into a circular LRU
+// list whose sentinel is slot 0 (its next is the most recently used entry,
+// its prev the least), with freed slots chained into a free list: an insert
+// or an eviction allocates nothing but the key string the index holds.
 type cache struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[string]*list.Element
-	order    *list.List // front = most recent
+	index    map[string]int32
+	slab     []cacheEntry
+	free     int32 // first free slot, chained through next; 0 = none
 }
 
 type cacheEntry struct {
-	key     string
-	value   []byte // nil = tombstone
-	pending int    // outstanding unapplied updates
-	seq     uint64 // log index of value; cache must converge to log order
-	loc     location
+	key        string
+	value      []byte // nil = tombstone
+	pending    int    // outstanding unapplied updates
+	seq        uint64 // log index of value; cache must converge to log order
+	loc        location
+	prev, next int32 // LRU neighbours (more, less recent); next chains a free slot
 }
 
 // location says where a key's data block is in replicated memory and what
@@ -39,9 +43,8 @@ type cacheEntry struct {
 // records every change it makes before it releases the bucket's lock, so a
 // location that is present is exact; one that is missing (evicted entry,
 // new coordinator) costs the next apply a chain walk, which records it again.
-// Both fields are at most Capacity, which Validate keeps within 32 bits; at
-// that width a cache entry stays in the allocation size class it had without
-// a location.
+// Both fields are at most Capacity, which Validate keeps within 32 bits, so
+// a location adds 8 bytes to a slab entry.
 type location struct {
 	blk  uint32 // block index + 1; 0 = unknown
 	next uint32 // the block's next pointer (block index + 1; 0 = end of chain)
@@ -57,11 +60,7 @@ type keyLoc struct {
 // disables caching except for pinned (pending) entries, which are always
 // retained for correctness.
 func newCache(capacity int) *cache {
-	return &cache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		order:    list.New(),
-	}
+	return &cache{capacity: capacity, index: make(map[string]int32), slab: make([]cacheEntry, 1)}
 }
 
 // get returns the cached value and whether the key was present. The
@@ -69,12 +68,12 @@ func newCache(capacity int) *cache {
 func (c *cache) get(key string) (value []byte, tombstone, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	i, ok := c.index[key]
 	if !ok {
 		return nil, false, false
 	}
-	c.order.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
+	c.toFront(i)
+	e := &c.slab[i]
 	return e.value, e.value == nil, true
 }
 
@@ -91,8 +90,8 @@ func (c *cache) get(key string) (value []byte, tombstone, ok bool) {
 func (c *cache) put(key string, value []byte, pin bool, seq uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
+	if i, ok := c.index[key]; ok {
+		e := &c.slab[i]
 		if pin {
 			e.pending++
 		}
@@ -100,13 +99,13 @@ func (c *cache) put(key string, value []byte, pin bool, seq uint64) {
 			e.value = value
 			e.seq = seq
 		}
-		c.order.MoveToFront(el)
+		c.toFront(i)
 	} else {
-		e := &cacheEntry{key: key, value: value, seq: seq}
+		e := c.insertLocked(key, value)
+		e.seq = seq
 		if pin {
 			e.pending = 1
 		}
-		c.entries[key] = c.order.PushFront(e)
 	}
 	c.evictLocked()
 }
@@ -116,10 +115,10 @@ func (c *cache) put(key string, value []byte, pin bool, seq uint64) {
 func (c *cache) insertClean(key string, value []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
+	if _, ok := c.index[key]; ok {
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, value: value})
+	c.insertLocked(key, value)
 	c.evictLocked()
 }
 
@@ -131,8 +130,8 @@ func (c *cache) locate(keys []string, out []location) []location {
 	defer c.mu.Unlock()
 	for _, k := range keys {
 		var loc location
-		if el, ok := c.entries[k]; ok {
-			loc = el.Value.(*cacheEntry).loc
+		if i, ok := c.index[k]; ok {
+			loc = c.slab[i].loc
 		}
 		out = append(out, loc)
 	}
@@ -147,13 +146,13 @@ func (c *cache) settle(unpin []string, locs []keyLoc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, kl := range locs {
-		if el, ok := c.entries[string(kl.key)]; ok {
-			el.Value.(*cacheEntry).loc = kl.loc
+		if i, ok := c.index[string(kl.key)]; ok {
+			c.slab[i].loc = kl.loc
 		}
 	}
 	for _, k := range unpin {
-		if el, ok := c.entries[k]; ok {
-			if e := el.Value.(*cacheEntry); e.pending > 0 {
+		if i, ok := c.index[k]; ok {
+			if e := &c.slab[i]; e.pending > 0 {
 				e.pending--
 			}
 		}
@@ -161,21 +160,58 @@ func (c *cache) settle(unpin []string, locs []keyLoc) {
 	c.evictLocked()
 }
 
-// evictLocked drops least-recently-used unpinned entries over capacity.
-func (c *cache) evictLocked() {
-	over := c.order.Len() - c.capacity
-	if over <= 0 {
-		return
+// insertLocked puts a new entry for key at the front of the LRU list, in a
+// free slot when there is one, and returns it.
+func (c *cache) insertLocked(key string, value []byte) *cacheEntry {
+	i := c.free
+	if i == 0 {
+		i = int32(len(c.slab))
+		c.slab = append(c.slab, cacheEntry{})
+	} else {
+		c.free = c.slab[i].next
 	}
-	for el := c.order.Back(); el != nil && over > 0; {
-		prev := el.Prev()
-		e := el.Value.(*cacheEntry)
+	c.slab[i] = cacheEntry{key: key, value: value}
+	c.pushFront(i)
+	c.index[key] = i
+	return &c.slab[i]
+}
+
+// toFront makes slot i the most recently used.
+func (c *cache) toFront(i int32) {
+	c.unlink(i)
+	c.pushFront(i)
+}
+
+// pushFront links slot i in as the most recently used.
+func (c *cache) pushFront(i int32) {
+	e := &c.slab[i]
+	e.prev, e.next = 0, c.slab[0].next
+	c.slab[e.next].prev = i
+	c.slab[0].next = i
+}
+
+// unlink takes slot i out of the LRU list.
+func (c *cache) unlink(i int32) {
+	e := &c.slab[i]
+	c.slab[e.prev].next = e.next
+	c.slab[e.next].prev = e.prev
+}
+
+// evictLocked drops least-recently-used unpinned entries over capacity,
+// returning their slots to the free list.
+func (c *cache) evictLocked() {
+	over := len(c.index) - c.capacity
+	for i := c.slab[0].prev; i != 0 && over > 0; {
+		e := &c.slab[i]
+		prev := e.prev
 		if e.pending == 0 {
-			c.order.Remove(el)
-			delete(c.entries, e.key)
+			c.unlink(i)
+			delete(c.index, e.key)
+			*e = cacheEntry{next: c.free} // drop the key and value for the GC
+			c.free = i
 			over--
 		}
-		el = prev
+		i = prev
 	}
 }
 
@@ -183,5 +219,5 @@ func (c *cache) evictLocked() {
 func (c *cache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return len(c.index)
 }

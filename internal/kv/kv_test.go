@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/repro/sift/internal/memnode"
@@ -30,8 +31,21 @@ type env struct {
 	nw    *rdma.Network
 	names []string
 	mcfg  repmem.Config
-	// wrap, when set, wraps every connection memory dials (see probe).
-	wrap func(node string, v rdma.Verbs) rdma.Verbs
+	// wrap, when set, wraps every connection memory dials (see probe). It is
+	// atomic because a crashed memory's background work may still redial
+	// while a test swaps it; set it with setWrap.
+	wrap atomic.Pointer[wrapFunc]
+}
+
+type wrapFunc func(node string, v rdma.Verbs) rdma.Verbs
+
+// setWrap makes f (nil: none) wrap the connections memory dials from now on.
+func (e *env) setWrap(f wrapFunc) {
+	if f == nil {
+		e.wrap.Store(nil)
+	} else {
+		e.wrap.Store(&f)
+	}
 }
 
 // newKVEnv builds a 3-memory-node group sized for cfg, with optional EC.
@@ -73,10 +87,11 @@ func (e *env) memory(t *testing.T, cpu string) *repmem.Memory {
 	cfg := e.mcfg
 	cfg.Dial = func(node string) (rdma.Verbs, error) {
 		v, err := e.nw.Dial(cpu, node, rdma.DialOpts{Exclusive: []rdma.RegionID{memnode.ReplRegionID}})
-		if err != nil || e.wrap == nil {
+		w := e.wrap.Load()
+		if err != nil || w == nil {
 			return v, err
 		}
-		return e.wrap(node, v), nil
+		return (*w)(node, v), nil
 	}
 	m, err := repmem.New(cfg)
 	if err != nil {
@@ -370,7 +385,7 @@ func TestPerKeyOrderingUnderConcurrency(t *testing.T) {
 	// Read through memory (bypass cache) to check the applied state.
 	bucket := s.bucketOf([]byte("contested"))
 	blk, _, err := s.findInChain(bucket, []byte("contested"))
-	if err != nil || blk == nil {
+	if err != nil || !blk.used {
 		t.Fatalf("chain walk: blk=%v err=%v", blk, err)
 	}
 	if string(blk.value) != lastCommitted {

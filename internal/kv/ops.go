@@ -142,7 +142,7 @@ func (s *Store) Get(key []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if blk == nil {
+	if !blk.used {
 		return nil, ErrNotFound
 	}
 	// blk.value is a fresh per-read buffer, so the caller can own it
@@ -163,20 +163,21 @@ func (s *Store) getSlot() []byte { return *s.slotPool.Get().(*[]byte) }
 func (s *Store) putSlot(b []byte) { s.slotPool.Put(&b) }
 
 // findInChain walks bucket's chain in replicated memory looking for key. It
-// returns the matching block (nil if absent) and its block index. Caller
-// holds the bucket lock.
-func (s *Store) findInChain(bucket uint64, key []byte) (*block, uint64, error) {
+// returns the matching block (the zero block, whose used is false, if
+// absent) and its block index. The block is returned by value so that the
+// walk's temporaries stay on the stack. Caller holds the bucket lock.
+func (s *Store) findInChain(bucket uint64, key []byte) (block, uint64, error) {
 	for cur := s.index[bucket]; cur != 0; {
 		blk, err := s.readBlock(cur - 1)
 		if err != nil {
-			return nil, 0, err
+			return block{}, 0, err
 		}
 		if blk.used && bytes.Equal(blk.key, key) {
-			return &blk, cur - 1, nil
+			return blk, cur - 1, nil
 		}
 		cur = blk.next
 	}
-	return nil, 0, nil
+	return block{}, 0, nil
 }
 
 // readBlock fetches data block i from replicated memory. The read covers

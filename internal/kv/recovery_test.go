@@ -35,7 +35,7 @@ func TestRecoveryReplaysOnlyAboveTheMark(t *testing.T) {
 			for crashAfter := 0; crashAfter <= flights; crashAfter += step {
 				e := newKVEnv(t, applyCfg(), ec)
 				model, _, pending := modelRun(t, e, seed, crashAfter)
-				e.wrap = nil
+				e.setWrap(nil)
 				s := newStore(t, e, "successor", applyCfg())
 				r := s.Recovery()
 				checkSuccessor(t, s, model, crashAfter)
@@ -83,7 +83,7 @@ func TestOldLogWithoutMarkReplaysEverything(t *testing.T) {
 	}
 	for i := uint64(n - 29); i <= n; i++ {
 		k := []byte(fmt.Sprintf("key%d", i%30))
-		if blk, _, err := s.findInChain(s.bucketOf(k), k); err != nil || blk == nil || string(blk.value) != fmt.Sprintf("v%d", i) {
+		if blk, _, err := s.findInChain(s.bucketOf(k), k); err != nil || !blk.used || string(blk.value) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("%s in replicated memory: %+v err=%v, want v%d", k, blk, err, i)
 		}
 	}
@@ -175,7 +175,7 @@ func TestFailedCommitHoldsTheMark(t *testing.T) {
 	}
 	eventually(t, "the cut at the retry's apply", p.cutOff)
 
-	e.wrap = nil
+	e.setWrap(nil)
 	succ := newStore(t, e, "successor", cfg)
 	fromTable := func(k string) string {
 		t.Helper()
@@ -183,7 +183,7 @@ func TestFailedCommitHoldsTheMark(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if blk == nil {
+		if !blk.used {
 			return "(absent)"
 		}
 		return string(blk.value)
@@ -626,9 +626,9 @@ func TestRecoveryReadsOnlyTheTail(t *testing.T) {
 		e.plant(t, node, 0, img)
 	}
 	counter := &readCounter{logEnd: e.mcfg.Layout().MainBase(), slotSize: geo.SlotSize, scans: make([]int, 3), full: make([][]int, 3)}
-	e.wrap = func(node string, v rdma.Verbs) rdma.Verbs {
+	e.setWrap(func(node string, v rdma.Verbs) rdma.Verbs {
 		return countingConn{Verbs: v, c: counter, node: slices.Index(e.names, node)}
-	}
+	})
 	s := newStore(t, e, "successor", cfg)
 	r := s.Recovery()
 	if r.Mark != n-unapplied || r.Above != unapplied || r.Scanned != n {
@@ -689,12 +689,12 @@ func TestRecoveryNeedsAMajorityOfTheLog(t *testing.T) {
 	}
 
 	logEnd := e.mcfg.Layout().MainBase()
-	e.wrap = func(node string, v rdma.Verbs) rdma.Verbs {
+	e.setWrap(func(node string, v rdma.Verbs) rdma.Verbs {
 		if node == e.names[2] {
 			return v
 		}
 		return blindConn{Verbs: v, logEnd: logEnd}
-	}
+	})
 	mem := e.memory(t, "successor")
 	defer mem.Close()
 	if succ, err := New(mem, cfg); !errors.Is(err, repmem.ErrNoQuorum) {

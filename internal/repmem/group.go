@@ -78,9 +78,11 @@ func newMember(name string, seed int64) *member {
 // majority returns the commit quorum size (⌊n/2⌋+1 over full membership).
 func (g *group) majority() int { return len(g.members)/2 + 1 }
 
-// nodesInState returns the indexes of the members in state s.
+// nodesInState returns the indexes of the members in state s. It inlines,
+// and its slice has a constant capacity, so where the result does not
+// escape (a read's replica choice) it lives on the caller's stack.
 func (g *group) nodesInState(s int32) []int {
-	out := make([]int, 0, len(g.members))
+	out := make([]int, 0, maxMembers)
 	for i, mb := range g.members {
 		if mb.state.Load() == s {
 			out = append(out, i)

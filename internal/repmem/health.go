@@ -360,6 +360,13 @@ func (m *Memory) conn(mb *member) (rdma.Verbs, error) {
 	if mb.retired.Load() {
 		return nil, errRetired
 	}
+	// A closed memory dials no more: a background publication that outlived
+	// Close would otherwise open an exclusive connection that fences the
+	// successor's and that nobody closes. Close swaps connections out under
+	// this lock, so one dialed before it is closed by it.
+	if m.closed.Load() {
+		return nil, ErrClosed
+	}
 	v, err := h.dial(mb.name, m.cfg.Dial, time.Now())
 	switch {
 	case err == nil:

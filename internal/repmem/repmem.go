@@ -149,6 +149,9 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
+// maxMembers is the most memory nodes a group can have; see Validate.
+const maxMembers = 32
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if len(c.MemoryNodes) == 0 {
@@ -160,8 +163,8 @@ func (c Config) Validate() error {
 	// lie. The canonical deployment is an odd 2Fm+1 group, but intermediate
 	// even sizes are legal (majority is still ⌊n/2⌋+1) so reconfiguration
 	// can move through them.
-	if len(c.MemoryNodes) > 32 {
-		return fmt.Errorf("repmem: %d memory nodes exceeds the 32-node membership-bitmap limit", len(c.MemoryNodes))
+	if len(c.MemoryNodes) > maxMembers {
+		return fmt.Errorf("repmem: %d memory nodes exceeds the %d-node membership-bitmap limit", len(c.MemoryNodes), maxMembers)
 	}
 	seen := make(map[string]struct{}, len(c.MemoryNodes))
 	for _, n := range c.MemoryNodes {
@@ -744,11 +747,15 @@ func (m *Memory) Close() {
 }
 
 // closeGroup stops g's workers, then closes its members' connections (queued
-// requests still need them).
+// requests still need them). Each swap holds the member's dial lock, so a
+// dial that raced Close is closed here, and none starts after (see conn).
 func (m *Memory) closeGroup(g *group) {
 	m.stopWorkers(g)
 	for _, mb := range g.members {
-		if b := mb.conn.Swap(nil); b != nil {
+		mb.health.dialMu.Lock()
+		b := mb.conn.Swap(nil)
+		mb.health.dialMu.Unlock()
+		if b != nil {
 			b.v.Close()
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -434,6 +435,29 @@ func TestCoordinatorFailoverRecoversCommittedWrites(t *testing.T) {
 	err := m1.Write(0, []byte("stale"))
 	if !errors.Is(err, ErrFenced) && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("old coordinator write: %v", err)
+	}
+}
+
+// TestClosedMemoryDialsNoMore: a closed memory must not dial again. A
+// best-effort membership publication runs on its own goroutine and can pass
+// its open check just before Close; its dial would open an exclusive
+// connection that fences the successor's, and that nobody closes.
+func TestClosedMemoryDialsNoMore(t *testing.T) {
+	e := newEnv(t, 3, Config{MemSize: 64 << 10, DirectSize: 16 << 10}.Layout())
+	cfg := baseConfig(e, "cpu1")
+	var dials atomic.Int32
+	cfg.Dial = func(node string) (rdma.Verbs, error) {
+		dials.Add(1)
+		return e.dialer("cpu1")(node)
+	}
+	m := newMemory(t, cfg)
+	m.Close()
+	before := dials.Load()
+	if _, err := m.conn(m.grp.Load().members[0]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("conn on a closed memory: %v, want ErrClosed", err)
+	}
+	if n := dials.Load() - before; n != 0 {
+		t.Fatalf("a closed memory dialed %d times", n)
 	}
 }
 
