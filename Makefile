@@ -88,15 +88,19 @@ bench-ec:
 # the only place CI builds it. Vets and tests the module, then runs all six
 # workloads for 3 s each through benchmark/run.sh, the benchmark's command,
 # and fails unless every result line (the JSON line each workload ends with)
-# reports "correct":true and "failed":0. It also holds two counts that
+# reports "correct":true and "failed":0. It also holds three counts that
 # repeat to the third digit:
 # - put_sat to at most 5.0 node requests per put (repmem.node_ops_per_put:
 #   3 log-slot requests + 3 apply requests per BATCH, about 3.5 at
 #   saturation): an apply that goes back to a request per record, or splits
 #   the block and its checksum entry into two requests, or drops the KV
 #   block alignment, trips it;
+# - put_sat to at most 1.3 heap allocations per put (proc.allocs_per_op,
+#   about 1.15; 13.57 before commit records, quorum fan-outs and slot
+#   buffers were pooled): a put that allocates beyond its one copy of key
+#   and value trips it;
 # - mix_miss to at most 4.5 heap allocations per op (proc.allocs_per_op,
-#   about 4.0; 7.26 before the slab cache): a get miss that allocates
+#   about 2.7; 7.26 before the slab cache): a get miss that allocates
 #   beyond its block buffer, the cache's value copy and key string trips it.
 # Everything the job writes stays under .bench_build/.
 BENCHMARK_SMOKE_OUT ?= .bench_build/smoke.out
@@ -109,6 +113,8 @@ benchmark-smoke:
 	@! grep '^{' $(BENCHMARK_SMOKE_OUT) | grep -v '"correct":true,.*"failed":0,'
 	@awk '$$1 == "put_sat" && $$2 == "repmem.node_ops_per_put" { print; seen = 1; if ($$3 > 5.0) over = 1 } \
 		END { if (!seen || over) { print "put_sat repmem.node_ops_per_put missing or above 5.0"; exit 1 } }' $(BENCHMARK_SMOKE_OUT)
+	@awk '$$1 == "put_sat" && $$2 == "proc.allocs_per_op" { print; seen = 1; if ($$3 > 1.3) over = 1 } \
+		END { if (!seen || over) { print "put_sat proc.allocs_per_op missing or above 1.3"; exit 1 } }' $(BENCHMARK_SMOKE_OUT)
 	@awk '$$1 == "mix_miss" && $$2 == "proc.allocs_per_op" { print; seen = 1; if ($$3 > 4.5) over = 1 } \
 		END { if (!seen || over) { print "mix_miss proc.allocs_per_op missing or above 4.5"; exit 1 } }' $(BENCHMARK_SMOKE_OUT)
 

@@ -9,8 +9,11 @@ import (
 // putAllocBound is the most heap allocations one put may cost on a
 // zero-delay in-process cluster, counting everything the process allocates
 // while it runs: the commit, the apply, the node workers and the heartbeats.
-// It is the measured cost, 13.1 on 2 vCPUs, plus a quarter.
-const putAllocBound = 16
+// It is the measured cost, 1.1 to 1.5 on 2 vCPUs (the top of that with
+// other packages' tests running beside it), plus a quarter. Before commit
+// records, quorum fan-outs and slot buffers were pooled and log entries
+// encoded in place, a put cost 13.1.
+const putAllocBound = 2.0
 
 // TestPutAllocationBound guards the allocation cost of the commit path: a
 // client that records no history puts over a zero-delay in-process cluster,
@@ -44,7 +47,7 @@ func TestPutAllocationBound(t *testing.T) {
 	per := float64(after.Mallocs-before.Mallocs) / puts
 	t.Logf("%.2f allocations per put", per)
 	if per > putAllocBound {
-		t.Errorf("%.2f allocations per put, bound %d", per, putAllocBound)
+		t.Errorf("%.2f allocations per put, bound %.2f", per, putAllocBound)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"github.com/repro/sift/internal/linearize"
 	"github.com/repro/sift/internal/memnode"
+	"github.com/repro/sift/internal/repmem"
 	"github.com/repro/sift/internal/workload"
 )
 
@@ -653,15 +654,6 @@ func TestChaosCorruption(t *testing.T) {
 		t.Logf("injected %d corruptions on %s", st.Corrupts, victim)
 	}
 
-	// Plant one more silent flip in the victim's main memory directly —
-	// modelled bit rot the transport never saw — so the healing assertion
-	// below does not depend on which injected corruptions happened to land
-	// in stored state versus read responses.
-	layout := cl.mcfg.Layout()
-	if err := cl.network.Node(victim).Region(memnode.ReplRegionID).Corrupt(layout.MainBase()+137, 0x40); err != nil {
-		t.Fatal(err)
-	}
-
 	// The corruption-count state machine may have suspected the victim; wait
 	// until the recovery manager has walked every node back to live.
 	deadline := time.Now().Add(30 * time.Second)
@@ -684,6 +676,7 @@ func TestChaosCorruption(t *testing.T) {
 	// Scrub until a full sweep finds nothing and every node's replicated
 	// region (direct zone + main memory + checksum strip; the WAL area is
 	// pooled/reconciled, not scrubbed) is byte-identical.
+	layout := cl.mcfg.Layout()
 	identical := func() bool {
 		var first []byte
 		for _, name := range cl.MemoryNodes() {
@@ -696,20 +689,46 @@ func TestChaosCorruption(t *testing.T) {
 		}
 		return true
 	}
-	for {
-		rep, err := cl.ScrubNow()
-		if err != nil {
+	// Before that, plant one more silent flip in the victim's main memory
+	// directly — modelled bit rot the transport never saw — so the healing
+	// assertion below does not depend on which injected corruptions happened
+	// to land in stored state versus read responses. It is planted once all
+	// nodes are live, so no rebuild erases it unseen, and again if the
+	// coordinator changes before the clean sweep: the counters asserted
+	// below are the current coordinator's, and a successor's start at zero.
+	const rounds = 3
+	var s repmem.Stats
+	for round := 1; ; round++ {
+		if err := cl.WaitForCoordinator(5 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		if rep.Corrupt == 0 && rep.Unrepaired == 0 && identical() {
+		coord := cl.Stats().CoordinatorID
+		if err := cl.network.Node(victim).Region(memnode.ReplRegionID).Corrupt(layout.MainBase()+137, 0x40); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			rep, err := cl.ScrubNow()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Corrupt == 0 && rep.Unrepaired == 0 && identical() {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("cluster never healed to byte-identity; last report %+v", rep)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+		st := cl.Stats()
+		if st.CoordinatorID == coord {
+			s = st.Memory
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster never healed to byte-identity; last report %+v", rep)
+		if round == rounds {
+			t.Fatalf("the coordinator changed during each of %d plant-and-scrub rounds (last %d -> %d)", rounds, coord, st.CoordinatorID)
 		}
-		time.Sleep(20 * time.Millisecond)
+		t.Logf("coordinator changed %d -> %d before the clean sweep; planting again", coord, st.CoordinatorID)
 	}
-	s := cl.Stats().Memory
 	if s.CorruptionsDetected == 0 || s.BlocksRepaired == 0 {
 		t.Fatalf("corruptions=%d repaired=%d, want both > 0", s.CorruptionsDetected, s.BlocksRepaired)
 	}

@@ -69,24 +69,20 @@ func jitteredBackoff(b, remaining time.Duration, rng *rand.Rand) time.Duration {
 	return d
 }
 
-// do runs op against the current coordinator with a fresh budget's worth of
-// wall clock.
-func (c *Client) do(op func(*kv.Store) error) error {
-	return c.doUntil(time.Now().Add(c.budget()), op)
-}
-
-// doWAN is do with the simulated client↔coordinator WAN legs charged around
-// each attempt: the request leg before the store operation, the response leg
-// after it. A leg that exhausts its flight retry budget surfaces an error
-// wrapping rdma.ErrDeadline, so the normal failover retry loop re-sends it —
-// exactly how a real client rides out a lossy wide-area path. On a LAN
-// cluster (no Config.WAN, or WAN without ClientWAN) it is plain do.
-func (c *Client) doWAN(reqSize, respSize int, op func(*kv.Store) error) error {
+// doWAN runs op as doUntil does, for a budget's worth of wall clock from
+// start (the caller's reading at the operation's start), with the simulated
+// client↔coordinator WAN legs charged around each attempt: the request leg
+// before the store operation, the response leg after it. A leg that exhausts
+// its flight retry budget surfaces an error wrapping rdma.ErrDeadline, so the
+// retry loop re-sends it, as a real client rides out a lossy wide-area path.
+// On a LAN cluster (no Config.WAN, or no ClientWAN) op runs alone.
+func (c *Client) doWAN(start time.Time, reqSize, respSize int, op func(*kv.Store) error) error {
+	deadline := start.Add(c.budget())
 	w := c.cluster.wan
 	if w == nil || w.client == nil {
-		return c.do(op)
+		return c.doUntil(deadline, op)
 	}
-	return c.do(func(st *kv.Store) error {
+	return c.doUntil(deadline, func(st *kv.Store) error {
 		if err := w.clientLeg(reqSize); err != nil {
 			return err
 		}
@@ -202,7 +198,7 @@ func finishGet(p *linearize.Pending, out []byte, err error) {
 func (c *Client) Put(key, value []byte) error {
 	p := c.invoke(linearize.KindPut, key, value)
 	start := time.Now()
-	err := c.doWAN(wanOpHeader+len(key)+len(value), wanOpHeader,
+	err := c.doWAN(start, wanOpHeader+len(key)+len(value), wanOpHeader,
 		func(st *kv.Store) error { return st.Put(key, value) })
 	c.cluster.cm.putLat.Record(time.Since(start))
 	finishWrite(p, err)
@@ -223,7 +219,7 @@ func (c *Client) Get(key []byte) ([]byte, error) {
 		finishGet(p, v, nil)
 		return v, nil
 	}
-	err := c.doWAN(wanOpHeader+len(key), wanOpHeader+c.cluster.cfg.MaxValueSize,
+	err := c.doWAN(start, wanOpHeader+len(key), wanOpHeader+c.cluster.cfg.MaxValueSize,
 		func(st *kv.Store) error {
 			v, err := st.Get(key)
 			if err != nil {
@@ -247,7 +243,7 @@ func (c *Client) Get(key []byte) ([]byte, error) {
 func (c *Client) Delete(key []byte) error {
 	p := c.invoke(linearize.KindDelete, key, nil)
 	start := time.Now()
-	err := c.doWAN(wanOpHeader+len(key), wanOpHeader,
+	err := c.doWAN(start, wanOpHeader+len(key), wanOpHeader,
 		func(st *kv.Store) error { return st.Delete(key) })
 	c.cluster.cm.deleteLat.Record(time.Since(start))
 	finishWrite(p, err)
@@ -286,7 +282,7 @@ func (c *Client) PutBatch(pairs []Pair) error {
 	for _, pr := range pairs {
 		reqSize += len(pr.Key) + len(pr.Value)
 	}
-	err := c.doWAN(reqSize, wanOpHeader,
+	err := c.doWAN(start, reqSize, wanOpHeader,
 		func(st *kv.Store) error { return st.PutBatchIdem(tok, pairs) })
 	c.cluster.cm.batchLat.Record(time.Since(start))
 	for _, p := range ps {

@@ -77,7 +77,7 @@ func TestClientRetriesDeadlineFromHungNode(t *testing.T) {
 	c.RetryBudget = 5 * time.Second
 
 	attempts := 0
-	err = c.do(func(st *kv.Store) error {
+	err = c.doUntil(time.Now().Add(c.budget()), func(st *kv.Store) error {
 		attempts++
 		if attempts == 1 {
 			werr := v.Write(1, 0, []byte{1})
@@ -89,7 +89,7 @@ func TestClientRetriesDeadlineFromHungNode(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("do() surfaced %v instead of retrying a transport deadline", err)
+		t.Fatalf("doUntil() surfaced %v instead of retrying a transport deadline", err)
 	}
 	if attempts < 2 {
 		t.Fatalf("attempts = %d, want a retry after the deadline error", attempts)

@@ -348,13 +348,19 @@ func (cl *Cluster) Health() []repmem.NodeHealth {
 
 // ScrubNow forces one full synchronous integrity sweep on the current
 // coordinator, returning what it found and fixed. It does not wait for the
-// background scrub cadence.
+// background scrub cadence. Like a client operation, it rides out a
+// coordinator change within the client retry budget: a sweep that finds no
+// coordinator, or whose coordinator is deposed (fenced) under it, runs again
+// on the next one.
 func (cl *Cluster) ScrubNow() (repmem.ScrubReport, error) {
-	st := cl.coordinatorStore()
-	if st == nil {
-		return repmem.ScrubReport{}, ErrNoCoordinator
-	}
-	return st.Memory().ScrubOnce()
+	var rep repmem.ScrubReport
+	c := cl.Client()
+	err := c.doUntil(time.Now().Add(c.budget()), func(st *kv.Store) error {
+		var err error
+		rep, err = st.Memory().ScrubOnce()
+		return err
+	})
+	return rep, err
 }
 
 // MemoryNodes returns the current memory node names (for failure

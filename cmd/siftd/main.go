@@ -86,7 +86,7 @@ func main() {
 	mcfg.Latency = latency
 	reg.Observe("sift_repmem_direct_write_seconds", "Direct-zone write commit latency.", &latency.DirectWrite)
 	reg.Observe("sift_repmem_read_seconds", "Main-space read latency.", &latency.Read)
-	reg.Observe("sift_repmem_quorum_wait_seconds", "Quorum ack wait inside a write fan-out.", &latency.Quorum)
+	reg.Observe("sift_repmem_quorum_wait_seconds", "Direct write from its fan-out's start, before the node requests are enqueued, to the quorum decision.", &latency.Quorum)
 
 	node := core.NewCPUNode(core.Config{
 		NodeID: uint16(*id),

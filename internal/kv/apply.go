@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"github.com/repro/sift/internal/wal"
 )
@@ -30,26 +32,62 @@ const applyBatchMax = 256
 
 // applyTask carries a committed log entry to its shard's applier. Tasks are
 // enqueued in log-index order under the sequence lock, so per-key apply
-// order always matches commit order.
+// order always matches commit order. A committer's tasks are pooled: each
+// has two owners, the committer and the applier's retire, and goes back to
+// the pool when both are done with it (tasks built by hand never do).
 type applyTask struct {
-	idx       uint64
-	rec       record
-	key       string        // rec.key, as the cache and the overlay index it
-	committed chan struct{} // closed once the log write resolves
-	ok        bool          // valid after committed is closed
+	idx uint64
+	rec record
+	key string // rec.key as the cache interned it
+	// ok is the commit's outcome, valid once done is set (resolve).
+	ok   bool
+	done atomic.Bool
+	q    *shardQueue
+	refs atomic.Int32
 	// applied, when non-nil (SyncApply mode), is closed once the record has
 	// been materialized in replicated memory; applyErr is valid after.
 	applied  chan struct{}
 	applyErr error
 }
 
+var applyTaskPool sync.Pool
+
+// getTask returns a zeroed pooled task owned by a committer and a retire.
+func getTask() *applyTask {
+	t, _ := applyTaskPool.Get().(*applyTask)
+	if t == nil {
+		t = new(applyTask)
+	}
+	t.refs.Store(2)
+	return t
+}
+
+// unref drops one owner's reference; the last one recycles the task.
+func (t *applyTask) unref() {
+	if t.refs.Add(-1) == 0 {
+		*t = applyTask{}
+		applyTaskPool.Put(t)
+	}
+}
+
+func unrefAll(tasks []*applyTask) {
+	for _, t := range tasks {
+		t.unref()
+	}
+}
+
 // resolved reports whether the task's commit has succeeded or failed.
-func (t *applyTask) resolved() bool {
-	select {
-	case <-t.committed:
-		return true
-	default:
-		return false
+func (t *applyTask) resolved() bool { return t.done.Load() }
+
+// resolve publishes the commit's outcome and, when the task's applier is
+// waiting for it as the head of its queue, wakes the applier.
+func (t *applyTask) resolve(ok bool) {
+	t.ok = ok
+	t.done.Store(true)
+	if q := t.q; q.waitFor.Load() == t {
+		q.mu.Lock()
+		q.cond.Signal()
+		q.mu.Unlock()
 	}
 }
 
@@ -469,6 +507,8 @@ func (s *Store) applyLoop(q *shardQueue) {
 		}
 		s.applyBatch(ov, batch)
 		s.retire(ov, batch)
+		unrefAll(batch)
+		clear(batch)
 	}
 }
 

@@ -20,7 +20,7 @@ func (s *Store) PutBatch(pairs []Pair) error {
 	if err != nil {
 		return err
 	}
-	if _, err := s.commitBatch(recs); err != nil {
+	if _, err := s.commit(recs...); err != nil {
 		return err
 	}
 	s.countBatch(recs)
@@ -61,9 +61,9 @@ func (s *Store) PutBatchIdem(token []byte, pairs []Pair) error {
 		return err
 	}
 	all := make([]record, 0, len(recs)+1)
-	all = append(all, record{op: opBatchToken, key: append([]byte(nil), token...)})
+	all = append(all, newRecord(opBatchToken, token, nil))
 	all = append(all, recs...)
-	idx, err := s.commitBatch(all)
+	idx, err := s.commit(all...)
 	if err != nil {
 		return err
 	}
@@ -86,11 +86,7 @@ func (s *Store) recsForPairs(pairs []Pair) ([]record, error) {
 		if p.Value == nil {
 			op = opDelete
 		}
-		recs[i] = record{
-			op:    op,
-			key:   append([]byte(nil), p.Key...),
-			value: append([]byte(nil), p.Value...),
-		}
+		recs[i] = newRecord(op, p.Key, p.Value)
 	}
 	return recs, nil
 }
@@ -132,76 +128,4 @@ func (s *Store) registerToken(tok string, idx uint64) {
 type Pair struct {
 	Key   []byte
 	Value []byte
-}
-
-// commitBatch reserves one log index for all records, enqueues their
-// applies (to the shards their keys hash to, in batch order), writes the
-// single log slot, and updates the cache. It returns the log index the
-// batch committed at.
-func (s *Store) commitBatch(recs []record) (uint64, error) {
-	tasks := make([]*applyTask, len(recs))
-	committed := make(chan struct{})
-
-	s.seqMu.Lock()
-	for s.nextIdx > s.watermark+uint64(s.kvGeo.Slots) && !s.closed.Load() {
-		s.seqCond.Wait()
-	}
-	if s.closed.Load() {
-		s.seqMu.Unlock()
-		return 0, ErrClosed
-	}
-	idx := s.nextIdx
-	s.nextIdx++
-	// All records share the log index, which retires with the last of them.
-	s.unapplied[idx%uint64(s.kvGeo.Slots)] = int32(len(recs))
-	mark := s.mark
-	for i, r := range recs {
-		t := &applyTask{idx: idx, rec: r, key: string(r.key), committed: committed}
-		if s.cfg.SyncApply {
-			t.applied = make(chan struct{})
-		}
-		tasks[i] = t
-		shard := s.bucketOf(r.key) % uint64(len(s.shards))
-		s.shards[shard].push(t)
-	}
-	s.seqMu.Unlock()
-
-	entry := batchEntryFor(idx, mark, recs)
-	slot := s.getSlot()
-	n, err := entry.Encode(slot)
-	if err == nil {
-		clear(slot[n:]) // pooled buffers carry old payloads past the entry
-		err = s.mem.DirectWriteOwned(s.kvGeo.SlotOffset(idx), slot, func() { s.putSlot(slot) })
-	} else {
-		s.putSlot(slot)
-	}
-	if err != nil {
-		for _, t := range tasks {
-			t.ok = false
-		}
-		close(committed)
-		return 0, err
-	}
-	for _, t := range tasks {
-		switch t.rec.op {
-		case opBatchToken:
-			// Tokens are log metadata, not keys: keep them out of the cache.
-		case opDelete:
-			s.cache.put(t.key, nil, true, idx)
-		default:
-			s.cache.put(t.key, t.rec.value, true, idx)
-		}
-		t.ok = true
-	}
-	close(committed)
-	if s.cfg.SyncApply {
-		for _, t := range tasks {
-			<-t.applied
-			if t.applyErr != nil {
-				return 0, t.applyErr
-			}
-		}
-		s.holdAck()
-	}
-	return idx, nil
 }

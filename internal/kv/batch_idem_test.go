@@ -89,15 +89,15 @@ func TestPutBatchIdemDoubleCommitReplay(t *testing.T) {
 		{op: opPut, key: []byte("k"), value: []byte("batch")},
 	}
 	// Commit the batch, an interleaving write, and the batch again — driving
-	// commitBatch directly to bypass the live dedup, exactly what a client
+	// commit directly to bypass the live dedup, exactly what a client
 	// retry through a different coordinator incarnation would produce.
-	if _, err := s1.commitBatch(batch); err != nil {
+	if _, err := s1.commit(batch...); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.Put([]byte("k"), []byte("interleaved")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.commitBatch(batch); err != nil {
+	if _, err := s1.commit(batch...); err != nil {
 		t.Fatal(err)
 	}
 	s1.drain(t)

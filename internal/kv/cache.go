@@ -78,7 +78,9 @@ func (c *cache) get(key string) (value []byte, tombstone, ok bool) {
 }
 
 // put inserts or refreshes a committed value. pin marks one pending apply
-// (unpinned later with unpin). A nil value records a delete tombstone.
+// (unpinned later with unpin). A nil value records a delete tombstone. It
+// returns the key as the cache holds it, which the caller may index by in
+// turn instead of converting key again.
 //
 // seq is the record's log index. Commits to the same key race here in
 // quorum-completion order, which is not log order; recovery and the shard
@@ -87,11 +89,12 @@ func (c *cache) get(key string) (value []byte, tombstone, ok bool) {
 // counted (its apply task will unpin regardless), but the value only wins
 // when seq >= the entry's — >= so the later records of a same-index batch
 // override the earlier ones in batch order.
-func (c *cache) put(key string, value []byte, pin bool, seq uint64) {
+func (c *cache) put(key []byte, value []byte, pin bool, seq uint64) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i, ok := c.index[key]; ok {
-		e := &c.slab[i]
+	var e *cacheEntry
+	if i, ok := c.index[string(key)]; ok {
+		e = &c.slab[i]
 		if pin {
 			e.pending++
 		}
@@ -101,13 +104,14 @@ func (c *cache) put(key string, value []byte, pin bool, seq uint64) {
 		}
 		c.toFront(i)
 	} else {
-		e := c.insertLocked(key, value)
+		e = c.insertLocked(string(key), value)
 		e.seq = seq
 		if pin {
 			e.pending = 1
 		}
 	}
-	c.evictLocked()
+	defer c.evictLocked() // after e.key is read
+	return e.key
 }
 
 // insertClean adds a value read from replicated memory, without pinning.

@@ -17,8 +17,8 @@ func TestCachePutOutOfOrderKeepsLogOrder(t *testing.T) {
 	c := newCache(16)
 
 	// Put at log index 2 completes first, then the delete at index 1 lands.
-	c.put("k", []byte("v2"), true, 2)
-	c.put("k", nil, true, 1)
+	c.put([]byte("k"), []byte("v2"), true, 2)
+	c.put([]byte("k"), nil, true, 1)
 
 	v, tomb, ok := c.get("k")
 	if !ok || tomb || !bytes.Equal(v, []byte("v2")) {
@@ -34,7 +34,7 @@ func TestCachePutOutOfOrderKeepsLogOrder(t *testing.T) {
 	// Fill past capacity and unpin the second; the entry is now evictable.
 	c.settle([]string{"k"}, nil)
 	for i := 0; i < 32; i++ {
-		c.put(string(rune('a'+i)), []byte("x"), false, uint64(10+i))
+		c.put([]byte{byte('a' + i)}, []byte("x"), false, uint64(10+i))
 	}
 	if _, _, ok := c.get("k"); ok {
 		t.Fatal("stale-pinned entry survived eviction after both unpins")
@@ -45,8 +45,8 @@ func TestCachePutOutOfOrderKeepsLogOrder(t *testing.T) {
 // from a single goroutine; the later record must win (seq >= seq).
 func TestCachePutSameIndexBatchOrderWins(t *testing.T) {
 	c := newCache(16)
-	c.put("k", []byte("a"), true, 5)
-	c.put("k", nil, true, 5) // same batch deletes the key last
+	c.put([]byte("k"), []byte("a"), true, 5)
+	c.put([]byte("k"), nil, true, 5) // same batch deletes the key last
 	if v, tomb, ok := c.get("k"); !ok || !tomb {
 		t.Fatalf("same-index later record should win: value=%q tombstone=%v ok=%v", v, tomb, ok)
 	}
@@ -56,7 +56,7 @@ func TestCachePutSameIndexBatchOrderWins(t *testing.T) {
 // shadow a committed value, and a committed put must override a clean entry.
 func TestCacheCleanInsertYieldsToCommits(t *testing.T) {
 	c := newCache(16)
-	c.put("k", []byte("committed"), false, 7)
+	c.put([]byte("k"), []byte("committed"), false, 7)
 	c.insertClean("k", []byte("stale-read"))
 	if v, _, _ := c.get("k"); !bytes.Equal(v, []byte("committed")) {
 		t.Fatalf("insertClean replaced a committed value: got %q", v)
@@ -64,7 +64,7 @@ func TestCacheCleanInsertYieldsToCommits(t *testing.T) {
 
 	c2 := newCache(16)
 	c2.insertClean("k", []byte("old"))
-	c2.put("k", []byte("new"), false, 3)
+	c2.put([]byte("k"), []byte("new"), false, 3)
 	if v, _, _ := c2.get("k"); !bytes.Equal(v, []byte("new")) {
 		t.Fatalf("commit did not override clean entry: got %q", v)
 	}
@@ -209,7 +209,7 @@ func TestCacheMatchesModel(t *testing.T) {
 					if pin {
 						pins = append(pins, key)
 					}
-					c.put(key, value, pin, s)
+					c.put([]byte(key), value, pin, s)
 					m.put(key, value, pin, s)
 				case r < 50:
 					op = "insertClean"

@@ -20,10 +20,6 @@ const (
 	opBatchToken = 3
 )
 
-// walEntryOverhead is the wal.Entry framing around one record (entry header
-// plus one write header).
-const walEntryOverhead = 18 + 12
-
 // recordOverhead is the record's own header: op(1) keyLen(2) valLen(2).
 const recordOverhead = 5
 
@@ -34,15 +30,41 @@ type record struct {
 	value []byte
 }
 
-// encodeRecord serialises a record for embedding in a wal.Entry write.
-func encodeRecord(r record) []byte {
-	buf := make([]byte, recordOverhead+len(r.key)+len(r.value))
-	buf[0] = r.op
-	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(r.key)))
-	binary.LittleEndian.PutUint16(buf[3:5], uint16(len(r.value)))
-	copy(buf[recordOverhead:], r.key)
-	copy(buf[recordOverhead+len(r.key):], r.value)
-	return buf
+// newRecord copies key and value into one allocation, which outlives the
+// caller's buffers: the cache shares value, the background apply reads both.
+func newRecord(op byte, key, value []byte) record {
+	buf := make([]byte, len(key)+len(value))
+	copy(buf, key)
+	copy(buf[len(key):], value)
+	return record{op: op, key: buf[:len(key):len(key)], value: buf[len(key):]}
+}
+
+// encodeEntry lays the KV log entry of recs straight into buf (a log slot)
+// and returns its length: byte for byte wal.Entry.Encode of the entry at idx
+// with one write per record, its data the record's encoding. The KV log's
+// writes have no address of their own, so the first carries the committer's
+// applied mark (see Store.mark); an entry from before marks reads as mark 0.
+func encodeEntry(buf []byte, idx, mark uint64, recs ...record) (int, error) {
+	need := wal.EntryHeaderSize
+	for _, r := range recs {
+		need += wal.WriteHeaderSize + recordOverhead + len(r.key) + len(r.value)
+	}
+	if need > len(buf) {
+		return 0, fmt.Errorf("%w: need %d, slot %d", wal.ErrTooLarge, need, len(buf))
+	}
+	off := wal.EntryHeaderSize
+	for _, r := range recs {
+		var rec []byte
+		rec, off = wal.PutWrite(buf, off, mark, recordOverhead+len(r.key)+len(r.value))
+		mark = 0 // the first write's alone
+		rec[0] = r.op
+		binary.LittleEndian.PutUint16(rec[1:3], uint16(len(r.key)))
+		binary.LittleEndian.PutUint16(rec[3:5], uint16(len(r.value)))
+		copy(rec[recordOverhead:], r.key)
+		copy(rec[recordOverhead+len(r.key):], r.value)
+	}
+	wal.Seal(buf, idx, len(recs), off)
+	return off, nil
 }
 
 // decodeRecord parses a record.
@@ -61,26 +83,6 @@ func decodeRecord(buf []byte) (record, error) {
 		key:   buf[recordOverhead : recordOverhead+kl],
 		value: buf[recordOverhead+kl : recordOverhead+kl+vl],
 	}, nil
-}
-
-// entryFor wraps a record in a wal.Entry for the KV log. The wal package
-// supplies the index, CRC, and circular-slot machinery. The KV log's writes
-// have no address of their own, so the first write's Addr carries the
-// committer's applied mark (see Store.mark); an entry written before the
-// mark existed reads as mark 0.
-func entryFor(idx, mark uint64, r record) wal.Entry {
-	return wal.Entry{Index: idx, Writes: []wal.Write{{Addr: mark, Data: encodeRecord(r)}}}
-}
-
-// batchEntryFor packs several records into one entry (PutBatch): one
-// wal.Write per record, all under a single log index.
-func batchEntryFor(idx, mark uint64, recs []record) wal.Entry {
-	ws := make([]wal.Write, len(recs))
-	for i, r := range recs {
-		ws[i] = wal.Write{Data: encodeRecord(r)}
-	}
-	ws[0].Addr = mark
-	return wal.Entry{Index: idx, Writes: ws}
 }
 
 // markOf returns the applied mark an entry carries.
@@ -142,11 +144,14 @@ func (c Config) codec() blockCodec {
 	return blockCodec{maxKey: c.MaxKey, maxValue: c.MaxValue, blockSize: c.BlockSize()}
 }
 
+// zeroCRC stands in for the crc field while the CRC is computed; a local
+// one escapes through crc32.Update, an allocation per block encoded.
+var zeroCRC [4]byte
+
 // crcOf computes the block CRC of buf with the crc field treated as zero.
 func (c blockCodec) crcOf(buf []byte) uint32 {
-	var zero [4]byte
 	crc := crc32.Update(0, blockCRCTable, buf[:blockCRCOffset])
-	crc = crc32.Update(crc, blockCRCTable, zero[:])
+	crc = crc32.Update(crc, blockCRCTable, zeroCRC[:])
 	return crc32.Update(crc, blockCRCTable, buf[blockHeaderSize:c.blockSize])
 }
 

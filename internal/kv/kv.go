@@ -192,7 +192,7 @@ func (c Config) RequiredMemSize(align int) int {
 // framing, rounded up for alignment.
 func (c Config) WALSlotSize() int {
 	cc := c.withDefaults()
-	n := walEntryOverhead + recordOverhead + cc.MaxKey + cc.MaxValue
+	n := wal.EntryHeaderSize + wal.WriteHeaderSize + recordOverhead + cc.MaxKey + cc.MaxValue
 	return (n + 63) / 64 * 64
 }
 
@@ -359,13 +359,15 @@ func open(mem *repmem.Memory, cfg Config) (*Store, error) {
 		nextIdx:     1,
 	}
 	s.seqCond = sync.NewCond(&s.seqMu)
-	// Its own object, its constructor closing over the size alone: see
-	// repmem's bufPool for why a pool must not lead back to the store.
-	slotSize := s.kvGeo.SlotSize
-	s.slotPool = &sync.Pool{New: func() any {
-		b := make([]byte, slotSize)
-		return &b
-	}}
+	// Its own object, its constructor closing over itself and the size alone:
+	// see repmem's bufPool for why a pool must not lead back to the store.
+	pool, slotSize := new(sync.Pool), s.kvGeo.SlotSize
+	pool.New = func() any {
+		h := &slotBuf{b: make([]byte, slotSize)}
+		h.release = func() { pool.Put(h) }
+		return h
+	}
+	s.slotPool = pool
 	s.zeroBlock = make([]byte, s.stride)
 	cacheEntries := int(float64(c.Capacity) * c.CacheFraction)
 	s.cache = newCache(cacheEntries)
@@ -386,7 +388,7 @@ func (s *Store) startAppliers() {
 // Close stops the background appliers. Pending applies are drained first so
 // every committed put reaches the replicated memory.
 func (s *Store) Close() {
-	// The sequence lock serialises this against commitRecord's enqueue, so
+	// The sequence lock serialises this against commit's enqueue, so
 	// no send can race the channel close.
 	s.seqMu.Lock()
 	if s.closed.Swap(true) {

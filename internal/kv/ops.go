@@ -18,7 +18,7 @@ func (s *Store) Put(key, value []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("%w: empty key", ErrTooLarge)
 	}
-	err := s.commitRecord(record{op: opPut, key: key, value: value})
+	_, err := s.commit(newRecord(opPut, key, value))
 	if err == nil {
 		s.stats.puts.Add(1)
 	}
@@ -31,24 +31,34 @@ func (s *Store) Delete(key []byte) error {
 	if len(key) > s.cfg.MaxKey || len(key) == 0 {
 		return fmt.Errorf("%w: key %d B (max %d)", ErrTooLarge, len(key), s.cfg.MaxKey)
 	}
-	err := s.commitRecord(record{op: opDelete, key: key})
+	_, err := s.commit(newRecord(opDelete, key, nil))
 	if err == nil {
 		s.stats.deletes.Add(1)
 	}
 	return err
 }
 
-// commitRecord reserves a log index, enqueues the background apply, writes
-// the log slot, and updates the cache.
-func (s *Store) commitRecord(r record) error {
-	// Copy caller buffers: they outlive this call (cache + background apply).
-	r.key = append([]byte(nil), r.key...)
-	r.value = append([]byte(nil), r.value...)
-
-	task := &applyTask{rec: r, key: string(r.key), committed: make(chan struct{})}
-	if s.cfg.SyncApply {
-		task.applied = make(chan struct{})
+// commit reserves one log index for recs — one record for Put and Delete,
+// several for a batch — enqueues their applies (to the shards their keys
+// hash to, in order), writes the log slot, and updates the cache. The
+// records are the store's own copies (newRecord). It returns the log index
+// they committed at.
+func (s *Store) commit(recs ...record) (uint64, error) {
+	var one [1]*applyTask
+	tasks := one[:] // a put's stays on the stack
+	if len(recs) > 1 {
+		tasks = make([]*applyTask, len(recs))
 	}
+	for i, r := range recs {
+		tasks[i] = getTask()
+		tasks[i].rec = r
+		if s.cfg.SyncApply {
+			tasks[i].applied = make(chan struct{})
+		}
+	}
+	// The committer's references are dropped last thing, whatever the
+	// outcome: an applier may retire a task the moment it is resolved.
+	defer unrefAll(tasks)
 
 	s.seqMu.Lock()
 	for s.nextIdx > s.watermark+uint64(s.kvGeo.Slots) && !s.closed.Load() {
@@ -56,52 +66,65 @@ func (s *Store) commitRecord(r record) error {
 	}
 	if s.closed.Load() {
 		s.seqMu.Unlock()
-		return ErrClosed
+		unrefAll(tasks) // never queued: no retire will drop these references
+		return 0, ErrClosed
 	}
-	task.idx = s.nextIdx
+	idx := s.nextIdx
 	s.nextIdx++
-	s.unapplied[task.idx%uint64(s.kvGeo.Slots)] = 1
+	// All records share the log index, which retires with the last of them.
+	s.unapplied[idx%uint64(s.kvGeo.Slots)] = int32(len(recs))
 	mark := s.mark
-	shard := s.bucketOf(r.key) % uint64(len(s.shards))
-	s.shards[shard].push(task)
+	for _, t := range tasks {
+		t.idx = idx
+		s.shards[s.bucketOf(t.rec.key)%uint64(len(s.shards))].push(t)
+	}
 	s.seqMu.Unlock()
 
-	entry := entryFor(task.idx, mark, r)
-	slot := s.getSlot()
-	n, err := entry.Encode(slot)
-	if err == nil {
-		clear(slot[n:]) // pooled buffers carry old payloads past the entry
-		err = s.mem.DirectWriteOwned(s.kvGeo.SlotOffset(task.idx), slot, func() { s.putSlot(slot) })
+	// The entry is encoded straight into a pooled slot buffer, which goes
+	// back to its pool when the last node's write has resolved.
+	h := s.slotPool.Get().(*slotBuf)
+	n, err := encodeEntry(h.b, idx, mark, recs...)
+	if err != nil {
+		h.release()
 	} else {
-		s.putSlot(slot)
+		clear(h.b[n:]) // pooled buffers carry old payloads past the entry
+		err = s.mem.DirectWriteOwned(s.kvGeo.SlotOffset(idx), h.b, h.release)
 	}
 	if err != nil {
-		task.ok = false
-		close(task.committed)
-		return err
+		for _, t := range tasks {
+			t.resolve(false)
+		}
+		return 0, err
 	}
-
-	// Committed: the cache immediately reflects the new value so gets see it
-	// before the background apply lands; the pin keeps it resident until then.
-	if r.op == opDelete {
-		s.cache.put(task.key, nil, true, task.idx)
-	} else {
-		s.cache.put(task.key, r.value, true, task.idx)
+	// Committed: the cache immediately reflects every record so gets see it
+	// before the background apply lands; the pin keeps it resident until
+	// then. The tasks are resolved only once all of them are in the cache.
+	for _, t := range tasks {
+		switch t.rec.op {
+		case opBatchToken:
+			// Tokens are log metadata, not keys: keep them out of the cache.
+		case opDelete:
+			t.key = s.cache.put(t.rec.key, nil, true, idx)
+		default:
+			t.key = s.cache.put(t.rec.key, t.rec.value, true, idx)
+		}
 	}
-	task.ok = true
-	close(task.committed)
-	if task.applied != nil {
-		// SyncApply: acknowledge only once the update is materialized, so a
+	for _, t := range tasks {
+		t.resolve(true)
+	}
+	if s.cfg.SyncApply {
+		// Acknowledge only once the update is materialized, so a
 		// lease-holding backup that reads the table structures after this
 		// ack is guaranteed to see it (the apply fan-out waits on every
 		// non-excluded node).
-		<-task.applied
-		if task.applyErr != nil {
-			return task.applyErr
+		for _, t := range tasks {
+			if <-t.applied; t.applyErr != nil {
+				return 0, t.applyErr
+			}
 		}
 		s.holdAck()
 	}
-	return nil
+	return idx, nil
 }
 
 // holdAck delays an acknowledgement until at least AckHold has passed since
@@ -156,11 +179,13 @@ func (s *Store) Get(key []byte) ([]byte, error) {
 	return blk.value, nil
 }
 
-// getSlot takes a log-slot-sized buffer from the pool.
-func (s *Store) getSlot() []byte { return *s.slotPool.Get().(*[]byte) }
-
-// putSlot recycles a slot buffer once no write referencing it is in flight.
-func (s *Store) putSlot(b []byte) { s.slotPool.Put(&b) }
+// slotBuf is a pooled log-slot buffer with its release, which puts it back,
+// bound once at construction: a commit hands DirectWriteOwned a buffer and
+// a callback without allocating either.
+type slotBuf struct {
+	b       []byte
+	release func()
+}
 
 // findInChain walks bucket's chain in replicated memory looking for key. It
 // returns the matching block (the zero block, whose used is false, if

@@ -1,6 +1,9 @@
 package kv
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // shardQueue is an unbounded FIFO of apply tasks. Unboundedness matters:
 // commit paths enqueue while holding the sequence lock, and appliers may
@@ -14,6 +17,9 @@ type shardQueue struct {
 	items  []*applyTask
 	head   int
 	closed bool
+	// waitFor is the head task the consumer waits on cond for, the one
+	// commit whose resolve must signal (applyTask.resolve).
+	waitFor atomic.Pointer[applyTask]
 }
 
 func newShardQueue() *shardQueue {
@@ -22,11 +28,15 @@ func newShardQueue() *shardQueue {
 	return q
 }
 
-// push appends a task. Never blocks.
+// push appends a task. Never blocks. Only a push onto an empty queue can
+// find the consumer waiting for a task to exist.
 func (q *shardQueue) push(t *applyTask) {
+	t.q = q
 	q.mu.Lock()
+	if q.head == len(q.items) {
+		q.cond.Signal()
+	}
 	q.items = append(q.items, t)
-	q.cond.Signal()
 	q.mu.Unlock()
 }
 
@@ -37,20 +47,21 @@ func (q *shardQueue) push(t *applyTask) {
 // company. ok is false once the queue is closed and drained.
 func (q *shardQueue) popBatch(dst []*applyTask, max int) (batch []*applyTask, ok bool) {
 	q.mu.Lock()
-	for q.head >= len(q.items) && !q.closed {
+	defer q.mu.Unlock()
+	for {
+		if q.head < len(q.items) {
+			// Published before the check: a resolve after it signals.
+			head := q.items[q.head]
+			q.waitFor.Store(head)
+			if head.resolved() {
+				break
+			}
+		} else if q.closed {
+			return dst, false
+		}
 		q.cond.Wait()
 	}
-	if q.head >= len(q.items) {
-		q.mu.Unlock()
-		return dst, false
-	}
-	head := q.items[q.head]
-	q.mu.Unlock()
-	// Only this consumer removes tasks, so the head is still the head.
-	<-head.committed
-
-	q.mu.Lock()
-	defer q.mu.Unlock()
+	q.waitFor.Store(nil)
 	for q.head < len(q.items) && len(dst) < max && q.items[q.head].resolved() {
 		dst = append(dst, q.items[q.head])
 		q.items[q.head] = nil

@@ -302,8 +302,7 @@ func (s *Store) recover() error {
 			if rec.op == opDelete {
 				value = nil
 			}
-			key := string(rec.key)
-			s.cache.put(key, value, true, e.Index)
+			key := s.cache.put(rec.key, value, true, e.Index)
 			batch = append(batch, &applyTask{idx: e.Index, rec: rec, key: key, ok: true})
 			if len(batch) == applyBatchMax {
 				if err := replay(); err != nil {

@@ -349,8 +349,7 @@ func (s *Store) recoverWhole() error {
 			if rec.op == opDelete {
 				value = nil
 			}
-			key := string(rec.key)
-			s.cache.put(key, value, !applied, e.Index)
+			key := s.cache.put(rec.key, value, !applied, e.Index)
 			if !applied {
 				batch = append(batch, &applyTask{idx: e.Index, rec: rec, key: key, ok: true})
 			}

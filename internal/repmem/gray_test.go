@@ -13,7 +13,7 @@ import (
 
 func TestQuorumGroupReportsRealAckCount(t *testing.T) {
 	injected := errors.New("boom")
-	g := newQuorumGroup(3, 3, nil)
+	g := getQuorumGroup(3, 3, new(rangeLock), lockRange{}, nil)
 	g.ack(nil)
 	g.ack(injected)
 	g.ack(injected)
@@ -27,7 +27,7 @@ func TestQuorumGroupReportsRealAckCount(t *testing.T) {
 }
 
 func TestQuorumGroupBornDecidedStillCountsLateAcks(t *testing.T) {
-	g := newQuorumGroup(1, 2, nil)
+	g := getQuorumGroup(1, 2, new(rangeLock), lockRange{}, nil)
 	g.ack(nil)
 	err := g.wait()
 	if !errors.Is(err, ErrNoQuorum) {

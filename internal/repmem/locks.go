@@ -84,10 +84,14 @@ func (l *rangeLock) blocked(want []interval, ahead []*lockWaiter) bool {
 	return false
 }
 
+// stackRanges is how many ranges an acquire, a release or a WriteBatch
+// takes without allocating (put_sat's apply flights carry about seven).
+const stackRanges = 16
+
 // acquire takes every range in rs in the given mode, atomically. Pair with
 // release on the same mode and ranges.
 func (l *rangeLock) acquire(mode lockMode, rs ...lockRange) {
-	var buf [4]interval
+	var buf [stackRanges]interval
 	want := intervals(buf[:0], mode, rs)
 	l.mu.Lock()
 	if !l.blocked(want, l.queue) {
@@ -104,7 +108,7 @@ func (l *rangeLock) acquire(mode lockMode, rs ...lockRange) {
 // release drops what acquire took and grants, in arrival order, every queued
 // request that nothing held or queued ahead of it blocks any more.
 func (l *rangeLock) release(mode lockMode, rs ...lockRange) {
-	var buf [4]interval
+	var buf [stackRanges]interval
 	l.mu.Lock()
 	for _, iv := range intervals(buf[:0], mode, rs) {
 		i := 0

@@ -24,12 +24,17 @@ func (m *Memory) Read(addr uint64, buf []byte) error {
 		return err
 	}
 	m.stats.reads.Add(1)
-	if h := m.cfg.Latency; h != nil {
-		start := time.Now()
-		defer func() { h.Read.Record(time.Since(start)) }()
+	h := m.cfg.Latency
+	var start time.Time
+	if h != nil {
+		start = time.Now()
 	}
 	// Verified read with transparent read-repair; takes its own locks.
-	return m.retryOnCurrent(func(g *group) error { return m.readVerified(g, addr, buf) })
+	err := m.retryOnCurrent(func(g *group) error { return m.readVerified(g, addr, buf) })
+	if h != nil {
+		h.Read.Record(time.Since(start))
+	}
+	return err
 }
 
 // retryOnCurrent runs a read against the current group and, when it fails

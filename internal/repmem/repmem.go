@@ -45,7 +45,10 @@ import (
 type LatencyHooks struct {
 	DirectWrite metrics.Histogram // direct-zone write commit latency
 	Read        metrics.Histogram // main-space read latency
-	Quorum      metrics.Histogram // quorum ack wait inside a write
+	// Quorum is a direct write's time from its fan-out's start, before its
+	// node requests are enqueued, to the quorum decision, failed writes
+	// included; it shares both clock reads with DirectWrite.
+	Quorum metrics.Histogram
 }
 
 // Errors returned by the replicated memory layer.

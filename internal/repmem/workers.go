@@ -3,6 +3,7 @@ package repmem
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/repro/sift/internal/rdma"
@@ -88,10 +89,13 @@ func (m *Memory) stopWorkers(g *group) {
 	g.workerWG.Wait()
 }
 
-// enqueue hands req to the worker of g's member i. After the group's workers
-// stopped, done fires immediately with ErrClosed.
+// enqueue hands req to the worker of g's member i, stamped with the enqueue
+// time unless a fan-out stamped all its requests with one reading. After the
+// group's workers stopped, done fires immediately with ErrClosed.
 func (m *Memory) enqueue(g *group, i int, req nodeReq) {
-	req.enq = time.Now()
+	if req.enq.IsZero() {
+		req.enq = time.Now()
+	}
 	w := g.workers[i]
 	w.mu.RLock()
 	if w.closed {
@@ -229,78 +233,104 @@ func (m *Memory) enqueueBestEffort(g *group, i int, offset uint64, data []byte, 
 	m.enqueue(g, i, req)
 }
 
-// quorumGroup tracks one fan-out's completions. wait returns as soon as the
-// outcome is decided — need acks for success, or too many failures — while
-// the group keeps counting stragglers; onAll runs exactly once after the
-// final completion, when per-op resources (buffers, range locks) may be
-// released.
+// quorumGroup tracks one direct write's fan-out. wait returns as soon as
+// the outcome is decided — need acks for success, or too many failures —
+// while the group keeps counting stragglers; the final completion releases
+// the write's range lock and calls the caller's release. Groups are pooled,
+// the decision channel (capacity one, one token per use) and ack (bound
+// once, as flightCtx's fn is) with them. The waiter and the final completion
+// own a group, which goes back to the pool when both are done with it —
+// never at the decision, which stragglers outlive.
 type quorumGroup struct {
-	mu        sync.Mutex
-	remaining int
-	total     int
-	need      int
-	acks      int
-	decided   bool
-	failed    bool
-	decCh     chan struct{}
-	onAll     func()
+	mu                     sync.Mutex
+	remaining, total, need int
+	acks                   int
+	decided, failed        bool
+	refs                   atomic.Int32
+	decCh                  chan struct{}
+	ack                    func(error) // prebound ackOne
+	locks                  *rangeLock
+	held                   lockRange
+	release                func()
 }
 
-// newQuorumGroup creates a group over total completions needing need acks.
-// If need can never be reached (need > total), the group is born decided.
-func newQuorumGroup(total, need int, onAll func()) *quorumGroup {
-	g := &quorumGroup{remaining: total, total: total, need: need, decCh: make(chan struct{}), onAll: onAll}
+var quorumPool sync.Pool
+
+// getQuorumGroup returns a group over total completions needing need acks,
+// which releases held on locks and then calls release (if non-nil) after
+// the final completion. If need > total, the group is born decided.
+func getQuorumGroup(total, need int, locks *rangeLock, held lockRange, release func()) *quorumGroup {
+	q, _ := quorumPool.Get().(*quorumGroup)
+	if q == nil {
+		q = &quorumGroup{decCh: make(chan struct{}, 1)}
+		q.ack = q.ackOne
+	}
+	q.remaining, q.total, q.need, q.acks = total, total, need, 0
+	q.decided, q.failed = false, false
+	q.locks, q.held, q.release = locks, held, release
+	q.refs.Store(2)
 	if need > total {
-		g.decided = true
-		g.failed = true
-		close(g.decCh)
+		q.decide(true)
 	}
 	if total == 0 {
-		g.finishAll()
+		q.finish()
 	}
-	return g
+	return q
 }
 
-func (g *quorumGroup) finishAll() {
-	if g.onAll != nil {
-		g.onAll()
+// decide records the outcome and posts the token wait takes.
+func (q *quorumGroup) decide(failed bool) {
+	q.decided, q.failed = true, failed
+	q.decCh <- struct{}{}
+}
+
+// finish runs once, after the final completion.
+func (q *quorumGroup) finish() {
+	q.locks.release(exclusive, q.held)
+	if q.release != nil {
+		q.release()
+	}
+	q.unref()
+}
+
+// unref drops one owner's reference; the last one recycles the group.
+func (q *quorumGroup) unref() {
+	if q.refs.Add(-1) == 0 {
+		q.locks, q.release = nil, nil
+		quorumPool.Put(q)
 	}
 }
 
-// ack records one completion. Safe to call from transport goroutines.
-func (g *quorumGroup) ack(err error) {
-	g.mu.Lock()
-	g.remaining--
+// ackOne records one completion. Safe to call from transport goroutines.
+func (q *quorumGroup) ackOne(err error) {
+	q.mu.Lock()
+	q.remaining--
 	if err == nil {
-		g.acks++
+		q.acks++
 	}
-	if !g.decided {
-		if g.acks >= g.need {
-			g.decided = true
-			close(g.decCh)
-		} else if g.acks+g.remaining < g.need {
-			g.decided = true
-			g.failed = true
-			close(g.decCh)
-		}
+	if !q.decided && q.acks >= q.need {
+		q.decide(false)
+	} else if !q.decided && q.acks+q.remaining < q.need {
+		q.decide(true)
 	}
-	last := g.remaining == 0
-	g.mu.Unlock()
+	last := q.remaining == 0
+	q.mu.Unlock()
 	if last {
-		g.finishAll()
+		q.finish()
 	}
 }
 
-// wait blocks until the outcome is decided and returns it. The failure
-// message reads the ack counter at report time, so acks that arrived before
-// (or even after) the fatal decision are reflected instead of the
-// zero-value count the group was born with.
-func (g *quorumGroup) wait() error {
-	<-g.decCh
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.failed {
-		return fmt.Errorf("%w: %d of %d acks (need %d)", ErrNoQuorum, g.acks, g.total, g.need)
+// wait blocks until the outcome is decided and returns it, after which the
+// group is no longer the caller's. The failure message reads the ack counter
+// at report time, so acks that arrived before (or even after) the fatal
+// decision are reflected.
+func (q *quorumGroup) wait() error {
+	<-q.decCh
+	defer q.unref()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.failed {
+		return fmt.Errorf("%w: %d of %d acks (need %d)", ErrNoQuorum, q.acks, q.total, q.need)
 	}
 	return nil
 }

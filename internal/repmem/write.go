@@ -40,7 +40,7 @@ func (m *Memory) WriteBatch(writes []wal.Write) error {
 		return err
 	}
 	g := m.grp.Load()
-	var buf [4]lockRange
+	var buf [stackRanges]lockRange
 	ranges := buf[:0]
 	for _, w := range writes {
 		if err := m.checkMainRange(w.Addr, len(w.Data)); err != nil {
@@ -67,18 +67,6 @@ func (m *Memory) WriteBatch(writes []wal.Write) error {
 		return fmt.Errorf("%w: lost quorum during main-space write", ErrNoQuorum)
 	}
 	return nil
-}
-
-// waitQuorum blocks on the quorum group, timing the ack wait into the
-// Quorum latency hook.
-func (m *Memory) waitQuorum(g *quorumGroup) error {
-	if h := m.cfg.Latency; h != nil {
-		start := time.Now()
-		err := g.wait()
-		h.Quorum.Record(time.Since(start))
-		return err
-	}
-	return g.wait()
 }
 
 // applyUnit is one run of whole integrity/EC blocks that applyWrites sends:
@@ -195,9 +183,10 @@ func (m *Memory) applyWrites(g *group, writes []wal.Write) {
 		return
 	}
 	sc.wg.Add(len(sc.wait))
+	now := time.Now() // one enqueue time for the whole fan-out
 	for _, i := range sc.wait {
 		v := vector(i)
-		m.enqueue(g, i, nodeReq{offset: v[0].Offset, data: v[0].Data, more: v[1:], done: sc.done})
+		m.enqueue(g, i, nodeReq{offset: v[0].Offset, data: v[0].Data, more: v[1:], enq: now, done: sc.done})
 	}
 	sc.wg.Wait()
 }
@@ -375,10 +364,11 @@ func (m *Memory) directWrite(addr uint64, data []byte, release func()) error {
 	// the majority that unblocks the caller): a straggler write racing a
 	// recovery copy or a later write to the same range on that node would
 	// resurrect stale bytes.
-	var start time.Time
-	if m.cfg.Latency != nil {
-		start = time.Now()
-	}
+	//
+	// The clock is read twice: here, for the latency start and every node
+	// request's enqueue time, and once the outcome is decided, for both the
+	// Quorum and the DirectWrite histograms.
+	start := time.Now()
 	g := m.grp.Load()
 	held := lockRange{addr: addr, size: len(data)}
 	m.directLocks.acquire(exclusive, held)
@@ -386,23 +376,24 @@ func (m *Memory) directWrite(addr uint64, data []byte, release func()) error {
 	var waitBuf, bestBuf [8]int
 	need := g.majority()
 	wait, bestEffort := g.writeTargetsInto(need, waitBuf[:0], bestBuf[:0])
-	q := newQuorumGroup(len(wait), need, func() {
-		m.directLocks.release(exclusive, held)
-		if release != nil {
-			release()
-		}
-	})
+	q := getQuorumGroup(len(wait), need, &m.directLocks, held, release)
 	off := g.physDirect(addr)
 	// Copies first: once the last waited-on write is enqueued it may
 	// complete, and release recycle data, at any moment.
 	for _, i := range bestEffort {
 		m.enqueueBestEffort(g, i, off, data)
 	}
-	ack := q.ack // one method value for every node's request
 	for _, i := range wait {
-		m.enqueue(g, i, nodeReq{offset: off, data: data, done: ack})
+		m.enqueue(g, i, nodeReq{offset: off, data: data, enq: start, done: q.ack})
 	}
-	if err := m.waitQuorum(q); err != nil {
+	err := q.wait()
+	var took time.Duration
+	h := m.cfg.Latency
+	if h != nil {
+		took = time.Since(start)
+		h.Quorum.Record(took)
+	}
+	if err != nil {
 		if oerr := m.checkOpen(); oerr != nil {
 			return oerr
 		}
@@ -412,8 +403,8 @@ func (m *Memory) directWrite(addr uint64, data []byte, release func()) error {
 		return err
 	}
 	m.stats.directWrites.Add(1)
-	if h := m.cfg.Latency; h != nil {
-		h.DirectWrite.Record(time.Since(start))
+	if h != nil {
+		h.DirectWrite.Record(took)
 	}
 	return nil
 }

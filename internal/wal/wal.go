@@ -54,50 +54,63 @@ type Entry struct {
 
 // Size returns the encoded size of the entry in bytes.
 func (e *Entry) Size() int {
-	n := entryHeaderSize
+	n := EntryHeaderSize
 	for _, w := range e.Writes {
-		n += writeHeaderSize + len(w.Data)
+		n += WriteHeaderSize + len(w.Data)
 	}
 	return n
 }
 
 const (
-	// entryHeaderSize: index(8) + count(2) + payloadLen(4) + crc(4)
-	entryHeaderSize = 18
-	// writeHeaderSize: addr(8) + len(4)
-	writeHeaderSize = 12
+	// EntryHeaderSize is an entry's header: index(8) count(2) payloadLen(4)
+	// crc(4).
+	EntryHeaderSize = 18
+	// WriteHeaderSize is each write's header: addr(8) len(4).
+	WriteHeaderSize = 12
 )
 
 // Encode serialises the entry into buf, which must be at least e.Size()
 // bytes (typically a full slot). Returns the number of bytes written.
 func (e *Entry) Encode(buf []byte) (int, error) {
-	need := e.Size()
-	if need > len(buf) {
+	if need := e.Size(); need > len(buf) {
 		return 0, fmt.Errorf("%w: need %d, slot %d", ErrTooLarge, need, len(buf))
 	}
-	payloadLen := need - entryHeaderSize
-	binary.LittleEndian.PutUint64(buf[0:8], e.Index)
-	binary.LittleEndian.PutUint16(buf[8:10], uint16(len(e.Writes)))
-	binary.LittleEndian.PutUint32(buf[10:14], uint32(payloadLen))
-	off := entryHeaderSize
+	off := EntryHeaderSize
 	for _, w := range e.Writes {
-		binary.LittleEndian.PutUint64(buf[off:], w.Addr)
-		binary.LittleEndian.PutUint32(buf[off+8:], uint32(len(w.Data)))
-		copy(buf[off+writeHeaderSize:], w.Data)
-		off += writeHeaderSize + len(w.Data)
+		var data []byte
+		data, off = PutWrite(buf, off, w.Addr, len(w.Data))
+		copy(data, w.Data)
 	}
-	// CRC covers index, count, payload length, and payload.
-	crc := crc32.Checksum(buf[0:10], castagnoli)
-	crc = crc32.Update(crc, castagnoli, buf[10:14])
-	crc = crc32.Update(crc, castagnoli, buf[entryHeaderSize:off])
-	binary.LittleEndian.PutUint32(buf[14:18], crc)
+	Seal(buf, e.Index, len(e.Writes), off)
 	return off, nil
+}
+
+// PutWrite lays the header of an n-byte write to addr at buf[off:], the
+// first at EntryHeaderSize, and returns the write's data for the caller to
+// fill in place and the offset after it.
+func PutWrite(buf []byte, off int, addr uint64, n int) (data []byte, next int) {
+	binary.LittleEndian.PutUint64(buf[off:], addr)
+	binary.LittleEndian.PutUint32(buf[off+8:], uint32(n))
+	next = off + WriteHeaderSize + n
+	return buf[off+WriteHeaderSize : next], next
+}
+
+// Seal completes the entry whose count writes PutWrite laid out in
+// buf[EntryHeaderSize:end]: its index, count, payload length and CRC, which
+// covers all of them and the payload.
+func Seal(buf []byte, index uint64, count, end int) {
+	binary.LittleEndian.PutUint64(buf[0:8], index)
+	binary.LittleEndian.PutUint16(buf[8:10], uint16(count))
+	binary.LittleEndian.PutUint32(buf[10:14], uint32(end-EntryHeaderSize))
+	crc := crc32.Checksum(buf[0:14], castagnoli)
+	crc = crc32.Update(crc, castagnoli, buf[EntryHeaderSize:end])
+	binary.LittleEndian.PutUint32(buf[14:18], crc)
 }
 
 // Decode parses an entry from buf (a slot image). It returns ErrCorrupt for
 // empty, torn, or otherwise invalid slots.
 func Decode(buf []byte) (Entry, error) {
-	if len(buf) < entryHeaderSize {
+	if len(buf) < EntryHeaderSize {
 		return Entry{}, fmt.Errorf("%w: short slot", ErrCorrupt)
 	}
 	index := binary.LittleEndian.Uint64(buf[0:8])
@@ -107,25 +120,25 @@ func Decode(buf []byte) (Entry, error) {
 	if index == 0 {
 		return Entry{}, fmt.Errorf("%w: zero index", ErrCorrupt)
 	}
-	if payloadLen < 0 || entryHeaderSize+payloadLen > len(buf) {
+	if payloadLen < 0 || EntryHeaderSize+payloadLen > len(buf) {
 		return Entry{}, fmt.Errorf("%w: bad payload length %d", ErrCorrupt, payloadLen)
 	}
 	want := crc32.Checksum(buf[0:10], castagnoli)
 	want = crc32.Update(want, castagnoli, buf[10:14])
-	want = crc32.Update(want, castagnoli, buf[entryHeaderSize:entryHeaderSize+payloadLen])
+	want = crc32.Update(want, castagnoli, buf[EntryHeaderSize:EntryHeaderSize+payloadLen])
 	if crc != want {
 		return Entry{}, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
 	}
 	e := Entry{Index: index, Writes: make([]Write, 0, count)}
-	off := entryHeaderSize
-	end := entryHeaderSize + payloadLen
+	off := EntryHeaderSize
+	end := EntryHeaderSize + payloadLen
 	for i := 0; i < count; i++ {
-		if off+writeHeaderSize > end {
+		if off+WriteHeaderSize > end {
 			return Entry{}, fmt.Errorf("%w: truncated write header", ErrCorrupt)
 		}
 		addr := binary.LittleEndian.Uint64(buf[off:])
 		dlen := int(binary.LittleEndian.Uint32(buf[off+8:]))
-		off += writeHeaderSize
+		off += WriteHeaderSize
 		if dlen < 0 || off+dlen > end {
 			return Entry{}, fmt.Errorf("%w: truncated write data", ErrCorrupt)
 		}
@@ -157,9 +170,9 @@ type Head struct {
 func ParseHead(b []byte) Head {
 	h := Head{Index: binary.LittleEndian.Uint64(b[0:8])}
 	if binary.LittleEndian.Uint16(b[8:10]) > 0 {
-		h.Addr = binary.LittleEndian.Uint64(b[entryHeaderSize:])
-		if binary.LittleEndian.Uint32(b[entryHeaderSize+8:]) > 0 {
-			h.First = b[entryHeaderSize+writeHeaderSize]
+		h.Addr = binary.LittleEndian.Uint64(b[EntryHeaderSize:])
+		if binary.LittleEndian.Uint32(b[EntryHeaderSize+8:]) > 0 {
+			h.First = b[EntryHeaderSize+WriteHeaderSize]
 		}
 	}
 	return h

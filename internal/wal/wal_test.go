@@ -445,7 +445,7 @@ func TestReconcileMatchesScanReference(t *testing.T) {
 		return a
 	}
 	tear := func(a []byte, idx uint64) []byte {
-		a[int(idx%uint64(g.Slots))*g.SlotSize+entryHeaderSize] ^= 0xff
+		a[int(idx%uint64(g.Slots))*g.SlotSize+EntryHeaderSize] ^= 0xff
 		return a
 	}
 	misplace := func(a []byte, idx uint64, slot int) []byte {

@@ -57,7 +57,7 @@ func (cl *Cluster) initObs() {
 	// Replicated memory hot-path latency (stable across coordinator terms).
 	reg.Observe("sift_repmem_direct_write_seconds", "Direct-zone write commit latency.", &cl.latency.DirectWrite)
 	reg.Observe("sift_repmem_read_seconds", "Main-space read latency.", &cl.latency.Read)
-	reg.Observe("sift_repmem_quorum_wait_seconds", "Quorum ack wait inside a write fan-out.", &cl.latency.Quorum)
+	reg.Observe("sift_repmem_quorum_wait_seconds", "Direct write from its fan-out's start, before the node requests are enqueued, to the quorum decision.", &cl.latency.Quorum)
 
 	// Counters read through the current coordinator at scrape time. They
 	// reset when the coordinatorship moves (each term rebuilds its layers);

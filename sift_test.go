@@ -268,3 +268,27 @@ func TestClientPutBatch(t *testing.T) {
 		t.Fatalf("after failover: %q/%v %q/%v", va, erra, vb, errb)
 	}
 }
+
+// TestScrubNowRidesOutACoordinatorChange: a scrub asked for the moment the
+// coordinator is deposed runs on its successor, as a client operation
+// would, instead of failing because there is no coordinator for a while.
+func TestScrubNowRidesOutACoordinatorChange(t *testing.T) {
+	cl := newTestCluster(t, smallConfig())
+	if err := cl.Client().Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	old := cl.KillCoordinator()
+	if old == 0 {
+		t.Fatal("no coordinator to depose")
+	}
+	rep, err := cl.ScrubNow()
+	if err != nil {
+		t.Fatalf("ScrubNow after the coordinator was deposed: %v", err)
+	}
+	if rep.MainBlocks == 0 {
+		t.Fatalf("the scrub swept nothing: %+v", rep)
+	}
+	if id := cl.Coordinator(); id == 0 || id == old {
+		t.Fatalf("coordinator after the scrub is %d; the deposed one was %d", id, old)
+	}
+}
