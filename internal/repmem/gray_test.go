@@ -3,7 +3,7 @@ package repmem
 import (
 	"bytes"
 	"errors"
-	"math/rand"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +39,7 @@ func TestQuorumGroupBornDecidedStillCountsLateAcks(t *testing.T) {
 }
 
 func TestRedialerBackoffBounds(t *testing.T) {
-	h := &nodeHealth{rng: rand.New(rand.NewSource(7))}
+	h := &nodeHealth{rng: rand.New(rand.NewPCG(7, 0))}
 	for failures := 1; failures <= 12; failures++ {
 		base := min(redialBackoffMin<<(failures-1), redialBackoffMax)
 		for i := 0; i < 50; i++ {
@@ -58,7 +58,7 @@ func TestRedialerCircuitOpensAfterFailure(t *testing.T) {
 		calls++
 		return nil, dialErr
 	}
-	h := &nodeHealth{rng: rand.New(rand.NewSource(1))}
+	h := &nodeHealth{rng: rand.New(rand.NewPCG(1, 0))}
 	t0 := time.Unix(1000, 0)
 	if _, err := h.dial("m0", dial, t0); !errors.Is(err, dialErr) {
 		t.Fatalf("first dial: got %v, want dial error", err)
@@ -82,7 +82,7 @@ func TestRedialerRecoversAfterBackoff(t *testing.T) {
 		}
 		return inner(node)
 	}
-	h := &nodeHealth{rng: rand.New(rand.NewSource(1))}
+	h := &nodeHealth{rng: rand.New(rand.NewPCG(1, 0))}
 	t0 := time.Unix(1000, 0)
 	if _, err := h.dial(e.names[0], dial, t0); err == nil {
 		t.Fatal("dial to down node should fail")

@@ -1,7 +1,7 @@
 package repmem
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 
@@ -68,10 +68,12 @@ func newGroup(cfg Config, epoch uint32, members []*member, code *erasure.Code) *
 }
 
 // newMember returns a member named name, live, with a fresh health record
-// whose backoff jitter is seeded with seed.
+// whose backoff jitter is seeded with seed. The generator is a PCG: every
+// takeover builds its members, and seeding math/rand's default source
+// costs tens of microseconds each.
 func newMember(name string, seed int64) *member {
 	mb := &member{name: name}
-	mb.health.rng = rand.New(rand.NewSource(seed))
+	mb.health.rng = rand.New(rand.NewPCG(uint64(seed), 0))
 	return mb
 }
 

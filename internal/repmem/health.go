@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -434,7 +434,7 @@ func (h *nodeHealth) backoff(failures int) time.Duration {
 		b *= 2
 	}
 	b = min(b, redialBackoffMax)
-	return b/2 + time.Duration(h.rng.Int63n(int64(b)))
+	return b/2 + time.Duration(h.rng.Int64N(int64(b)))
 }
 
 // NodeHealth is one memory node's gray-failure view, exported for the

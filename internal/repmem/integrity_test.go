@@ -2,6 +2,7 @@ package repmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"time"
@@ -233,5 +234,36 @@ func TestCorruptionFeedsSuspicion(t *testing.T) {
 	}
 	if h.Corruptions != suspectAfterCorrupt {
 		t.Fatalf("health corruptions = %d, want %d", h.Corruptions, suspectAfterCorrupt)
+	}
+}
+
+// TestVoteSumMatchesMapVote: the map-free vote picks what a per-entry map
+// tally picks, ties included — the first value, in member order, to reach
+// the highest count.
+func TestVoteSumMatchesMapVote(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		images := make([][]byte, 1+rng.Intn(7))
+		for i := range images {
+			if rng.Intn(4) == 0 {
+				continue // an unreadable strip
+			}
+			images[i] = binary.LittleEndian.AppendUint32(nil, uint32(rng.Intn(3)))
+		}
+		counts := make(map[uint32]int)
+		var want uint32
+		best := 0
+		for _, img := range images {
+			if img == nil {
+				continue
+			}
+			v := binary.LittleEndian.Uint32(img)
+			if counts[v]++; counts[v] > best {
+				best, want = counts[v], v
+			}
+		}
+		if got := voteSum(images, 0); got != want {
+			t.Fatalf("images %v: voteSum = %d, map vote = %d", images, got, want)
+		}
 	}
 }

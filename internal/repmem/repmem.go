@@ -327,6 +327,10 @@ type Memory struct {
 
 	readRR atomic.Uint64
 
+	// replicaFree holds released readReplicas working sets for reuse.
+	replicaMu   sync.Mutex
+	replicaFree []*replicaRead
+
 	closed atomic.Bool
 	fenced atomic.Bool
 
